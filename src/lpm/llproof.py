@@ -7,6 +7,12 @@ kernel's conversion bridges the gap between a written hypothesis and the
 shape the rule expects).  Each premise introduces new hypotheses, and
 existential-style rules introduce fresh eigenvariables.
 
+`RULES` is the one place a rule's syntax is defined: one row per rule
+gives its `.llpx` tag, its kernel constant, the kind of each field, and
+the hypotheses it consumes and introduces.  The `.llpx` reader and
+writer, the eigenvariables, the witness-closedness checks and the kernel
+arguments are all derived from the row.
+
 `rules_prelude` produces the `rules` module: one constant per inference
 rule, declared abstractly in deep mode and given rewrite definitions in
 shallow mode, where the law of excluded middle is the only axiom.
@@ -16,8 +22,8 @@ over the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
 from .dkparse import Decl, Def, Entry, Rule
@@ -272,7 +278,7 @@ class LLProof:
     concls: Optional[tuple[tff.TffFormula, ...]] = None
 
     def conclusion_hyps(self) -> tuple[tff.TffFormula, ...]:
-        return self.concls if self.concls is not None else tuple(rule_conclusions(self.rule))
+        return self.concls if self.concls is not None else tuple(_SCHEMA[type(self.rule)].consumes(self.rule))
 
     def conclusion(self, ambient: tuple[tff.TffFormula, ...] = ()) -> LLSequent:
         return LLSequent(tuple(ambient) + self.conclusion_hyps())
@@ -300,7 +306,7 @@ class UnregisteredExtRule(CertificateError):
 
 
 # ---------------------------------------------------------------------------
-# Rule schemas: consumed hypotheses, premise hypotheses, eigenvariables
+# Rule schemas: one row per rule
 
 
 def _neq(ty: tff.TffType, t: tff.TffTerm, u: tff.TffTerm) -> tff.TffFormula:
@@ -315,188 +321,247 @@ def _inst_ty(body: tff.TffFormula, tvar: str, value: tff.TffType) -> tff.TffForm
     return tff.subst_type_in_formula(body, {tvar: value})
 
 
-def rule_conclusions(rule: LLRule) -> list[tff.TffFormula]:
-    """Default consumed hypotheses, as implied by the rule parameters."""
-    match rule:
-        case Bot():
-            return [tff.Bottom()]
-        case NotTop():
-            return [tff.Not(tff.Top())]
-        case Ax(p=p):
-            return [p, tff.Not(p)]
-        case Cut():
-            return []
-        case Neq(ty=ty, t=t):
-            return [_neq(ty, t, t)]
-        case Sym(ty=ty, t=t, u=u):
-            return [tff.Eq(ty, t, u), _neq(ty, u, t)]
-        case NotNot(p=p):
-            return [tff.Not(tff.Not(p))]
-        case And(p=p, q=q):
-            return [tff.And(p, q)]
-        case Or(p=p, q=q):
-            return [tff.Or(p, q)]
-        case Imp(p=p, q=q):
-            return [tff.Implies(p, q)]
-        case Iff(p=p, q=q):
-            return [tff.Iff(p, q)]
-        case NotAnd(p=p, q=q):
-            return [tff.Not(tff.And(p, q))]
-        case NotOr(p=p, q=q):
-            return [tff.Not(tff.Or(p, q))]
-        case NotImp(p=p, q=q):
-            return [tff.Not(tff.Implies(p, q))]
-        case NotIff(p=p, q=q):
-            return [tff.Not(tff.Iff(p, q))]
-        case Exists(ty=ty, var=x, body=b):
-            return [tff.Exists(x, ty, b)]
-        case Forall(ty=ty, var=x, body=b):
-            return [tff.Forall(x, ty, b)]
-        case NotExists(ty=ty, var=x, body=b):
-            return [tff.Not(tff.Exists(x, ty, b))]
-        case NotForall(ty=ty, var=x, body=b):
-            return [tff.Not(tff.Forall(x, ty, b))]
-        case ExistsType(tvar=a, body=b):
-            return [tff.ExistsType(a, b)]
-        case ForallType(tvar=a, body=b):
-            return [tff.ForallType(a, b)]
-        case NotExistsType(tvar=a, body=b):
-            return [tff.Not(tff.ExistsType(a, b))]
-        case NotForallType(tvar=a, body=b):
-            return [tff.Not(tff.ForallType(a, b))]
-        case Pred(name=p, ty_args=tys, lhs_args=ts, rhs_args=us):
-            return [tff.Pred(p, tys, ts), tff.Not(tff.Pred(p, tys, us))]
-        case Fun(name=f, ty_args=tys, lhs_args=ts, rhs_args=us, result_ty=res):
-            return [_neq(res, tff.Fun(f, tys, ts), tff.Fun(f, tys, us))]
-        case Subst(ty=ty, var=x, body=b, t=t):
-            return [_inst(b, x, t)]
-        case Ext(conclusions=cs):
-            return list(cs)
-    raise TypeError(rule)
+class FieldKind(NamedTuple):
+    """What a rule field holds, and how `.llpx` reads and writes it.
 
-
-def rule_premise_hyps(rule: LLRule) -> list[list[tff.TffFormula]]:
-    """Hypotheses each premise introduces, in binding order."""
-    match rule:
-        case Bot() | NotTop() | Ax() | Neq() | Sym():
-            return []
-        case Cut(p=p):
-            return [[p], [tff.Not(p)]]
-        case NotNot(p=p):
-            return [[p]]
-        case And(p=p, q=q):
-            return [[p, q]]
-        case Or(p=p, q=q):
-            return [[p], [q]]
-        case Imp(p=p, q=q):
-            return [[tff.Not(p)], [q]]
-        case Iff(p=p, q=q):
-            return [[tff.Not(p), tff.Not(q)], [p, q]]
-        case NotAnd(p=p, q=q):
-            return [[tff.Not(p)], [tff.Not(q)]]
-        case NotOr(p=p, q=q):
-            return [[tff.Not(p), tff.Not(q)]]
-        case NotImp(p=p, q=q):
-            return [[p, tff.Not(q)]]
-        case NotIff(p=p, q=q):
-            return [[tff.Not(p), q], [p, tff.Not(q)]]
-        case Exists(var=x, body=b, const=c):
-            return [[_inst(b, x, tff.Var(c))]]
-        case Forall(var=x, body=b, witness=t):
-            return [[_inst(b, x, t)]]
-        case NotExists(var=x, body=b, witness=t):
-            return [[tff.Not(_inst(b, x, t))]]
-        case NotForall(var=x, body=b, const=c):
-            return [[tff.Not(_inst(b, x, tff.Var(c)))]]
-        case ExistsType(tvar=a, body=b, fresh_type=f):
-            return [[_inst_ty(b, a, tff.TVar(f))]]
-        case ForallType(tvar=a, body=b, witness=w):
-            return [[_inst_ty(b, a, w)]]
-        case NotExistsType(tvar=a, body=b, witness=w):
-            return [[tff.Not(_inst_ty(b, a, w))]]
-        case NotForallType(tvar=a, body=b, fresh_type=f):
-            return [[tff.Not(_inst_ty(b, a, tff.TVar(f)))]]
-        case Pred(lhs_args=ts, rhs_args=us, eq_types=tys):
-            return [[_neq(ty, t, u)] for ty, t, u in zip(tys, ts, us)]
-        case Fun(lhs_args=ts, rhs_args=us, eq_types=tys):
-            return [[_neq(ty, t, u)] for ty, t, u in zip(tys, ts, us)]
-        case Subst(ty=ty, var=x, body=b, t=t, u=u):
-            return [[_neq(ty, t, u)], [_inst(b, x, u)]]
-        case Ext(hyp_blocks=blocks):
-            return [list(block) for block in blocks]
-    raise TypeError(rule)
-
-
-def rule_eigenvars(rule: LLRule) -> list[list[tuple[str, Optional[tff.TffType]]]]:
-    """Per premise: eigenvariables bound before the hypotheses.
-
-    A `None` type marks a type eigenvariable.
+    The kernel arguments of a rule follow its field kinds (see
+    `_Translator.rule_args`): a formula, type or term gives one argument,
+    a bound variable and the body after it give one abstraction (over the
+    type of the latest type field), and names (fresh constants and types,
+    symbols) give none.
     """
-    n = len(rule_premise_hyps(rule))
-    out: list[list[tuple[str, Optional[tff.TffType]]]] = [[] for _ in range(n)]
-    match rule:
-        case Exists(ty=ty, const=c) | NotForall(ty=ty, const=c):
-            out[0] = [(c, ty)]
-        case ExistsType(fresh_type=f) | NotForallType(fresh_type=f):
-            out[0] = [(f, None)]
-        case _:
-            pass
+
+    name: str
+    read: Callable[[object, set[str]], object]
+    write: Callable[[object, set[str]], object]
+
+
+def _read_type(sx: object, cons: set[str]) -> tff.TffType:
+    return tff.type_from_sexp(sx, set(), cons)
+
+
+def _symbol_kind(name: str) -> FieldKind:
+    return FieldKind(name, lambda sx, cons: tff._symbol(sx), lambda v, cons: v)
+
+
+def _list_kind(name: str, item: FieldKind) -> FieldKind:
+    return FieldKind(
+        name,
+        lambda sx, cons: tuple(item.read(x, cons) for x in tff._list(sx)),
+        lambda v, cons: [item.write(x, cons) for x in v],
+    )
+
+
+FORMULA = FieldKind("formula", tff.formula_from_sexp, tff.formula_to_sexp)
+TY = FieldKind("type", _read_type, tff.type_to_sexp)
+TERM = FieldKind("term", tff.term_from_sexp, tff.term_to_sexp)
+WITNESS = FieldKind("closed witness term", tff.term_from_sexp, tff.term_to_sexp)
+WITNESS_TY = FieldKind("closed witness type", _read_type, tff.type_to_sexp)
+BOUND = _symbol_kind("bound variable")
+BOUND_TY = _symbol_kind("bound type variable")
+FRESH = _symbol_kind("fresh constant")
+FRESH_TY = _symbol_kind("fresh type")
+SYMBOL = _symbol_kind("symbol")
+TYS = _list_kind("types", TY)
+TERMS = _list_kind("terms", TERM)
+FORMULAS = _list_kind("formulas", FORMULA)
+
+
+def _values(x: object) -> tuple:
+    """The field values of a rule or extension argument, in field order."""
+    return tuple(getattr(x, f.name) for f in fields(x))
+
+
+def _read_fields(kinds: tuple[FieldKind, ...], sxs: list, cons: set[str]) -> list:
+    return [kind.read(sx, cons) for kind, sx in zip(kinds, sxs)]
+
+
+def _write_fields(kinds: tuple[FieldKind, ...], x: object, cons: set[str]) -> list:
+    return [kind.write(v, cons) for kind, v in zip(kinds, _values(x))]
+
+
+class ExtArgSchema(NamedTuple):
+    """One kind of extension argument: its class, field kinds and kernel
+    argument."""
+
+    cls: type
+    kinds: tuple[FieldKind, ...]
+    karg: Callable[["_Translator", ExtArg], KTerm]
+
+
+# keyed by `.llpx` tag, which is also the kind name `ExtRuleSpec.arg_kinds` uses
+EXT_ARG_KINDS: dict[str, ExtArgSchema] = {
+    "abs": ExtArgSchema(AbsArg, (SYMBOL, TY, FORMULA), lambda tr, a: tr.abstraction(a.var, a.ty, a.body)),
+    "fm": ExtArgSchema(FormulaArg, (FORMULA,), lambda tr, a: tr.formula(a.formula)),
+    "tm": ExtArgSchema(TermArg, (TERM,), lambda tr, a: tr.kterm(a.term)),
+    "ty": ExtArgSchema(TypeArg, (TY,), lambda tr, a: tr.ktype(a.ty)),
+}
+_EXT_ARG_TAGS = {schema.cls: tag for tag, schema in EXT_ARG_KINDS.items()}
+
+
+def _ext_arg_from_sexp(sx: object, cons: set[str]) -> ExtArg:
+    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
+        raise tff.FormatError(f"bad extension argument {sexp.dumps(sx)}")
+    schema = EXT_ARG_KINDS.get(sx[0])
+    if schema is None:
+        raise tff.FormatError(f"unknown extension argument tag {sx[0]!r}")
+    if len(sx) != 1 + len(schema.kinds):
+        raise tff.FormatError(f"extension argument {sx[0]} expects {len(schema.kinds)} fields")
+    return schema.cls(*_read_fields(schema.kinds, sx[1:], cons))
+
+
+def _ext_arg_to_sexp(arg: ExtArg, cons: set[str]) -> list:
+    tag = _EXT_ARG_TAGS[type(arg)]
+    return [tag, *_write_fields(EXT_ARG_KINDS[tag].kinds, arg, cons)]
+
+
+EXT_ARGS = _list_kind("extension arguments", FieldKind("extension argument", _ext_arg_from_sexp, _ext_arg_to_sexp))
+BLOCKS = _list_kind("hypothesis blocks", FORMULAS)
+
+
+class RuleSchema(NamedTuple):
+    """One inference rule: the only place its syntax is defined.
+
+    `kinds` gives the kind of each dataclass field, in field order.
+    `consumes` maps a rule to the hypotheses its node consumes by default,
+    and `blocks` to the hypotheses each premise introduces, in binding
+    order.  `const` names the rule's constant in the `rules` module; `Pred`
+    and `Fun` have none (they are eliminated before translation), nor has
+    `Ext` (its constant belongs to the theory).
+    """
+
+    cls: type
+    tag: str
+    const: Optional[str]
+    kinds: tuple[FieldKind, ...]
+    consumes: Callable[[LLRule], Sequence[tff.TffFormula]]
+    blocks: Callable[[LLRule], Sequence[Sequence[tff.TffFormula]]]
+
+
+def _closes(rule: LLRule) -> list:
+    return []
+
+
+def _eq_blocks(rule: Union[Pred, Fun]) -> list[list[tff.TffFormula]]:
+    return [[_neq(ty, t, u)] for ty, t, u in zip(rule.eq_types, rule.lhs_args, rule.rhs_args)]
+
+
+RULES: tuple[RuleSchema, ...] = (
+    RuleSchema(Bot, "bot", "R_bot", (), lambda r: [tff.Bottom()], _closes),
+    RuleSchema(NotTop, "nottop", "R_nottop", (), lambda r: [tff.Not(tff.Top())], _closes),
+    RuleSchema(Ax, "ax", "R_Ax", (FORMULA,), lambda r: [r.p, tff.Not(r.p)], _closes),
+    RuleSchema(Cut, "cut", "R_Cut", (FORMULA,), lambda r: [],
+               lambda r: [[r.p], [tff.Not(r.p)]]),
+    RuleSchema(Neq, "neq", "R_neq", (TY, TERM), lambda r: [_neq(r.ty, r.t, r.t)], _closes),
+    RuleSchema(Sym, "sym", "R_Sym", (TY, TERM, TERM),
+               lambda r: [tff.Eq(r.ty, r.t, r.u), _neq(r.ty, r.u, r.t)], _closes),
+    RuleSchema(NotNot, "notnot", "R_notnot", (FORMULA,), lambda r: [tff.Not(tff.Not(r.p))],
+               lambda r: [[r.p]]),
+    RuleSchema(And, "and", "R_and", (FORMULA, FORMULA), lambda r: [tff.And(r.p, r.q)],
+               lambda r: [[r.p, r.q]]),
+    RuleSchema(Or, "or", "R_or", (FORMULA, FORMULA), lambda r: [tff.Or(r.p, r.q)],
+               lambda r: [[r.p], [r.q]]),
+    RuleSchema(Imp, "imp", "R_imp", (FORMULA, FORMULA), lambda r: [tff.Implies(r.p, r.q)],
+               lambda r: [[tff.Not(r.p)], [r.q]]),
+    RuleSchema(Iff, "iff", "R_eqv", (FORMULA, FORMULA), lambda r: [tff.Iff(r.p, r.q)],
+               lambda r: [[tff.Not(r.p), tff.Not(r.q)], [r.p, r.q]]),
+    RuleSchema(NotAnd, "notand", "R_notand", (FORMULA, FORMULA), lambda r: [tff.Not(tff.And(r.p, r.q))],
+               lambda r: [[tff.Not(r.p)], [tff.Not(r.q)]]),
+    RuleSchema(NotOr, "notor", "R_notor", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Or(r.p, r.q))],
+               lambda r: [[tff.Not(r.p), tff.Not(r.q)]]),
+    RuleSchema(NotImp, "notimp", "R_notimp", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Implies(r.p, r.q))],
+               lambda r: [[r.p, tff.Not(r.q)]]),
+    RuleSchema(NotIff, "notiff", "R_noteqv", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Iff(r.p, r.q))],
+               lambda r: [[tff.Not(r.p), r.q], [r.p, tff.Not(r.q)]]),
+    RuleSchema(Exists, "exists", "R_exists", (TY, BOUND, FORMULA, FRESH),
+               lambda r: [tff.Exists(r.var, r.ty, r.body)],
+               lambda r: [[_inst(r.body, r.var, tff.Var(r.const))]]),
+    RuleSchema(Forall, "forall", "R_forall", (TY, BOUND, FORMULA, WITNESS),
+               lambda r: [tff.Forall(r.var, r.ty, r.body)],
+               lambda r: [[_inst(r.body, r.var, r.witness)]]),
+    RuleSchema(NotExists, "notexists", "R_notexists", (TY, BOUND, FORMULA, WITNESS),
+               lambda r: [tff.Not(tff.Exists(r.var, r.ty, r.body))],
+               lambda r: [[tff.Not(_inst(r.body, r.var, r.witness))]]),
+    RuleSchema(NotForall, "notforall", "R_notforall", (TY, BOUND, FORMULA, FRESH),
+               lambda r: [tff.Not(tff.Forall(r.var, r.ty, r.body))],
+               lambda r: [[tff.Not(_inst(r.body, r.var, tff.Var(r.const)))]]),
+    RuleSchema(ExistsType, "existstype", "R_existstype", (BOUND_TY, FORMULA, FRESH_TY),
+               lambda r: [tff.ExistsType(r.tvar, r.body)],
+               lambda r: [[_inst_ty(r.body, r.tvar, tff.TVar(r.fresh_type))]]),
+    RuleSchema(ForallType, "foralltype", "R_foralltype", (BOUND_TY, FORMULA, WITNESS_TY),
+               lambda r: [tff.ForallType(r.tvar, r.body)],
+               lambda r: [[_inst_ty(r.body, r.tvar, r.witness)]]),
+    RuleSchema(NotExistsType, "notexiststype", "R_notexiststype", (BOUND_TY, FORMULA, WITNESS_TY),
+               lambda r: [tff.Not(tff.ExistsType(r.tvar, r.body))],
+               lambda r: [[tff.Not(_inst_ty(r.body, r.tvar, r.witness))]]),
+    RuleSchema(NotForallType, "notforalltype", "R_notforalltype", (BOUND_TY, FORMULA, FRESH_TY),
+               lambda r: [tff.Not(tff.ForallType(r.tvar, r.body))],
+               lambda r: [[tff.Not(_inst_ty(r.body, r.tvar, tff.TVar(r.fresh_type)))]]),
+    RuleSchema(Pred, "pred", None, (SYMBOL, TYS, TERMS, TERMS, TYS),
+               lambda r: [tff.Pred(r.name, r.ty_args, r.lhs_args), tff.Not(tff.Pred(r.name, r.ty_args, r.rhs_args))],
+               _eq_blocks),
+    RuleSchema(Fun, "fun", None, (SYMBOL, TYS, TERMS, TERMS, TYS, TY),
+               lambda r: [_neq(r.result_ty, tff.Fun(r.name, r.ty_args, r.lhs_args),
+                               tff.Fun(r.name, r.ty_args, r.rhs_args))],
+               _eq_blocks),
+    RuleSchema(Subst, "subst", "R_Subst", (TY, BOUND, FORMULA, TERM, TERM),
+               lambda r: [_inst(r.body, r.var, r.t)],
+               lambda r: [[_neq(r.ty, r.t, r.u)], [_inst(r.body, r.var, r.u)]]),
+    RuleSchema(Ext, "ext", None, (SYMBOL, EXT_ARGS, FORMULAS, BLOCKS),
+               lambda r: r.conclusions, lambda r: r.hyp_blocks),
+)
+_SCHEMA = {row.cls: row for row in RULES}
+_SCHEMA_BY_TAG = {row.tag: row for row in RULES}
+
+
+def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
+    """Eigenvariables a node binds in its premise, with their types.
+
+    A fresh constant takes the type in the rule's type field; a `None`
+    type marks a fresh type.
+    """
+    out: list[tuple[str, Optional[tff.TffType]]] = []
+    ty = None
+    for kind, v in zip(_SCHEMA[type(rule)].kinds, _values(rule)):
+        if kind is TY:
+            ty = v
+        elif kind is FRESH:
+            out.append((v, ty))
+        elif kind is FRESH_TY:
+            out.append((v, None))
     return out
+
+
+def _consumed(p: LLProof, path: tuple[int, ...]) -> tuple[tff.TffFormula, ...]:
+    """A node's consumed hypotheses, checking that a `(concl ...)` override
+    lists as many formulas as the rule consumes."""
+    default = tuple(_SCHEMA[type(p.rule)].consumes(p.rule))
+    if p.concls is None:
+        return default
+    if len(p.concls) != len(default):
+        raise CertificateError(
+            path, f"rule {type(p.rule).__name__} consumes {len(default)} hypotheses, "
+                  f"but its conclusion override lists {len(p.concls)}")
+    return p.concls
 
 
 # ---------------------------------------------------------------------------
 # Extension rule registry
 
 
-@dataclass(frozen=True)
-class ExtRuleSpec:
-    """Shape of a registered extension deduction rule.
-
-    `const_basename` is declared in the theory's module (its type comes
-    from the same registration, see `embed.EXT_CONSTANTS`); the two
-    builders give default conclusions and premise hypothesis blocks from
-    the node's arguments.
+class ExtRuleSpec(NamedTuple):
+    """Shape of a registered extension deduction rule: the kinds of its
+    arguments (keys of `EXT_ARG_KINDS`) and its number of premises.  The
+    rule's constant and its type are registered in `embed.EXT_CONSTANTS`.
     """
 
-    name: str
-    const_basename: str
     arg_kinds: tuple[str, ...]
     n_premises: int
-    default_conclusions: Callable[[tuple[ExtArg, ...]], tuple[tff.TffFormula, ...]]
-    default_blocks: Callable[[tuple[ExtArg, ...]], tuple[tuple[tff.TffFormula, ...], ...]]
 
-
-def _bool_case_defaults(case_exists: bool):
-    true_t = tff.Fun("true", (), ())
-    false_t = tff.Fun("false", (), ())
-
-    def concls(args: tuple[ExtArg, ...]) -> tuple[tff.TffFormula, ...]:
-        p = args[0]
-        assert isinstance(p, AbsArg)
-        quantified = tff.Forall(p.var, p.ty, p.body) if not case_exists else tff.Exists(p.var, p.ty, p.body)
-        return (tff.Not(quantified),) if not case_exists else (quantified,)
-
-    def blocks(args: tuple[ExtArg, ...]) -> tuple[tuple[tff.TffFormula, ...], ...]:
-        p = args[0]
-        assert isinstance(p, AbsArg)
-        def at(v: tff.TffTerm) -> tff.TffFormula:
-            inst = _inst(p.body, p.var, v)
-            return inst if case_exists else tff.Not(inst)
-        return ((at(true_t),), (at(false_t),))
-
-    return concls, blocks
-
-
-_nf_concls, _nf_blocks = _bool_case_defaults(case_exists=False)
-_ex_concls, _ex_blocks = _bool_case_defaults(case_exists=True)
 
 EXT_REGISTRY: dict[str, ExtRuleSpec] = {
-    "bool-case-notforall": ExtRuleSpec(
-        "bool-case-notforall", "R_bool_case_nf", ("abs",), 2, _nf_concls, _nf_blocks
-    ),
-    "bool-case-exists": ExtRuleSpec(
-        "bool-case-exists", "R_bool_case_ex", ("abs",), 2, _ex_concls, _ex_blocks
-    ),
+    "bool-case-notforall": ExtRuleSpec(("abs",), 2),
+    "bool-case-exists": ExtRuleSpec(("abs",), 2),
 }
 
 
@@ -808,26 +873,27 @@ def rules_prelude(mode: str = "shallow") -> list[Entry]:
 # Pred/Fun elimination
 
 
-def eliminate_pred_fun(p: LLProof) -> LLProof:
+def eliminate_pred_fun(p: LLProof, path: tuple[int, ...] = ()) -> LLProof:
     """Decompose every Pred/Fun node into a chain of Subst steps.
 
     An n-ary predicate node becomes n Subst steps closed by an axiom
     step on the fully rewritten atom; an n-ary function node becomes n
     Subst steps on the disequality closed by a reflexivity refutation.
-    All other nodes are preserved.
+    All other nodes are preserved.  `path` locates `p` in the whole tree,
+    for error reports.
     """
-    premises = tuple(eliminate_pred_fun(q) for q in p.premises)
+    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
     match p.rule:
         case Pred(name=pn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys):
-            _check_arities(ts, us, eq_tys)
-            concls = p.concls if p.concls is not None else tuple(rule_conclusions(p.rule))
+            _check_arities(ts, us, eq_tys, premises, path)
+            concls = _consumed(p, path)
             atom = lambda args: tff.Pred(pn, tys, tuple(args))
             core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]))
             tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
             return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]))
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
-            _check_arities(ts, us, eq_tys)
-            concls = p.concls if p.concls is not None else tuple(rule_conclusions(p.rule))
+            _check_arities(ts, us, eq_tys, premises, path)
+            concls = _consumed(p, path)
             atom = lambda args: _neq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
             core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
             tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
@@ -836,9 +902,11 @@ def eliminate_pred_fun(p: LLProof) -> LLProof:
             return LLProof(p.rule, premises, p.concls)
 
 
-def _check_arities(ts, us, eq_tys) -> None:
+def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
     if not (len(ts) == len(us) == len(eq_tys)):
-        raise CertificateError((), f"term lists of lengths {len(ts)}/{len(us)}/{len(eq_tys)} disagree")
+        raise CertificateError(path, f"term lists of lengths {len(ts)}/{len(us)}/{len(eq_tys)} disagree")
+    if len(premises) != len(ts):
+        raise CertificateError(path, f"{len(ts)} argument pairs need {len(ts)} premises, got {len(premises)}")
 
 
 def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
@@ -899,9 +967,8 @@ class _Translator:
         self.env_formulas: list[tuple[tff.TffFormula, str]] = []
         # kernel context snapshots for failure localization
         self.ctx: dict[str, KTerm] = {}
+        # eigenvariables in scope -> their kernel variables
         self.kenv: dict[str, KTerm] = {}
-        self.eigen_terms: dict[str, tff.TffType] = {}
-        self.eigen_types: set[str] = set()
         self.nodes: list[tuple[tuple[int, ...], KTerm, dict[str, KTerm]]] = []
 
     # -- environment -------------------------------------------------
@@ -975,7 +1042,7 @@ class _Translator:
     # -- freshness and closedness side conditions ----------------------
 
     def check_fresh_const(self, name: str, path: tuple[int, ...]) -> None:
-        if name in self.eigen_terms or name in self.eigen_types or name in self.kenv:
+        if name in self.kenv:
             raise FreshnessViolation(path, f"constant {name} was already introduced")
         if name in self.tbl.funs or name in self.tbl.preds or name in self.tbl.type_cons:
             raise FreshnessViolation(path, f"constant {name} collides with a theory symbol")
@@ -984,7 +1051,7 @@ class _Translator:
                 raise FreshnessViolation(path, f"constant {name} occurs in the conclusion sequent")
 
     def check_fresh_type(self, name: str, path: tuple[int, ...]) -> None:
-        if name in self.eigen_types or name in self.eigen_terms or name in self.kenv:
+        if name in self.kenv:
             raise FreshnessViolation(path, f"type {name} was already introduced")
         if name in self.tbl.type_cons:
             raise FreshnessViolation(path, f"type {name} collides with a theory constructor")
@@ -992,127 +1059,84 @@ class _Translator:
             if name in tff.formula_tvars(phi):
                 raise FreshnessViolation(path, f"type {name} occurs in the conclusion sequent")
 
-    def check_witness_closed(self, e: tff.TffTerm, path: tuple[int, ...]) -> None:
-        stray = tff.term_vars(e) - set(self.kenv)
-        if stray:
-            raise CertificateError(path, f"witness term mentions unbound variables {sorted(stray)}")
-
-    def check_witness_type_closed(self, ty: tff.TffType, path: tuple[int, ...]) -> None:
-        stray = tff.type_tvars(ty) - set(self.kenv)
-        if stray:
-            raise CertificateError(path, f"witness type mentions unbound type variables {sorted(stray)}")
+    def check_witnesses(self, rule: LLRule, path: tuple[int, ...]) -> None:
+        """Witness fields may mention only eigenvariables in scope."""
+        for kind, v in zip(_SCHEMA[type(rule)].kinds, _values(rule)):
+            if kind is WITNESS:
+                stray = tff.term_vars(v) - set(self.kenv)
+                if stray:
+                    raise CertificateError(path, f"witness term mentions unbound variables {sorted(stray)}")
+            elif kind is WITNESS_TY:
+                stray = tff.type_tvars(v) - set(self.kenv)
+                if stray:
+                    raise CertificateError(path, f"witness type mentions unbound type variables {sorted(stray)}")
 
     # -- the Fig-style node compilation --------------------------------
 
     def rule_args(self, rule: LLRule, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
-        match rule:
-            case Bot():
-                return _r("R_bot"), []
-            case NotTop():
-                return _r("R_nottop"), []
-            case Ax(p=p):
-                return _r("R_Ax"), [self.formula(p)]
-            case Cut(p=p):
-                return _r("R_Cut"), [self.formula(p)]
-            case Neq(ty=ty, t=t):
-                return _r("R_neq"), [self.ktype(ty), self.kterm(t)]
-            case Sym(ty=ty, t=t, u=u):
-                return _r("R_Sym"), [self.ktype(ty), self.kterm(t), self.kterm(u)]
-            case NotNot(p=p):
-                return _r("R_notnot"), [self.formula(p)]
-            case And(p=p, q=q):
-                return _r("R_and"), [self.formula(p), self.formula(q)]
-            case Or(p=p, q=q):
-                return _r("R_or"), [self.formula(p), self.formula(q)]
-            case Imp(p=p, q=q):
-                return _r("R_imp"), [self.formula(p), self.formula(q)]
-            case Iff(p=p, q=q):
-                return _r("R_eqv"), [self.formula(p), self.formula(q)]
-            case NotAnd(p=p, q=q):
-                return _r("R_notand"), [self.formula(p), self.formula(q)]
-            case NotOr(p=p, q=q):
-                return _r("R_notor"), [self.formula(p), self.formula(q)]
-            case NotImp(p=p, q=q):
-                return _r("R_notimp"), [self.formula(p), self.formula(q)]
-            case NotIff(p=p, q=q):
-                return _r("R_noteqv"), [self.formula(p), self.formula(q)]
-            case Exists(ty=ty, var=x, body=b):
-                return _r("R_exists"), [self.ktype(ty), self.abstraction(x, ty, b)]
-            case Forall(ty=ty, var=x, body=b, witness=t):
-                self.check_witness_closed(t, path)
-                return _r("R_forall"), [self.ktype(ty), self.abstraction(x, ty, b), self.kterm(t)]
-            case NotExists(ty=ty, var=x, body=b, witness=t):
-                self.check_witness_closed(t, path)
-                return _r("R_notexists"), [self.ktype(ty), self.abstraction(x, ty, b), self.kterm(t)]
-            case NotForall(ty=ty, var=x, body=b):
-                return _r("R_notforall"), [self.ktype(ty), self.abstraction(x, ty, b)]
-            case ExistsType(tvar=a, body=b):
-                return _r("R_existstype"), [self.type_abstraction(a, b)]
-            case ForallType(tvar=a, body=b, witness=w):
-                self.check_witness_type_closed(w, path)
-                return _r("R_foralltype"), [self.type_abstraction(a, b), self.ktype(w)]
-            case NotExistsType(tvar=a, body=b, witness=w):
-                self.check_witness_type_closed(w, path)
-                return _r("R_notexiststype"), [self.type_abstraction(a, b), self.ktype(w)]
-            case NotForallType(tvar=a, body=b):
-                return _r("R_notforalltype"), [self.type_abstraction(a, b)]
-            case Subst(ty=ty, var=x, body=b, t=t, u=u):
-                return _r("R_Subst"), [
-                    self.ktype(ty), self.abstraction(x, ty, b), self.kterm(t), self.kterm(u)]
-            case Ext(name=n, args=args):
-                spec = EXT_REGISTRY.get(n)
-                if spec is None or n not in self.tbl.exts:
-                    raise UnregisteredExtRule(path, f"extension rule {n!r} is not registered for this theory")
-                if len(args) != len(spec.arg_kinds):
-                    raise CertificateError(path, f"extension rule {n} expects {len(spec.arg_kinds)} arguments")
-                kargs = []
-                for kind, arg in zip(spec.arg_kinds, args):
-                    match kind, arg:
-                        case ("abs", AbsArg(var=x, ty=ty, body=b)):
-                            kargs.append(self.abstraction(x, ty, b))
-                        case ("formula", FormulaArg(formula=f)):
-                            kargs.append(self.formula(f))
-                        case ("term", TermArg(term=e)):
-                            kargs.append(self.kterm(e))
-                        case ("type", TypeArg(ty=ty)):
-                            kargs.append(self.ktype(ty))
-                        case _:
-                            raise CertificateError(path, f"extension argument {arg!r} does not fit kind {kind!r}")
-                return embed.ext_constant(n, self.module), kargs
-        raise TypeError(rule)
+        if isinstance(rule, Ext):
+            return self.ext_args(rule, path)
+        self.check_witnesses(rule, path)
+        row = _SCHEMA[type(rule)]
+        kargs: list[KTerm] = []
+        ty = None
+        items = iter(zip(row.kinds, _values(rule)))
+        for kind, v in items:
+            if kind is FORMULA:
+                kargs.append(self.formula(v))
+            elif kind is TY or kind is WITNESS_TY:
+                ty = v
+                kargs.append(self.ktype(v))
+            elif kind is TERM or kind is WITNESS:
+                kargs.append(self.kterm(v))
+            elif kind is BOUND:
+                kargs.append(self.abstraction(v, ty, next(items)[1]))
+            elif kind is BOUND_TY:
+                kargs.append(self.type_abstraction(v, next(items)[1]))
+        return _r(row.const), kargs
+
+    def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
+        spec = EXT_REGISTRY.get(rule.name)
+        if spec is None or rule.name not in self.tbl.exts:
+            raise UnregisteredExtRule(path, f"extension rule {rule.name!r} is not registered for this theory")
+        if len(rule.args) != len(spec.arg_kinds):
+            raise CertificateError(path, f"extension rule {rule.name} expects {len(spec.arg_kinds)} arguments")
+        kargs = []
+        for kind, arg in zip(spec.arg_kinds, rule.args):
+            schema = EXT_ARG_KINDS[kind]
+            if not isinstance(arg, schema.cls):
+                raise CertificateError(path, f"extension argument {arg!r} does not fit kind {kind!r}")
+            kargs.append(schema.karg(self, arg))
+        if len(rule.hyp_blocks) != spec.n_premises:
+            raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
+        return embed.ext_constant(rule.name, self.module), kargs
 
     def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> KTerm:
         rule = p.rule
         if isinstance(rule, (Pred, Fun)):
             raise CertificateError(path, "Pred/Fun nodes must be eliminated before translation")
+        consumed_hyps = _consumed(p, path)
         head, kargs = self.rule_args(rule, path)
-        blocks = rule_premise_hyps(rule)
-        eigen = rule_eigenvars(rule)
-        if isinstance(rule, Ext):
-            spec = EXT_REGISTRY[rule.name]
-            if len(blocks) != spec.n_premises:
-                raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
+        blocks = _SCHEMA[type(rule)].blocks(rule)
         if len(p.premises) != len(blocks):
             raise CertificateError(
                 path, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
+        eigen = _eigenvars(rule)
         continuations: list[KTerm] = []
-        for i, (premise, block, evars) in enumerate(zip(p.premises, blocks, eigen)):
-            opened: list[tuple[str, str, Optional[tff.TffType]]] = []
-            for name, ty in evars:
+        for i, (premise, block) in enumerate(zip(p.premises, blocks)):
+            opened: list[tuple[str, str, KTerm]] = []
+            for name, ty in eigen:
                 if ty is None:
                     self.check_fresh_type(name, path)
-                    u = fresh_name(name)
-                    self.kenv[name] = FVar(u)
-                    self.eigen_types.add(name)
-                    self.ctx[u] = TYPE_C
+                    annot = TYPE_C
                 else:
                     self.check_fresh_const(name, path)
-                    u = fresh_name(name)
-                    self.kenv[name] = FVar(u)
-                    self.eigen_terms[name] = ty
-                    self.ctx[u] = term(self.ktype(ty))
-                opened.append((name, u, ty))
+                    annot = term(self.ktype(ty))
+                u = fresh_name(name)
+                self.kenv[name] = FVar(u)
+                self.ctx[u] = annot
+                opened.append((name, u, annot))
             bound: list[tuple[tff.TffFormula, str, KTerm]] = []
             for phi in block:
                 name, ktype = self.push_hyp(phi)
@@ -1121,19 +1145,13 @@ class _Translator:
             for phi, name, ktype in reversed(bound):
                 self.pop_hyp(phi, name)
                 body = Lam(name, ktype, abstract(body, name))
-            for name, u, ty in reversed(opened):
+            for name, u, annot in reversed(opened):
                 del self.kenv[name]
-                if ty is None:
-                    self.eigen_types.discard(name)
-                    annot = TYPE_C
-                else:
-                    del self.eigen_terms[name]
-                    annot = term(self.ktype(ty))
                 del self.ctx[u]
                 body = Lam(name, annot, abstract(body, u))
             continuations.append(body)
 
-        consumed = [self.lookup(phi, path) for phi in p.conclusion_hyps()]
+        consumed = [self.lookup(phi, path) for phi in consumed_hyps]
         node_term = app(head, *kargs, *continuations, *consumed)
         self.nodes.append((path, node_term, dict(self.ctx)))
         return node_term
@@ -1214,6 +1232,8 @@ def check_certificate(
     try:
         if sig is None:
             sig = base_signature(thy, mode, fuel)
+    except kernel.FuelExhausted:
+        raise
     except (kernel.KernelError, signature.SignatureError, tff.TffError, embed.UnknownExtension) as e:
         return Verdict(False, error=str(e))
     try:
@@ -1261,210 +1281,33 @@ def _locate_failure(
 # Proof interchange format (.llpx)
 
 
-_BINARY_TAGS = {
-    "and": And, "or": Or, "imp": Imp, "iff": Iff,
-    "notand": NotAnd, "notor": NotOr, "notimp": NotImp, "notiff": NotIff,
-}
-
-
 def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
     if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
         raise tff.FormatError(f"bad proof node {sexp.dumps(sx)}")
-    tag = sx[0]
-    fields, concl_sx, premises_sx = _split_node(tag, sx[1:])
-    concls: Optional[tuple[tff.TffFormula, ...]] = None
-    if concl_sx is not None:
-        concls = tuple(tff.formula_from_sexp(f, cons) for f in concl_sx[1:])
-    rule = _rule_from_fields(tag, fields, cons)
-    premises = tuple(proof_from_sexp(p, cons) for p in premises_sx)
+    row = _SCHEMA_BY_TAG.get(sx[0])
+    if row is None:
+        raise tff.FormatError(f"unknown proof rule tag {sx[0]!r}")
+    count = len(row.kinds)
+    if len(sx) < 1 + count:
+        raise tff.FormatError(f"rule {row.tag} expects {count} fields")
+    # `(TAG field ... [(concl F ...)] premise ...)`
+    rest = sx[1 + count :]
+    concls = None
+    if rest and isinstance(rest[0], list) and rest[0] and rest[0][0] == "concl":
+        concls = FORMULAS.read(rest[0][1:], cons)
+        rest = rest[1:]
+    rule = row.cls(*_read_fields(row.kinds, sx[1 : 1 + count], cons))
+    premises = tuple(proof_from_sexp(p, cons) for p in rest)
     return LLProof(rule, premises, concls)
 
 
-_FIELD_COUNTS = {
-    "bot": 0, "nottop": 0, "ax": 1, "cut": 1, "neq": 2, "sym": 3, "notnot": 1,
-    "and": 2, "or": 2, "imp": 2, "iff": 2, "notand": 2, "notor": 2,
-    "notimp": 2, "notiff": 2,
-    "exists": 4, "forall": 4, "notexists": 4, "notforall": 4,
-    "existstype": 3, "foralltype": 3, "notexiststype": 3, "notforalltype": 3,
-    "subst": 5, "pred": 5, "fun": 6, "ext": 4,
-}
-
-
-def _split_node(tag: str, rest: list) -> tuple[list, Optional[list], list]:
-    count = _FIELD_COUNTS.get(tag)
-    if count is None:
-        raise tff.FormatError(f"unknown proof rule tag {tag!r}")
-    if len(rest) < count:
-        raise tff.FormatError(f"rule {tag} expects {count} fields")
-    fields = rest[:count]
-    extra = rest[count:]
-    concl = None
-    if extra and isinstance(extra[0], list) and extra[0] and extra[0][0] == "concl":
-        concl = extra[0]
-        extra = extra[1:]
-    return fields, concl, extra
-
-
-def _rule_from_fields(tag: str, fields: list, cons: set[str]) -> LLRule:
-    f = lambda i: tff.formula_from_sexp(fields[i], cons)
-    ty = lambda i: tff.type_from_sexp(fields[i], set(), cons)
-    tm = lambda i: tff.term_from_sexp(fields[i], cons)
-    sym = lambda i: tff._symbol(fields[i])
-    if tag == "bot":
-        return Bot()
-    if tag == "nottop":
-        return NotTop()
-    if tag == "ax":
-        return Ax(f(0))
-    if tag == "cut":
-        return Cut(f(0))
-    if tag == "neq":
-        return Neq(ty(0), tm(1))
-    if tag == "sym":
-        return Sym(ty(0), tm(1), tm(2))
-    if tag == "notnot":
-        return NotNot(f(0))
-    if tag in _BINARY_TAGS:
-        return _BINARY_TAGS[tag](f(0), f(1))
-    if tag in ("exists", "notforall"):
-        cls = Exists if tag == "exists" else NotForall
-        return cls(ty(0), sym(1), f(2), sym(3))
-    if tag in ("forall", "notexists"):
-        cls = Forall if tag == "forall" else NotExists
-        return cls(ty(0), sym(1), f(2), tm(3))
-    if tag in ("existstype", "notforalltype"):
-        cls = ExistsType if tag == "existstype" else NotForallType
-        return cls(sym(0), f(1), sym(2))
-    if tag in ("foralltype", "notexiststype"):
-        cls = ForallType if tag == "foralltype" else NotExistsType
-        return cls(sym(0), f(1), ty(2))
-    if tag == "subst":
-        return Subst(ty(0), sym(1), f(2), tm(3), tm(4))
-    if tag == "pred":
-        return Pred(
-            sym(0),
-            tuple(tff.type_from_sexp(t, set(), cons) for t in tff._list(fields[1])),
-            tuple(tff.term_from_sexp(t, cons) for t in tff._list(fields[2])),
-            tuple(tff.term_from_sexp(t, cons) for t in tff._list(fields[3])),
-            tuple(tff.type_from_sexp(t, set(), cons) for t in tff._list(fields[4])),
-        )
-    if tag == "fun":
-        return Fun(
-            sym(0),
-            tuple(tff.type_from_sexp(t, set(), cons) for t in tff._list(fields[1])),
-            tuple(tff.term_from_sexp(t, cons) for t in tff._list(fields[2])),
-            tuple(tff.term_from_sexp(t, cons) for t in tff._list(fields[3])),
-            tuple(tff.type_from_sexp(t, set(), cons) for t in tff._list(fields[4])),
-            ty(5),
-        )
-    if tag == "ext":
-        args = tuple(_ext_arg_from_sexp(a, cons) for a in tff._list(fields[1]))
-        concls = tuple(tff.formula_from_sexp(c, cons) for c in tff._list(fields[2]))
-        blocks = tuple(
-            tuple(tff.formula_from_sexp(h, cons) for h in tff._list(b)) for b in tff._list(fields[3])
-        )
-        return Ext(sym(0), args, concls, blocks)
-    raise tff.FormatError(f"unknown proof rule tag {tag!r}")
-
-
-def _ext_arg_from_sexp(sx: object, cons: set[str]) -> ExtArg:
-    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise tff.FormatError(f"bad extension argument {sexp.dumps(sx)}")
-    tag = sx[0]
-    if tag == "abs":
-        return AbsArg(tff._symbol(sx[1]), tff.type_from_sexp(sx[2], set(), cons),
-                      tff.formula_from_sexp(sx[3], cons))
-    if tag == "fm":
-        return FormulaArg(tff.formula_from_sexp(sx[1], cons))
-    if tag == "tm":
-        return TermArg(tff.term_from_sexp(sx[1], cons))
-    if tag == "ty":
-        return TypeArg(tff.type_from_sexp(sx[1], set(), cons))
-    raise tff.FormatError(f"unknown extension argument tag {tag!r}")
-
-
 def proof_to_sexp(p: LLProof, cons: set[str]) -> list:
-    rule = p.rule
-    f = lambda phi: tff.formula_to_sexp(phi, cons)
-    ty = lambda t: tff.type_to_sexp(t, cons)
-    tm = lambda e: tff.term_to_sexp(e, cons)
-    match rule:
-        case Bot():
-            out = ["bot"]
-        case NotTop():
-            out = ["nottop"]
-        case Ax(p=q):
-            out = ["ax", f(q)]
-        case Cut(p=q):
-            out = ["cut", f(q)]
-        case Neq(ty=t0, t=t1):
-            out = ["neq", ty(t0), tm(t1)]
-        case Sym(ty=t0, t=t1, u=t2):
-            out = ["sym", ty(t0), tm(t1), tm(t2)]
-        case NotNot(p=q):
-            out = ["notnot", f(q)]
-        case And(p=q, q=r):
-            out = ["and", f(q), f(r)]
-        case Or(p=q, q=r):
-            out = ["or", f(q), f(r)]
-        case Imp(p=q, q=r):
-            out = ["imp", f(q), f(r)]
-        case Iff(p=q, q=r):
-            out = ["iff", f(q), f(r)]
-        case NotAnd(p=q, q=r):
-            out = ["notand", f(q), f(r)]
-        case NotOr(p=q, q=r):
-            out = ["notor", f(q), f(r)]
-        case NotImp(p=q, q=r):
-            out = ["notimp", f(q), f(r)]
-        case NotIff(p=q, q=r):
-            out = ["notiff", f(q), f(r)]
-        case Exists(ty=t0, var=x, body=b, const=c):
-            out = ["exists", ty(t0), x, f(b), c]
-        case Forall(ty=t0, var=x, body=b, witness=w):
-            out = ["forall", ty(t0), x, f(b), tm(w)]
-        case NotExists(ty=t0, var=x, body=b, witness=w):
-            out = ["notexists", ty(t0), x, f(b), tm(w)]
-        case NotForall(ty=t0, var=x, body=b, const=c):
-            out = ["notforall", ty(t0), x, f(b), c]
-        case ExistsType(tvar=a, body=b, fresh_type=w):
-            out = ["existstype", a, f(b), w]
-        case ForallType(tvar=a, body=b, witness=w):
-            out = ["foralltype", a, f(b), ty(w)]
-        case NotExistsType(tvar=a, body=b, witness=w):
-            out = ["notexiststype", a, f(b), ty(w)]
-        case NotForallType(tvar=a, body=b, fresh_type=w):
-            out = ["notforalltype", a, f(b), w]
-        case Subst(ty=t0, var=x, body=b, t=t1, u=t2):
-            out = ["subst", ty(t0), x, f(b), tm(t1), tm(t2)]
-        case Pred(name=n, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eqs):
-            out = ["pred", n, [ty(t) for t in tys], [tm(t) for t in ts],
-                   [tm(t) for t in us], [ty(t) for t in eqs]]
-        case Fun(name=n, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eqs, result_ty=res):
-            out = ["fun", n, [ty(t) for t in tys], [tm(t) for t in ts],
-                   [tm(t) for t in us], [ty(t) for t in eqs], ty(res)]
-        case Ext(name=n, args=args, conclusions=cs, hyp_blocks=blocks):
-            out = ["ext", n, [_ext_arg_to_sexp(x, cons) for x in args],
-                   [f(c) for c in cs], [[f(h) for h in b] for b in blocks]]
-        case _:
-            raise TypeError(rule)
+    row = _SCHEMA[type(p.rule)]
+    out = [row.tag, *_write_fields(row.kinds, p.rule, cons)]
     if p.concls is not None:
-        out.append(["concl"] + [f(c) for c in p.concls])
+        out.append(["concl", *FORMULAS.write(p.concls, cons)])
     out += [proof_to_sexp(q, cons) for q in p.premises]
     return out
-
-
-def _ext_arg_to_sexp(arg: ExtArg, cons: set[str]) -> list:
-    match arg:
-        case AbsArg(var=x, ty=t, body=b):
-            return ["abs", x, tff.type_to_sexp(t, cons), tff.formula_to_sexp(b, cons)]
-        case FormulaArg(formula=phi):
-            return ["fm", tff.formula_to_sexp(phi, cons)]
-        case TermArg(term=e):
-            return ["tm", tff.term_to_sexp(e, cons)]
-        case TypeArg(ty=t):
-            return ["ty", tff.type_to_sexp(t, cons)]
-    raise TypeError(arg)
 
 
 def parse_proof(text: str, thy: tff.TffTheory) -> tuple[tff.TffFormula, LLProof]:

@@ -119,10 +119,14 @@ class Signature:
             raise FVViolation(rhs_vars - lhs_vars, "right-hand side not covered by the left")
         try:
             rule_type = kernel.infer(self, delta, lhs, fuel)
+        except kernel.FuelExhausted:
+            raise
         except kernel.KernelError as e:
             raise IllTypedSide("left", e) from e
         try:
             kernel.check(self, delta, rhs, rule_type, fuel)
+        except kernel.FuelExhausted:
+            raise
         except kernel.KernelError as e:
             raise IllTypedSide("right", e) from e
         rule = kernel.RewriteRule(tuple(ctx), lhs, rhs, rule_type)

@@ -49,9 +49,12 @@ def test_check_missing_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_fuel_exhaustion_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("last", ["#ASSERT x : P d.", "def y : P d := x."], ids=["assert", "def"])
+def test_fuel_exhaustion_exit_code(tmp_path, capsys, last):
+    # a definition's body is checked while installing its rewrite rule;
+    # running out of fuel there is still fuel exhaustion, not a type error
     f = tmp_path / "loop.dk"
-    f.write_text("b : Type.\nc : b.\nd : b.\n[] c --> c.\nP : b -> Type.\nx : P c.\n#ASSERT x : P d.\n")
+    f.write_text(f"b : Type.\nc : b.\nd : b.\n[] c --> c.\nP : b -> Type.\nx : P c.\n{last}\n")
     code, _, _ = run(["--fuel", "100", "check", str(f)], capsys)
     assert code == 3
 

@@ -132,6 +132,11 @@ def test_eliminate_arity_mismatch():
     node = LLProof(llproof.Pred("P", (), (tff.Fun("c1"),), (), ()))
     with pytest.raises(llproof.CertificateError):
         eliminate_pred_fun(node)
+    # one premise per argument pair; the error names the nested node
+    missing = LLProof(llproof.NotNot(tff.Top()), (LLProof(_pred_node(), ()),))
+    with pytest.raises(llproof.CertificateError) as e:
+        eliminate_pred_fun(missing)
+    assert e.value.path == (0,)
 
 
 def test_eliminate_preserves_other_nodes():
@@ -289,6 +294,20 @@ def test_congruence_tolerant_hypotheses(base_sigs):
     v = check_certificate(examples.set_theory(), examples.set_diff_goal(), mutated,
                           sig=base_sigs("set-diff", "shallow"))
     assert v.accepted, v.error
+
+
+def test_short_conclusion_override_rejected_at_node(base_sigs):
+    # a conclusion override must list as many formulas as the rule consumes
+    from mutations import _replace_at
+
+    mutated = _replace_at(
+        examples.pred_decomp_proof(), (0,),
+        lambda n: LLProof(n.rule, n.premises, n.conclusion_hyps()[:1]),
+    )
+    v = check_certificate(examples.pred_decomp_theory(), examples.pred_decomp_goal(), mutated,
+                          sig=base_sigs("pred-decomp", "shallow"))
+    assert not v.accepted
+    assert v.path == (0,)
 
 
 def test_freshness_violation_rejected(base_sigs):
@@ -455,10 +474,22 @@ def test_mini_certificates_cover_all_rule_tags():
 # .llpx round trip
 
 
-@pytest.mark.parametrize("name", sorted(examples.BUILTINS))
-def test_proof_file_round_trip(name):
-    mk_thy, mk_goal, mk_proof = examples.BUILTINS[name]
-    thy, goal, proof = mk_thy(), mk_goal(), mk_proof()
+def _round_trip_cases():
+    """The built-ins (pred-decomp un-eliminated) and the mini certificates:
+    together they use every rule tag."""
+    cases = [
+        pytest.param(mk_thy(), mk_goal(), mk_proof(), id=name)
+        for name, (mk_thy, mk_goal, mk_proof) in sorted(examples.BUILTINS.items())
+    ]
+    cases += [
+        pytest.param(examples.bool_theory(), goal, tree, id=f"mini-{label}")
+        for label, goal, tree in _mini_certificates()
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("thy, goal, proof", _round_trip_cases())
+def test_proof_file_round_trip(thy, goal, proof):
     text = llproof.print_proof(thy, goal, proof)
     goal2, proof2 = llproof.parse_proof(text, thy)
     assert goal2 == goal
@@ -471,3 +502,5 @@ def test_parse_proof_validates_structure():
         llproof.parse_proof("(proof (theory wrong) (goal (top)) (bot))", thy)
     with pytest.raises(tff.FormatError):
         llproof.parse_proof("(proof (theory bool) (goal (top)) (frob))", thy)
+    with pytest.raises(tff.FormatError):
+        llproof.parse_proof("(proof (theory bool) (goal (top)) (ext bool-case-exists ((abs x)) () ()))", thy)
