@@ -447,6 +447,10 @@ def _captured_names(body: KTerm, scope: tuple[str, ...]) -> set[str]:
     out: set[str] = set()
 
     def walk(t: KTerm, depth: int) -> None:
+        # a subtree with no free variable, no bare constant and no index
+        # past the binders between it and `body` adds no name
+        if t.lbr <= depth + 1 and not (t.has_fvar or t.has_bare_const):
+            return
         match t:
             case Var(index=i):
                 if i > depth and (i - depth) <= len(scope):

@@ -276,6 +276,9 @@ class LLProof:
     # Consumed hypotheses as written in the sequent, when they differ
     # from the shapes implied by the rule parameters (congruence).
     concls: Optional[tuple[tff.TffFormula, ...]] = None
+    # Path of the written node this one was made from, set by
+    # `eliminate_pred_fun`; rejections are reported there.
+    origin: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def conclusion_hyps(self) -> tuple[tff.TffFormula, ...]:
         return self.concls if self.concls is not None else tuple(_SCHEMA[type(self.rule)].consumes(self.rule))
@@ -880,7 +883,8 @@ def eliminate_pred_fun(p: LLProof, path: tuple[int, ...] = ()) -> LLProof:
     step on the fully rewritten atom; an n-ary function node becomes n
     Subst steps on the disequality closed by a reflexivity refutation.
     All other nodes are preserved.  `path` locates `p` in the whole tree,
-    for error reports.
+    for error reports; every node of the result records as its `origin`
+    the path of the written node it comes from.
     """
     premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
     match p.rule:
@@ -888,18 +892,18 @@ def eliminate_pred_fun(p: LLProof, path: tuple[int, ...] = ()) -> LLProof:
             _check_arities(ts, us, eq_tys, premises, path)
             concls = _consumed(p, path)
             atom = lambda args: tff.Pred(pn, tys, tuple(args))
-            core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]))
+            core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]), path)
             tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
-            return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]))
+            return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]), path)
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
             _check_arities(ts, us, eq_tys, premises, path)
             concls = _consumed(p, path)
             atom = lambda args: _neq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
-            core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
+            core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),), path)
             tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
-            return LLProof(tree.rule, tree.premises, (concls[0],))
+            return LLProof(tree.rule, tree.premises, (concls[0],), path)
         case _:
-            return LLProof(p.rule, premises, p.concls)
+            return LLProof(p.rule, premises, p.concls, path)
 
 
 def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
@@ -910,7 +914,8 @@ def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
 
 
 def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
-    """Right-nested Subst chain rewriting ts into us inside `atom`."""
+    """Right-nested Subst chain rewriting ts into us inside `atom`; its
+    nodes come from the same written node as `core`."""
     if not ts:
         return core
     used: set[str] = set()
@@ -930,7 +935,7 @@ def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
         z = fresh_var()
         mixed = list(us[:i]) + [tff.Var(z)] + list(ts[i + 1 :])
         rule = Subst(eq_tys[i], z, atom(mixed), ts[i], us[i])
-        return LLProof(rule, (premises[i], build(i + 1)))
+        return LLProof(rule, (premises[i], build(i + 1)), None, core.origin)
 
     return build(0)
 
@@ -1112,15 +1117,21 @@ class _Translator:
         return embed.ext_constant(rule.name, self.module), kargs
 
     def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> KTerm:
+        """Compile `p`, found at `path` of the tree being translated.
+
+        Errors and failure records name the node as written: `p.origin`
+        when Pred/Fun elimination recorded one, else `path`.
+        """
+        at = path if p.origin is None else p.origin
         rule = p.rule
         if isinstance(rule, (Pred, Fun)):
-            raise CertificateError(path, "Pred/Fun nodes must be eliminated before translation")
-        consumed_hyps = _consumed(p, path)
-        head, kargs = self.rule_args(rule, path)
+            raise CertificateError(at, "Pred/Fun nodes must be eliminated before translation")
+        consumed_hyps = _consumed(p, at)
+        head, kargs = self.rule_args(rule, at)
         blocks = _SCHEMA[type(rule)].blocks(rule)
         if len(p.premises) != len(blocks):
             raise CertificateError(
-                path, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
+                at, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
         eigen = _eigenvars(rule)
         continuations: list[KTerm] = []
@@ -1128,10 +1139,10 @@ class _Translator:
             opened: list[tuple[str, str, KTerm]] = []
             for name, ty in eigen:
                 if ty is None:
-                    self.check_fresh_type(name, path)
+                    self.check_fresh_type(name, at)
                     annot = TYPE_C
                 else:
-                    self.check_fresh_const(name, path)
+                    self.check_fresh_const(name, at)
                     annot = term(self.ktype(ty))
                 u = fresh_name(name)
                 self.kenv[name] = FVar(u)
@@ -1151,9 +1162,9 @@ class _Translator:
                 body = Lam(name, annot, abstract(body, u))
             continuations.append(body)
 
-        consumed = [self.lookup(phi, path) for phi in consumed_hyps]
+        consumed = [self.lookup(phi, at) for phi in consumed_hyps]
         node_term = app(head, *kargs, *continuations, *consumed)
-        self.nodes.append((path, node_term, dict(self.ctx)))
+        self.nodes.append((at, node_term, dict(self.ctx)))
         return node_term
 
 

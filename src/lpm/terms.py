@@ -10,67 +10,140 @@ The discipline throughout the kernel is that every term handled at top
 level is *locally closed* (no dangling indices).  Binders are always
 opened with `instantiate` before their bodies are inspected, which makes
 free-variable substitution capture-free without any index shifting.
+
+Every node caches four values, derived from its children once, at
+construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
+
+* `lbr`, the loose-bound-variable range: one more than the largest de
+  Bruijn index that escapes the node, 0 when it is locally closed;
+* `has_fvar`: an `FVar` occurs in the node;
+* `has_bare_const`: a `Const` without a module prefix occurs in the node
+  (a name that a printed binder must not capture);
+* the structural hash, which ignores display names, so alpha-equal terms
+  hash alike and `hash` never recurses.
+
+Terms are immutable, which is what keeps the cached data valid: nothing
+in `lpm` assigns to a term's fields after construction.  The walks below
+use the cache to return a subtree they cannot change at once:
+`instantiate` and `uses_binder` skip a subtree whose indices do not reach
+the binder, `abstract`, `substitute` and `free_fvars` one without `FVar`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 
 class KTerm:
-    """Base class for kernel terms."""
+    """Base class for kernel terms.
+
+    The class attributes are the cached data of a leaf; a node class
+    that derives them per instance declares them as slots.
+    """
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    lbr = 0
+    has_fvar = False
+    has_bare_const = False
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Sort(KTerm):
-    name: str  # "Type" or "Kind"
+class _Named(KTerm):
+    """A leaf identified by its class and its name."""
+
+    __slots__ = ("name", "_hash")
+    __match_args__ = ("name",)
+    __hash__ = KTerm.__hash__
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash((type(self).__name__, name))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
     def __str__(self) -> str:
         return self.name
+
+
+class Sort(_Named):
+    """`Type` or `Kind`."""
+
+    __slots__ = ()
 
 
 TYPE = Sort("Type")
 KIND = Sort("Kind")
 
 
-@dataclass(frozen=True, slots=True)
 class Var(KTerm):
     """Bound variable as a de Bruijn index; the name is display-only."""
 
-    index: int
-    name: str = field(default="", compare=False)
+    __slots__ = ("index", "name", "lbr", "_hash")
+    __match_args__ = ("index", "name")
+    __hash__ = KTerm.__hash__
+
+    def __init__(self, index: int, name: str = ""):
+        self.index = index
+        self.name = name
+        self.lbr = index + 1
+        self._hash = hash(("Var", index))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.index == other.index
 
     def __str__(self) -> str:
         return self.name or f"#{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class FVar(KTerm):
+class FVar(_Named):
     """Free variable: a local-context entry or rewrite pattern variable."""
 
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
+    has_fvar = True
 
 
-@dataclass(frozen=True, slots=True)
-class Const(KTerm):
+class Const(_Named):
     """Global constant, usually carrying a module prefix (`logic.prf`)."""
 
-    name: str
+    __slots__ = ("has_bare_const",)
 
-    def __str__(self) -> str:
-        return self.name
+    def __init__(self, name: str):
+        self.name = name
+        self.has_bare_const = "." not in name
+        self._hash = hash(("Const", name))
 
 
-@dataclass(frozen=True, slots=True)
 class App(KTerm):
-    fn: KTerm
-    arg: KTerm
+    __slots__ = ("fn", "arg", "lbr", "has_fvar", "has_bare_const", "_hash")
+    __match_args__ = ("fn", "arg")
+    __hash__ = KTerm.__hash__
+
+    def __init__(self, fn: KTerm, arg: KTerm):
+        self.fn = fn
+        self.arg = arg
+        self.lbr = fn.lbr if fn.lbr > arg.lbr else arg.lbr
+        self.has_fvar = fn.has_fvar or arg.has_fvar
+        self.has_bare_const = fn.has_bare_const or arg.has_bare_const
+        self._hash = hash(("App", fn._hash, arg._hash))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self._hash == other._hash and self.fn == other.fn and self.arg == other.arg
 
     def __str__(self) -> str:
         fn = str(self.fn)
@@ -78,21 +151,53 @@ class App(KTerm):
         return f"{fn} {arg}"
 
 
-@dataclass(frozen=True, slots=True)
 class Lam(KTerm):
-    name: str = field(compare=False)
-    annot: KTerm = field()
-    body: KTerm = field()
+    __slots__ = ("name", "annot", "body", "lbr", "has_fvar", "has_bare_const", "_hash")
+    __match_args__ = ("name", "annot", "body")
+    __hash__ = KTerm.__hash__
+
+    def __init__(self, name: str, annot: KTerm, body: KTerm):
+        self.name = name
+        self.annot = annot
+        self.body = body
+        inner = body.lbr - 1  # the body sits under this binder
+        self.lbr = annot.lbr if annot.lbr > inner else inner
+        self.has_fvar = annot.has_fvar or body.has_fvar
+        self.has_bare_const = annot.has_bare_const or body.has_bare_const
+        self._hash = hash(("Lam", annot._hash, body._hash))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Lam:
+            return NotImplemented
+        return self._hash == other._hash and self.annot == other.annot and self.body == other.body
 
     def __str__(self) -> str:
         return f"({self.name or '_'} : {self.annot} => {self.body})"
 
 
-@dataclass(frozen=True, slots=True)
 class Pi(KTerm):
-    name: str = field(compare=False)
-    domain: KTerm = field()
-    codomain: KTerm = field()
+    __slots__ = ("name", "domain", "codomain", "lbr", "has_fvar", "has_bare_const", "_hash")
+    __match_args__ = ("name", "domain", "codomain")
+    __hash__ = KTerm.__hash__
+
+    def __init__(self, name: str, domain: KTerm, codomain: KTerm):
+        self.name = name
+        self.domain = domain
+        self.codomain = codomain
+        inner = codomain.lbr - 1
+        self.lbr = domain.lbr if domain.lbr > inner else inner
+        self.has_fvar = domain.has_fvar or codomain.has_fvar
+        self.has_bare_const = domain.has_bare_const or codomain.has_bare_const
+        self._hash = hash(("Pi", domain._hash, codomain._hash))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Pi:
+            return NotImplemented
+        return self._hash == other._hash and self.domain == other.domain and self.codomain == other.codomain
 
     def __str__(self) -> str:
         dom = f"({self.domain})" if isinstance(self.domain, (Lam, Pi)) else str(self.domain)
@@ -128,6 +233,8 @@ def spine(t: KTerm) -> tuple[KTerm, list[KTerm]]:
 
 def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
     """Replace the binder index `depth` in `body` by a locally closed term."""
+    if body.lbr <= depth:
+        return body
     match body:
         case Var(index=i):
             return value if i == depth else body
@@ -143,6 +250,8 @@ def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
 
 def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
     """Turn free occurrences of `FVar(name)` into the binder index `depth`."""
+    if not t.has_fvar:
+        return t
     match t:
         case FVar(name=n) if n == name:
             return Var(depth, name)
@@ -162,7 +271,7 @@ def substitute(t: KTerm, bindings: dict[str, KTerm]) -> KTerm:
     Capture-avoiding by construction: binders are indices, so no value can
     be captured when the walk passes under them.
     """
-    if not bindings:
+    if not bindings or not t.has_fvar:
         return t
     match t:
         case FVar(name=n):
@@ -182,15 +291,16 @@ def free_fvars(t: KTerm) -> frozenset[str]:
     out: set[str] = set()
     stack = [t]
     while stack:
-        match stack.pop():
+        s = stack.pop()
+        if not s.has_fvar:
+            continue
+        match s:
             case FVar(name=n):
                 out.add(n)
             case App(fn=f, arg=a):
                 stack += (f, a)
             case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
                 stack += (ty, b)
-            case _:
-                pass
     return frozenset(out)
 
 
@@ -213,6 +323,8 @@ def const_names(t: KTerm) -> frozenset[str]:
 
 def uses_binder(body: KTerm, depth: int = 0) -> bool:
     """True when `body` references the binder at index `depth`."""
+    if body.lbr <= depth:
+        return False
     match body:
         case Var(index=i):
             return i == depth
@@ -226,15 +338,7 @@ def uses_binder(body: KTerm, depth: int = 0) -> bool:
 
 def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
     """True when every de Bruijn index resolves to an enclosing binder."""
-    match t:
-        case Var(index=i):
-            return i < depth
-        case App(fn=f, arg=a):
-            return is_locally_closed(f, depth) and is_locally_closed(a, depth)
-        case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
-            return is_locally_closed(ty, depth) and is_locally_closed(b, depth + 1)
-        case _:
-            return True
+    return t.lbr <= depth
 
 
 _fresh_counter = itertools.count()

@@ -1,5 +1,6 @@
 """Command-line front end: commands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -108,14 +109,55 @@ def test_translate_rejects_bad_certificate(tmp_path, capsys):
     assert code == 1
 
 
-def test_examples_deterministic_outputs(tmp_path, capsys):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["examples", "set-diff", "--out", str(out1)]) == 0
+# SHA-256 of every file `lpm examples NAME --mode MODE` writes, recorded
+# before the term representation carried cached per-node data; a change
+# to the printer, the embedding or the certificate compiler shows here.
+_PRELUDE_SHA256 = {
+    "deep": {
+        "logic.dk": "7b6421ffeee9d1325814e1a19a97f75bb613cde949c63346af975288a384bd04",
+        "rules.dk": "a02b5e32a2159f1f61100bd2162b1371a25a45b86bc3c547a180684fb7ff1c3e",
+    },
+    "shallow": {
+        "logic.dk": "18c6650c3354182fd69e1cc7ce1d218f2269844414bd9fc953137834b0b84e49",
+        "rules.dk": "4f42d135b33583cbc78ce8064654b70ec0c3873329d6aa0be817bc630728ad33",
+    },
+}
+_EXAMPLE_SHA256 = {
+    "bool-commute": {
+        "bool-commute.tffx": "f14a4d313b825c54cbdcd6c4b8a4976d0db7e06bb5927964eb13dffc4c66509c",
+        "bool-commute.llpx": "ee4b124c2578617a52ea1bdf10ab2a8cfe1baf31651558032144daaf4a7d44fc",
+        "theory.dk": "4e21b1366c5a4f07b54ad414f834e01d2f406fb9f3d870f8ed5a43568967d8f7",
+        "cert.dk": "576dc465ea0138dfae5125848a4b00e61764dc9735b488d60461c700eb7a14b6",
+    },
+    "pair-fst-snd": {
+        "pair-fst-snd.tffx": "b95edf23992647b82e4e32876b963cf0894c56d15946db6d267464af554fa302",
+        "pair-fst-snd.llpx": "125c3c1657f5b38efe1352f18a40fab0393438f2e335aabd26f01360d88e2a83",
+        "theory.dk": "a9dcafbe1e9f5f7c013f36e27d28a4c800fdfcb18ebba1856fff616b2ab85046",
+        "cert.dk": "9e1c8412ced8c13afe672cda2ebd0d7287eb747b2fb3f130cf5912d8c7852bb7",
+    },
+    "pred-decomp": {
+        "pred-decomp.tffx": "538ce68be37ce21298d9905e9461a6d762dbaa602876d1effbea80db01a0ee8e",
+        "pred-decomp.llpx": "282a735b7c6b6b821f61bb0888a5f4b8b5b27f05d29f3ee1c07f7c2badb0e031",
+        "theory.dk": "43a8ccda121704e49f0063b99fdbd56479739001de0342fd46c227f1c99b4a11",
+        "cert.dk": "2746a00d377b6a3a2b4fb7d9af30683bfed35ffc9493e3eaae1eaf53e9dab0f5",
+    },
+    "set-diff": {
+        "set-diff.tffx": "1a46852d859934bb038f46305c15a6fa7a6ff2449935903828a0c96978905b72",
+        "set-diff.llpx": "b84f8dfee74796db4f09ba61a929aa7e73f3c3d08342658a04458bc800a19e37",
+        "theory.dk": "41309250369023ea99e9bc16f6f06c69567f5d577b5e1dda9373efd685fef0c1",
+        "cert.dk": "53a58947f50f4a2aa945917415f318570679168b3b4a4424630fa268e1ec35d7",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["deep", "shallow"])
+@pytest.mark.parametrize("name", sorted(examples.BUILTINS))
+def test_examples_deterministic_outputs(tmp_path, capsys, name, mode):
+    assert cli.main(["examples", name, "--mode", mode, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert cli.main(["examples", "set-diff", "--out", str(out2)]) == 0
-    capsys.readouterr()
-    for name in ("set-diff.tffx", "set-diff.llpx", "logic.dk", "rules.dk", "theory.dk", "cert.dk"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    expected = {**_EXAMPLE_SHA256[name], **_PRELUDE_SHA256[mode]}
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == expected
 
 
 def test_examples_deep_mode(tmp_path, capsys):

@@ -310,6 +310,30 @@ def test_short_conclusion_override_rejected_at_node(base_sigs):
     assert v.path == (0,)
 
 
+def test_rejection_below_pred_reported_at_written_node(base_sigs):
+    # elimination turns the Pred node at (0,) into a Subst chain whose
+    # premise 1 sits at (0, 1, 0); a rejection there names the written (0, 1)
+    from mutations import _replace_at
+
+    thy, goal = examples.pred_decomp_theory(), examples.pred_decomp_goal()
+    sig = base_sigs("pred-decomp", "shallow")
+    wrong_witness = _replace_at(
+        examples.pred_decomp_proof(), (0, 1),
+        lambda n: LLProof(llproof.Neq(n.rule.ty, tff.Fun("c1")), n.premises, n.concls),
+    )
+    v = check_certificate(thy, goal, wrong_witness, sig=sig)
+    assert not v.accepted
+    assert v.path == (0, 1)
+    # the same for an error the translator raises
+    absent = tff.Not(tff.Eq(examples._TAU, tff.Fun("c2"), tff.Fun("c1")))
+    missing_hyp = _replace_at(
+        examples.pred_decomp_proof(), (0, 1), lambda n: LLProof(n.rule, n.premises, (absent,))
+    )
+    v = check_certificate(thy, goal, missing_hyp, sig=sig)
+    assert not v.accepted
+    assert v.path == (0, 1), v.error
+
+
 def test_freshness_violation_rejected(base_sigs):
     from mutations import _replace_at
     from dataclasses import replace

@@ -1,6 +1,7 @@
 """Term representation: substitution, alpha-equality, binder plumbing."""
 
 import random
+import sys
 
 from lpm.terms import (
     TYPE,
@@ -134,3 +135,93 @@ def test_locally_closed_random():
     for t in random_terms(seed=13, count=100):
         assert is_locally_closed(t)
         assert not is_locally_closed(App(t, Var(5)))
+
+
+# -- cached per-node data -------------------------------------------------
+
+
+def _reference_data(t: KTerm) -> tuple[int, bool, bool]:
+    """(lbr, has_fvar, has_bare_const) by a plain recursive walk."""
+    match t:
+        case Var(index=i):
+            return i + 1, False, False
+        case FVar():
+            return 0, True, False
+        case Const(name=n):
+            return 0, False, "." not in n
+        case App(fn=f, arg=a):
+            (lf, ff, cf), (la, fa, ca) = _reference_data(f), _reference_data(a)
+            return max(lf, la), ff or fa, cf or ca
+        case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
+            (lt, ft, ct), (lb, fb, cb) = _reference_data(ty), _reference_data(b)
+            return max(lt, lb - 1, 0), ft or fb, ct or cb
+        case _:
+            return 0, False, False
+
+
+def _cached_data(t: KTerm) -> tuple[int, bool, bool]:
+    return t.lbr, t.has_fvar, t.has_bare_const
+
+
+def test_cached_data_matches_reference_random():
+    rng = random.Random(17)
+    closed = random_terms(seed=19, count=150, closed=False)
+    # the generator keeps indices in scope; start it under binders for open terms
+    opened = [_random_term(rng, 4, 3) for _ in range(150)] + [Const("m.c"), Var(2), TYPE]
+    images = []
+    for t in closed + opened:
+        images += [
+            instantiate(t, Const("k")),
+            instantiate(t, App(FVar("x"), Const("q.d")), 1),
+            abstract(t, "x"),
+            abstract(t, "y", 2),
+            substitute(t, {"x": Const("c"), "z": Lam("w", TYPE, Var(0))}),
+        ]
+    terms = closed + opened + images
+    for t in terms:
+        assert _cached_data(t) == _reference_data(t), t
+        assert is_locally_closed(t) == (_reference_data(t)[0] == 0)
+    # equal terms hash alike; compare neighbours so equal pairs occur
+    pairs = list(zip(terms, terms[1:])) + [(t, abstract(instantiate(t, FVar("v#0")), "v#0")) for t in closed]
+    assert any(a == b and a is not b for a, b in pairs)
+    for a, b in pairs:
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
+def test_unaffected_subtrees_are_returned_as_is():
+    for t in random_terms(seed=23, count=100):
+        assert is_locally_closed(t)
+        assert instantiate(t, Const("c")) is t
+        assert uses_binder(t) is False
+        if not free_fvars(t):
+            assert abstract(t, "u") is t
+            assert substitute(t, {"x": Const("c"), "u": Const("d")}) is t
+    body = Lam("y", Const("A"), app(Const("f"), Var(1), Var(0)))
+    assert body.lbr == 1 and body.annot.lbr == 0
+    opened = instantiate(body, Const("c"))
+    assert opened.annot is body.annot
+    assert abstract(opened, "u") is opened
+
+
+def test_deep_terms_without_recursion():
+    # a 50000-deep application spine and binder nest; at the interpreter's
+    # default recursion limit none of these four may recurse per node
+    spine_t = Const("f")
+    nest = Const("a")
+    for _ in range(50_000):
+        spine_t = App(spine_t, Const("a"))
+        nest = Lam("x", TYPE, nest)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        results = [
+            (hash(t), is_locally_closed(t), instantiate(t, Const("c")) is t, abstract(t, "u") is t)
+            for t in (spine_t, nest)
+        ]
+    except RecursionError:
+        results = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert results is not None, "a walk recursed once per node"
+    assert all(closed and same_i and same_a for _, closed, same_i, same_a in results)
