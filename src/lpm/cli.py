@@ -46,10 +46,17 @@ class Reporter:
         if self.verbose and not self.as_json:
             print(message)
 
-    def diagnose(self, file: str, line: int, col: int, message: str) -> None:
-        self.diagnostics.append({"file": file, "line": line, "col": col, "message": message})
+    def diagnose(self, file: str, line: int, col: int, message: str,
+                 path: Optional[tuple[int, ...]] = None) -> None:
+        """Report an error; `path` names the failing proof node, if known."""
+        diagnostic = {"file": file, "line": line, "col": col, "message": message}
+        if path is not None:
+            diagnostic["path"] = list(path)
+        self.diagnostics.append(diagnostic)
         if not self.as_json:
             print(f"{file}:{line}:{col}: {message}", file=sys.stderr)
+            if path is not None:
+                print(f"failing proof node: {list(path)}")
 
     def finish(self, code: int) -> int:
         if self.as_json:
@@ -77,6 +84,10 @@ def _exit_code_for(e: Exception) -> int:
     if isinstance(e, (dkparse.DkSyntaxError, sexp.SexpError, tff.FormatError)):
         return EXIT_SYNTAX
     return EXIT_TYPE
+
+
+def _proof_node(e: Exception) -> Optional[tuple[int, ...]]:
+    return e.path if isinstance(e, llproof.CertificateError) else None
 
 
 def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
@@ -120,10 +131,17 @@ def _write(rep: Reporter, out_dir: Path, name: str, text: str) -> Path:
 def _emit_and_recheck(
     rep: Reporter,
     args: argparse.Namespace,
+    label: str,
     thy: tff.TffTheory,
     goal: Optional[tff.TffFormula],
     proof: Optional[llproof.LLProof],
 ) -> int:
+    """Write the `.dk` files and re-check them as read back.
+
+    A file the re-check rejects is reported under `label`; for `cert.dk`
+    with its failing proof node, found from the kernel's position through
+    the translator, since the re-parsed entries have the terms it compiled.
+    """
     mode = args.mode
     out_dir = Path(args.out)
     tff.wf_theory(thy)
@@ -132,11 +150,11 @@ def _emit_and_recheck(
         ("rules.dk", llproof.rules_prelude(mode)),
         ("theory.dk", embed.theory_entries(thy)),
     ]
-    cert_path = None
+    cert_path = tr = None
     if proof is not None:
         assert goal is not None
         base = llproof.base_signature(thy, mode, make_fuel(args))
-        cert_entries, _ = llproof.certificate_entries(thy, goal, proof, sig=base, fuel=make_fuel(args))
+        cert_entries, tr = llproof.certificate_entries(thy, goal, proof, sig=base, fuel=make_fuel(args))
         files.append(("cert.dk", cert_entries))
     paths = []
     for name, entries in files:
@@ -148,7 +166,12 @@ def _emit_and_recheck(
     sig = signature.EMPTY.with_eta(args.eta)
     for path in paths:
         entries = dkparse.parse_file(path.read_text(encoding="utf-8"))
-        sig = signature.install_entries(sig, entries, make_fuel(args))
+        try:
+            sig = signature.install_entries(sig, entries, make_fuel(args))
+        except (kernel.KernelError, signature.SignatureError) as e:
+            node = llproof.failure_path(tr, e) if path == cert_path else None
+            rep.diagnose(label, 0, 0, str(e), node)
+            return _exit_code_for(e)
         rep.detail(f"re-checked {path}")
     if cert_path is not None:
         rep.say(f"certificate: {cert_path}")
@@ -165,11 +188,9 @@ def cmd_translate(args: argparse.Namespace, rep: Reporter) -> int:
             goal, proof = llproof.parse_proof(
                 Path(args.proof).read_text(encoding="utf-8"), thy_for_proof
             )
-        return _emit_and_recheck(rep, args, thy, goal, proof)
+        return _emit_and_recheck(rep, args, args.theory, thy, goal, proof)
     except Exception as e:  # noqa: BLE001 - mapped to exit codes below
-        rep.diagnose(args.theory, 0, 0, str(e))
-        if isinstance(e, llproof.CertificateError) and e.path is not None:
-            rep.say(f"failing proof node: {list(e.path)}")
+        rep.diagnose(args.theory, 0, 0, str(e), _proof_node(e))
         return _exit_code_for(e)
 
 
@@ -189,9 +210,9 @@ def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
         nf = kernel.normalize(sig, goal_term, make_fuel(args))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
     try:
-        return _emit_and_recheck(rep, args, thy, goal, proof)
+        return _emit_and_recheck(rep, args, args.name, thy, goal, proof)
     except Exception as e:  # noqa: BLE001
-        rep.diagnose(args.name, 0, 0, str(e))
+        rep.diagnose(args.name, 0, 0, str(e), _proof_node(e))
         return _exit_code_for(e)
 
 

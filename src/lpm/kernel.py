@@ -40,7 +40,22 @@ DEFAULT_CONVERSION_DEPTH = 10_000
 
 
 class KernelError(Exception):
-    """Base class for kernel failures."""
+    """Base class for kernel failures.
+
+    `trail` locates the failure in the term handed to `infer` or `check`:
+    each `_infer` frame the error leaves through appends the child it came
+    from (0: function or binder domain, 1: argument or binder body), so it
+    runs innermost first.  No verdict depends on it.
+    """
+
+    def __init__(self, *args: object):
+        super().__init__(*args)
+        self.trail: list[int] = []
+
+    @property
+    def position(self) -> tuple[int, ...]:
+        """Child indices from the checked term down to the failing subterm."""
+        return tuple(reversed(self.trail))
 
 
 class FuelExhausted(KernelError):
@@ -374,10 +389,19 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
         case Var(index=i):
             raise UnboundIdentifier(f"#{i}")
         case App(fn=f, arg=a):
-            fn_ty = reveal(sig, _infer(sig, ctx, f, fuel), fuel)
+            try:
+                fn_ty = _infer(sig, ctx, f, fuel)
+            except KernelError as e:
+                e.trail.append(0)
+                raise
+            fn_ty = reveal(sig, fn_ty, fuel)
             if not isinstance(fn_ty, Pi):
                 raise NotAFunction(f, fn_ty)
-            arg_ty = _infer(sig, ctx, a, fuel)
+            try:
+                arg_ty = _infer(sig, ctx, a, fuel)
+            except KernelError as e:
+                e.trail.append(1)
+                raise
             if not _conv(sig, arg_ty, fn_ty.domain, fuel, 0):
                 raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel))
             return instantiate(fn_ty.codomain, a)
@@ -386,8 +410,16 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
             f = fresh_name(n or "x")
             ctx2 = dict(ctx)
             ctx2[f] = ty
-            body_ty = _infer(sig, ctx2, instantiate(b, FVar(f)), fuel)
-            body_sort = reveal(sig, _infer(sig, ctx2, body_ty, fuel), fuel)
+            try:
+                body_ty = _infer(sig, ctx2, instantiate(b, FVar(f)), fuel)
+            except KernelError as e:
+                e.trail.append(1)
+                raise
+            try:
+                body_sort = reveal(sig, _infer(sig, ctx2, body_ty, fuel), fuel)
+            except KernelError as e:
+                e.trail.clear()  # body_ty is not a subterm: the failure is here
+                raise
             if not isinstance(body_sort, Sort):
                 raise SortError(f"lambda body type {body_ty} does not live in a sort")
             return Pi(n, ty, abstract(body_ty, f))
@@ -396,7 +428,12 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
             f = fresh_name(n or "x")
             ctx2 = dict(ctx)
             ctx2[f] = d
-            cod_sort = reveal(sig, _infer(sig, ctx2, instantiate(c, FVar(f)), fuel), fuel)
+            try:
+                cod_sort = _infer(sig, ctx2, instantiate(c, FVar(f)), fuel)
+            except KernelError as e:
+                e.trail.append(1)
+                raise
+            cod_sort = reveal(sig, cod_sort, fuel)
             if not isinstance(cod_sort, Sort):
                 raise SortError(f"product codomain in {t} is not a sort")
             return cod_sort
@@ -405,7 +442,13 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
 
 
 def _check_domain(sig: Signature, ctx: dict[str, KTerm], ty: KTerm, fuel: Fuel) -> None:
-    s = reveal(sig, _infer(sig, ctx, ty, fuel), fuel)
+    """`ty`, child 0 of a binder, must have sort Type."""
+    try:
+        s = _infer(sig, ctx, ty, fuel)
+    except KernelError as e:
+        e.trail.append(0)
+        raise
+    s = reveal(sig, s, fuel)
     if s != TYPE:
         raise SortError(f"binder domain {ty} must have sort Type, has {s}")
 

@@ -952,6 +952,44 @@ def translate_sequent(s: LLSequent, module: str = "", start: int = 0) -> list[tu
     ]
 
 
+class _Layout(NamedTuple):
+    """Where a node's premises sit in its compiled term.
+
+    The term is the rule constant applied to `nargs` arguments; argument
+    `first + i` is the continuation for premise `i`, a nest of
+    `binders[i]` lambdas around the term that `premises[i]` lays out.
+    """
+
+    at: tuple[int, ...]
+    nargs: int
+    first: int
+    binders: tuple[int, ...]
+    premises: tuple["_Layout", ...]
+
+    def node_at(self, position: tuple[int, ...]) -> tuple[int, ...]:
+        """The node whose own application holds `position` of the term.
+
+        `position` lists child indices (0: function or binder domain,
+        1: argument or binder body), as `kernel.KernelError.position`.
+        """
+        node, i = self, 0
+        while True:
+            # k function steps down the spine, then an argument step,
+            # select argument nargs - 1 - k
+            k = 0
+            while i < len(position) and position[i] == 0 and k < node.nargs:
+                i, k = i + 1, k + 1
+            if i == len(position) or k == node.nargs:
+                return node.at
+            j = node.nargs - 1 - k - node.first
+            if not 0 <= j < len(node.binders):
+                return node.at
+            n = node.binders[j]
+            if position[i + 1 : i + 1 + n] != (1,) * n:
+                return node.at
+            node, i = node.premises[j], i + 1 + n
+
+
 class _Translator:
     def __init__(
         self,
@@ -970,11 +1008,10 @@ class _Translator:
         # formula -> stack of hypothesis variable names (innermost last)
         self.env: dict[tff.TffFormula, list[str]] = {}
         self.env_formulas: list[tuple[tff.TffFormula, str]] = []
-        # kernel context snapshots for failure localization
-        self.ctx: dict[str, KTerm] = {}
         # eigenvariables in scope -> their kernel variables
         self.kenv: dict[str, KTerm] = {}
-        self.nodes: list[tuple[tuple[int, ...], KTerm, dict[str, KTerm]]] = []
+        # set by `certificate_entries`: the layout of the refutation
+        self.layout: Optional[_Layout] = None
 
     # -- environment -------------------------------------------------
 
@@ -984,13 +1021,11 @@ class _Translator:
         ktype = prf(self.formula(phi))
         self.env.setdefault(phi, []).append(name)
         self.env_formulas.append((phi, name))
-        self.ctx[name] = ktype
         return name, ktype
 
     def pop_hyp(self, phi: tff.TffFormula, name: str) -> None:
         self.env[phi].pop()
         self.env_formulas.pop()
-        del self.ctx[name]
 
     def lookup(self, phi: tff.TffFormula, path: tuple[int, ...]) -> KTerm:
         stack = self.env.get(phi)
@@ -1116,11 +1151,11 @@ class _Translator:
             raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
         return embed.ext_constant(rule.name, self.module), kargs
 
-    def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> KTerm:
+    def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> tuple[KTerm, _Layout]:
         """Compile `p`, found at `path` of the tree being translated.
 
-        Errors and failure records name the node as written: `p.origin`
-        when Pred/Fun elimination recorded one, else `path`.
+        Errors and layouts name the node as written: `p.origin` when
+        Pred/Fun elimination recorded one, else `path`.
         """
         at = path if p.origin is None else p.origin
         rule = p.rule
@@ -1135,6 +1170,7 @@ class _Translator:
 
         eigen = _eigenvars(rule)
         continuations: list[KTerm] = []
+        layouts: list[_Layout] = []
         for i, (premise, block) in enumerate(zip(p.premises, blocks)):
             opened: list[tuple[str, str, KTerm]] = []
             for name, ty in eigen:
@@ -1146,26 +1182,25 @@ class _Translator:
                     annot = term(self.ktype(ty))
                 u = fresh_name(name)
                 self.kenv[name] = FVar(u)
-                self.ctx[u] = annot
                 opened.append((name, u, annot))
             bound: list[tuple[tff.TffFormula, str, KTerm]] = []
             for phi in block:
                 name, ktype = self.push_hyp(phi)
                 bound.append((phi, name, ktype))
-            body = self.translate(premise, path + (i,))
+            body, layout = self.translate(premise, path + (i,))
             for phi, name, ktype in reversed(bound):
                 self.pop_hyp(phi, name)
                 body = Lam(name, ktype, abstract(body, name))
             for name, u, annot in reversed(opened):
                 del self.kenv[name]
-                del self.ctx[u]
                 body = Lam(name, annot, abstract(body, u))
             continuations.append(body)
+            layouts.append(layout)
 
         consumed = [self.lookup(phi, at) for phi in consumed_hyps]
-        node_term = app(head, *kargs, *continuations, *consumed)
-        self.nodes.append((at, node_term, dict(self.ctx)))
-        return node_term
+        args = [*kargs, *continuations, *consumed]
+        binders = tuple(len(eigen) + len(block) for block in blocks)
+        return app(head, *args), _Layout(at, len(args), len(kargs), binders, tuple(layouts))
 
 
 def translate_proof(
@@ -1181,9 +1216,8 @@ def translate_proof(
     for phi, name in hyp_env.items():
         tr.env.setdefault(phi, []).append(name)
         tr.env_formulas.append((phi, name))
-        tr.ctx[name] = prf(tr.formula(phi))
         tr.counter = max(tr.counter, _hyp_index(name) + 1)
-    return tr.translate(p)
+    return tr.translate(p)[0]
 
 
 def _hyp_index(name: str) -> int:
@@ -1221,7 +1255,7 @@ def certificate_entries(
     tr = _Translator(thy, tbl, module, sig, fuel)
     neg_goal = tff.Not(goal)
     name, ktype = tr.push_hyp(neg_goal)
-    body = tr.translate(proof)
+    body, tr.layout = tr.translate(proof)
     cert_type = arrow(ktype, prf(FALSE))
     cert_body = Lam(name, ktype, abstract(body, name))
     return [Def("cert.goal", cert_type, cert_body)], tr
@@ -1258,8 +1292,7 @@ def check_certificate(
     except kernel.FuelExhausted:
         raise
     except (kernel.KernelError, signature.SignatureError) as e:
-        path = _locate_failure(sig, tr, fuel)
-        return Verdict(False, error=str(e), path=path, entries=entries)
+        return Verdict(False, error=str(e), path=failure_path(tr, e), entries=entries)
     return Verdict(True, entries=entries)
 
 
@@ -1271,21 +1304,25 @@ def base_signature(
     return signature.install_entries(signature.EMPTY, entries, fuel)
 
 
-def _locate_failure(
-    sig: signature.Signature, tr: _Translator, fuel: Optional[kernel.Fuel]
-) -> Optional[tuple[int, ...]]:
-    """Deepest proof node whose compiled term fails to check."""
-    failing: list[tuple[int, ...]] = []
-    for path, node_term, ctx in tr.nodes:
-        try:
-            budget = fuel or kernel.Fuel()
-            kernel.check(sig, ctx, node_term, prf(FALSE), kernel.Fuel(budget.max_rewrite_steps,
-                                                                      budget.max_conversion_depth))
-        except kernel.KernelError:
-            failing.append(path)
-    if not failing:
+def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
+    """The proof node at which the kernel rejected the `cert.goal` body.
+
+    `err` is the error from installing the entries `certificate_entries`
+    returned with `tr`, or a printed and re-parsed copy of them: the
+    kernel's position is mapped through the translator's layout, so
+    finding the node costs no further check.  With several faulty nodes
+    this is the first whose own application the kernel rejects, in the
+    kernel's order (the spine left to right, premise 0 before premise 1).
+    None when the failure is not inside the refutation's term.
+    """
+    if not (isinstance(err, signature.IllTypedSide) and err.side == "right"
+            and isinstance(err.cause, kernel.KernelError)):
         return None
-    return max(failing, key=len)
+    position = err.cause.position
+    # the body is `\h0 : prf (not goal) => refutation`
+    if position[:1] != (1,):
+        return None
+    return tr.layout.node_at(position[1:])
 
 
 # ---------------------------------------------------------------------------

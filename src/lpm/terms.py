@@ -20,7 +20,9 @@ construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
 * `has_bare_const`: a `Const` without a module prefix occurs in the node
   (a name that a printed binder must not capture);
 * the structural hash, which ignores display names, so alpha-equal terms
-  hash alike and `hash` never recurses.
+  hash alike and `hash` never recurses.  `==` settles a pair of subterms
+  at once when they are one object or their hashes differ, and walks the
+  rest with an explicit stack.
 
 Terms are immutable, which is what keeps the cached data valid: nothing
 in `lpm` assigns to a term's fields after construction.  The walks below
@@ -143,7 +145,7 @@ class App(KTerm):
             return True
         if other.__class__ is not App:
             return NotImplemented
-        return self._hash == other._hash and self.fn == other.fn and self.arg == other.arg
+        return self._hash == other._hash and _alpha_eq(self, other)
 
     def __str__(self) -> str:
         fn = str(self.fn)
@@ -171,7 +173,7 @@ class Lam(KTerm):
             return True
         if other.__class__ is not Lam:
             return NotImplemented
-        return self._hash == other._hash and self.annot == other.annot and self.body == other.body
+        return self._hash == other._hash and _alpha_eq(self, other)
 
     def __str__(self) -> str:
         return f"({self.name or '_'} : {self.annot} => {self.body})"
@@ -197,13 +199,47 @@ class Pi(KTerm):
             return True
         if other.__class__ is not Pi:
             return NotImplemented
-        return self._hash == other._hash and self.domain == other.domain and self.codomain == other.codomain
+        return self._hash == other._hash and _alpha_eq(self, other)
 
     def __str__(self) -> str:
         dom = f"({self.domain})" if isinstance(self.domain, (Lam, Pi)) else str(self.domain)
         if uses_binder(self.codomain):
             return f"({self.name or '_'} : {dom} -> {self.codomain})"
         return f"({dom} -> {self.codomain})"
+
+
+def _alpha_eq(a: KTerm, b: KTerm) -> bool:
+    """Alpha-equality of two distinct nodes of one class with equal hashes.
+
+    Every pair of children is settled at once when it is one object or
+    its classes or hashes differ; the left child is walked next and the
+    right one stacked, so depth costs no recursion.
+    """
+    stack = []
+    while True:
+        cls = a.__class__
+        if cls is App:
+            x, y, u, v = a.fn, b.fn, a.arg, b.arg
+        elif cls is Lam:
+            x, y, u, v = a.annot, b.annot, a.body, b.body
+        elif cls is Pi:
+            x, y, u, v = a.domain, b.domain, a.codomain, b.codomain
+        else:
+            if not a == b:
+                return False
+            x = y = u = v = None
+        if u is not v:
+            if u.__class__ is not v.__class__ or u._hash != v._hash:
+                return False
+            stack.append((u, v))
+        if x is not y:
+            if x.__class__ is not y.__class__ or x._hash != y._hash:
+                return False
+            a, b = x, y
+        elif stack:
+            a, b = stack.pop()
+        else:
+            return True
 
 
 def app(fn: KTerm, *args: KTerm) -> KTerm:

@@ -3,7 +3,9 @@
 Each mutation flips exactly one aspect of one node (swapped premises,
 a wrong witness or rule parameter, a stale eigenvariable, a corrupted
 consumed-hypothesis annotation, a dropped premise) and must make the
-certificate fail with an error localized to a proof node.
+certificate fail with an error localized to a proof node.  Chain
+certificates with chosen bad leaves give rejections of any size whose
+failing paths are known from the tree's shape.
 """
 
 from __future__ import annotations
@@ -121,3 +123,30 @@ def enumerate_mutations(proof: llproof.LLProof) -> list[tuple[str, llproof.LLPro
             )
     out.extend(_nonfresh_mutations(proof))
     return out
+
+
+def chain_certificate(n: int, bad=()) -> tuple[tff.TffTheory, tff.TffFormula, llproof.LLProof]:
+    """The chain-n refutation of `A => A`, A = P0 /\\ (P1 /\\ ...): NotImp,
+    an And chain, a NotAnd chain and Ax leaves; each leaf in `bad` names
+    hypotheses (P_{i+1}, ~P_i) that are in scope but do not close it."""
+    preds = [tff.Pred(f"P{i}") for i in range(n)]
+    thy = tff.TffTheory(f"chain{n}", tuple(tff.PredDecl(p.name, (), ()) for p in preds))
+    conj = [preds[-1]] * n
+    for i in range(n - 2, -1, -1):
+        conj[i] = tff.And(preds[i], conj[i + 1])
+
+    def leaf(i):
+        return llproof.LLProof(llproof.Ax(preds[i]), (), (preds[i + 1], tff.Not(preds[i])) if i in bad else None)
+
+    tree = llproof.LLProof(llproof.NotAnd(preds[n - 2], conj[n - 1]), (leaf(n - 2), leaf(n - 1)))
+    for i in range(n - 3, -1, -1):
+        tree = llproof.LLProof(llproof.NotAnd(preds[i], conj[i + 1]), (leaf(i), tree))
+    for i in range(n - 2, -1, -1):
+        tree = llproof.LLProof(llproof.And(preds[i], conj[i + 1]), (tree,))
+    tree = llproof.LLProof(llproof.NotImp(conj[0], conj[0]), (tree,))
+    return thy, tff.Implies(conj[0], conj[0]), tree
+
+
+def chain_leaf_path(n: int, i: int) -> tuple[int, ...]:
+    # NotImp, n - 1 And nodes, then leaf i is premise 0 of the i-th NotAnd
+    return (0,) * n + (1,) * i + (0,)

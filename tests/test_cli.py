@@ -214,3 +214,24 @@ def test_in_memory_matches_emitted(tmp_path, capsys):
     assert v.accepted
     emitted_cert = dkparse.parse_file((out / "cert.dk").read_text())
     assert emitted_cert == v.entries
+
+def test_translate_names_failing_node_for_kernel_rejection(tmp_path, capsys):
+    # the kernel rejects leaf 2; its path comes from the re-check of cert.dk
+    from mutations import chain_certificate, chain_leaf_path
+
+    thy, goal, proof = chain_certificate(6, {2})
+    theory_file = tmp_path / "chain6.tffx"
+    proof_file = tmp_path / "chain6.llpx"
+    theory_file.write_text(tff.print_theory(thy))
+    proof_file.write_text(llproof.print_proof(thy, goal, proof))
+    argv = ["translate", str(theory_file), str(proof_file), "--out", str(tmp_path / "o")]
+    path = list(chain_leaf_path(6, 2))
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert "type mismatch" in err
+    assert f"failing proof node: {path}" in stdout
+    code, stdout, _ = run(["--json", *argv], capsys)
+    assert code == 1
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert diagnostic["path"] == path
+    assert "type mismatch" in diagnostic["message"]

@@ -297,3 +297,23 @@ def test_alpha_irrelevance_of_operations(bool_sig):
     assert kernel.infer(bool_sig, {}, a) == kernel.infer(bool_sig, {}, b)
     assert kernel.normalize(bool_sig, a) == kernel.normalize(bool_sig, b)
     assert kernel.convertible(bool_sig, a, b)
+
+
+def test_error_position_locates_failing_subterm(bool_sig):
+    # child 0 is a function or binder domain, child 1 an argument or body
+    def position(t, expected=None):
+        with pytest.raises(kernel.KernelError) as e:
+            if expected is None:
+                kernel.infer(bool_sig, {}, t)
+            else:
+                kernel.check(bool_sig, {}, t, expected)
+        return type(e.value), e.value.position
+
+    B = "x : logic.term bool.bool => "
+    assert position(T(B + "bool.andb x (bool.notb bool.bool)")) == (kernel.TypeMismatch, (1, 1))
+    assert position(T(B + "bool.andb (bool.true bool.true) x")) == (kernel.NotAFunction, (1, 0, 1))
+    assert position(T("x : bool.nope => x")) == (kernel.UnboundIdentifier, (0,))
+    assert position(T("x : bool.true => x")) == (kernel.SortError, ())
+    assert position(Pi("x", T("logic.term bool.bool"), Const("bool.nope"))) == (kernel.UnboundIdentifier, (1,))
+    # a failed final conversion is at the checked term itself
+    assert position(Const("bool.true"), Const("logic.Prop")) == (kernel.TypeMismatch, ())

@@ -2,8 +2,8 @@
 
 import pytest
 
-from mutations import enumerate_mutations
-from lpm import dkparse, embed, examples, llproof, signature, tff
+from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
+from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.llproof import LLProof, LLSequent, check_certificate, eliminate_pred_fun, translate_sequent
 from lpm.terms import App, Const, FVar, Lam, app
@@ -366,6 +366,74 @@ def test_mutation_sample_rejected(base_sigs):
                               sig=base_sigs("bool-commute", "shallow"))
         assert not v.accepted, label
         assert v.path is not None, label
+
+
+# Rejection paths recorded before the kernel reported where it failed,
+# when every node was re-checked on its own: each mutation of a built-in
+# is rejected at the node its label names, except these (same in both
+# modes), whose error the translator raises below the mutated node.
+_MOVED_PATHS = {
+    ("bool-commute", "swap-premises-at-[]"): (0,),
+    ("bool-commute", "corrupt-ext-block-at-[]"): (0,),
+    ("bool-commute", "corrupt-body-at-[0]"): (0, 0),
+    ("bool-commute", "corrupt-body-at-[1]"): (1, 0),
+    ("pred-decomp", "swap-premises-at-[0]"): (0, 0),
+    ("set-diff", "corrupt-body-at-[]"): (0,),
+    ("set-diff", "corrupt-body-at-[0]"): (0, 0),
+    ("set-diff", "corrupt-body-at-[0, 0]"): (0, 0, 0),
+    ("set-diff", "swap-premises-at-[0, 0, 0]"): (0, 0, 0, 0),
+    ("set-diff", "swap-params-at-[0, 0, 0]"): (0, 0, 0, 0),
+    ("set-diff", "corrupt-left-param-at-[0, 0, 0]"): (0, 0, 0, 1),
+    ("set-diff", "corrupt-left-param-at-[0, 0, 0, 1]"): (0, 0, 0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["deep", "shallow"])
+def test_mutation_paths_pinned(base_sigs, mode):
+    kernel_level = 0
+    for name, (mk_thy, mk_goal, mk_proof) in sorted(examples.BUILTINS.items()):
+        for label, mutated in enumerate_mutations(mk_proof()):
+            v = check_certificate(mk_thy(), mk_goal(), mutated, mode, sig=base_sigs(name, mode))
+            written = tuple(int(i) for i in label.rsplit("-at-[", 1)[1][:-1].split(",") if i)
+            assert not v.accepted, label
+            assert v.path == _MOVED_PATHS.get((name, label), written), (name, label, v.error)
+            kernel_level += bool(v.entries)
+    assert kernel_level == 9
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_chain_rejection_paths_pinned(n):
+    thy, goal, proof = chain_certificate(n)
+    sig = llproof.base_signature(thy)
+    assert check_certificate(thy, goal, proof, sig=sig).accepted
+    for i in range(n - 1):
+        thy, goal, proof = chain_certificate(n, {i})
+        v = check_certificate(thy, goal, proof, sig=sig)
+        assert not v.accepted and v.entries, i
+        assert v.path == chain_leaf_path(n, i)
+
+
+def test_several_faults_report_the_first_in_kernel_order():
+    # leaf 1 is in premise 0 of the NotAnd node above leaf 4, which is
+    # deeper: the kernel meets leaf 1 first, and that is the path
+    thy, goal, proof = chain_certificate(6, {1, 4})
+    v = check_certificate(thy, goal, proof)
+    assert not v.accepted
+    assert v.path == chain_leaf_path(6, 1)
+
+
+def test_failure_path_only_for_the_certificate_body():
+    thy, goal, proof = chain_certificate(4, {2})
+    _, tr = llproof.certificate_entries(thy, goal, proof)
+    err = signature.IllTypedSide("right", kernel.TypeMismatch(Const("a"), Const("b")))
+    assert llproof.failure_path(tr, err) is None  # at the top of the body
+    err.cause.trail[:] = [1, 0]  # innermost first: in the binder annotation
+    assert err.cause.position == (0, 1)
+    assert llproof.failure_path(tr, err) is None
+    err.cause.trail[:] = [0, 1]  # the refutation's own application spine
+    assert llproof.failure_path(tr, err) == ()
+    assert llproof.failure_path(tr, signature.IllTypedSide("left", err.cause)) is None
+    assert llproof.failure_path(tr, kernel.SortError("x")) is None
 
 
 def _mini_certificates():

@@ -225,3 +225,30 @@ def test_deep_terms_without_recursion():
         sys.setrecursionlimit(limit)
     assert results is not None, "a walk recursed once per node"
     assert all(closed and same_i and same_a for _, closed, same_i, same_a in results)
+
+
+def test_deep_equality_without_recursion():
+    # equal and leaf-different 50000-deep spines and binder nests compare
+    # at the default recursion limit
+    def spine_of(leaf):
+        t = Const("f")
+        for i in range(50_000):
+            t = App(t, leaf if i == 0 else Const("a"))
+        return t
+
+    def nest_of(leaf):
+        t = leaf
+        for _ in range(50_000):
+            t = Lam("x", TYPE, t)
+        return t
+
+    pairs = [(make(Const("a")), make(Const("a")), make(Const("b"))) for make in (spine_of, nest_of)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        results = [(a == b, a == c, a != c) for a, b, c in pairs]
+    except RecursionError:
+        results = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert results == [(True, False, True)] * 2
