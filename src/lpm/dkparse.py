@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .terms import (
     KIND,
@@ -102,8 +102,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _KEYWORDS = ("Type", "Kind", "def")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -3,6 +3,8 @@
 `prelude` produces the `logic` module: the four primitive type formers,
 the twelve connective/quantifier/equality constants, and (in shallow
 mode) the rewrite rules that unfold `prf` onto impredicative encodings.
+The module is the packaged text `prelude/logic.dk`, parsed once per
+process; deep mode keeps only its declarations.
 The `translate_*` functions map logic-level types, terms, formulas,
 contexts, and whole theories onto kernel entries.
 
@@ -14,13 +16,14 @@ the usual mathematical notation is in docs/symbols.md.
 
 from __future__ import annotations
 
+import functools
 import re
+from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from . import kernel, signature, tff
-from .dkparse import Decl, Entry, Rule
+from .dkparse import Comment, Decl, Entry, Rule, parse_file
 from .terms import (
-    TYPE,
     App,
     Const,
     FVar,
@@ -73,65 +76,27 @@ def qualify(module: str, name: str) -> str:
     return f"{module}.{name}"
 
 
+@functools.cache
+def _packaged(name: str) -> tuple[Entry, ...]:
+    """The entries of `prelude/<name>.dk`, comments dropped; parsed once per process."""
+    text = (Path(__file__).parent / "prelude" / f"{name}.dk").read_text(encoding="utf-8")
+    return tuple(e for e in parse_file(text) if not isinstance(e, Comment))
+
+
+def packaged_prelude(name: str, mode: str) -> list[Entry]:
+    """A fresh list of the packaged module `name` in `mode`: the whole file
+    in shallow mode, only its declarations in deep mode."""
+    if mode not in ("deep", "shallow"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "deep":
+        return [e for e in _packaged(name) if isinstance(e, Decl)]
+    return list(_packaged(name))
+
+
 def prelude(mode: str = "shallow") -> list[Entry]:
     """The `logic` module: primitive declarations plus, in shallow mode,
     the rewrite rules giving the connectives computational meaning."""
-    if mode not in ("deep", "shallow"):
-        raise ValueError(f"unknown mode {mode!r}")
-    entries: list[Entry] = [
-        Decl("logic.Prop", TYPE),
-        Decl("logic.prf", arrow(PROP, TYPE)),
-        Decl("logic.type", TYPE),
-        Decl("logic.term", arrow(TYPE_C, TYPE)),
-        Decl("logic.True", PROP),
-        Decl("logic.False", PROP),
-        Decl("logic.not", arrow(PROP, PROP)),
-        Decl("logic.and", arrow(PROP, PROP, PROP)),
-        Decl("logic.or", arrow(PROP, PROP, PROP)),
-        Decl("logic.imp", arrow(PROP, PROP, PROP)),
-        Decl("logic.eqv", arrow(PROP, PROP, PROP)),
-        Decl("logic.forall", pi("a", TYPE_C, lambda a: arrow(arrow(term(a), PROP), PROP))),
-        Decl("logic.foralltype", arrow(arrow(TYPE_C, PROP), PROP)),
-        Decl("logic.exists", pi("a", TYPE_C, lambda a: arrow(arrow(term(a), PROP), PROP))),
-        Decl("logic.existstype", arrow(arrow(TYPE_C, PROP), PROP)),
-        Decl("logic.eq", pi("a", TYPE_C, lambda a: arrow(term(a), term(a), PROP))),
-    ]
-    if mode == "shallow":
-        entries += _prf_rules()
-    return entries
-
-
-def _prf_rules() -> list[Entry]:
-    """Unfolding of `prf` on each connective (impredicative encodings)."""
-    a, b, x, y, p = FVar("A"), FVar("B"), FVar("x"), FVar("y"), FVar("P")
-    ty = FVar("a")
-    prop2 = (("A", PROP), ("B", PROP))
-    return [
-        Rule((), prf(TRUE), pi("Z", PROP, lambda z: arrow(prf(z), prf(z)))),
-        Rule((), prf(FALSE), pi("Z", PROP, lambda z: prf(z))),
-        Rule((("A", PROP),), prf(neg(a)), arrow(prf(a), prf(FALSE))),
-        Rule(prop2, prf(app(AND, a, b)),
-             pi("Z", PROP, lambda z: arrow(arrow(prf(a), prf(b), prf(z)), prf(z)))),
-        Rule(prop2, prf(app(OR, a, b)),
-             pi("Z", PROP, lambda z: arrow(arrow(prf(a), prf(z)), arrow(prf(b), prf(z)), prf(z)))),
-        Rule(prop2, prf(app(IMP, a, b)), arrow(prf(a), prf(b))),
-        Rule(prop2, prf(app(EQV, a, b)), prf(app(AND, app(IMP, a, b), app(IMP, b, a)))),
-        Rule((("a", TYPE_C), ("P", arrow(term(ty), PROP))),
-             prf(app(FORALL, ty, p)),
-             pi("x", term(ty), lambda v: prf(App(p, v)))),
-        Rule((("P", arrow(TYPE_C, PROP)),),
-             prf(App(FORALLTYPE, p)),
-             pi("a", TYPE_C, lambda v: prf(App(p, v)))),
-        Rule((("a", TYPE_C), ("P", arrow(term(ty), PROP))),
-             prf(app(EXISTS, ty, p)),
-             pi("Z", PROP, lambda z: arrow(pi("x", term(ty), lambda v: arrow(prf(App(p, v)), prf(z))), prf(z)))),
-        Rule((("P", arrow(TYPE_C, PROP)),),
-             prf(App(EXISTSTYPE, p)),
-             pi("Z", PROP, lambda z: arrow(pi("a", TYPE_C, lambda v: arrow(prf(App(p, v)), prf(z))), prf(z)))),
-        Rule((("a", TYPE_C), ("x", term(ty)), ("y", term(ty))),
-             prf(app(EQ, ty, x, y)),
-             pi("Z", arrow(term(ty), PROP), lambda z: arrow(prf(App(z, x)), prf(App(z, y))))),
-    ]
+    return packaged_prelude("logic", mode)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ the hypotheses it consumes and introduces.  The `.llpx` reader and
 writer, the eigenvariables, the witness-closedness checks and the kernel
 arguments are all derived from the row.
 
-`rules_prelude` produces the `rules` module: one constant per inference
-rule, declared abstractly in deep mode and given rewrite definitions in
-shallow mode, where the law of excluded middle is the only axiom.
+`rules_prelude` produces the `rules` module, the packaged text
+`prelude/rules.dk`: one constant per inference rule, declared abstractly
+in deep mode (the file's `R_` declarations) and given rewrite
+definitions in shallow mode, where the law of excluded middle is the
+only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
 over the result.
 """
@@ -26,21 +28,9 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
-from .dkparse import Decl, Def, Entry, Rule
-from .embed import (
-    EXISTS,
-    EXISTSTYPE,
-    FALSE,
-    FORALL,
-    FORALLTYPE,
-    PROP,
-    TRUE,
-    TYPE_C,
-    neg,
-    prf,
-    term,
-)
-from .terms import App, Const, FVar, KTerm, Lam, abstract, app, arrow, fresh_name, lam, pi
+from .dkparse import Def, Entry
+from .embed import FALSE, TYPE_C, prf, term
+from .terms import Const, FVar, KTerm, Lam, abstract, app, arrow, fresh_name
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -568,307 +558,19 @@ EXT_REGISTRY: dict[str, ExtRuleSpec] = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Rule constants: declarations (deep) and rewrite definitions (shallow)
-
-EXMID = Const("rules.ExMid")
-NNPP = Const("rules.NNPP")
-CONTR = Const("rules.Contr")
-
-
-def _r(name: str) -> Const:
-    return Const(f"rules.{name}")
-
-
-def rule_constant_types() -> list[tuple[str, KTerm]]:
-    """The inference-rule constants with their declared types."""
-    bot = prf(FALSE)
-
-    def cont(*tys: KTerm) -> KTerm:
-        return arrow(*tys, bot)
-
-    return [
-        ("R_bot", cont(prf(FALSE))),
-        ("R_nottop", cont(prf(neg(TRUE)))),
-        ("R_Ax", pi("P", PROP, lambda p: cont(prf(p), prf(neg(p))))),
-        ("R_Cut", pi("P", PROP, lambda p: cont(cont(prf(p)), cont(prf(neg(p)))))),
-        ("R_neq", pi("a", TYPE_C, lambda a: pi("t", term(a), lambda t: cont(prf(neg(app(embed.EQ, a, t, t))))))),
-        ("R_Sym", pi("a", TYPE_C, lambda a: pi("t", term(a), lambda t: pi("u", term(a), lambda u: cont(
-            prf(app(embed.EQ, a, t, u)), prf(neg(app(embed.EQ, a, u, t)))))))),
-        ("R_notnot", pi("P", PROP, lambda p: cont(cont(prf(p)), prf(neg(neg(p)))))),
-        ("R_and", _pq(lambda p, q: cont(cont(prf(p), prf(q)), prf(app(embed.AND, p, q))))),
-        ("R_or", _pq(lambda p, q: cont(cont(prf(p)), cont(prf(q)), prf(app(embed.OR, p, q))))),
-        ("R_imp", _pq(lambda p, q: cont(cont(prf(neg(p))), cont(prf(q)), prf(app(embed.IMP, p, q))))),
-        ("R_eqv", _pq(lambda p, q: cont(
-            cont(prf(neg(p)), prf(neg(q))), cont(prf(p), prf(q)), prf(app(embed.EQV, p, q))))),
-        ("R_notand", _pq(lambda p, q: cont(
-            cont(prf(neg(p))), cont(prf(neg(q))), prf(neg(app(embed.AND, p, q)))))),
-        ("R_notor", _pq(lambda p, q: cont(
-            cont(prf(neg(p)), prf(neg(q))), prf(neg(app(embed.OR, p, q)))))),
-        ("R_notimp", _pq(lambda p, q: cont(
-            cont(prf(p), prf(neg(q))), prf(neg(app(embed.IMP, p, q)))))),
-        ("R_noteqv", _pq(lambda p, q: cont(
-            cont(prf(neg(p)), prf(q)), cont(prf(p), prf(neg(q))), prf(neg(app(embed.EQV, p, q)))))),
-        ("R_exists", _aP(lambda a, p: cont(
-            pi("t", term(a), lambda t: cont(prf(App(p, t)))), prf(app(EXISTS, a, p))))),
-        ("R_forall", _aP(lambda a, p: pi("t", term(a), lambda t: cont(
-            cont(prf(App(p, t))), prf(app(FORALL, a, p)))))),
-        ("R_notexists", _aP(lambda a, p: pi("t", term(a), lambda t: cont(
-            cont(prf(neg(App(p, t)))), prf(neg(app(EXISTS, a, p))))))),
-        ("R_notforall", _aP(lambda a, p: cont(
-            pi("t", term(a), lambda t: cont(prf(neg(App(p, t))))), prf(neg(app(FORALL, a, p)))))),
-        ("R_existstype", _P(lambda p: cont(
-            pi("a", TYPE_C, lambda a: cont(prf(App(p, a)))), prf(App(EXISTSTYPE, p))))),
-        ("R_foralltype", _P(lambda p: pi("a", TYPE_C, lambda a: cont(
-            cont(prf(App(p, a))), prf(App(FORALLTYPE, p)))))),
-        ("R_notexiststype", _P(lambda p: pi("a", TYPE_C, lambda a: cont(
-            cont(prf(neg(App(p, a)))), prf(neg(App(EXISTSTYPE, p))))))),
-        ("R_notforalltype", _P(lambda p: cont(
-            pi("a", TYPE_C, lambda a: cont(prf(neg(App(p, a))))), prf(neg(App(FORALLTYPE, p)))))),
-        ("R_Subst", pi("a", TYPE_C, lambda a: pi("P", arrow(term(a), PROP), lambda p: pi(
-            "t", term(a), lambda t: pi("u", term(a), lambda u: cont(
-                cont(prf(neg(app(embed.EQ, a, t, u)))), cont(prf(App(p, u))), prf(App(p, t)))))))),
-    ]
-
-
-def _pq(fn: Callable[[KTerm, KTerm], KTerm]) -> KTerm:
-    return pi("P", PROP, lambda p: pi("Q", PROP, lambda q: fn(p, q)))
-
-
-def _aP(fn: Callable[[KTerm, KTerm], KTerm]) -> KTerm:
-    return pi("a", TYPE_C, lambda a: pi("P", arrow(term(a), PROP), lambda p: fn(a, p)))
-
-
-def _P(fn: Callable[[KTerm], KTerm]) -> KTerm:
-    return pi("P", arrow(TYPE_C, PROP), lambda p: fn(p))
-
-
-def _shallow_definitions() -> list[tuple[str, tuple[tuple[str, KTerm], ...], KTerm]]:
-    """Rewrite definitions proving every rule constant, excluded middle aside.
-
-    Returns (constant basename, pattern context, right-hand side).
-    """
-    bot = prf(FALSE)
-    P, Q = FVar("P"), FVar("Q")
-    a, t, u = FVar("a"), FVar("t"), FVar("u")
-    t1, t2 = FVar("t1"), FVar("t2")
-    pp = FVar("P")
-    prop = ("P", PROP)
-    prop2 = (("P", PROP), ("Q", PROP))
-
-    def eq(x: KTerm, y: KTerm, at: KTerm = None) -> KTerm:
-        return app(embed.EQ, at if at is not None else a, x, y)
-
-    def imp(x: KTerm, y: KTerm) -> KTerm:
-        return app(embed.IMP, x, y)
-
-    out: list[tuple[str, tuple[tuple[str, KTerm], ...], KTerm]] = []
-
-    out.append(("R_bot", (), lam("H", bot, lambda h: h)))
-
-    out.append(("R_nottop", (), lam(
-        "H1", prf(neg(TRUE)),
-        lambda h1: App(h1, lam("Z", PROP, lambda z: lam("H2", prf(z), lambda h2: h2))))))
-
-    out.append(("R_Ax", (prop,), lam(
-        "H1", prf(P), lambda h1: lam("H2", prf(neg(P)), lambda h2: App(h2, h1)))))
-
-    out.append(("R_neq", (("a", TYPE_C), ("t", term(a))), lam(
-        "H1", prf(neg(eq(t, t))),
-        lambda h1: App(h1, lam("z", arrow(term(a), PROP), lambda z: lam(
-            "H2", prf(App(z, t)), lambda h2: h2))))))
-
-    out.append(("R_Sym", (("a", TYPE_C), ("t", term(a)), ("u", term(a))), lam(
-        "H1", prf(eq(t, u)), lambda h1: lam(
-            "H2", prf(neg(eq(u, t))), lambda h2: App(h2, lam(
-                "z", arrow(term(a), PROP), lambda z: lam(
-                    "H3", prf(App(z, u)), lambda h3: app(
-                        h1,
-                        lam("x", term(a), lambda x: imp(App(z, x), App(z, t))),
-                        lam("H4", prf(App(z, t)), lambda h4: h4),
-                        h3))))))))
-
-    out.append(("R_Cut", (prop,), lam(
-        "H1", arrow(prf(P), bot), lambda h1: lam(
-            "H2", arrow(prf(neg(P)), bot), lambda h2: App(h2, h1)))))
-
-    out.append(("R_notnot", (prop,), lam(
-        "H1", arrow(prf(P), bot), lambda h1: lam(
-            "H2", prf(neg(neg(P))), lambda h2: App(h2, h1)))))
-
-    out.append(("R_and", prop2, lam(
-        "H1", arrow(prf(P), prf(Q), bot), lambda h1: lam(
-            "H2", prf(app(embed.AND, P, Q)), lambda h2: app(h2, FALSE, h1)))))
-
-    out.append(("R_or", prop2, lam(
-        "H1", arrow(prf(P), bot), lambda h1: lam(
-            "H2", arrow(prf(Q), bot), lambda h2: lam(
-                "H3", prf(app(embed.OR, P, Q)), lambda h3: app(h3, FALSE, h1, h2))))))
-
-    out.append(("R_imp", prop2, lam(
-        "H1", arrow(prf(neg(P)), bot), lambda h1: lam(
-            "H2", arrow(prf(Q), bot), lambda h2: lam(
-                "H3", prf(imp(P, Q)), lambda h3: App(h1, app(CONTR, P, Q, h3, h2)))))))
-
-    out.append(("R_eqv", prop2, lam(
-        "H1", arrow(prf(neg(P)), prf(neg(Q)), bot), lambda h1: lam(
-            "H2", arrow(prf(P), prf(Q), bot), lambda h2: lam(
-                "H3", prf(app(embed.EQV, P, Q)), lambda h3: app(
-                    h3, FALSE, lam(
-                        "H4", arrow(prf(P), prf(Q)), lambda h4: lam(
-                            "H5", arrow(prf(Q), prf(P)), lambda h5: app(
-                                h1,
-                                app(CONTR, P, Q, h4, lam(
-                                    "H6", prf(Q), lambda h6: app(h2, App(h5, h6), h6))),
-                                lam("H7", prf(Q), lambda h7: app(h2, App(h5, h7), h7)))))))))))
-
-    out.append(("R_notand", prop2, lam(
-        "H1", arrow(prf(neg(P)), bot), lambda h1: lam(
-            "H2", arrow(prf(neg(Q)), bot), lambda h2: lam(
-                "H3", prf(neg(app(embed.AND, P, Q))), lambda h3: App(h1, lam(
-                    "H5", prf(P), lambda h5: App(h2, lam(
-                        "H6", prf(Q), lambda h6: App(h3, lam(
-                            "Z", PROP, lambda z: lam(
-                                "H4", arrow(prf(P), prf(Q), prf(z)),
-                                lambda h4: app(h4, h5, h6)))))))))))))
-
-    out.append(("R_notor", prop2, lam(
-        "H1", arrow(prf(neg(P)), prf(neg(Q)), bot), lambda h1: lam(
-            "H2", prf(neg(app(embed.OR, P, Q))), lambda h2: app(
-                h1,
-                app(CONTR, P, app(embed.OR, P, Q), lam(
-                    "H3", prf(P), lambda h3: lam("Z", PROP, lambda z: lam(
-                        "H4", arrow(prf(P), prf(z)), lambda h4: lam(
-                            "H5", arrow(prf(Q), prf(z)), lambda h5: App(h4, h3))))), h2),
-                app(CONTR, Q, app(embed.OR, P, Q), lam(
-                    "H6", prf(Q), lambda h6: lam("Z", PROP, lambda z: lam(
-                        "H7", arrow(prf(P), prf(z)), lambda h7: lam(
-                            "H8", arrow(prf(Q), prf(z)), lambda h8: App(h8, h6))))), h2))))))
-
-    out.append(("R_notimp", prop2, lam(
-        "H1", arrow(prf(P), prf(neg(Q)), bot), lambda h1: lam(
-            "H2", prf(neg(imp(P, Q))), lambda h2: App(h2, lam(
-                "H3", prf(P), lambda h3: app(
-                    App(h1, h3),
-                    lam("H4", prf(Q), lambda h4: App(h2, lam("H5", prf(P), lambda h5: h4))),
-                    Q)))))))
-
-    out.append(("R_noteqv", prop2, lam(
-        "H1", arrow(prf(neg(P)), prf(Q), bot), lambda h1: lam(
-            "H2", arrow(prf(P), prf(neg(Q)), bot), lambda h2: lam(
-                "H3", prf(neg(app(embed.EQV, P, Q))), lambda h3: App(
-                    lam("H4", prf(neg(P)), lambda h4: App(h3, lam(
-                        "Z", PROP, lambda z: lam(
-                            "H5", arrow(prf(imp(P, Q)), prf(imp(Q, P)), prf(z)),
-                            lambda h5: app(
-                                h5,
-                                lam("H6", prf(P), lambda h6: app(h4, h6, Q)),
-                                lam("H7", prf(Q), lambda h7: app(h1, h4, h7, P))))))),
-                    lam("H8", prf(P), lambda h8: app(h2, h8, lam(
-                        "H9", prf(Q), lambda h9: App(h3, lam(
-                            "Z", PROP, lambda z: lam(
-                                "H10", arrow(prf(imp(P, Q)), prf(imp(Q, P)), prf(z)),
-                                lambda h10: app(
-                                    h10,
-                                    lam("H11", prf(P), lambda h11: h9),
-                                    lam("H12", prf(Q), lambda h12: h8))))))))))))))
-
-    aP = (("a", TYPE_C), ("P", arrow(term(a), PROP)))
-    aPt = aP + (("t", term(a)),)
-
-    out.append(("R_exists", aP, lam(
-        "H1", pi("t", term(a), lambda t_: arrow(prf(App(pp, t_)), bot)), lambda h1: lam(
-            "H2", prf(app(EXISTS, a, pp)), lambda h2: app(h2, FALSE, h1)))))
-
-    out.append(("R_forall", aPt, lam(
-        "H1", arrow(prf(App(pp, t)), bot), lambda h1: lam(
-            "H2", prf(app(FORALL, a, pp)), lambda h2: App(h1, App(h2, t))))))
-
-    out.append(("R_notexists", aPt, lam(
-        "H1", arrow(prf(neg(App(pp, t))), bot), lambda h1: lam(
-            "H2", prf(neg(app(EXISTS, a, pp))), lambda h2: App(h1, lam(
-                "H4", prf(App(pp, t)), lambda h4: App(h2, lam(
-                    "Z", PROP, lambda z: lam(
-                        "H3", pi("x", term(a), lambda x: arrow(prf(App(pp, x)), prf(z))),
-                        lambda h3: app(h3, t, h4))))))))))
-
-    out.append(("R_notforall", aP, lam(
-        "H1", pi("t", term(a), lambda t_: arrow(prf(neg(App(pp, t_))), bot)), lambda h1: lam(
-            "H2", prf(neg(app(FORALL, a, pp))), lambda h2: App(h2, lam(
-                "t", term(a), lambda t_: app(NNPP, App(pp, t_), App(h1, t_))))))))
-
-    tyP = (("P", arrow(TYPE_C, PROP)),)
-    tyPa = tyP + (("a", TYPE_C),)
-
-    out.append(("R_existstype", tyP, lam(
-        "H1", pi("a", TYPE_C, lambda b: arrow(prf(App(pp, b)), bot)), lambda h1: lam(
-            "H2", prf(App(EXISTSTYPE, pp)), lambda h2: app(h2, FALSE, h1)))))
-
-    out.append(("R_foralltype", tyPa, lam(
-        "H1", arrow(prf(App(pp, a)), bot), lambda h1: lam(
-            "H2", prf(App(FORALLTYPE, pp)), lambda h2: App(h1, App(h2, a))))))
-
-    out.append(("R_notexiststype", tyPa, lam(
-        "H1", arrow(prf(neg(App(pp, a))), bot), lambda h1: lam(
-            "H2", prf(neg(App(EXISTSTYPE, pp))), lambda h2: App(h1, lam(
-                "H4", prf(App(pp, a)), lambda h4: App(h2, lam(
-                    "Z", PROP, lambda z: lam(
-                        "H3", pi("b", TYPE_C, lambda b: arrow(prf(App(pp, b)), prf(z))),
-                        lambda h3: app(h3, a, h4))))))))))
-
-    out.append(("R_notforalltype", tyP, lam(
-        "H1", pi("a", TYPE_C, lambda b: arrow(prf(neg(App(pp, b))), bot)), lambda h1: lam(
-            "H2", prf(neg(App(FORALLTYPE, pp))), lambda h2: App(h2, lam(
-                "a", TYPE_C, lambda b: app(NNPP, App(pp, b), App(h1, b))))))))
-
-    out.append(("R_Subst", (("a", TYPE_C), ("P", arrow(term(a), PROP)),
-                            ("t1", term(a)), ("t2", term(a))), lam(
-        "H1", arrow(prf(neg(eq(t1, t2))), bot), lambda h1: lam(
-            "H2", arrow(prf(App(pp, t2)), bot), lambda h2: lam(
-                "H3", prf(App(pp, t1)), lambda h3: App(h1, lam(
-                    "H4", prf(eq(t1, t2)), lambda h4: App(h2, app(h4, pp, h3)))))))))
-
-    return out
-
-
 def rules_prelude(mode: str = "shallow") -> list[Entry]:
-    """The `rules` module.
+    """The `rules` module, `prelude/rules.dk`.
 
-    Deep mode declares every inference-rule constant abstractly.  Shallow
-    mode instead derives them: the law of excluded middle is declared as
-    the sole axiom, double-negation elimination and contraposition are
-    defined from it, and every rule constant is given a rewrite
-    definition.
+    Deep mode declares every inference-rule constant abstractly: it keeps
+    the file's declarations but `rules.ExMid`, which only the definitions
+    use.  Shallow mode instead derives them: the law of excluded middle
+    is declared as the sole axiom, double-negation elimination and
+    contraposition are defined from it, and every rule constant is given
+    a rewrite definition.
     """
-    if mode not in ("deep", "shallow"):
-        raise ValueError(f"unknown mode {mode!r}")
-    decls = rule_constant_types()
+    entries = embed.packaged_prelude("rules", mode)
     if mode == "deep":
-        return [Decl(f"rules.{name}", ty) for name, ty in decls]
-
-    entries: list[Entry] = [
-        Decl("rules.ExMid", pi("P", PROP, lambda p: pi("Z", PROP, lambda z: arrow(
-            arrow(prf(p), prf(z)), arrow(prf(neg(p)), prf(z)), prf(z))))),
-        Def("rules.NNPP",
-            pi("P", PROP, lambda p: arrow(prf(neg(neg(p))), prf(p))),
-            lam("P", PROP, lambda p: lam(
-                "H1", prf(neg(neg(p))), lambda h1: app(
-                    EXMID, p, p,
-                    lam("H2", prf(p), lambda h2: h2),
-                    lam("H3", prf(neg(p)), lambda h3: app(h1, h3, p)))))),
-        Def("rules.Contr",
-            pi("P", PROP, lambda p: pi("Q", PROP, lambda q: arrow(
-                prf(app(embed.IMP, p, q)), prf(app(embed.IMP, neg(q), neg(p)))))),
-            lam("P", PROP, lambda p: lam("Q", PROP, lambda q: lam(
-                "H1", prf(app(embed.IMP, p, q)), lambda h1: lam(
-                    "H2", prf(neg(q)), lambda h2: lam(
-                        "H3", prf(p), lambda h3: App(h2, App(h1, h3)))))))),
-    ]
-    bodies = dict((name, (ctx, rhs)) for name, ctx, rhs in _shallow_definitions())
-    for name, ty in decls:
-        entries.append(Decl(f"rules.{name}", ty))
-        ctx, rhs = bodies[name]
-        entries.append(Rule(ctx, app(_r(name), *(FVar(x) for x, _ in ctx)), rhs))
+        return [e for e in entries if e.name != "rules.ExMid"]
     return entries
 
 
@@ -1133,7 +835,7 @@ class _Translator:
                 kargs.append(self.abstraction(v, ty, next(items)[1]))
             elif kind is BOUND_TY:
                 kargs.append(self.type_abstraction(v, next(items)[1]))
-        return _r(row.const), kargs
+        return Const(f"rules.{row.const}"), kargs
 
     def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
         spec = EXT_REGISTRY.get(rule.name)

@@ -39,6 +39,17 @@ class IllTypedSide(SignatureError):
         self.cause = cause
 
 
+class IllTypedBody(IllTypedSide):
+    """A definition whose body does not have its declared type: the
+    right-hand side of the rule a `def` installs, named as the definition."""
+
+    def __init__(self, name: str, cause: Exception):
+        SignatureError.__init__(self, f"ill-typed body of definition {name}: {cause}")
+        self.side = "right"
+        self.cause = cause
+        self.name = name
+
+
 class FVViolation(SignatureError):
     def __init__(self, names: Iterable[str], where: str):
         names = sorted(names)
@@ -187,7 +198,10 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
                 sig = sig.declare(n, ty, fuel)
             case dkparse.Def(name=n, type=ty, body=b):
                 sig = sig.declare(n, ty, fuel)
-                sig = sig.add_rewrite((), Const(n), b, fuel)
+                try:
+                    sig = sig.add_rewrite((), Const(n), b, fuel)
+                except IllTypedSide as e:
+                    raise IllTypedBody(n, e.cause) from e.cause
             case dkparse.Rule(ctx=ctx, lhs=lhs, rhs=rhs):
                 sig = sig.add_rewrite(ctx, lhs, rhs, fuel)
             case dkparse.AssertType(term=t, type=ty):

@@ -389,9 +389,3 @@ def pi(name: str, domain: KTerm, body_fn) -> KTerm:
     """Dependent product built through a callback receiving the bound variable."""
     u = fresh_name(name)
     return Pi(name, domain, abstract(body_fn(FVar(u)), u))
-
-
-def lam(name: str, annot: KTerm, body_fn) -> KTerm:
-    """Abstraction built through a callback receiving the bound variable."""
-    u = fresh_name(name)
-    return Lam(name, annot, abstract(body_fn(FVar(u)), u))

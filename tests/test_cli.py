@@ -228,10 +228,10 @@ def test_translate_names_failing_node_for_kernel_rejection(tmp_path, capsys):
     path = list(chain_leaf_path(6, 2))
     code, stdout, err = run(argv, capsys)
     assert code == 1
-    assert "type mismatch" in err
+    assert "ill-typed body of definition cert.goal: type mismatch" in err
     assert f"failing proof node: {path}" in stdout
     code, stdout, _ = run(["--json", *argv], capsys)
     assert code == 1
     [diagnostic] = json.loads(stdout)["diagnostics"]
     assert diagnostic["path"] == path
-    assert "type mismatch" in diagnostic["message"]
+    assert diagnostic["message"].startswith("ill-typed body of definition cert.goal: type mismatch")

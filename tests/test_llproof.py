@@ -52,6 +52,30 @@ def test_shallow_prelude_sole_axiom_is_excluded_middle():
     assert declared - defined == {"rules.ExMid"}
 
 
+@pytest.mark.parametrize("mode", ["deep", "shallow"])
+def test_rules_prelude_declares_exactly_the_schema_constants(mode):
+    declared = {e.name for e in llproof.rules_prelude(mode) if isinstance(e, Decl)}
+    named = {f"rules.{row.const}" for row in llproof.RULES if row.const is not None}
+    assert named <= declared
+    assert {n for n in declared if n.startswith("rules.R_")} == named
+
+
+@pytest.mark.parametrize("mode", ["deep", "shallow"])
+@pytest.mark.parametrize("build", [embed.prelude, llproof.rules_prelude])
+def test_prelude_calls_return_fresh_lists(build, mode):
+    first = build(mode)
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    assert build(mode) == expected
+
+
+@pytest.mark.parametrize("build", [embed.prelude, llproof.rules_prelude])
+def test_prelude_rejects_unknown_mode(build):
+    with pytest.raises(ValueError, match="unknown mode 'mixed'"):
+        build("mixed")
+
+
 def test_rule_preludes_type_check(logic_deep, logic_shallow):
     signature.install_entries(logic_deep, llproof.rules_prelude("deep"))
     signature.install_entries(logic_shallow, llproof.rules_prelude("shallow"))

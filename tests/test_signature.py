@@ -124,3 +124,15 @@ def test_definition_installs_declaration_and_rule(logic_shallow):
     entries = dkparse.parse_file("def myid : logic.Prop -> logic.Prop := x : logic.Prop => x.")
     sig = signature.install_entries(logic_shallow, entries)
     assert kernel.whnf(sig, app(Const("myid"), Const("logic.True"))) == Const("logic.True")
+
+
+def test_ill_typed_definition_body_names_the_definition(logic_shallow):
+    from lpm import dkparse
+
+    entries = dkparse.parse_file("def myid : logic.Prop -> logic.Prop := x : logic.Prop => logic.prf x.")
+    with pytest.raises(signature.IllTypedBody) as info:
+        signature.install_entries(logic_shallow, entries)
+    err = info.value
+    assert isinstance(err, signature.IllTypedSide) and err.side == "right"
+    assert isinstance(err.cause, kernel.KernelError)
+    assert str(err).startswith("ill-typed body of definition myid: ")
