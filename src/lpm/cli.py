@@ -184,10 +184,7 @@ def cmd_translate(args: argparse.Namespace, rep: Reporter) -> int:
         thy = tff.parse_theory(Path(args.theory).read_text(encoding="utf-8"))
         goal = proof = None
         if args.proof:
-            thy_for_proof = thy
-            goal, proof = llproof.parse_proof(
-                Path(args.proof).read_text(encoding="utf-8"), thy_for_proof
-            )
+            goal, proof = llproof.parse_proof(Path(args.proof).read_text(encoding="utf-8"), thy)
         return _emit_and_recheck(rep, args, args.theory, thy, goal, proof)
     except Exception as e:  # noqa: BLE001 - mapped to exit codes below
         rep.diagnose(args.theory, 0, 0, str(e), _proof_node(e))

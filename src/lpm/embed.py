@@ -6,7 +6,9 @@ mode) the rewrite rules that unfold `prf` onto impredicative encodings.
 The module is the packaged text `prelude/logic.dk`, parsed once per
 process; deep mode keeps only its declarations.
 The `translate_*` functions map logic-level types, terms, formulas,
-contexts, and whole theories onto kernel entries.
+contexts, and whole theories onto kernel entries.  `translate_formula`
+follows `tff.CONNECTIVES`, the one place a connective and its `logic`
+constant are defined.
 
 Symbol naming is ASCII and module-qualified: logic constants live under
 `logic.`, theory symbols under the theory's own name, so generated
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import re
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import kernel, signature, tff
 from .dkparse import Comment, Decl, Entry, Rule, parse_file
@@ -41,18 +43,11 @@ PROP = Const("logic.Prop")
 PRF = Const("logic.prf")
 TYPE_C = Const("logic.type")
 TERM = Const("logic.term")
-TRUE = Const("logic.True")
 FALSE = Const("logic.False")
 NOT = Const("logic.not")
-AND = Const("logic.and")
-OR = Const("logic.or")
-IMP = Const("logic.imp")
-EQV = Const("logic.eqv")
 FORALL = Const("logic.forall")
-FORALLTYPE = Const("logic.foralltype")
 EXISTS = Const("logic.exists")
-EXISTSTYPE = Const("logic.existstype")
-EQ = Const("logic.eq")
+_HEADS = {row.cls: Const(row.const) for row in tff.CONNECTIVES if row.const is not None}
 
 
 def prf(t: KTerm) -> KTerm:
@@ -107,94 +102,83 @@ Env = Mapping[str, KTerm]
 
 def translate_type(ty: tff.TffType, module: str = "", env: Optional[Env] = None) -> KTerm:
     """Type variables map to themselves, constructors to curried applications."""
-    env = env or {}
-    match ty:
-        case tff.TVar(name=a):
-            return env.get(a, FVar(a))
-        case tff.TCons(name=c, args=args):
-            head = Const(qualify(module, c)) if module else Const(c)
-            return app(head, *(translate_type(a, module, env) for a in args))
-    raise TypeError(ty)
+    return _translate(ty, module, env or {})
 
 
 def translate_term(e: tff.TffTerm, module: str = "", env: Optional[Env] = None) -> KTerm:
     """Function applications take their type arguments first, then terms."""
-    env = env or {}
-    match e:
-        case tff.Var(name=x):
-            return env.get(x, FVar(x))
-        case tff.Fun(name=f, ty_args=tys, args=args):
-            head = Const(qualify(module, f)) if module else Const(f)
-            return app(
-                head,
-                *(translate_type(t, module, env) for t in tys),
-                *(translate_term(a, module, env) for a in args),
-            )
-    raise TypeError(e)
+    return _translate(e, module, env or {})
 
 
 def translate_formula(phi: tff.TffFormula, module: str = "", env: Optional[Env] = None) -> KTerm:
-    """Structural map onto the logic constants; quantifiers become
-    constants applied to abstractions."""
-    env = env or {}
+    """The row's `logic` constant (a predicate's own symbol) applied to the
+    translated fields; a bound variable and the body after it become one
+    abstraction."""
+    return _translate(phi, module, env or {})
 
-    def go(phi: tff.TffFormula, env: Env) -> KTerm:
-        match phi:
-            case tff.Top():
-                return TRUE
-            case tff.Bottom():
-                return FALSE
-            case tff.Not(body=b):
-                return neg(go(b, env))
-            case tff.And(lhs=l, rhs=r):
-                return app(AND, go(l, env), go(r, env))
-            case tff.Or(lhs=l, rhs=r):
-                return app(OR, go(l, env), go(r, env))
-            case tff.Implies(lhs=l, rhs=r):
-                return app(IMP, go(l, env), go(r, env))
-            case tff.Iff(lhs=l, rhs=r):
-                return app(EQV, go(l, env), go(r, env))
-            case tff.Eq(ty=ty, lhs=l, rhs=r):
-                return app(
-                    EQ,
-                    translate_type(ty, module, env),
-                    translate_term(l, module, env),
-                    translate_term(r, module, env),
-                )
-            case tff.Pred(name=p, ty_args=tys, args=args):
-                head = Const(qualify(module, p)) if module else Const(p)
-                return app(
-                    head,
-                    *(translate_type(t, module, env) for t in tys),
-                    *(translate_term(a, module, env) for a in args),
-                )
-            case tff.Forall(var=x, ty=ty, body=b) | tff.Exists(var=x, ty=ty, body=b):
-                head = FORALL if isinstance(phi, tff.Forall) else EXISTS
-                kty = translate_type(ty, module, env)
-                u = fresh_name(x)
-                body = go(b, {**env, x: FVar(u)})
-                return app(head, kty, Lam(x, term(kty), abstract(body, u)))
-            case tff.ForallType(tvar=a, body=b) | tff.ExistsType(tvar=a, body=b):
-                head = FORALLTYPE if isinstance(phi, tff.ForallType) else EXISTSTYPE
-                u = fresh_name(a)
-                body = go(b, {**env, a: FVar(u)})
-                return App(head, Lam(a, TYPE_C, abstract(body, u)))
-        raise TypeError(phi)
 
-    return go(phi, env)
+def _translate(x: object, module: str, env: Env) -> KTerm:
+    """A formula, term or type, following its `tff` row: the row's head
+    applied to the translated fields.  A row without a constant has its
+    head symbol, or its variable, as first field; a variable is looked up
+    in `env`, unbound ones map to themselves."""
+    row = tff.row_of(x)
+    head = _HEADS.get(row.cls)
+    if head is None:
+        name, kind = row.fields[0]
+        v = getattr(x, name)
+        if kind is not tff.SYMBOL:
+            return env.get(v, FVar(v))
+        head = Const(qualify(module, v)) if module else Const(v)
+    return app(head, *translate_fields(row.fields, x, module, env))
+
+
+def translate_fields(fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env) -> list[KTerm]:
+    """The kernel arguments of the named fields of `x`, given with their
+    kinds, in order: one per formula, type or term and per item of a list.
+    A bound variable and the formula after it give one abstraction, over
+    the latest type field (over `type` for a type variable); names give
+    none."""
+    args: list[KTerm] = []
+    bound = kty = None
+    for name, kind in fields:
+        v = getattr(x, name)
+        if kind is tff.FORMULA:
+            if bound is None:
+                args.append(_translate(v, module, env))
+            else:
+                annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
+                args.append(bind(Lam, bound, annot, env, lambda env: _translate(v, module, env)))
+        elif kind is tff.TY:
+            kty = _translate(v, module, env)
+            args.append(kty)
+        elif kind is tff.TERM:
+            args.append(_translate(v, module, env))
+        elif kind is tff.TYS or kind is tff.ARGS or kind is tff.TERMS:
+            for y in v:
+                args.append(_translate(y, module, env))
+        elif kind is tff.BOUND or kind is tff.BOUND_TY:
+            bound, bound_kind = v, kind
+    return args
+
+
+def bind(
+    former: Callable[[str, KTerm, KTerm], KTerm],
+    name: str,
+    annot: KTerm,
+    env: Env,
+    body: Callable[[Env], KTerm],
+) -> KTerm:
+    """`former` (`Lam` or `Pi`) binding `name : annot` over `body(env)`,
+    which sees `name` as a fresh variable."""
+    u = fresh_name(name)
+    return former(name, annot, abstract(body({**env, name: FVar(u)}), u))
 
 
 def translate_context(ctx: tff.TffContext, module: str = "") -> list[tuple[str, KTerm]]:
-    """Type variables become `type` bindings, term variables `term`-typed ones."""
-    env: dict[str, KTerm] = {}
-    out: list[tuple[str, KTerm]] = []
-    for a in ctx.tvars:
-        env[a] = FVar(a)
-        out.append((a, TYPE_C))
-    for x, ty in ctx.vars:
-        env[x] = FVar(x)
-        out.append((x, term(translate_type(ty, module, env))))
-    return out
+    """Type variables become `type` bindings, term variables `term`-typed
+    ones; each name stays free in the types after it."""
+    return [(a, TYPE_C) for a in ctx.tvars] + [(x, term(translate_type(ty, module))) for x, ty in ctx.vars]
 
 
 def _scheme(
@@ -204,16 +188,13 @@ def _scheme(
     result: Callable[[Env], KTerm],
 ) -> KTerm:
     """`forall tvars. term t1 -> ... -> term tn -> result` as a kernel type."""
-    env: dict[str, KTerm] = {}
-    opened: list[tuple[str, str]] = []
-    for a in tvars:
-        u = fresh_name(a)
-        env[a] = FVar(u)
-        opened.append((a, u))
-    body = arrow(*(term(translate_type(t, module, env)) for t in arg_types), result(env))
-    for a, u in reversed(opened):
-        body = Pi(a, TYPE_C, abstract(body, u))
-    return body
+
+    def under(i: int, env: Env) -> KTerm:
+        if i < len(tvars):
+            return bind(Pi, tvars[i], TYPE_C, env, lambda env: under(i + 1, env))
+        return arrow(*(term(translate_type(t, module, env)) for t in arg_types), result(env))
+
+    return under(0, {})
 
 
 def theory_entries(thy: tff.TffTheory, module: Optional[str] = None) -> list[Entry]:
@@ -232,14 +213,9 @@ def theory_entries(thy: tff.TffTheory, module: Optional[str] = None) -> list[Ent
                 entries.append(Decl(qualify(module, n), ty))
             case tff.Axiom(name=n, formula=phi):
                 entries.append(Decl(qualify(module, n), prf(translate_formula(phi, module))))
-            case tff.TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
+            case tff.TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r) | tff.PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
                 kctx = translate_context(tff.TffContext(tvs, ctx), module)
-                env = {x: FVar(x) for x, _ in kctx}
-                entries.append(Rule(tuple(kctx), translate_term(l, module, env), translate_term(r, module, env)))
-            case tff.PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
-                kctx = translate_context(tff.TffContext(tvs, ctx), module)
-                env = {x: FVar(x) for x, _ in kctx}
-                entries.append(Rule(tuple(kctx), translate_formula(l, module, env), translate_formula(r, module, env)))
+                entries.append(Rule(tuple(kctx), _translate(l, module, {}), _translate(r, module, {})))
             case tff.ExtDecl(name=n):
                 entries.append(ext_declaration(n, module))
     return entries

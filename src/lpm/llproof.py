@@ -31,6 +31,7 @@ from . import embed, kernel, sexp, signature, tff
 from .dkparse import Def, Entry
 from .embed import FALSE, TYPE_C, prf, term
 from .terms import Const, FVar, KTerm, Lam, abstract, app, arrow, fresh_name
+from .tff import BOUND, BOUND_TY, FORMULA, SYMBOL, TERM, TERMS, TY, TYS
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -314,50 +315,11 @@ def _inst_ty(body: tff.TffFormula, tvar: str, value: tff.TffType) -> tff.TffForm
     return tff.subst_type_in_formula(body, {tvar: value})
 
 
-class FieldKind(NamedTuple):
-    """What a rule field holds, and how `.llpx` reads and writes it.
-
-    The kernel arguments of a rule follow its field kinds (see
-    `_Translator.rule_args`): a formula, type or term gives one argument,
-    a bound variable and the body after it give one abstraction (over the
-    type of the latest type field), and names (fresh constants and types,
-    symbols) give none.
-    """
-
-    name: str
-    read: Callable[[object, set[str]], object]
-    write: Callable[[object, set[str]], object]
-
-
-def _read_type(sx: object, cons: set[str]) -> tff.TffType:
-    return tff.type_from_sexp(sx, set(), cons)
-
-
-def _symbol_kind(name: str) -> FieldKind:
-    return FieldKind(name, lambda sx, cons: tff._symbol(sx), lambda v, cons: v)
-
-
-def _list_kind(name: str, item: FieldKind) -> FieldKind:
-    return FieldKind(
-        name,
-        lambda sx, cons: tuple(item.read(x, cons) for x in tff._list(sx)),
-        lambda v, cons: [item.write(x, cons) for x in v],
-    )
-
-
-FORMULA = FieldKind("formula", tff.formula_from_sexp, tff.formula_to_sexp)
-TY = FieldKind("type", _read_type, tff.type_to_sexp)
-TERM = FieldKind("term", tff.term_from_sexp, tff.term_to_sexp)
-WITNESS = FieldKind("closed witness term", tff.term_from_sexp, tff.term_to_sexp)
-WITNESS_TY = FieldKind("closed witness type", _read_type, tff.type_to_sexp)
-BOUND = _symbol_kind("bound variable")
-BOUND_TY = _symbol_kind("bound type variable")
-FRESH = _symbol_kind("fresh constant")
-FRESH_TY = _symbol_kind("fresh type")
-SYMBOL = _symbol_kind("symbol")
-TYS = _list_kind("types", TY)
-TERMS = _list_kind("terms", TERM)
-FORMULAS = _list_kind("formulas", FORMULA)
+WITNESS = tff.FieldKind("closed witness term", tff.TERM.read, tff.TERM.write)
+WITNESS_TY = tff.FieldKind("closed witness type", tff.TY.read, tff.TY.write)
+FRESH = tff.symbol_kind("fresh constant")
+FRESH_TY = tff.symbol_kind("fresh type")
+FORMULAS = tff.list_kind("formulas", FORMULA)
 
 
 def _values(x: object) -> tuple:
@@ -365,26 +327,19 @@ def _values(x: object) -> tuple:
     return tuple(getattr(x, f.name) for f in fields(x))
 
 
-def _read_fields(kinds: tuple[FieldKind, ...], sxs: list, cons: set[str]) -> list:
-    return [kind.read(sx, cons) for kind, sx in zip(kinds, sxs)]
-
-
-def _write_fields(kinds: tuple[FieldKind, ...], x: object, cons: set[str]) -> list:
-    return [kind.write(v, cons) for kind, v in zip(kinds, _values(x))]
-
-
 class ExtArgSchema(NamedTuple):
     """One kind of extension argument: its class, field kinds and kernel
     argument."""
 
     cls: type
-    kinds: tuple[FieldKind, ...]
+    kinds: tuple[tff.FieldKind, ...]
     karg: Callable[["_Translator", ExtArg], KTerm]
 
 
 # keyed by `.llpx` tag, which is also the kind name `ExtRuleSpec.arg_kinds` uses
 EXT_ARG_KINDS: dict[str, ExtArgSchema] = {
-    "abs": ExtArgSchema(AbsArg, (SYMBOL, TY, FORMULA), lambda tr, a: tr.abstraction(a.var, a.ty, a.body)),
+    "abs": ExtArgSchema(AbsArg, (SYMBOL, TY, FORMULA),
+                        lambda tr, a: tr.abstraction(a.var, term(tr.ktype(a.ty)), a.body)),
     "fm": ExtArgSchema(FormulaArg, (FORMULA,), lambda tr, a: tr.formula(a.formula)),
     "tm": ExtArgSchema(TermArg, (TERM,), lambda tr, a: tr.kterm(a.term)),
     "ty": ExtArgSchema(TypeArg, (TY,), lambda tr, a: tr.ktype(a.ty)),
@@ -392,30 +347,29 @@ EXT_ARG_KINDS: dict[str, ExtArgSchema] = {
 _EXT_ARG_TAGS = {schema.cls: tag for tag, schema in EXT_ARG_KINDS.items()}
 
 
-def _ext_arg_from_sexp(sx: object, cons: set[str]) -> ExtArg:
-    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise tff.FormatError(f"bad extension argument {sexp.dumps(sx)}")
-    schema = EXT_ARG_KINDS.get(sx[0])
-    if schema is None:
-        raise tff.FormatError(f"unknown extension argument tag {sx[0]!r}")
+def _ext_arg_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> ExtArg:
+    schema = tff.tagged_row(sx, EXT_ARG_KINDS, "extension argument")
     if len(sx) != 1 + len(schema.kinds):
         raise tff.FormatError(f"extension argument {sx[0]} expects {len(schema.kinds)} fields")
-    return schema.cls(*_read_fields(schema.kinds, sx[1:], cons))
+    return schema.cls(*tff.read_fields(schema.kinds, sx[1:], cons, tvars))
 
 
-def _ext_arg_to_sexp(arg: ExtArg, cons: set[str]) -> list:
+def _ext_arg_to_sexp(arg: ExtArg, cons: set[str], tvars: frozenset[str]) -> list:
     tag = _EXT_ARG_TAGS[type(arg)]
-    return [tag, *_write_fields(EXT_ARG_KINDS[tag].kinds, arg, cons)]
+    return [tag, *tff.write_fields(EXT_ARG_KINDS[tag].kinds, _values(arg), cons, tvars)]
 
 
-EXT_ARGS = _list_kind("extension arguments", FieldKind("extension argument", _ext_arg_from_sexp, _ext_arg_to_sexp))
-BLOCKS = _list_kind("hypothesis blocks", FORMULAS)
+EXT_ARGS = tff.list_kind(
+    "extension arguments", tff.FieldKind("extension argument", _ext_arg_from_sexp, _ext_arg_to_sexp))
+BLOCKS = tff.list_kind("hypothesis blocks", FORMULAS)
 
 
 class RuleSchema(NamedTuple):
     """One inference rule: the only place its syntax is defined.
 
-    `kinds` gives the kind of each dataclass field, in field order.
+    `kinds` gives the kind of each dataclass field, in field order.  The
+    kernel arguments of a rule are its fields as `embed.translate_fields`
+    translates them, a witness as the term or type it holds.
     `consumes` maps a rule to the hypotheses its node consumes by default,
     and `blocks` to the hypotheses each premise introduces, in binding
     order.  `const` names the rule's constant in the `rules` module; `Pred`
@@ -426,7 +380,7 @@ class RuleSchema(NamedTuple):
     cls: type
     tag: str
     const: Optional[str]
-    kinds: tuple[FieldKind, ...]
+    kinds: tuple[tff.FieldKind, ...]
     consumes: Callable[[LLRule], Sequence[tff.TffFormula]]
     blocks: Callable[[LLRule], Sequence[Sequence[tff.TffFormula]]]
 
@@ -505,6 +459,12 @@ RULES: tuple[RuleSchema, ...] = (
 )
 _SCHEMA = {row.cls: row for row in RULES}
 _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
+# each rule's fields, named, with the kinds they are translated as: a
+# witness as the term or type it holds
+_WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
+_KERNEL_FIELDS = {
+    row.cls: tuple((f.name, _WITNESSED.get(k, k)) for f, k in zip(fields(row.cls), row.kinds)) for row in RULES
+}
 
 
 def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
@@ -770,16 +730,9 @@ class _Translator:
     def kterm(self, e: tff.TffTerm) -> KTerm:
         return embed.translate_term(e, self.module, self.kenv)
 
-    def abstraction(self, var: str, ty: tff.TffType, body: tff.TffFormula) -> KTerm:
-        kty = self.ktype(ty)
-        u = fresh_name(var)
-        inner = embed.translate_formula(body, self.module, {**self.kenv, var: FVar(u)})
-        return Lam(var, term(kty), abstract(inner, u))
-
-    def type_abstraction(self, tvar: str, body: tff.TffFormula) -> KTerm:
-        u = fresh_name(tvar)
-        inner = embed.translate_formula(body, self.module, {**self.kenv, tvar: FVar(u)})
-        return Lam(tvar, TYPE_C, abstract(inner, u))
+    def abstraction(self, var: str, annot: KTerm, body: tff.TffFormula) -> KTerm:
+        """`\\var : annot => body`, with `var` bound in the translated body."""
+        return embed.bind(Lam, var, annot, self.kenv, lambda env: embed.translate_formula(body, self.module, env))
 
     # -- freshness and closedness side conditions ----------------------
 
@@ -819,23 +772,8 @@ class _Translator:
         if isinstance(rule, Ext):
             return self.ext_args(rule, path)
         self.check_witnesses(rule, path)
-        row = _SCHEMA[type(rule)]
-        kargs: list[KTerm] = []
-        ty = None
-        items = iter(zip(row.kinds, _values(rule)))
-        for kind, v in items:
-            if kind is FORMULA:
-                kargs.append(self.formula(v))
-            elif kind is TY or kind is WITNESS_TY:
-                ty = v
-                kargs.append(self.ktype(v))
-            elif kind is TERM or kind is WITNESS:
-                kargs.append(self.kterm(v))
-            elif kind is BOUND:
-                kargs.append(self.abstraction(v, ty, next(items)[1]))
-            elif kind is BOUND_TY:
-                kargs.append(self.type_abstraction(v, next(items)[1]))
-        return Const(f"rules.{row.const}"), kargs
+        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.kenv)
+        return Const(f"rules.{_SCHEMA[type(rule)].const}"), kargs
 
     def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
         spec = EXT_REGISTRY.get(rule.name)
@@ -1032,11 +970,7 @@ def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
 
 
 def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
-    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise tff.FormatError(f"bad proof node {sexp.dumps(sx)}")
-    row = _SCHEMA_BY_TAG.get(sx[0])
-    if row is None:
-        raise tff.FormatError(f"unknown proof rule tag {sx[0]!r}")
+    row = tff.tagged_row(sx, _SCHEMA_BY_TAG, "proof node")
     count = len(row.kinds)
     if len(sx) < 1 + count:
         raise tff.FormatError(f"rule {row.tag} expects {count} fields")
@@ -1044,18 +978,18 @@ def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
     rest = sx[1 + count :]
     concls = None
     if rest and isinstance(rest[0], list) and rest[0] and rest[0][0] == "concl":
-        concls = FORMULAS.read(rest[0][1:], cons)
+        concls = FORMULAS.read(rest[0][1:], cons, frozenset())
         rest = rest[1:]
-    rule = row.cls(*_read_fields(row.kinds, sx[1 : 1 + count], cons))
+    rule = row.cls(*tff.read_fields(row.kinds, sx[1 : 1 + count], cons, frozenset()))
     premises = tuple(proof_from_sexp(p, cons) for p in rest)
     return LLProof(rule, premises, concls)
 
 
 def proof_to_sexp(p: LLProof, cons: set[str]) -> list:
     row = _SCHEMA[type(p.rule)]
-    out = [row.tag, *_write_fields(row.kinds, p.rule, cons)]
+    out = [row.tag, *tff.write_fields(row.kinds, _values(p.rule), cons, frozenset())]
     if p.concls is not None:
-        out.append(["concl", *FORMULAS.write(p.concls, cons)])
+        out.append(["concl", *FORMULAS.write(p.concls, cons, frozenset())])
     out += [proof_to_sexp(q, cons) for q in p.premises]
     return out
 

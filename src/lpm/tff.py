@@ -8,13 +8,22 @@ left-hand side is an atomic formula.
 
 Theories are read from `.tffx` files (an S-expression schema, see
 docs/format-tffx.md) and checked by `wf_theory` before translation.
+
+`CONNECTIVES` is the one place a connective is defined: one row per
+formula class gives its `.tffx` tag, the kind of each field and the
+`logic` constant it embeds to.  Well-formedness, free variables,
+substitution, the `.tffx` reader and writer, and `embed.translate_formula`
+are all derived from the row.  Terms and types have rows in the same
+lookup (`row_of`), so one free-name walk, one substitution walk and one
+embedding cover every node.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from . import sexp
 
@@ -289,6 +298,242 @@ class TheoryItemError(TffError):
 
 
 # ---------------------------------------------------------------------------
+# S-expression syntax of types and terms (.tffx)
+
+
+class FormatError(TffError):
+    pass
+
+
+def _expect_len(sx: list, n: int) -> None:
+    if len(sx) != n:
+        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps(sx)}")
+
+
+def _symbol(x: object) -> str:
+    if not isinstance(x, str):
+        raise FormatError(f"expected a symbol, found {sexp.dumps(x)}")
+    return x
+
+
+def _int(x: object) -> int:
+    if not isinstance(x, int):
+        raise FormatError(f"expected an integer, found {sexp.dumps(x)}")
+    return x
+
+
+def _list(x: object) -> list:
+    if not isinstance(x, list):
+        raise FormatError(f"expected a list, found {sexp.dumps(x)}")
+    return x
+
+
+def type_from_sexp(sx: object, tvars: AbstractSet[str], cons: set[str]) -> TffType:
+    """A bare symbol is a type variable when one of that name is in scope
+    (`tvars`), else a constructor when one of that name is declared, else
+    a type variable."""
+    if isinstance(sx, str):
+        if sx in tvars or sx not in cons:
+            return TVar(sx)
+        return TCons(sx, ())
+    if isinstance(sx, list) and sx and isinstance(sx[0], str):
+        return TCons(sx[0], tuple(type_from_sexp(a, tvars, cons) for a in sx[1:]))
+    raise FormatError(f"bad type {sexp.dumps(sx)}")
+
+
+def term_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffTerm:
+    if isinstance(sx, str):
+        return Var(sx)
+    if isinstance(sx, list) and len(sx) >= 2 and isinstance(sx[0], str) and isinstance(sx[1], list):
+        ty_args = tuple(type_from_sexp(t, tvars, cons) for t in sx[1])
+        args = tuple(term_from_sexp(a, cons, tvars) for a in sx[2:])
+        return Fun(sx[0], ty_args, args)
+    raise FormatError(f"bad term {sexp.dumps(sx)}")
+
+
+def type_to_sexp(ty: TffType, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
+    """A nullary constructor is written bare unless a type variable in scope shadows it."""
+    match ty:
+        case TVar(name=a):
+            return a
+        case TCons(name=c, args=args):
+            if not args and c in cons and c not in tvars:
+                return c
+            return [c] + [type_to_sexp(a, cons, tvars) for a in args]
+    raise TypeError(ty)
+
+
+def term_to_sexp(e: TffTerm, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
+    match e:
+        case Var(name=x):
+            return x
+        case Fun(name=f, ty_args=tys, args=args):
+            return [f, [type_to_sexp(t, cons, tvars) for t in tys]] + [term_to_sexp(a, cons, tvars) for a in args]
+    raise TypeError(e)
+
+
+# ---------------------------------------------------------------------------
+# Field kinds and connectives
+
+_Row = TypeVar("_Row")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class FieldKind:
+    """What a field of a formula, rule or extension argument holds, and how
+    `.tffx`/`.llpx` read and write it.
+
+    `read(sx, cons, tvars)` and `write(value, cons, tvars)` are given the
+    declared type constructors and the type variables in scope.  Kinds are
+    compared by identity.
+    """
+
+    name: str
+    read: Callable[[object, set[str], frozenset[str]], object]
+    write: Callable[[object, set[str], frozenset[str]], object]
+
+
+def symbol_kind(name: str) -> FieldKind:
+    return FieldKind(name, lambda sx, cons, tvars: _symbol(sx), lambda v, cons, tvars: v)
+
+
+def list_kind(name: str, item: FieldKind) -> FieldKind:
+    return FieldKind(
+        name,
+        lambda sx, cons, tvars: tuple([item.read(x, cons, tvars) for x in _list(sx)]),
+        lambda v, cons, tvars: [item.write(x, cons, tvars) for x in v],
+    )
+
+
+def read_fields(kinds: Iterable[FieldKind], sxs: list, cons: set[str], tvars: frozenset[str]) -> list:
+    """One value per kind; a bound type variable is in scope in the field after it."""
+    out = []
+    scope = tvars
+    for kind, sx in zip(kinds, sxs):
+        v = kind.read(sx, cons, scope)
+        scope = tvars | {v} if kind is BOUND_TY else tvars
+        out.append(v)
+    return out
+
+
+def write_fields(kinds: Iterable[FieldKind], values: Iterable, cons: set[str], tvars: frozenset[str]) -> list:
+    """The S-expressions of `values`, scoped as `read_fields` reads them."""
+    out = []
+    scope = tvars
+    for kind, v in zip(kinds, values):
+        out.append(kind.write(v, cons, scope))
+        scope = tvars | {v} if kind is BOUND_TY else tvars
+    return out
+
+
+def tagged_row(sx: object, rows: Mapping[str, _Row], what: str) -> _Row:
+    """The row of the tag of a `(TAG field ...)` form of a `what`."""
+    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
+        raise FormatError(f"bad {what} {sexp.dumps(sx)}")
+    row = rows.get(sx[0])
+    if row is None:
+        raise FormatError(f"unknown {what} tag {sx[0]!r}")
+    return row
+
+
+def formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffFormula:
+    row = tagged_row(sx, _CONNECTIVE_BY_TAG, "formula")
+    n = len(row.kinds)
+    if row.cls in _TRAILING:
+        if len(sx) < n:
+            raise FormatError(f"{row.tag} expects at least {n - 1} fields: {sexp.dumps(sx)}")
+        fields = [*sx[1:n], sx[n:]]
+    else:
+        _expect_len(sx, n + 1)
+        fields = sx[1:]
+    return row.cls(*read_fields(row.kinds, fields, cons, tvars))
+
+
+def formula_to_sexp(phi: TffFormula, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
+    row = row_of(phi)
+    out = [row.tag, *write_fields(row.kinds, [getattr(phi, name) for name, _ in row.fields], cons, tvars)]
+    if row.cls in _TRAILING:
+        out += out.pop()
+    return out
+
+
+FORMULA = FieldKind("formula", formula_from_sexp, formula_to_sexp)
+TY = FieldKind("type", lambda sx, cons, tvars: type_from_sexp(sx, tvars, cons), type_to_sexp)
+TERM = FieldKind("term", term_from_sexp, term_to_sexp)
+SYMBOL = symbol_kind("symbol")
+BOUND = symbol_kind("bound variable")  # of the type in the row's type field
+BOUND_TY = symbol_kind("bound type variable")
+VARIABLE = symbol_kind("variable")
+VARIABLE_TY = symbol_kind("type variable")
+TYS = list_kind("types", TY)
+TERMS = list_kind("terms", TERM)
+ARGS = list_kind("trailing terms", TERM)  # spliced into the enclosing form
+
+
+class Connective(NamedTuple):
+    """One formula class: the only place its syntax and embedding are defined.
+
+    `kinds` gives the kind of each dataclass field, in field order, and
+    `fields` pairs them with the field names.  A bound variable scopes
+    over the formula field after it.  `const` is the `logic` constant the
+    embedding applies to the translated fields; `Pred` has none, its head
+    is its own symbol.  Terms and types have rows too, without a tag or a
+    constant: a variable is its own translation, an application's head
+    is its symbol.
+    """
+
+    cls: type
+    tag: Optional[str]
+    const: Optional[str]
+    kinds: tuple[FieldKind, ...]
+    fields: tuple[tuple[str, FieldKind], ...]
+
+
+def _connective(cls: type, tag: Optional[str], const: Optional[str], *kinds: FieldKind) -> Connective:
+    names = [f.name for f in dataclasses.fields(cls)]
+    if len(names) != len(kinds):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, {len(kinds)} kinds given")
+    return Connective(cls, tag, const, kinds, tuple(zip(names, kinds)))
+
+
+CONNECTIVES: tuple[Connective, ...] = (
+    _connective(Top, "top", "logic.True"),
+    _connective(Bottom, "bot", "logic.False"),
+    _connective(Not, "not", "logic.not", FORMULA),
+    _connective(And, "and", "logic.and", FORMULA, FORMULA),
+    _connective(Or, "or", "logic.or", FORMULA, FORMULA),
+    _connective(Implies, "imp", "logic.imp", FORMULA, FORMULA),
+    _connective(Iff, "iff", "logic.eqv", FORMULA, FORMULA),
+    _connective(Eq, "eq", "logic.eq", TY, TERM, TERM),
+    _connective(Pred, "pred", None, SYMBOL, TYS, ARGS),
+    _connective(Forall, "forall", "logic.forall", BOUND, TY, FORMULA),
+    _connective(Exists, "exists", "logic.exists", BOUND, TY, FORMULA),
+    _connective(ForallType, "foralltype", "logic.foralltype", BOUND_TY, FORMULA),
+    _connective(ExistsType, "existstype", "logic.existstype", BOUND_TY, FORMULA),
+)
+_ROW_OF = {row.cls: row for row in CONNECTIVES + (
+    _connective(TVar, None, None, VARIABLE_TY),
+    _connective(TCons, None, None, SYMBOL, TYS),
+    _connective(Var, None, None, VARIABLE),
+    _connective(Fun, None, None, SYMBOL, TYS, ARGS),
+)}
+_CONNECTIVE_BY_TAG = {row.tag: row for row in CONNECTIVES}
+# a trailing-list field's items are the last elements of the `.tffx` form
+_TRAILING = frozenset(row.cls for row in CONNECTIVES if row.kinds[-1:] == (ARGS,))
+# atomic formulas are those whose fields hold terms: equalities and
+# predicate applications
+_ATOMIC = frozenset(row.cls for row in CONNECTIVES if TERM in row.kinds or ARGS in row.kinds)
+
+
+def row_of(x: object) -> Connective:
+    """The row of a formula's, term's or type's class."""
+    try:
+        return _ROW_OF[type(x)]
+    except KeyError:
+        raise TypeError(x) from None
+
+
+# ---------------------------------------------------------------------------
 # Symbol table accumulated while checking a theory
 
 
@@ -300,10 +545,9 @@ class Table:
         self.axioms: dict[str, TffFormula] = {}
         self.exts: list[str] = []
 
-    def declare(self, name: str, kind: str) -> None:
+    def declare(self, name: str) -> None:
         if name in self.type_cons or name in self.funs or name in self.preds or name in self.axioms:
             raise DuplicateSymbol(f"symbol {name} declared twice")
-        _ = kind
 
 
 def table_of(thy: TffTheory) -> Table:
@@ -348,15 +592,6 @@ def wf_type(tbl: Table, tvars: Iterable[str], ty: TffType) -> None:
                 stack += args
 
 
-def subst_type(ty: TffType, mapping: Mapping[str, TffType]) -> TffType:
-    match ty:
-        case TVar(name=a):
-            return mapping.get(a, ty)
-        case TCons(name=c, args=args):
-            return TCons(c, tuple(subst_type(a, mapping) for a in args))
-    raise TypeError(ty)
-
-
 def infer_term(tbl: Table, ctx: TffContext, e: TffTerm) -> TffType:
     """Instantiate the declared scheme of the head symbol and check arguments."""
     match e:
@@ -399,32 +634,30 @@ def _check_application(
 
 
 def wf_formula(tbl: Table, ctx: TffContext, phi: TffFormula) -> None:
-    match phi:
-        case Top() | Bottom():
-            return
-        case Not(body=b):
-            wf_formula(tbl, ctx, b)
-        case And(lhs=a, rhs=b) | Or(lhs=a, rhs=b) | Implies(lhs=a, rhs=b) | Iff(lhs=a, rhs=b):
-            wf_formula(tbl, ctx, a)
-            wf_formula(tbl, ctx, b)
-        case Eq(ty=ty, lhs=a, rhs=b):
-            wf_type(tbl, ctx.tvars, ty)
-            ta = infer_term(tbl, ctx, a)
-            tb = infer_term(tbl, ctx, b)
-            if ta != ty or tb != ty:
-                raise EqTypeMismatch(f"equality at {ty} applied to terms of types {ta} and {tb}")
-        case Pred(name=p, ty_args=ty_args, args=args):
-            decl = tbl.preds.get(p)
-            if decl is None:
-                raise UnknownSymbol(f"unknown predicate symbol {p}")
-            _check_application(tbl, ctx, decl.tvars, decl.arg_types, ty_args, args, p, None)
-        case Forall(var=x, ty=ty, body=b) | Exists(var=x, ty=ty, body=b):
-            wf_type(tbl, ctx.tvars, ty)
-            wf_formula(tbl, ctx.bind(x, ty), b)
-        case ForallType(tvar=a, body=b) | ExistsType(tvar=a, body=b):
-            wf_formula(tbl, ctx.bind_tvar(a), b)
-        case _:
-            raise TypeError(phi)
+    row = row_of(phi)
+    if row.cls is Pred:
+        decl = tbl.preds.get(phi.name)
+        if decl is None:
+            raise UnknownSymbol(f"unknown predicate symbol {phi.name}")
+        _check_application(tbl, ctx, decl.tvars, decl.arg_types, phi.ty_args, phi.args, phi.name, None)
+        return
+    term_types = []
+    bound = ty = None
+    for name, kind in row.fields:
+        v = getattr(phi, name)
+        if kind is FORMULA:
+            wf_formula(tbl, ctx if bound is None else ctx.bind(bound, ty), v)
+        elif kind is TY:
+            wf_type(tbl, ctx.tvars, v)
+            ty = v
+        elif kind is TERM:
+            term_types.append(infer_term(tbl, ctx, v))
+        elif kind is BOUND:
+            bound = v
+        elif kind is BOUND_TY:
+            ctx = ctx.bind_tvar(v)
+    if row.cls is Eq and (term_types[0] != phi.ty or term_types[1] != phi.ty):
+        raise EqTypeMismatch(f"equality at {phi.ty} applied to terms of types {term_types[0]} and {term_types[1]}")
 
 
 def wf_theory(thy: TffTheory) -> Table:
@@ -446,24 +679,24 @@ def wf_theory(thy: TffTheory) -> Table:
 def _wf_item(tbl: Table, item: TheoryItem) -> None:
     match item:
         case TypeCons(name=n, arity=m):
-            tbl.declare(n, "type constructor")
+            tbl.declare(n)
             if m < 0:
                 raise ArityMismatch("negative arity")
             tbl.type_cons[n] = m
         case FunDecl(name=n, tvars=tvs, arg_types=args, result=res):
-            tbl.declare(n, "function")
+            tbl.declare(n)
             _check_scheme_tvars(tvs)
             for ty in args + (res,):
                 wf_type(tbl, tvs, ty)
             tbl.funs[n] = item
         case PredDecl(name=n, tvars=tvs, arg_types=args):
-            tbl.declare(n, "predicate")
+            tbl.declare(n)
             _check_scheme_tvars(tvs)
             for ty in args:
                 wf_type(tbl, tvs, ty)
             tbl.preds[n] = item
         case Axiom(name=n, formula=phi):
-            tbl.declare(n, "axiom")
+            tbl.declare(n)
             wf_formula(tbl, TffContext(), phi)
             tbl.axioms[n] = phi
         case TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
@@ -472,16 +705,16 @@ def _wf_item(tbl: Table, item: TheoryItem) -> None:
             rt = infer_term(tbl, context, r)
             if lt != rt:
                 raise RuleViolation(f"rule sides have types {lt} and {rt}")
-            _check_rule_variables(term_vars(l), term_vars(r), set(x for x, _ in ctx))
-            _check_rule_tvars(term_tvars(l), term_tvars(r), set(tvs))
+            _check_rule_names("variables", term_vars(l), term_vars(r), {x for x, _ in ctx})
+            _check_rule_names("type variables", term_tvars(l), term_tvars(r), set(tvs))
         case PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
-            if not isinstance(l, (Pred, Eq)):
+            if type(l) not in _ATOMIC:
                 raise NonAtomicLhs(f"proposition rule left-hand side must be atomic, found {type(l).__name__}")
             context = _rule_context(tbl, tvs, ctx)
             wf_formula(tbl, context, l)
             wf_formula(tbl, context, r)
-            _check_rule_variables(formula_vars(l), formula_vars(r), set(x for x, _ in ctx))
-            _check_rule_tvars(formula_tvars(l), formula_tvars(r), set(tvs))
+            _check_rule_names("variables", formula_vars(l), formula_vars(r), {x for x, _ in ctx})
+            _check_rule_names("type variables", formula_tvars(l), formula_tvars(r), set(tvs))
         case ExtDecl(name=n):
             tbl.exts.append(n)
         case _:
@@ -506,249 +739,154 @@ def _rule_context(tbl: Table, tvs: tuple[str, ...], ctx: tuple[tuple[str, TffTyp
     return out
 
 
-def _check_rule_variables(lhs_vars: frozenset[str], rhs_vars: frozenset[str], delta: set[str]) -> None:
-    if not lhs_vars <= delta:
-        raise RuleViolation(f"left-hand side variables {sorted(lhs_vars - delta)} not in the context")
-    if not rhs_vars <= lhs_vars:
-        raise RuleViolation(f"right-hand side variables {sorted(rhs_vars - lhs_vars)} not on the left")
-
-
-def _check_rule_tvars(lhs_tvs: frozenset[str], rhs_tvs: frozenset[str], tvs: set[str]) -> None:
-    if not lhs_tvs <= tvs:
-        raise RuleViolation(f"left-hand side type variables {sorted(lhs_tvs - tvs)} not in the context")
-    if not rhs_tvs <= lhs_tvs:
-        raise RuleViolation(f"right-hand side type variables {sorted(rhs_tvs - lhs_tvs)} not on the left")
+def _check_rule_names(what: str, lhs: frozenset[str], rhs: frozenset[str], bound: set[str]) -> None:
+    if not lhs <= bound:
+        raise RuleViolation(f"left-hand side {what} {sorted(lhs - bound)} not in the context")
+    if not rhs <= lhs:
+        raise RuleViolation(f"right-hand side {what} {sorted(rhs - lhs)} not on the left")
 
 
 # ---------------------------------------------------------------------------
 # Free variables and substitution
 
 
-def type_tvars(ty: TffType) -> frozenset[str]:
-    match ty:
-        case TVar(name=a):
-            return frozenset((a,))
-        case TCons(args=args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= type_tvars(a)
-            return out
-    raise TypeError(ty)
+class _Namespace(NamedTuple):
+    """Term or type variables: the kinds of their occurrences and of their
+    binders, the kinds whose values cannot mention them, and the class of
+    an occurrence."""
+
+    occurrence: FieldKind
+    binder: FieldKind
+    skip: tuple[FieldKind, ...]
+    var: type
 
 
-def term_vars(e: TffTerm) -> frozenset[str]:
-    match e:
-        case Var(name=x):
-            return frozenset((x,))
-        case Fun(args=args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= term_vars(a)
-            return out
-    raise TypeError(e)
+_TERM_VARS = _Namespace(VARIABLE, BOUND, (TY, TYS), Var)
+_TYPE_VARS = _Namespace(VARIABLE_TY, BOUND_TY, (), TVar)
+_BOUND_BY = {BOUND: _TERM_VARS, BOUND_TY: _TYPE_VARS}
+_NODES = (FORMULA, TY, TERM)
+_LISTS = (TYS, ARGS)
 
 
-def term_tvars(e: TffTerm) -> frozenset[str]:
-    match e:
-        case Var():
-            return frozenset()
-        case Fun(ty_args=tys, args=args):
-            out: frozenset[str] = frozenset()
-            for ty in tys:
-                out |= type_tvars(ty)
-            for a in args:
-                out |= term_tvars(a)
-            return out
-    raise TypeError(e)
+def _free(x: object, ns: _Namespace) -> frozenset[str]:
+    """The free variables of `ns` in a formula, term or type."""
+    out: frozenset[str] = frozenset()
+    bound = None
+    for name, kind in row_of(x).fields:
+        v = getattr(x, name)
+        if kind is ns.occurrence:
+            return frozenset((v,))
+        if kind is ns.binder:
+            bound = v
+        elif kind in ns.skip:
+            continue
+        elif kind is FORMULA and bound is not None:
+            out |= _free(v, ns) - {bound}
+        elif kind in _NODES:
+            out |= _free(v, ns)
+        elif kind in _LISTS:
+            for y in v:
+                out |= _free(y, ns)
+    return out
 
 
-def formula_vars(phi: TffFormula) -> frozenset[str]:
-    match phi:
-        case Top() | Bottom():
-            return frozenset()
-        case Not(body=b):
-            return formula_vars(b)
-        case And(lhs=a, rhs=b) | Or(lhs=a, rhs=b) | Implies(lhs=a, rhs=b) | Iff(lhs=a, rhs=b):
-            return formula_vars(a) | formula_vars(b)
-        case Eq(lhs=a, rhs=b):
-            return term_vars(a) | term_vars(b)
-        case Pred(args=args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= term_vars(a)
-            return out
-        case Forall(var=x, body=b) | Exists(var=x, body=b):
-            return formula_vars(b) - {x}
-        case ForallType(body=b) | ExistsType(body=b):
-            return formula_vars(b)
-    raise TypeError(phi)
-
-
-def formula_tvars(phi: TffFormula) -> frozenset[str]:
-    match phi:
-        case Top() | Bottom():
-            return frozenset()
-        case Not(body=b):
-            return formula_tvars(b)
-        case And(lhs=a, rhs=b) | Or(lhs=a, rhs=b) | Implies(lhs=a, rhs=b) | Iff(lhs=a, rhs=b):
-            return formula_tvars(a) | formula_tvars(b)
-        case Eq(ty=ty, lhs=a, rhs=b):
-            return type_tvars(ty) | term_tvars(a) | term_tvars(b)
-        case Pred(ty_args=tys, args=args):
-            out: frozenset[str] = frozenset()
-            for ty in tys:
-                out |= type_tvars(ty)
-            for a in args:
-                out |= term_tvars(a)
-            return out
-        case Forall(ty=ty, body=b) | Exists(ty=ty, body=b):
-            return type_tvars(ty) | formula_tvars(b)
-        case ForallType(tvar=a, body=b) | ExistsType(tvar=a, body=b):
-            return formula_tvars(b) - {a}
-    raise TypeError(phi)
-
-
-_rename_counter = itertools.count()
-
-
-def _rename(base: str) -> str:
-    return f"{base}'{next(_rename_counter)}"
-
-
-def subst_term(e: TffTerm, mapping: Mapping[str, TffTerm]) -> TffTerm:
-    match e:
-        case Var(name=x):
-            return mapping.get(x, e)
-        case Fun(name=f, ty_args=tys, args=args):
-            return Fun(f, tys, tuple(subst_term(a, mapping) for a in args))
-    raise TypeError(e)
-
-
-def subst_formula(phi: TffFormula, mapping: Mapping[str, TffTerm]) -> TffFormula:
-    """Capture-avoiding substitution of term variables in a formula."""
+def _subst(x: object, mapping: Mapping[str, object], ns: _Namespace) -> object:
     if not mapping:
-        return phi
-    match phi:
-        case Top() | Bottom():
-            return phi
-        case Not(body=b):
-            return Not(subst_formula(b, mapping))
-        case And(lhs=a, rhs=b):
-            return And(subst_formula(a, mapping), subst_formula(b, mapping))
-        case Or(lhs=a, rhs=b):
-            return Or(subst_formula(a, mapping), subst_formula(b, mapping))
-        case Implies(lhs=a, rhs=b):
-            return Implies(subst_formula(a, mapping), subst_formula(b, mapping))
-        case Iff(lhs=a, rhs=b):
-            return Iff(subst_formula(a, mapping), subst_formula(b, mapping))
-        case Eq(ty=ty, lhs=a, rhs=b):
-            return Eq(ty, subst_term(a, mapping), subst_term(b, mapping))
-        case Pred(name=p, ty_args=tys, args=args):
-            return Pred(p, tys, tuple(subst_term(a, mapping) for a in args))
-        case Forall(var=x, ty=ty, body=b):
-            x, b, mapping = _avoid_capture(x, b, mapping)
-            return Forall(x, ty, subst_formula(b, mapping))
-        case Exists(var=x, ty=ty, body=b):
-            x, b, mapping = _avoid_capture(x, b, mapping)
-            return Exists(x, ty, subst_formula(b, mapping))
-        case ForallType(tvar=a, body=b):
-            return ForallType(a, subst_formula(b, mapping))
-        case ExistsType(tvar=a, body=b):
-            return ExistsType(a, subst_formula(b, mapping))
-    raise TypeError(phi)
+        return x
+    row = row_of(x)
+    values: list = []
+    bound = None
+    for name, kind in row.fields:
+        v = getattr(x, name)
+        if kind is ns.occurrence:
+            return mapping.get(v, x)
+        if kind in _BOUND_BY:
+            bound, binder = len(values), kind
+        elif kind in ns.skip:
+            pass
+        elif kind is FORMULA and bound is not None:
+            values[bound], v, inner = _avoid_capture(values[bound], binder, v, mapping, ns)
+            v = _subst(v, inner, ns)
+        elif kind in _NODES:
+            v = _subst(v, mapping, ns)
+        elif kind in _LISTS:
+            v = tuple(_subst(y, mapping, ns) for y in v)
+        values.append(v)
+    return row.cls(*values)
 
 
 def _avoid_capture(
-    x: str, body: TffFormula, mapping: Mapping[str, TffTerm]
-) -> tuple[str, TffFormula, Mapping[str, TffTerm]]:
-    free = formula_vars(body)
-    mapping = {k: v for k, v in mapping.items() if k != x and k in free}
+    x: str, binder: FieldKind, body: TffFormula, mapping: Mapping[str, object], ns: _Namespace
+) -> tuple[str, TffFormula, Mapping[str, object]]:
+    """The binder name, body and mapping with which to substitute under
+    binder `x` of kind `binder`.
+
+    A binder of the substituted names shadows them.  When a value mentions
+    `x`, the binder becomes the first `x'k` (k = 0, 1, ...) that is free
+    neither in the body nor in the values, so the result depends only on
+    the arguments.
+    """
+    free = _free(body, ns)
+    shadowed = x if binder is ns.binder else None
+    mapping = {k: v for k, v in mapping.items() if k != shadowed and k in free}
     if not mapping:
         return x, body, mapping
-    value_vars: set[str] = set()
+    renaming = _BOUND_BY[binder]
+    value_names: frozenset[str] = frozenset()
     for v in mapping.values():
-        value_vars |= term_vars(v)
-    if x in value_vars:
-        fresh = _rename(x)
-        body = subst_formula(body, {x: Var(fresh)})
+        value_names |= _free(v, renaming)
+    if x in value_names:
+        taken = _free(body, renaming) | value_names
+        fresh = next(f"{x}'{k}" for k in itertools.count() if f"{x}'{k}" not in taken)
+        body = _subst(body, {x: renaming.var(fresh)}, renaming)
         x = fresh
     return x, body, mapping
 
 
+def type_tvars(ty: TffType) -> frozenset[str]:
+    return _free(ty, _TYPE_VARS)
+
+
+def term_vars(e: TffTerm) -> frozenset[str]:
+    return _free(e, _TERM_VARS)
+
+
+def term_tvars(e: TffTerm) -> frozenset[str]:
+    return _free(e, _TYPE_VARS)
+
+
+def formula_vars(phi: TffFormula) -> frozenset[str]:
+    return _free(phi, _TERM_VARS)
+
+
+def formula_tvars(phi: TffFormula) -> frozenset[str]:
+    return _free(phi, _TYPE_VARS)
+
+
+def subst_type(ty: TffType, mapping: Mapping[str, TffType]) -> TffType:
+    return _subst(ty, mapping, _TYPE_VARS)
+
+
+def subst_term(e: TffTerm, mapping: Mapping[str, TffTerm]) -> TffTerm:
+    return _subst(e, mapping, _TERM_VARS)
+
+
 def subst_type_in_term(e: TffTerm, mapping: Mapping[str, TffType]) -> TffTerm:
-    match e:
-        case Var():
-            return e
-        case Fun(name=f, ty_args=tys, args=args):
-            return Fun(
-                f,
-                tuple(subst_type(ty, mapping) for ty in tys),
-                tuple(subst_type_in_term(a, mapping) for a in args),
-            )
-    raise TypeError(e)
+    return _subst(e, mapping, _TYPE_VARS)
+
+
+def subst_formula(phi: TffFormula, mapping: Mapping[str, TffTerm]) -> TffFormula:
+    """Capture-avoiding substitution of term variables in a formula."""
+    return _subst(phi, mapping, _TERM_VARS)
 
 
 def subst_type_in_formula(phi: TffFormula, mapping: Mapping[str, TffType]) -> TffFormula:
     """Capture-avoiding substitution of type variables in a formula."""
-    if not mapping:
-        return phi
-    match phi:
-        case Top() | Bottom():
-            return phi
-        case Not(body=b):
-            return Not(subst_type_in_formula(b, mapping))
-        case And(lhs=a, rhs=b):
-            return And(subst_type_in_formula(a, mapping), subst_type_in_formula(b, mapping))
-        case Or(lhs=a, rhs=b):
-            return Or(subst_type_in_formula(a, mapping), subst_type_in_formula(b, mapping))
-        case Implies(lhs=a, rhs=b):
-            return Implies(subst_type_in_formula(a, mapping), subst_type_in_formula(b, mapping))
-        case Iff(lhs=a, rhs=b):
-            return Iff(subst_type_in_formula(a, mapping), subst_type_in_formula(b, mapping))
-        case Eq(ty=ty, lhs=a, rhs=b):
-            return Eq(subst_type(ty, mapping), subst_type_in_term(a, mapping), subst_type_in_term(b, mapping))
-        case Pred(name=p, ty_args=tys, args=args):
-            return Pred(
-                p,
-                tuple(subst_type(ty, mapping) for ty in tys),
-                tuple(subst_type_in_term(a, mapping) for a in args),
-            )
-        case Forall(var=x, ty=ty, body=b):
-            return Forall(x, subst_type(ty, mapping), subst_type_in_formula(b, mapping))
-        case Exists(var=x, ty=ty, body=b):
-            return Exists(x, subst_type(ty, mapping), subst_type_in_formula(b, mapping))
-        case ForallType(tvar=a, body=b):
-            a, b, mapping = _avoid_tvar_capture(a, b, mapping)
-            return ForallType(a, subst_type_in_formula(b, mapping))
-        case ExistsType(tvar=a, body=b):
-            a, b, mapping = _avoid_tvar_capture(a, b, mapping)
-            return ExistsType(a, subst_type_in_formula(b, mapping))
-    raise TypeError(phi)
-
-
-def _avoid_tvar_capture(
-    a: str, body: TffFormula, mapping: Mapping[str, TffType]
-) -> tuple[str, TffFormula, Mapping[str, TffType]]:
-    free = formula_tvars(body)
-    mapping = {k: v for k, v in mapping.items() if k != a and k in free}
-    if not mapping:
-        return a, body, mapping
-    value_tvars: set[str] = set()
-    for v in mapping.values():
-        value_tvars |= type_tvars(v)
-    if a in value_tvars:
-        fresh = _rename(a)
-        body = subst_type_in_formula(body, {a: TVar(fresh)})
-        a = fresh
-    return a, body, mapping
+    return _subst(phi, mapping, _TYPE_VARS)
 
 
 # ---------------------------------------------------------------------------
-# S-expression reading and writing (.tffx)
-
-
-class FormatError(TffError):
-    pass
+# Theories in .tffx
 
 
 def theory_from_sexp(sx: object) -> TffTheory:
@@ -773,185 +911,32 @@ def _item_from_sexp(sx: object, cons: set[str]) -> TheoryItem:
     if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
         raise FormatError(f"bad theory item {sexp.dumps(sx)}")
     tag = sx[0]
-    try:
-        if tag == "type":
-            _expect_len(sx, 3)
-            return TypeCons(_symbol(sx[1]), _int(sx[2]))
-        if tag == "fun":
-            _expect_len(sx, 5)
-            tvs = tuple(_symbol(a) for a in _list(sx[2]))
-            scope = set(tvs)
-            return FunDecl(
-                _symbol(sx[1]),
-                tvs,
-                tuple(type_from_sexp(t, scope, cons) for t in _list(sx[3])),
-                type_from_sexp(sx[4], scope, cons),
-            )
+    if tag == "type":
+        _expect_len(sx, 3)
+        return TypeCons(_symbol(sx[1]), _int(sx[2]))
+    if tag in ("fun", "pred"):
+        _expect_len(sx, 5 if tag == "fun" else 4)
+        tvs = tuple(_symbol(a) for a in _list(sx[2]))
+        scope = frozenset(tvs)
+        arg_types = tuple(type_from_sexp(t, scope, cons) for t in _list(sx[3]))
         if tag == "pred":
-            _expect_len(sx, 4)
-            tvs = tuple(_symbol(a) for a in _list(sx[2]))
-            scope = set(tvs)
-            return PredDecl(
-                _symbol(sx[1]),
-                tvs,
-                tuple(type_from_sexp(t, scope, cons) for t in _list(sx[3])),
-            )
-        if tag == "axiom":
-            _expect_len(sx, 3)
-            return Axiom(_symbol(sx[1]), formula_from_sexp(sx[2], cons))
-        if tag in ("term-rule", "prop-rule"):
-            _expect_len(sx, 5)
-            tvs = tuple(_symbol(a) for a in _list(sx[1]))
-            scope = set(tvs)
-            ctx = tuple(
-                (_symbol(_list(b)[0]), type_from_sexp(_list(b)[1], scope, cons)) for b in _list(sx[2])
-            )
-            if tag == "term-rule":
-                return TermRule(tvs, ctx, term_from_sexp(sx[3], cons), term_from_sexp(sx[4], cons))
-            return PropRule(tvs, ctx, formula_from_sexp(sx[3], cons), formula_from_sexp(sx[4], cons))
-        if tag == "ext":
-            _expect_len(sx, 2)
-            return ExtDecl(_symbol(sx[1]))
-    except FormatError:
-        raise
-    raise FormatError(f"unknown theory item tag {tag!r}")
-
-
-def _expect_len(sx: list, n: int) -> None:
-    if len(sx) != n:
-        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps(sx)}")
-
-
-def _symbol(x: object) -> str:
-    if not isinstance(x, str):
-        raise FormatError(f"expected a symbol, found {sexp.dumps(x)}")
-    return x
-
-
-def _int(x: object) -> int:
-    if not isinstance(x, int):
-        raise FormatError(f"expected an integer, found {sexp.dumps(x)}")
-    return x
-
-
-def _list(x: object) -> list:
-    if not isinstance(x, list):
-        raise FormatError(f"expected a list, found {sexp.dumps(x)}")
-    return x
-
-
-def type_from_sexp(sx: object, tvars: set[str], cons: set[str]) -> TffType:
-    """A bare symbol is a type variable unless it names a declared constructor."""
-    if isinstance(sx, str):
-        if sx in tvars or sx not in cons:
-            return TVar(sx)
-        return TCons(sx, ())
-    if isinstance(sx, list) and sx and isinstance(sx[0], str):
-        return TCons(sx[0], tuple(type_from_sexp(a, tvars, cons) for a in sx[1:]))
-    raise FormatError(f"bad type {sexp.dumps(sx)}")
-
-
-def term_from_sexp(sx: object, cons: set[str]) -> TffTerm:
-    if isinstance(sx, str):
-        return Var(sx)
-    if isinstance(sx, list) and len(sx) >= 2 and isinstance(sx[0], str) and isinstance(sx[1], list):
-        ty_args = tuple(type_from_sexp(t, set(), cons) for t in sx[1])
-        args = tuple(term_from_sexp(a, cons) for a in sx[2:])
-        return Fun(sx[0], ty_args, args)
-    raise FormatError(f"bad term {sexp.dumps(sx)}")
-
-
-_CONNECTIVES = {"and": And, "or": Or, "imp": Implies, "iff": Iff}
-
-
-def formula_from_sexp(sx: object, cons: set[str]) -> TffFormula:
-    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise FormatError(f"bad formula {sexp.dumps(sx)}")
-    tag = sx[0]
-    if tag == "top":
-        _expect_len(sx, 1)
-        return Top()
-    if tag == "bot":
-        _expect_len(sx, 1)
-        return Bottom()
-    if tag == "not":
+            return PredDecl(_symbol(sx[1]), tvs, arg_types)
+        return FunDecl(_symbol(sx[1]), tvs, arg_types, type_from_sexp(sx[4], scope, cons))
+    if tag == "axiom":
+        _expect_len(sx, 3)
+        return Axiom(_symbol(sx[1]), formula_from_sexp(sx[2], cons))
+    if tag in ("term-rule", "prop-rule"):
+        _expect_len(sx, 5)
+        tvs = tuple(_symbol(a) for a in _list(sx[1]))
+        scope = frozenset(tvs)
+        ctx = tuple((_symbol(_list(b)[0]), type_from_sexp(_list(b)[1], scope, cons)) for b in _list(sx[2]))
+        side = term_from_sexp if tag == "term-rule" else formula_from_sexp
+        rule = TermRule if tag == "term-rule" else PropRule
+        return rule(tvs, ctx, side(sx[3], cons, scope), side(sx[4], cons, scope))
+    if tag == "ext":
         _expect_len(sx, 2)
-        return Not(formula_from_sexp(sx[1], cons))
-    if tag in _CONNECTIVES:
-        _expect_len(sx, 3)
-        return _CONNECTIVES[tag](formula_from_sexp(sx[1], cons), formula_from_sexp(sx[2], cons))
-    if tag == "eq":
-        _expect_len(sx, 4)
-        return Eq(
-            type_from_sexp(sx[1], set(), cons),
-            term_from_sexp(sx[2], cons),
-            term_from_sexp(sx[3], cons),
-        )
-    if tag == "pred":
-        if len(sx) < 3:
-            raise FormatError(f"pred expects a name and type-argument list: {sexp.dumps(sx)}")
-        ty_args = tuple(type_from_sexp(t, set(), cons) for t in _list(sx[2]))
-        return Pred(_symbol(sx[1]), ty_args, tuple(term_from_sexp(a, cons) for a in sx[3:]))
-    if tag in ("forall", "exists"):
-        _expect_len(sx, 4)
-        cls = Forall if tag == "forall" else Exists
-        return cls(_symbol(sx[1]), type_from_sexp(sx[2], set(), cons), formula_from_sexp(sx[3], cons))
-    if tag in ("foralltype", "existstype"):
-        _expect_len(sx, 3)
-        cls = ForallType if tag == "foralltype" else ExistsType
-        return cls(_symbol(sx[1]), formula_from_sexp(sx[2], cons))
-    raise FormatError(f"unknown formula tag {tag!r}")
-
-
-def type_to_sexp(ty: TffType, cons: set[str]) -> object:
-    match ty:
-        case TVar(name=a):
-            return a
-        case TCons(name=c, args=args):
-            if not args and c in cons:
-                return c
-            return [c] + [type_to_sexp(a, cons) for a in args]
-    raise TypeError(ty)
-
-
-def term_to_sexp(e: TffTerm, cons: set[str]) -> object:
-    match e:
-        case Var(name=x):
-            return x
-        case Fun(name=f, ty_args=tys, args=args):
-            return [f, [type_to_sexp(t, cons) for t in tys]] + [term_to_sexp(a, cons) for a in args]
-    raise TypeError(e)
-
-
-def formula_to_sexp(phi: TffFormula, cons: set[str]) -> object:
-    match phi:
-        case Top():
-            return ["top"]
-        case Bottom():
-            return ["bot"]
-        case Not(body=b):
-            return ["not", formula_to_sexp(b, cons)]
-        case And(lhs=a, rhs=b):
-            return ["and", formula_to_sexp(a, cons), formula_to_sexp(b, cons)]
-        case Or(lhs=a, rhs=b):
-            return ["or", formula_to_sexp(a, cons), formula_to_sexp(b, cons)]
-        case Implies(lhs=a, rhs=b):
-            return ["imp", formula_to_sexp(a, cons), formula_to_sexp(b, cons)]
-        case Iff(lhs=a, rhs=b):
-            return ["iff", formula_to_sexp(a, cons), formula_to_sexp(b, cons)]
-        case Eq(ty=ty, lhs=a, rhs=b):
-            return ["eq", type_to_sexp(ty, cons), term_to_sexp(a, cons), term_to_sexp(b, cons)]
-        case Pred(name=p, ty_args=tys, args=args):
-            return ["pred", p, [type_to_sexp(t, cons) for t in tys]] + [term_to_sexp(a, cons) for a in args]
-        case Forall(var=x, ty=ty, body=b):
-            return ["forall", x, type_to_sexp(ty, cons), formula_to_sexp(b, cons)]
-        case Exists(var=x, ty=ty, body=b):
-            return ["exists", x, type_to_sexp(ty, cons), formula_to_sexp(b, cons)]
-        case ForallType(tvar=a, body=b):
-            return ["foralltype", a, formula_to_sexp(b, cons)]
-        case ExistsType(tvar=a, body=b):
-            return ["existstype", a, formula_to_sexp(b, cons)]
-    raise TypeError(phi)
+        return ExtDecl(_symbol(sx[1]))
+    raise FormatError(f"unknown theory item tag {tag!r}")
 
 
 def theory_to_sexp(thy: TffTheory) -> list:
@@ -962,33 +947,20 @@ def theory_to_sexp(thy: TffTheory) -> list:
             case TypeCons(name=n, arity=m):
                 out.append(["type", n, m])
             case FunDecl(name=n, tvars=tvs, arg_types=args, result=res):
+                scope = frozenset(tvs)
                 out.append(
-                    ["fun", n, list(tvs), [type_to_sexp(t, cons) for t in args], type_to_sexp(res, cons)]
+                    ["fun", n, list(tvs), [type_to_sexp(t, cons, scope) for t in args], type_to_sexp(res, cons, scope)]
                 )
             case PredDecl(name=n, tvars=tvs, arg_types=args):
-                out.append(["pred", n, list(tvs), [type_to_sexp(t, cons) for t in args]])
+                out.append(["pred", n, list(tvs), [type_to_sexp(t, cons, frozenset(tvs)) for t in args]])
             case Axiom(name=n, formula=phi):
                 out.append(["axiom", n, formula_to_sexp(phi, cons)])
-            case TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
-                out.append(
-                    [
-                        "term-rule",
-                        list(tvs),
-                        [[x, type_to_sexp(ty, cons)] for x, ty in ctx],
-                        term_to_sexp(l, cons),
-                        term_to_sexp(r, cons),
-                    ]
-                )
-            case PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
-                out.append(
-                    [
-                        "prop-rule",
-                        list(tvs),
-                        [[x, type_to_sexp(ty, cons)] for x, ty in ctx],
-                        formula_to_sexp(l, cons),
-                        formula_to_sexp(r, cons),
-                    ]
-                )
+            case TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r) | PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
+                scope = frozenset(tvs)
+                is_term = isinstance(item, TermRule)
+                tag, side = ("term-rule", term_to_sexp) if is_term else ("prop-rule", formula_to_sexp)
+                ctx_sx = [[x, type_to_sexp(ty, cons, scope)] for x, ty in ctx]
+                out.append([tag, list(tvs), ctx_sx, side(l, cons, scope), side(r, cons, scope)])
             case ExtDecl(name=n):
                 out.append(["ext", n])
     return out

@@ -235,3 +235,27 @@ def test_translate_names_failing_node_for_kernel_rejection(tmp_path, capsys):
     [diagnostic] = json.loads(stdout)["diagnostics"]
     assert diagnostic["path"] == path
     assert diagnostic["message"].startswith("ill-typed body of definition cert.goal: type mismatch")
+
+
+_CAPTURE_THEORY = "(theory cap (type i 0) (pred Q () (i i)))\n"
+# NotForall instantiates x := c under the binder c, so c is renamed
+_CAPTURE_PROOF = """(proof (theory cap)
+  (goal (forall x i (forall c i (imp (pred Q () x c) (pred Q () x c)))))
+  (notforall i x (forall c i (imp (pred Q () x c) (pred Q () x c))) c
+    (notforall i y (imp (pred Q () c y) (pred Q () c y)) d
+      (notimp (pred Q () c d) (pred Q () c d)
+        (ax (pred Q () c d))))))
+"""
+
+
+def test_translate_output_does_not_depend_on_earlier_runs(tmp_path, capsys):
+    (tmp_path / "cap.tffx").write_text(_CAPTURE_THEORY)
+    (tmp_path / "cap.llpx").write_text(_CAPTURE_PROOF)
+    written = []
+    for out in ("first", "second"):
+        argv = ["translate", str(tmp_path / "cap.tffx"), str(tmp_path / "cap.llpx"), "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert b"c'0 : logic.term cap.i" in written[0]["cert.dk"]

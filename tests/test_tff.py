@@ -251,6 +251,28 @@ def test_theory_format_errors():
         tff.parse_theory("(theory t")
 
 
+def test_type_variables_named_like_constructors_round_trip():
+    # a rule's or quantifier's type variable shadows a constructor of the
+    # same name; a shadowed nullary constructor is written `(a)`
+    a = TVar("a")
+    thy = TffTheory("t", (
+        TypeCons("a", 0),
+        FunDecl("f", ("b",), (TVar("b"),), TVar("b")),
+        PredDecl("P", ("b",), (TVar("b"),)),
+        TermRule(("a",), (("x", a),), Fun("f", (a,), (Var("x"),)), Var("x")),
+    ))
+    wf_theory(thy)
+    back = tff.parse_theory(tff.print_theory(thy))
+    assert back == thy
+    wf_theory(back)
+    cons = {"a"}
+    bound = ForallType("a", Forall("x", a, Pred("P", (a,), (Var("x"),))))
+    shadowed = ForallType("a", Pred("P", (TCons("a"),), (Fun("c", (TCons("a"),)),)))
+    for phi in (bound, shadowed):
+        assert tff.formula_from_sexp(tff.formula_to_sexp(phi, cons), cons) == phi
+    assert tff.formula_from_sexp(sexp.loads_one("(foralltype a (forall x a (pred P (a) x)))"), cons) == bound
+
+
 def test_formula_sexp_round_trip():
     thy = examples.set_theory()
     cons = {"set"}
