@@ -4,7 +4,9 @@ Entries are declarations `c : A.`, definitions `def c : A := t.`, rewrite
 rules `[x : T, ...] lhs --> rhs.`, and check commands `#ASSERT t : A.`.
 Terms use `x : A -> B` for products, `x : A => t` for abstractions, bare
 `A -> B` for non-dependent products, and juxtaposition for application.
-Comments `(; ... ;)` nest.
+Comments `(; ... ;)` nest; one between entries is kept as a `Comment`
+entry, one inside an entry is dropped.  Positions are 1-based lines and
+columns, and every character counts as one column, tab and CR included.
 
 The parser resolves identifiers on the fly: binders become de Bruijn
 indices, rule-context variables become free variables, and everything
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .terms import (
     KIND,
@@ -98,8 +100,24 @@ class Comment(Entry):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(_IDENT)
 _KEYWORDS = ("Type", "Kind", "def")
+
+# One token after optional whitespace; the group that matched names its
+# kind.  A keyword is never qualified, so `Type.x` is `Type`, `.`, `x`;
+# any other identifier may carry one module prefix, `mod.id`.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:"
+    rf"(?P<keyword>(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_']))"
+    rf"|(?P<IDENT>{_IDENT}(?:\.{_IDENT})?)"
+    r"|(?P<comment>\(;)"
+    r"|(?P<symbol>-->|->|=>|:=|[:.()\[\],])"
+    rf"|(?P<command>#(?:{_IDENT})?)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<stray>.))"
+)
+_COMMENT_DELIM_RE = re.compile(r"\(;|;\)")
 
 
 class Token(NamedTuple):
@@ -109,102 +127,48 @@ class Token(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> Iterator[Token]:
-    i = 0
+def _tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]]:
+    """The tokens of `text`, ending with `EOF`, and its comments keyed by
+    the index of the token each one comes before."""
+    tokens: list[Token] = []
+    comments: dict[int, list[Comment]] = {}
+    match = _TOKEN_RE.match
+    pos = last = line_start = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def error(msg: str) -> DkSyntaxError:
-        return DkSyntaxError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if text.startswith("(;", i):
-            start_line, start_col = line, col
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        # only whitespace and comments span lines, and both lie between
+        # the previous token's start and this one's
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, start) + 1
+        last = start
+        col = start - line_start + 1
+        word = m.group(kind)
+        pos = m.end()
+        if kind == "IDENT":
+            tokens.append(Token("IDENT", word, line, col))
+        elif kind == "comment":
             depth = 1
-            j = i + 2
-            while j < n and depth:
-                if text.startswith("(;", j):
-                    depth += 1
-                    j += 2
-                    col += 2
-                elif text.startswith(";)", j):
-                    depth -= 1
-                    j += 2
-                    col += 2
-                elif text[j] == "\n":
-                    j += 1
-                    line += 1
-                    col = 1
-                else:
-                    j += 1
-                    col += 1
-            if depth:
-                raise DkSyntaxError("unterminated comment", start_line, start_col)
-            yield Token("COMMENT", text[i + 2 : j - 2].strip(), start_line, start_col)
-            i = j
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            # one-level qualification: `mod.id`
-            j = m.end()
-            if word not in _KEYWORDS and j < n and text[j] == "." :
-                m2 = _IDENT_RE.match(text, j + 1)
-                if m2:
-                    word = word + "." + m2.group()
-                    j = m2.end()
-            kind = word if word in _KEYWORDS else "IDENT"
-            yield Token(kind, word, line, col)
-            col += j - i
-            i = j
-            continue
-        if c == "#":
-            m = _IDENT_RE.match(text, i + 1)
-            word = m.group() if m else ""
-            if word != "ASSERT":
-                raise error(f"unknown command #{word}")
-            yield Token("#ASSERT", "#ASSERT", line, col)
-            i += 1 + len(word)
-            col += 1 + len(word)
-            continue
-        if text.startswith("-->", i):
-            yield Token("-->", "-->", line, col)
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            yield Token("->", "->", line, col)
-            i += 2
-            col += 2
-            continue
-        if text.startswith("=>", i):
-            yield Token("=>", "=>", line, col)
-            i += 2
-            col += 2
-            continue
-        if text.startswith(":=", i):
-            yield Token(":=", ":=", line, col)
-            i += 2
-            col += 2
-            continue
-        if c in ":.()[],":
-            yield Token(c, c, line, col)
-            i += 1
-            col += 1
-            continue
-        raise error(f"stray character {c!r}")
-    yield Token("EOF", "", line, col)
+            while depth:
+                d = _COMMENT_DELIM_RE.search(text, pos)
+                if d is None:
+                    raise DkSyntaxError("unterminated comment", line, col)
+                depth += 1 if d.group() == "(;" else -1
+                pos = d.end()
+            comments.setdefault(len(tokens), []).append(Comment(text[start + 2 : pos - 2].strip(), line, col))
+        elif kind == "EOF":
+            tokens.append(Token("EOF", "", line, col))
+            return tokens, comments
+        elif kind == "stray":
+            raise DkSyntaxError(f"stray character {word!r}", line, col)
+        elif kind == "command" and word != "#ASSERT":
+            raise DkSyntaxError(f"unknown command {word}", line, col)
+        else:  # a symbol, a keyword or `#ASSERT` is its own kind
+            tokens.append(Token(word, word, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +177,13 @@ def _tokenize(text: str) -> Iterator[Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens, self.comments = _tokenize(text)
         self.pos = 0
 
-    def peek(self, skip_comments: bool = True) -> Token:
-        pos = self.pos
-        while skip_comments and self.tokens[pos].kind == "COMMENT":
-            pos += 1
-        return self.tokens[pos]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self, skip_comments: bool = True) -> Token:
-        while skip_comments and self.tokens[self.pos].kind == "COMMENT":
-            self.pos += 1
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -238,14 +197,11 @@ class _Parser:
     # -- entries
 
     def entries(self) -> list[Entry]:
+        # comments inside an entry are never looked up, so they are dropped
         out: list[Entry] = []
         while True:
-            tok = self.peek(skip_comments=False)
-            if tok.kind == "COMMENT":
-                self.pos += 1
-                out.append(Comment(tok.text, tok.line, tok.col))
-                continue
-            if tok.kind == "EOF":
+            out += self.comments.get(self.pos, ())
+            if self.peek().kind == "EOF":
                 return out
             out.append(self.entry())
 
@@ -308,7 +264,7 @@ class _Parser:
 
     def term(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
         tok = self.peek()
-        if tok.kind == "IDENT" and "." not in tok.text and self.peek_after().kind == ":":
+        if tok.kind == "IDENT" and "." not in tok.text and self.tokens[self.pos + 1].kind == ":":
             name = self.next().text
             self.next()  # ':'
             dom = self.app(scope, delta)
@@ -324,17 +280,6 @@ class _Parser:
             )
         return self.arrow(scope, delta)
 
-    def peek_after(self) -> Token:
-        pos = self.pos
-        seen = 0
-        while True:
-            tok = self.tokens[pos]
-            if tok.kind != "COMMENT":
-                seen += 1
-                if seen == 2:
-                    return tok
-            pos += 1
-
     def arrow(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
         left = self.app(scope, delta)
         if self.peek().kind == "->":
@@ -348,7 +293,7 @@ class _Parser:
         while self.peek().kind in ("IDENT", "Type", "Kind", "("):
             # an identifier followed by ':' starts the next binder context,
             # never an argument
-            if self.peek().kind == "IDENT" and self.peek_after().kind == ":":
+            if self.peek().kind == "IDENT" and self.tokens[self.pos + 1].kind == ":":
                 break
             t = App(t, self.atom(scope, delta))
         return t

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
+from .dkparse import print_term
 from .terms import (
     KIND,
     TYPE,
@@ -70,7 +71,7 @@ class UnboundIdentifier(KernelError):
 
 class NotAFunction(KernelError):
     def __init__(self, fn: KTerm, fn_type: KTerm):
-        super().__init__(f"term {fn} of type {fn_type} is applied but is not a function")
+        super().__init__(f"term {print_term(fn)} of type {print_term(fn_type)} is applied but is not a function")
         self.fn = fn
         self.fn_type = fn_type
 
@@ -88,7 +89,7 @@ class TypeMismatch(KernelError):
     """Failed conversion check, carrying both sides in normal form."""
 
     def __init__(self, expected: KTerm, actual: KTerm):
-        super().__init__(f"type mismatch: expected {expected}, found {actual}")
+        super().__init__(f"type mismatch: expected {print_term(expected)}, found {print_term(actual)}")
         self.expected = expected
         self.actual = actual
 
@@ -421,7 +422,7 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
                 e.trail.clear()  # body_ty is not a subterm: the failure is here
                 raise
             if not isinstance(body_sort, Sort):
-                raise SortError(f"lambda body type {body_ty} does not live in a sort")
+                raise SortError(f"lambda body type {print_term(body_ty)} does not live in a sort")
             return Pi(n, ty, abstract(body_ty, f))
         case Pi(name=n, domain=d, codomain=c):
             _check_domain(sig, ctx, d, fuel)
@@ -435,7 +436,7 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
                 raise
             cod_sort = reveal(sig, cod_sort, fuel)
             if not isinstance(cod_sort, Sort):
-                raise SortError(f"product codomain in {t} is not a sort")
+                raise SortError(f"product codomain in {print_term(t)} is not a sort")
             return cod_sort
         case _:
             raise KernelError(f"cannot type {t!r}")
@@ -450,7 +451,7 @@ def _check_domain(sig: Signature, ctx: dict[str, KTerm], ty: KTerm, fuel: Fuel) 
         raise
     s = reveal(sig, s, fuel)
     if s != TYPE:
-        raise SortError(f"binder domain {ty} must have sort Type, has {s}")
+        raise SortError(f"binder domain {print_term(ty)} must have sort Type, has {print_term(s)}")
 
 
 def check(sig: Signature, ctx: Context, t: KTerm, expected: KTerm, fuel: Fuel | None = None) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import kernel
+from . import dkparse, kernel
 from .terms import Const, FVar, KTerm, Sort, Var, App, Lam, Pi, free_fvars, spine
 
 
@@ -28,7 +28,7 @@ class DuplicateName(SignatureError):
 
 class NotASort(SignatureError):
     def __init__(self, name: str, ty: KTerm):
-        super().__init__(f"type of {name} must be a sort, found {ty}")
+        super().__init__(f"type of {name} must be a sort, found {dkparse.print_term(ty)}")
         self.name = name
 
 
@@ -169,7 +169,7 @@ def _check_context(
 def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
     head, args = spine(lhs)
     if not isinstance(head, Const):
-        raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {head}")
+        raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {dkparse.print_term(head)}")
     stack = list(args)
     while stack:
         match stack.pop():
@@ -181,7 +181,7 @@ def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
             case Const() | Sort():
                 pass
             case Lam() | Pi() | Var() as sub:
-                raise NonPatternLhs(f"subterm {sub} is not first-order pattern syntax")
+                raise NonPatternLhs(f"subterm {dkparse.print_term(sub)} is not first-order pattern syntax")
 
 
 def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None) -> Signature:
@@ -190,8 +190,6 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
     Definitions desugar to a declaration plus an empty-context rewrite
     rule; `#ASSERT` entries run a check without extending the signature.
     """
-    from . import dkparse
-
     for e in entries:
         match e:
             case dkparse.Decl(name=n, type=ty):

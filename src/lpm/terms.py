@@ -73,9 +73,6 @@ class _Named(KTerm):
             return NotImplemented
         return self.name == other.name
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class Sort(_Named):
     """`Type` or `Kind`."""
@@ -104,9 +101,6 @@ class Var(KTerm):
         if other.__class__ is not Var:
             return NotImplemented
         return self.index == other.index
-
-    def __str__(self) -> str:
-        return self.name or f"#{self.index}"
 
 
 class FVar(_Named):
@@ -147,11 +141,6 @@ class App(KTerm):
             return NotImplemented
         return self._hash == other._hash and _alpha_eq(self, other)
 
-    def __str__(self) -> str:
-        fn = str(self.fn)
-        arg = f"({self.arg})" if isinstance(self.arg, (App, Lam, Pi)) else str(self.arg)
-        return f"{fn} {arg}"
-
 
 class Lam(KTerm):
     __slots__ = ("name", "annot", "body", "lbr", "has_fvar", "has_bare_const", "_hash")
@@ -175,9 +164,6 @@ class Lam(KTerm):
             return NotImplemented
         return self._hash == other._hash and _alpha_eq(self, other)
 
-    def __str__(self) -> str:
-        return f"({self.name or '_'} : {self.annot} => {self.body})"
-
 
 class Pi(KTerm):
     __slots__ = ("name", "domain", "codomain", "lbr", "has_fvar", "has_bare_const", "_hash")
@@ -200,12 +186,6 @@ class Pi(KTerm):
         if other.__class__ is not Pi:
             return NotImplemented
         return self._hash == other._hash and _alpha_eq(self, other)
-
-    def __str__(self) -> str:
-        dom = f"({self.domain})" if isinstance(self.domain, (Lam, Pi)) else str(self.domain)
-        if uses_binder(self.codomain):
-            return f"({self.name or '_'} : {dom} -> {self.codomain})"
-        return f"({dom} -> {self.codomain})"
 
 
 def _alpha_eq(a: KTerm, b: KTerm) -> bool:
@@ -337,23 +317,6 @@ def free_fvars(t: KTerm) -> frozenset[str]:
                 stack += (f, a)
             case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
                 stack += (ty, b)
-    return frozenset(out)
-
-
-def const_names(t: KTerm) -> frozenset[str]:
-    """Names of the constants occurring in `t`."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case Const(name=n):
-                out.add(n)
-            case App(fn=f, arg=a):
-                stack += (f, a)
-            case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
-                stack += (ty, b)
-            case _:
-                pass
     return frozenset(out)
 
 

@@ -1,7 +1,11 @@
 """Surface syntax: lexing, parsing, printing, round trips."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from lpm import cli, dkparse, examples
 from lpm.dkparse import (
     AssertType,
     Comment,
@@ -45,6 +49,12 @@ def test_parse_error_location():
     with pytest.raises(DkSyntaxError) as e:
         parse_file("x : .")
     assert (e.value.line, e.value.col) == (1, 5)
+
+
+def test_error_column_counts_the_comment_opener():
+    with pytest.raises(DkSyntaxError) as e:
+        parse_file("(; c ;) @")
+    assert (e.value.line, e.value.col) == (1, 9)
 
 
 def test_parse_unterminated_comment():
@@ -160,3 +170,51 @@ def test_printer_fixed_point_on_corpus():
         once = print_file(entries)
         twice = print_file(parse_file(once))
         assert once == twice, label
+
+
+# The front end pinned: parse results with their positions over the packaged
+# preludes and every `.dk` file `lpm examples` writes, and the exact text of
+# syntax errors.  The digest was recorded before the lexer was rewritten.
+
+_FRONT_END_SHA256 = "f78bade7a78bf23a106c1d20f346bb5f25291cff54191d016b4f4570d502f481"
+
+
+def test_front_end_parse_results_pinned(tmp_path, capsys):
+    prelude = Path(dkparse.__file__).parent / "prelude"
+    texts = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(prelude.glob("*.dk"))]
+    for name in sorted(examples.BUILTINS):
+        for mode in ("deep", "shallow"):
+            out = tmp_path / f"{name}-{mode}"
+            assert cli.main(["examples", name, "--mode", mode, "--out", str(out)]) == 0
+            texts += [(f"{out.name}/{p.name}", p.read_text(encoding="utf-8")) for p in sorted(out.glob("*.dk"))]
+    capsys.readouterr()
+    assert len(texts) == 2 + 4 * len(examples.BUILTINS) * 2
+    h = hashlib.sha256()
+    for label, text in texts:
+        for e in parse_file(text):
+            h.update(repr((label, type(e).__name__, e, e.line, e.col)).encode())
+    assert h.hexdigest() == _FRONT_END_SHA256
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("c : Type ~.", "1:10: stray character '~'"),
+        ("#FOO x.", "1:1: unknown command #FOO"),
+        ("#", "1:1: unknown command #"),
+        ("a : Type.\nb : Type.\n  (; never (; closed ;)\nc : Type.\n", "3:3: unterminated comment"),
+        ("c : Type.x.", "1:11: unexpected '.' (expected :)"),
+        ("c : Type.\r\n\td :\t~", "2:6: stray character '~'"),
+        ("c : Type.\r\nd : \r\n e :", "3:5: unexpected 'end of input' (expected term)"),
+        ("(; one\n(; two ;) ;) ~", "2:14: stray character '~'"),
+        ("[m.x : Type] f --> g.", "1:2: qualified name 'm.x' not allowed here"),
+        ("c : Type", "1:9: unexpected 'end of input' (expected .)"),
+        ("f : x : A B.", "1:12: unexpected '.' after binder (expected ->, =>)"),
+        ("[x : A, ] f --> g.", "1:9: unexpected ']' (expected IDENT)"),
+        ("def f : A := .", "1:14: unexpected '.' (expected term)"),
+    ],
+)
+def test_syntax_error_messages_pinned(text, message):
+    with pytest.raises(DkSyntaxError) as e:
+        parse_file(text)
+    assert str(e.value) == message

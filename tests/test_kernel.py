@@ -271,6 +271,15 @@ def test_check_sort_confusion(bool_sig):
     assert e.value.expected == Const("logic.Prop")
 
 
+def test_mismatch_message_shows_no_fresh_names(bool_sig):
+    # bool.ifte's type was built by opening binders with fresh names; the
+    # message prints binder names as the `.dk` printer does
+    with pytest.raises(kernel.TypeMismatch) as e:
+        kernel.check(bool_sig, {}, Const("bool.ifte"), Const("bool.bool"))
+    assert "#" not in str(e.value)
+    assert "found al : logic.type -> " in str(e.value)
+
+
 def test_subject_reduction_spot_check(bool_sig):
     # one reduction step preserves the inferred type
     rng = random.Random(23)
