@@ -136,8 +136,10 @@ def _emit_and_recheck(
     goal: Optional[tff.TffFormula],
     proof: Optional[llproof.LLProof],
 ) -> int:
-    """Write the `.dk` files and re-check them as read back.
+    """Write the `.dk` files and re-check each one as read back.
 
+    The certificate is compiled against the signature re-checked from the
+    emitted `logic.dk`, `rules.dk` and `theory.dk`, so it is written last.
     A file the re-check rejects is reported under `label`; for `cert.dk`
     with its failing proof node, found from the kernel's position through
     the translator, since the re-parsed entries have the terms it compiled.
@@ -150,31 +152,25 @@ def _emit_and_recheck(
         ("rules.dk", llproof.rules_prelude(mode)),
         ("theory.dk", embed.theory_entries(thy)),
     ]
-    cert_path = tr = None
     if proof is not None:
         assert goal is not None
-        base = llproof.base_signature(thy, mode, make_fuel(args))
-        cert_entries, tr = llproof.certificate_entries(thy, goal, proof, sig=base, fuel=make_fuel(args))
-        files.append(("cert.dk", cert_entries))
-    paths = []
-    for name, entries in files:
-        paths.append(_write(rep, out_dir, name, dkparse.print_file(entries)))
-        if name == "cert.dk":
-            cert_path = paths[-1]
-
-    # re-check the emitted set from the files, not from memory
+        files.append(("cert.dk", None))
     sig = signature.EMPTY.with_eta(args.eta)
-    for path in paths:
+    path = tr = None
+    for name, entries in files:
+        if entries is None:  # the certificate, against the modules re-checked so far
+            entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
+        path = _write(rep, out_dir, name, dkparse.print_file(entries))
         entries = dkparse.parse_file(path.read_text(encoding="utf-8"))
         try:
             sig = signature.install_entries(sig, entries, make_fuel(args))
         except (kernel.KernelError, signature.SignatureError) as e:
-            node = llproof.failure_path(tr, e) if path == cert_path else None
+            node = llproof.failure_path(tr, e) if tr is not None else None
             rep.diagnose(label, 0, 0, str(e), node)
             return _exit_code_for(e)
         rep.detail(f"re-checked {path}")
-    if cert_path is not None:
-        rep.say(f"certificate: {cert_path}")
+    if tr is not None:
+        rep.say(f"certificate: {path}")
     rep.say("verdict: accepted")
     return EXIT_OK
 

@@ -5,11 +5,14 @@ signature's rewrite rules, the conversion test, and the bidirectional
 typing judgment.  All operations are pure functions of a signature and a
 term; a shared fuel budget makes divergent user rewrite systems fail
 loudly instead of hanging.
+
+`whnf` is the one reduction entry point and the head it returns is final,
+so typing reads products and sorts off it, and conversion compares final
+heads before the parts below them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .dkparse import print_term
@@ -124,41 +127,29 @@ class Fuel:
             raise FuelExhausted(f"conversion depth budget of {self.max_conversion_depth} exhausted")
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    """A typed rewrite rule `lhs --> rhs` over the pattern context `ctx`.
+    """The matching index of an installed rule `lhs --> rhs`: `lhs` is the
+    constant `head` applied to the first-order patterns `lhs_args`, whose
+    variables `delta` are those of the pattern context `ctx`."""
 
-    `lhs` is a constant applied to a spine of first-order patterns whose
-    variables are drawn from `ctx`; both sides were checked to share
-    `rule_type` when the rule was installed.
-    """
+    __slots__ = ("ctx", "lhs", "rhs", "head", "lhs_args", "arity", "delta", "screens")
 
-    ctx: tuple[tuple[str, KTerm], ...]
-    lhs: KTerm
-    rhs: KTerm
-    rule_type: KTerm
-    head: str = field(init=False, compare=False)
-    lhs_args: tuple[KTerm, ...] = field(init=False, compare=False)
-    arity: int = field(init=False, compare=False)
-    delta: frozenset[str] = field(init=False, compare=False)
-    # (position, head constant, spine length) of each constant-headed
-    # pattern argument, used to skip definite non-matches cheaply
-    screens: tuple[tuple[int, str, int], ...] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        head, args = spine(self.lhs)
+    def __init__(self, ctx: Iterable[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm):
+        head, args = spine(lhs)
         if not isinstance(head, Const):
             raise ValueError("rewrite rule left-hand side must be constant-headed")
-        object.__setattr__(self, "head", head.name)
-        object.__setattr__(self, "lhs_args", tuple(args))
-        object.__setattr__(self, "arity", len(args))
-        object.__setattr__(self, "delta", frozenset(name for name, _ in self.ctx))
-        screens = []
-        for j, arg in enumerate(args):
-            h, sub = spine(arg)
-            if isinstance(h, Const):
-                screens.append((j, h.name, len(sub)))
-        object.__setattr__(self, "screens", tuple(screens))
+        self.ctx = tuple(ctx)
+        self.lhs = lhs
+        self.rhs = rhs
+        self.head = head.name
+        self.lhs_args = tuple(args)
+        self.arity = len(args)
+        self.delta = frozenset(name for name, _ in self.ctx)
+        # (position, head constant, spine length) of each constant-headed
+        # pattern argument, used to skip definite non-matches cheaply
+        self.screens = tuple(
+            (j, h.name, len(sub)) for j, (h, sub) in enumerate(map(spine, args)) if isinstance(h, Const)
+        )
 
 
 Substitution = dict[str, KTerm]
@@ -221,8 +212,10 @@ def _screens_fail(rule: RewriteRule, rev: list[KTerm]) -> bool:
 def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     """Weak-head normal form under beta plus the signature's rules.
 
-    The result's head is a binder, sort, variable, or a constant whose
-    argument spine matches no rule.
+    The head of the result is final: a binder, sort, variable, or a
+    constant at which no rule fires.  When no rule matches the spine as
+    given, the rules are tried once more on the normalized arguments, so
+    a constant with rules comes back applied to normal arguments.
     """
     fuel = fuel or Fuel()
     head = t
@@ -235,25 +228,13 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
             fuel.step()
             head = instantiate(head.body, rev.pop())
             continue
-        if type(head) is Const:
-            rules = sig.rules_for(head.name)
-            if rules:
-                nargs = len(rev)
-                for rule in rules:
-                    k = rule.arity
-                    if k > nargs or _screens_fail(rule, rev):
-                        continue
-                    bindings: Substitution = {}
-                    for j, pat in enumerate(rule.lhs_args):
-                        if not _match(pat, rev[-1 - j], rule.delta, bindings):
-                            break
-                    else:
-                        fuel.step()
-                        del rev[len(rev) - k :]
-                        head = substitute(rule.rhs, bindings)
-                        break
-                else:
-                    break
+        if type(head) is Const and (rules := sig.rules_for(head.name)):
+            fired = _fire(rules, rev, fuel)
+            if fired is None and rev:
+                rev = [normalize(sig, a, fuel) for a in rev]
+                fired = _fire(rules, rev, fuel)
+            if fired is not None:
+                head = fired
                 continue
         break
     for a in reversed(rev):
@@ -261,46 +242,40 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     return head
 
 
-def reveal(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
-    """Expose the head shape of `t`, normalizing arguments when needed.
-
-    Plain `whnf` matches rules against the raw argument spine; a rule can
-    still fire after an argument reduces (for example when a rule demands
-    a connective that only appears after a beta step inside the argument).
-    Typing uses this stronger form wherever a product or sort must show.
-    """
-    fuel = fuel or Fuel()
-    t = whnf(sig, t, fuel)
-    while isinstance(t, App):
-        head, args = spine(t)
-        t2 = app(head, *(normalize(sig, a, fuel) for a in args))
-        if t2 == t:
-            break
-        t = whnf(sig, t2, fuel)
-    return t
+def _fire(rules: tuple[RewriteRule, ...], rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
+    """The first matching rule's instantiated right-hand side, its
+    arguments popped from `rev`; None when no rule matches."""
+    nargs = len(rev)
+    for rule in rules:
+        k = rule.arity
+        if k > nargs or _screens_fail(rule, rev):
+            continue
+        bindings: Substitution = {}
+        for j, pat in enumerate(rule.lhs_args):
+            if not _match(pat, rev[-1 - j], rule.delta, bindings):
+                break
+        else:
+            fuel.step()
+            del rev[nargs - k :]
+            return substitute(rule.rhs, bindings)
+    return None
 
 
 def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     """Full beta/rewrite normal form, reducing under binders and in arguments.
 
-    Head reduction is retried after the arguments are normalized, since a
-    normalized argument can enable a rule that the raw spine did not match.
+    After `whnf`, binder parts are normalized, and so are the arguments of
+    any head but a constant with rules: `whnf` has done those, and doing
+    them again would cost time exponential in the depth of a stuck spine.
     """
     fuel = fuel or Fuel()
     t = whnf(sig, t, fuel)
     match t:
         case App():
             head, args = spine(t)
-            nargs = [normalize(sig, a, fuel) for a in args]
-            t2 = app(head, *nargs)
-            if t2 == t:
-                return t2
-            # arguments are normal now; if the head still does not fire,
-            # the rebuilt term is the normal form
-            t3 = whnf(sig, t2, fuel)
-            if t3 == t2:
-                return t2
-            return normalize(sig, t3, fuel)
+            if type(head) is Const and sig.rules_for(head.name):
+                return t
+            return app(head, *(normalize(sig, a, fuel) for a in args))
         case Lam(name=n, annot=ty, body=b):
             f = fresh_name(n or "x")
             nb = normalize(sig, instantiate(b, FVar(f)), fuel)
@@ -314,7 +289,11 @@ def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
 
 
 def convertible(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel | None = None) -> bool:
-    """Decide `a` and `b` equal modulo beta and the signature's rules."""
+    """Decide `a` and `b` equal modulo beta and the signature's rules.
+
+    Final heads (`whnf`) are compared, then the parts below them: this
+    holds exactly when the normal forms are equal (up to eta, if on).
+    """
     fuel = fuel or Fuel()
     return _conv(sig, a, b, fuel, 0)
 
@@ -325,13 +304,7 @@ def _conv(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel, depth: int) -> bool:
         return True
     wa = whnf(sig, a, fuel)
     wb = whnf(sig, b, fuel)
-    if wa == wb:
-        return True
-    if _conv_heads(sig, wa, wb, fuel, depth):
-        return True
-    # A stuck head can still come unstuck once its arguments are reduced,
-    # so disagreement falls back to comparing full normal forms.
-    return normalize(sig, wa, fuel) == normalize(sig, wb, fuel)
+    return wa == wb or _conv_heads(sig, wa, wb, fuel, depth)
 
 
 def _conv_heads(sig: Signature, wa: KTerm, wb: KTerm, fuel: Fuel, depth: int) -> bool:
@@ -390,19 +363,10 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
         case Var(index=i):
             raise UnboundIdentifier(f"#{i}")
         case App(fn=f, arg=a):
-            try:
-                fn_ty = _infer(sig, ctx, f, fuel)
-            except KernelError as e:
-                e.trail.append(0)
-                raise
-            fn_ty = reveal(sig, fn_ty, fuel)
+            fn_ty = whnf(sig, _infer_child(sig, ctx, f, fuel, 0), fuel)
             if not isinstance(fn_ty, Pi):
                 raise NotAFunction(f, fn_ty)
-            try:
-                arg_ty = _infer(sig, ctx, a, fuel)
-            except KernelError as e:
-                e.trail.append(1)
-                raise
+            arg_ty = _infer_child(sig, ctx, a, fuel, 1)
             if not _conv(sig, arg_ty, fn_ty.domain, fuel, 0):
                 raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel))
             return instantiate(fn_ty.codomain, a)
@@ -411,13 +375,9 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
             f = fresh_name(n or "x")
             ctx2 = dict(ctx)
             ctx2[f] = ty
+            body_ty = _infer_child(sig, ctx2, instantiate(b, FVar(f)), fuel, 1)
             try:
-                body_ty = _infer(sig, ctx2, instantiate(b, FVar(f)), fuel)
-            except KernelError as e:
-                e.trail.append(1)
-                raise
-            try:
-                body_sort = reveal(sig, _infer(sig, ctx2, body_ty, fuel), fuel)
+                body_sort = whnf(sig, _infer(sig, ctx2, body_ty, fuel), fuel)
             except KernelError as e:
                 e.trail.clear()  # body_ty is not a subterm: the failure is here
                 raise
@@ -429,12 +389,7 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
             f = fresh_name(n or "x")
             ctx2 = dict(ctx)
             ctx2[f] = d
-            try:
-                cod_sort = _infer(sig, ctx2, instantiate(c, FVar(f)), fuel)
-            except KernelError as e:
-                e.trail.append(1)
-                raise
-            cod_sort = reveal(sig, cod_sort, fuel)
+            cod_sort = whnf(sig, _infer_child(sig, ctx2, instantiate(c, FVar(f)), fuel, 1), fuel)
             if not isinstance(cod_sort, Sort):
                 raise SortError(f"product codomain in {print_term(t)} is not a sort")
             return cod_sort
@@ -442,14 +397,18 @@ def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm
             raise KernelError(f"cannot type {t!r}")
 
 
+def _infer_child(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel, child: int) -> KTerm:
+    """`_infer` on child `child` of the term being typed, recorded in the trail."""
+    try:
+        return _infer(sig, ctx, t, fuel)
+    except KernelError as e:
+        e.trail.append(child)
+        raise
+
+
 def _check_domain(sig: Signature, ctx: dict[str, KTerm], ty: KTerm, fuel: Fuel) -> None:
     """`ty`, child 0 of a binder, must have sort Type."""
-    try:
-        s = _infer(sig, ctx, ty, fuel)
-    except KernelError as e:
-        e.trail.append(0)
-        raise
-    s = reveal(sig, s, fuel)
+    s = whnf(sig, _infer_child(sig, ctx, ty, fuel, 0), fuel)
     if s != TYPE:
         raise SortError(f"binder domain {print_term(ty)} must have sort Type, has {print_term(s)}")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class SexpError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -12,11 +14,44 @@ class SexpError(Exception):
 
 Sexp = "str | int | list"
 
+# One token after any run of whitespace and `;` line comments; the group
+# that matched names its kind.  Integers are exactly `-?[0-9]+`, any other
+# atom is a symbol.
+_ATOM_END = r"(?![^ \t\r\n();])"
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|;[^\n]*)*(?:"
+    r"(?P<open>\()|(?P<close>\))"
+    rf"|(?P<int>-?[0-9]+{_ATOM_END})|(?P<symbol>[^ \t\r\n();]+)"
+    r"|(?P<end>\Z))"
+)
+
 
 def loads(text: str) -> list:
     """Read every toplevel S-expression in `text`."""
-    items, pos = _read_many(text, 0, 1, 1)
-    return items
+    items: list = []
+    open_lists: list[tuple[list, int]] = []  # enclosing list, offset of its "("
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "symbol":
+            items.append(m.group(kind))
+        elif kind == "int":
+            items.append(int(m.group(kind)))
+        elif kind == "open":
+            open_lists.append((items, pos - 1))
+            items = []
+        elif kind == "close":
+            if not open_lists:
+                raise _error("unexpected ')'", text, pos - 1)
+            outer, _ = open_lists.pop()
+            outer.append(items)
+            items = outer
+        elif open_lists:
+            raise _error("unterminated list", text, open_lists[-1][1])
+        else:
+            return items
 
 
 def loads_one(text: str) -> object:
@@ -26,62 +61,9 @@ def loads_one(text: str) -> object:
     return items[0]
 
 
-def _read_many(text: str, i: int, line: int, col: int) -> tuple[list, int]:
-    items: list = []
-    n = len(text)
-    while True:
-        i, line, col = _skip_ws(text, i, line, col)
-        if i >= n or text[i] == ")":
-            return items, i
-        item, i, line, col = _read(text, i, line, col)
-        items.append(item)
-
-
-def _skip_ws(text: str, i: int, line: int, col: int) -> tuple[int, int, int]:
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        else:
-            break
-    return i, line, col
-
-
-def _read(text: str, i: int, line: int, col: int) -> tuple[object, int, int, int]:
-    n = len(text)
-    c = text[i]
-    if c == "(":
-        start_line, start_col = line, col
-        i += 1
-        col += 1
-        items: list = []
-        while True:
-            i, line, col = _skip_ws(text, i, line, col)
-            if i >= n:
-                raise SexpError("unterminated list", start_line, start_col)
-            if text[i] == ")":
-                return items, i + 1, line, col + 1
-            item, i, line, col = _read(text, i, line, col)
-            items.append(item)
-    if c == ")":
-        raise SexpError("unexpected ')'", line, col)
-    j = i
-    while j < n and text[j] not in " \t\r\n();":
-        j += 1
-    atom = text[i:j]
-    col += j - i
-    if atom.lstrip("-").isdigit():
-        return int(atom), j, line, col
-    return atom, j, line, col
+def _error(message: str, text: str, offset: int) -> SexpError:
+    """Every character counts as one column, tab and CR included."""
+    return SexpError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 def dumps(x: object) -> str:

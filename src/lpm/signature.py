@@ -9,7 +9,6 @@ shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import dkparse, kernel
@@ -61,14 +60,9 @@ class NonPatternLhs(SignatureError):
     pass
 
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    type: KTerm
-
-
 class Signature:
-    """Ordered global context of declarations and rewrite rules."""
+    """Ordered global context of declarations and rewrite rules, listed in
+    `entries` as the `dkparse.Decl` and `dkparse.Rule` records installed."""
 
     __slots__ = ("entries", "_types", "_rules", "eta")
 
@@ -100,12 +94,10 @@ class Signature:
         """Extend with `name : ty` after checking `ty` lives in a sort."""
         if name in self._types:
             raise DuplicateName(name)
-        sort = kernel.reveal(self, kernel.infer(self, {}, ty, fuel), fuel)
-        if not isinstance(sort, Sort):
-            raise NotASort(name, sort)
+        _check_sort(self, {}, name, ty, fuel)
         types = dict(self._types)
         types[name] = ty
-        return Signature(self.entries + (Declaration(name, ty),), types, self._rules, self.eta)
+        return Signature(self.entries + (dkparse.Decl(name, ty),), types, self._rules, self.eta)
 
     def add_rewrite(
         self,
@@ -140,10 +132,10 @@ class Signature:
             raise
         except kernel.KernelError as e:
             raise IllTypedSide("right", e) from e
-        rule = kernel.RewriteRule(tuple(ctx), lhs, rhs, rule_type)
+        rule = kernel.RewriteRule(ctx, lhs, rhs)
         rules = dict(self._rules)
         rules[rule.head] = rules.get(rule.head, ()) + (rule,)
-        return Signature(self.entries + (rule,), self._types, rules, self.eta)
+        return Signature(self.entries + (dkparse.Rule(rule.ctx, lhs, rhs),), self._types, rules, self.eta)
 
     def with_eta(self, eta: bool = True) -> "Signature":
         return Signature(self.entries, self._types, self._rules, eta)
@@ -159,11 +151,16 @@ def _check_context(
     for name, ty in ctx:
         if name in delta:
             raise DuplicateName(name)
-        sort = kernel.reveal(sig, kernel.infer(sig, delta, ty, fuel), fuel)
-        if not isinstance(sort, Sort):
-            raise NotASort(name, sort)
+        _check_sort(sig, delta, name, ty, fuel)
         delta[name] = ty
     return delta
+
+
+def _check_sort(sig: Signature, ctx: dict[str, KTerm], name: str, ty: KTerm, fuel: kernel.Fuel | None) -> None:
+    """The type `ty` given to `name` must have a sort."""
+    sort = kernel.whnf(sig, kernel.infer(sig, ctx, ty, fuel), fuel)
+    if not isinstance(sort, Sort):
+        raise NotASort(name, sort)
 
 
 def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
@@ -203,9 +200,7 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
             case dkparse.Rule(ctx=ctx, lhs=lhs, rhs=rhs):
                 sig = sig.add_rewrite(ctx, lhs, rhs, fuel)
             case dkparse.AssertType(term=t, type=ty):
-                sort = kernel.reveal(sig, kernel.infer(sig, {}, ty, fuel), fuel)
-                if not isinstance(sort, Sort):
-                    raise NotASort("#ASSERT", sort)
+                _check_sort(sig, {}, "#ASSERT", ty, fuel)
                 kernel.check(sig, {}, t, ty, fuel)
             case dkparse.Comment():
                 pass
@@ -220,10 +215,4 @@ def replay(sig: Signature, fuel: kernel.Fuel | None = None) -> Signature:
     Succeeds exactly when the signature was well-formed by construction;
     the result lists the same entries in the same order.
     """
-    out = Signature(eta=sig.eta)
-    for entry in sig.entries:
-        if isinstance(entry, Declaration):
-            out = out.declare(entry.name, entry.type, fuel)
-        else:
-            out = out.add_rewrite(entry.ctx, entry.lhs, entry.rhs, fuel)
-    return out
+    return install_entries(Signature(eta=sig.eta), sig.entries, fuel)

@@ -60,6 +60,24 @@ def test_fuel_exhaustion_exit_code(tmp_path, capsys, last):
     assert code == 3
 
 
+_DIVERGENT_ARGUMENT = (
+    "T : Type. c : T. loop : T. [] loop --> loop.\n"
+    "f : T -> T. [] f c --> c. P : T -> Type. x : P (f loop).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "last", ["#ASSERT x : P ((z : T => f z) loop).", "#ASSERT x : P (f ((z : T => z) loop))."], ids=["div", "div2"]
+)
+def test_divergent_argument_under_stuck_rule_head(tmp_path, capsys, last):
+    # no rule of f matches `f loop`, so whnf normalizes `loop`, which
+    # diverges wherever the beta-redex sits
+    f = tmp_path / "div.dk"
+    f.write_text(_DIVERGENT_ARGUMENT + last + "\n")
+    code, _, _ = run(["--fuel", "1000", "check", str(f)], capsys)
+    assert code == 3
+
+
 def test_fuel_env_override(tmp_path, capsys, monkeypatch):
     f = tmp_path / "loop.dk"
     f.write_text("b : Type.\nc : b.\nd : b.\n[] c --> c.\nP : b -> Type.\nx : P c.\n#ASSERT x : P d.\n")
@@ -81,6 +99,37 @@ def test_translate_emits_and_rechecks(tmp_path, capsys):
     assert "verdict: accepted" in stdout
     for name in ("logic.dk", "rules.dk", "theory.dk", "cert.dk"):
         assert (out / name).exists()
+
+
+def _write_inputs(tmp_path, thy, goal, proof):
+    theory_file = tmp_path / f"{thy.name}.tffx"
+    proof_file = tmp_path / f"{thy.name}.llpx"
+    theory_file.write_text(tff.print_theory(thy))
+    proof_file.write_text(llproof.print_proof(thy, goal, proof))
+    return str(theory_file), str(proof_file)
+
+
+def test_translate_compiles_against_rechecked_signature(tmp_path, capsys, monkeypatch):
+    # the certificate is compiled against the signature re-checked from the
+    # emitted module files; nothing else installs the modules
+    def unused(*args, **kwargs):
+        raise AssertionError("llproof.base_signature called")
+
+    monkeypatch.setattr(llproof, "base_signature", unused)
+    files = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(), examples.set_diff_proof())
+    code, stdout, _ = run(["translate", *files, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert "verdict: accepted" in stdout
+
+
+def test_translator_rejection_follows_the_module_files(tmp_path, capsys):
+    # the modules are written and re-checked before the certificate is compiled
+    files = _write_inputs(tmp_path, examples.pair_theory(), examples.pair_goal(), llproof.LLProof(llproof.Bot()))
+    code, stdout, _ = run(["--json", "translate", *files, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    payload = json.loads(stdout)
+    assert [p.rsplit("/", 1)[-1] for p in payload["outputs"]] == ["logic.dk", "rules.dk", "theory.dk"]
+    assert "is not available in the sequent" in payload["diagnostics"][0]["message"]
 
 
 def test_translate_theory_only(tmp_path, capsys):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from bool_oracle import enumerate_terms, exhaustive_nf, from_kterm, to_kterm
+from bool_oracle import ANDB, NOTB, ORB, enumerate_terms, exhaustive_nf, from_kterm, to_kterm
 from lpm import kernel, signature
-from lpm.dkparse import parse_term
+from lpm.dkparse import parse_file, parse_term
 from lpm.kernel import Fuel, match_pattern
 from lpm.terms import (
     KIND,
@@ -19,6 +19,7 @@ from lpm.terms import (
     Var,
     app,
     arrow,
+    spine,
     substitute,
 )
 
@@ -135,6 +136,78 @@ def test_normalize_unsticks_head_after_arg_reduction(bool_sig):
     # (~true) && x is head-stuck until the argument reduces to false
     t = T("bool.andb (bool.notb bool.true) x", ("x",))
     assert kernel.normalize(bool_sig, t) == Const("bool.false")
+
+
+def _open_terms(count, seed):
+    """Seeded open boolean terms: ground shapes with some leaves replaced
+    by the free variables x and y."""
+    rng = random.Random(seed)
+    terms = enumerate_terms(7)
+    pool = [t for size in range(1, 8) for t in terms[size]]
+
+    def open_term(t):
+        if t[0] == "n":
+            return App(NOTB, open_term(t[1]))
+        if t[0] in "ao":
+            return app(ANDB if t[0] == "a" else ORB, open_term(t[1]), open_term(t[2]))
+        return FVar(rng.choice("xy")) if rng.random() < 0.4 else to_kterm(t)
+
+    return [open_term(rng.choice(pool)) for _ in range(count)]
+
+
+def test_whnf_head_is_final(bool_sig):
+    # no reduction inside the arguments can change the head whnf returns
+    for t in [T("bool.andb (bool.notb bool.true) x", ("x",))] + _open_terms(400, 5):
+        fuel = Fuel(10**7, 10**5)
+        w_head, w_args = spine(kernel.whnf(bool_sig, t, fuel))
+        n_head, n_args = spine(kernel.normalize(bool_sig, t, fuel))
+        assert (w_head, len(w_args)) == (n_head, len(n_args)), t
+
+
+def test_convertible_agrees_with_normal_forms(bool_sig):
+    rng = random.Random(11)
+    terms = _open_terms(200, 7)
+    nfs = [kernel.normalize(bool_sig, t, Fuel(10**7, 10**5)) for t in terms]
+    pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(300)]
+    pairs += [(i, j) for i in range(200) for j in range(i + 1, 200) if nfs[i] == nfs[j]][:300]
+    outcomes = set()
+    for i, j in pairs:
+        conv = kernel.convertible(bool_sig, terms[i], terms[j], Fuel(10**7, 10**5))
+        assert conv == (nfs[i] == nfs[j]), (terms[i], terms[j])
+        outcomes.add(conv)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_normalize_stuck_tower_is_linear(bool_sig, monkeypatch, n):
+    # a left-nested andb tower over n distinct variables is normal; each
+    # level is reduced once, so normalizing it costs 2n - 1 whnf calls
+    t = FVar("x0")
+    for i in range(1, n):
+        t = app(ANDB, t, FVar(f"x{i}"))
+    calls = 0
+    whnf = kernel.whnf
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return whnf(*args)
+
+    monkeypatch.setattr(kernel, "whnf", counted)
+    assert kernel.normalize(bool_sig, t) == t
+    assert calls == 2 * n - 1
+
+
+def test_nonlinear_rule_fires_on_normal_forms():
+    # the repeated variable x is compared on the arguments as given, which
+    # differ, and then on their normal forms, which are equal
+    text = """T : Type. c : T. P : T -> Type. f : T -> T -> Type.
+    [x : T] f x x --> y : T -> P y.
+    h : f ((z : T => z) c) c.
+    #ASSERT (h c) : P c.
+    """
+    sig = signature.install_entries(signature.EMPTY, parse_file(text))
+    assert len(sig) == 6
 
 
 def test_normalize_idempotent_random(bool_sig):
