@@ -86,8 +86,15 @@ def _exit_code_for(e: Exception) -> int:
     return EXIT_TYPE
 
 
-def _proof_node(e: Exception) -> Optional[tuple[int, ...]]:
-    return e.path if isinstance(e, llproof.CertificateError) else None
+def _fail(rep: Reporter, file: str, e: Exception, node: Optional[tuple[int, ...]] = None) -> int:
+    """Report `e` against `file` and return its exit code.  An S-expression
+    syntax error is placed at its line and column; a rejected certificate
+    names its proof node, `node` when the kernel found it."""
+    if isinstance(e, sexp.SexpError):
+        rep.diagnose(file, e.line, e.col, e.message)
+    else:
+        rep.diagnose(file, 0, 0, str(e), e.path if isinstance(e, llproof.CertificateError) else node)
+    return _exit_code_for(e)
 
 
 def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
@@ -135,56 +142,61 @@ def _emit_and_recheck(
     thy: tff.TffTheory,
     goal: Optional[tff.TffFormula],
     proof: Optional[llproof.LLProof],
-) -> int:
-    """Write the `.dk` files and re-check each one as read back.
+) -> tuple[int, signature.Signature]:
+    """Write the `.dk` files and re-check each one as read back, entry by
+    entry with a fresh fuel budget each, as `lpm check` does.
 
     The certificate is compiled against the signature re-checked from the
     emitted `logic.dk`, `rules.dk` and `theory.dk`, so it is written last.
-    A file the re-check rejects is reported under `label`; for `cert.dk`
-    with its failing proof node, found from the kernel's position through
-    the translator, since the re-parsed entries have the terms it compiled.
+    An error compiling it is reported under the proof file, when there is
+    one; any other error under `label`, for `cert.dk` with its failing
+    proof node, found from the kernel's position through the translator,
+    since the re-parsed entries have the terms it compiled.  Returns the
+    exit code and the re-checked signature.
     """
     mode = args.mode
     out_dir = Path(args.out)
-    tff.wf_theory(thy)
-    files = [
-        ("logic.dk", embed.prelude(mode)),
-        ("rules.dk", llproof.rules_prelude(mode)),
-        ("theory.dk", embed.theory_entries(thy)),
-    ]
-    if proof is not None:
-        assert goal is not None
-        files.append(("cert.dk", None))
     sig = signature.EMPTY.with_eta(args.eta)
-    path = tr = None
-    for name, entries in files:
-        if entries is None:  # the certificate, against the modules re-checked so far
-            entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
-        path = _write(rep, out_dir, name, dkparse.print_file(entries))
-        entries = dkparse.parse_file(path.read_text(encoding="utf-8"))
-        try:
-            sig = signature.install_entries(sig, entries, make_fuel(args))
-        except (kernel.KernelError, signature.SignatureError) as e:
-            node = llproof.failure_path(tr, e) if tr is not None else None
-            rep.diagnose(label, 0, 0, str(e), node)
-            return _exit_code_for(e)
-        rep.detail(f"re-checked {path}")
+    tr = None
+    try:
+        tff.wf_theory(thy)
+        files = [
+            ("logic.dk", embed.prelude(mode)),
+            ("rules.dk", llproof.rules_prelude(mode)),
+            ("theory.dk", embed.theory_entries(thy)),
+        ]
+        if proof is not None:
+            assert goal is not None
+            files.append(("cert.dk", None))
+        for name, entries in files:
+            if entries is None:  # the certificate, against the modules re-checked so far
+                try:
+                    entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
+                except Exception as e:  # noqa: BLE001 - mapped to exit codes
+                    return _fail(rep, getattr(args, "proof", None) or label, e), sig
+            path = _write(rep, out_dir, name, dkparse.print_file(entries))
+            for entry in dkparse.parse_file(path.read_text(encoding="utf-8")):
+                sig = signature.install_entries(sig, [entry], make_fuel(args))
+            rep.detail(f"re-checked {path}")
+    except Exception as e:  # noqa: BLE001 - mapped to exit codes
+        return _fail(rep, label, e, llproof.failure_path(tr, e) if tr is not None else None), sig
     if tr is not None:
         rep.say(f"certificate: {path}")
     rep.say("verdict: accepted")
-    return EXIT_OK
+    return EXIT_OK, sig
 
 
 def cmd_translate(args: argparse.Namespace, rep: Reporter) -> int:
+    file = args.theory
     try:
-        thy = tff.parse_theory(Path(args.theory).read_text(encoding="utf-8"))
+        thy = tff.parse_theory(Path(file).read_text(encoding="utf-8"))
         goal = proof = None
         if args.proof:
-            goal, proof = llproof.parse_proof(Path(args.proof).read_text(encoding="utf-8"), thy)
-        return _emit_and_recheck(rep, args, args.theory, thy, goal, proof)
-    except Exception as e:  # noqa: BLE001 - mapped to exit codes below
-        rep.diagnose(args.theory, 0, 0, str(e), _proof_node(e))
-        return _exit_code_for(e)
+            file = args.proof
+            goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
+    except Exception as e:  # noqa: BLE001 - mapped to exit codes
+        return _fail(rep, file, e)
+    return _emit_and_recheck(rep, args, args.theory, thy, goal, proof)[0]
 
 
 def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
@@ -197,16 +209,11 @@ def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
     out_dir = Path(args.out)
     _write(rep, out_dir, f"{args.name}.tffx", tff.print_theory(thy))
     _write(rep, out_dir, f"{args.name}.llpx", llproof.print_proof(thy, goal, proof))
-    if args.name == "pair-fst-snd":
-        sig = llproof.base_signature(thy, args.mode, make_fuel(args))
-        goal_term = embed.translate_formula(goal, thy.name)
-        nf = kernel.normalize(sig, goal_term, make_fuel(args))
+    code, sig = _emit_and_recheck(rep, args, args.name, thy, goal, proof)
+    if code == EXIT_OK and args.name == "pair-fst-snd":
+        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), make_fuel(args))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
-    try:
-        return _emit_and_recheck(rep, args, args.name, thy, goal, proof)
-    except Exception as e:  # noqa: BLE001
-        rep.diagnose(args.name, 0, 0, str(e), _proof_node(e))
-        return _exit_code_for(e)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

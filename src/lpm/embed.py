@@ -5,10 +5,12 @@ the twelve connective/quantifier/equality constants, and (in shallow
 mode) the rewrite rules that unfold `prf` onto impredicative encodings.
 The module is the packaged text `prelude/logic.dk`, parsed once per
 process; deep mode keeps only its declarations.
-The `translate_*` functions map logic-level types, terms, formulas,
-contexts, and whole theories onto kernel entries.  `translate_formula`
-follows `tff.CONNECTIVES`, the one place a connective and its `logic`
-constant are defined.
+The `translate_*` functions map logic-level types, terms, formulas and
+contexts onto kernel terms, and `theory_entries` a whole theory onto
+kernel entries.  `translate_formula` follows `tff.CONNECTIVES`, the one
+place a connective and its `logic` constant are defined.  `EXT_RULES` is
+the one registry of extension deduction rules: one row per rule gives
+its constant, its kernel type and its shape.
 
 Symbol naming is ASCII and module-qualified: logic constants live under
 `logic.`, theory symbols under the theory's own name, so generated
@@ -21,9 +23,9 @@ from __future__ import annotations
 import functools
 import re
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
-from . import kernel, signature, tff
+from . import tff
 from .dkparse import Comment, Decl, Entry, Rule, parse_file
 from .terms import (
     App,
@@ -221,17 +223,6 @@ def theory_entries(thy: tff.TffTheory, module: Optional[str] = None) -> list[Ent
     return entries
 
 
-def translate_theory(
-    thy: tff.TffTheory,
-    module: Optional[str] = None,
-    mode: str = "shallow",
-    fuel: Optional[kernel.Fuel] = None,
-) -> signature.Signature:
-    """Signature holding the logic prelude followed by the theory."""
-    entries = prelude(mode) + theory_entries(thy, module)
-    return signature.install_entries(signature.EMPTY, entries, fuel)
-
-
 # ---------------------------------------------------------------------------
 # Extension deduction rules (constants declared alongside a theory)
 
@@ -263,21 +254,26 @@ def _bool_case_type(module: str, on_notforall: bool) -> KTerm:
     )
 
 
-# name -> (constant basename, kernel type builder given the theory module)
-EXT_CONSTANTS: dict[str, tuple[str, Callable[[str], KTerm]]] = {
-    "bool-case-notforall": ("R_bool_case_nf", lambda m: _bool_case_type(m, True)),
-    "bool-case-exists": ("R_bool_case_ex", lambda m: _bool_case_type(m, False)),
+class ExtRule(NamedTuple):
+    """One registered extension deduction rule: the basename of its
+    constant in the theory module, its kernel type given that module, and
+    the numbers of its `abs` arguments and of its premises."""
+
+    const: str
+    type: Callable[[str], KTerm]
+    n_abs: int
+    n_premises: int
+
+
+EXT_RULES: dict[str, ExtRule] = {
+    "bool-case-notforall": ExtRule("R_bool_case_nf", lambda m: _bool_case_type(m, True), 1, 2),
+    "bool-case-exists": ExtRule("R_bool_case_ex", lambda m: _bool_case_type(m, False), 1, 2),
 }
 
 
 def ext_declaration(name: str, module: str) -> Decl:
     try:
-        basename, mk_type = EXT_CONSTANTS[name]
+        rule = EXT_RULES[name]
     except KeyError:
         raise UnknownExtension(name) from None
-    return Decl(qualify(module, basename), mk_type(module))
-
-
-def ext_constant(name: str, module: str) -> Const:
-    basename, _ = EXT_CONSTANTS[name]
-    return Const(qualify(module, basename))
+    return Decl(qualify(module, rule.const), rule.type(module))

@@ -19,7 +19,9 @@ in deep mode (the file's `R_` declarations) and given rewrite
 definitions in shallow mode, where the law of excluded middle is the
 only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
-over the result.
+over the result; `certificate_entries` is the one translator entry.  An
+extension rule node takes `(abs X TY F)` arguments only, and its shape
+and constant are registered in `embed.EXT_RULES`.
 """
 
 from __future__ import annotations
@@ -221,27 +223,9 @@ class AbsArg:
 
 
 @dataclass(frozen=True)
-class FormulaArg:
-    formula: tff.TffFormula
-
-
-@dataclass(frozen=True)
-class TermArg:
-    term: tff.TffTerm
-
-
-@dataclass(frozen=True)
-class TypeArg:
-    ty: tff.TffType
-
-
-ExtArg = Union[AbsArg, FormulaArg, TermArg, TypeArg]
-
-
-@dataclass(frozen=True)
 class Ext:
     name: str
-    args: tuple[ExtArg, ...]
+    args: tuple[AbsArg, ...]
     conclusions: tuple[tff.TffFormula, ...]
     hyp_blocks: tuple[tuple[tff.TffFormula, ...], ...]
 
@@ -251,13 +235,6 @@ LLRule = Union[
     NotImp, NotIff, Exists, Forall, NotExists, NotForall, ExistsType,
     ForallType, NotExistsType, NotForallType, Pred, Fun, Subst, Ext,
 ]
-
-
-@dataclass(frozen=True)
-class LLSequent:
-    """Hypotheses refuted by a proof; the succedent is always bottom."""
-
-    hypotheses: tuple[tff.TffFormula, ...]
 
 
 @dataclass(frozen=True)
@@ -273,9 +250,6 @@ class LLProof:
 
     def conclusion_hyps(self) -> tuple[tff.TffFormula, ...]:
         return self.concls if self.concls is not None else tuple(_SCHEMA[type(self.rule)].consumes(self.rule))
-
-    def conclusion(self, ambient: tuple[tff.TffFormula, ...] = ()) -> LLSequent:
-        return LLSequent(tuple(ambient) + self.conclusion_hyps())
 
 
 class CertificateError(Exception):
@@ -327,40 +301,23 @@ def _values(x: object) -> tuple:
     return tuple(getattr(x, f.name) for f in fields(x))
 
 
-class ExtArgSchema(NamedTuple):
-    """One kind of extension argument: its class, field kinds and kernel
-    argument."""
-
-    cls: type
-    kinds: tuple[tff.FieldKind, ...]
-    karg: Callable[["_Translator", ExtArg], KTerm]
+# the one extension argument, `(abs X TY F)`, keyed by its `.llpx` tag
+_ABS_KINDS = {"abs": (SYMBOL, TY, FORMULA)}
 
 
-# keyed by `.llpx` tag, which is also the kind name `ExtRuleSpec.arg_kinds` uses
-EXT_ARG_KINDS: dict[str, ExtArgSchema] = {
-    "abs": ExtArgSchema(AbsArg, (SYMBOL, TY, FORMULA),
-                        lambda tr, a: tr.abstraction(a.var, term(tr.ktype(a.ty)), a.body)),
-    "fm": ExtArgSchema(FormulaArg, (FORMULA,), lambda tr, a: tr.formula(a.formula)),
-    "tm": ExtArgSchema(TermArg, (TERM,), lambda tr, a: tr.kterm(a.term)),
-    "ty": ExtArgSchema(TypeArg, (TY,), lambda tr, a: tr.ktype(a.ty)),
-}
-_EXT_ARG_TAGS = {schema.cls: tag for tag, schema in EXT_ARG_KINDS.items()}
+def _abs_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> AbsArg:
+    kinds = tff.tagged_row(sx, _ABS_KINDS, "extension argument")
+    if len(sx) != 1 + len(kinds):
+        raise tff.FormatError(f"extension argument {sx[0]} expects {len(kinds)} fields")
+    return AbsArg(*tff.read_fields(kinds, sx[1:], cons, tvars))
 
 
-def _ext_arg_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> ExtArg:
-    schema = tff.tagged_row(sx, EXT_ARG_KINDS, "extension argument")
-    if len(sx) != 1 + len(schema.kinds):
-        raise tff.FormatError(f"extension argument {sx[0]} expects {len(schema.kinds)} fields")
-    return schema.cls(*tff.read_fields(schema.kinds, sx[1:], cons, tvars))
-
-
-def _ext_arg_to_sexp(arg: ExtArg, cons: set[str], tvars: frozenset[str]) -> list:
-    tag = _EXT_ARG_TAGS[type(arg)]
-    return [tag, *tff.write_fields(EXT_ARG_KINDS[tag].kinds, _values(arg), cons, tvars)]
+def _abs_to_sexp(arg: AbsArg, cons: set[str], tvars: frozenset[str]) -> list:
+    return ["abs", *tff.write_fields(_ABS_KINDS["abs"], _values(arg), cons, tvars)]
 
 
 EXT_ARGS = tff.list_kind(
-    "extension arguments", tff.FieldKind("extension argument", _ext_arg_from_sexp, _ext_arg_to_sexp))
+    "extension arguments", tff.FieldKind("extension argument", _abs_from_sexp, _abs_to_sexp))
 BLOCKS = tff.list_kind("hypothesis blocks", FORMULAS)
 
 
@@ -498,26 +455,6 @@ def _consumed(p: LLProof, path: tuple[int, ...]) -> tuple[tff.TffFormula, ...]:
     return p.concls
 
 
-# ---------------------------------------------------------------------------
-# Extension rule registry
-
-
-class ExtRuleSpec(NamedTuple):
-    """Shape of a registered extension deduction rule: the kinds of its
-    arguments (keys of `EXT_ARG_KINDS`) and its number of premises.  The
-    rule's constant and its type are registered in `embed.EXT_CONSTANTS`.
-    """
-
-    arg_kinds: tuple[str, ...]
-    n_premises: int
-
-
-EXT_REGISTRY: dict[str, ExtRuleSpec] = {
-    "bool-case-notforall": ExtRuleSpec(("abs",), 2),
-    "bool-case-exists": ExtRuleSpec(("abs",), 2),
-}
-
-
 def rules_prelude(mode: str = "shallow") -> list[Entry]:
     """The `rules` module, `prelude/rules.dk`.
 
@@ -603,15 +540,7 @@ def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
 
 
 # ---------------------------------------------------------------------------
-# Sequent and proof translation
-
-
-def translate_sequent(s: LLSequent, module: str = "", start: int = 0) -> list[tuple[str, KTerm]]:
-    """One `prf`-typed context variable per hypothesis, in order."""
-    return [
-        (f"h{start + i}", prf(embed.translate_formula(phi, module)))
-        for i, phi in enumerate(s.hypotheses)
-    ]
+# Proof translation
 
 
 class _Layout(NamedTuple):
@@ -727,9 +656,6 @@ class _Translator:
     def ktype(self, ty: tff.TffType) -> KTerm:
         return embed.translate_type(ty, self.module, self.kenv)
 
-    def kterm(self, e: tff.TffTerm) -> KTerm:
-        return embed.translate_term(e, self.module, self.kenv)
-
     def abstraction(self, var: str, annot: KTerm, body: tff.TffFormula) -> KTerm:
         """`\\var : annot => body`, with `var` bound in the translated body."""
         return embed.bind(Lam, var, annot, self.kenv, lambda env: embed.translate_formula(body, self.module, env))
@@ -776,20 +702,15 @@ class _Translator:
         return Const(f"rules.{_SCHEMA[type(rule)].const}"), kargs
 
     def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
-        spec = EXT_REGISTRY.get(rule.name)
+        spec = embed.EXT_RULES.get(rule.name)
         if spec is None or rule.name not in self.tbl.exts:
             raise UnregisteredExtRule(path, f"extension rule {rule.name!r} is not registered for this theory")
-        if len(rule.args) != len(spec.arg_kinds):
-            raise CertificateError(path, f"extension rule {rule.name} expects {len(spec.arg_kinds)} arguments")
-        kargs = []
-        for kind, arg in zip(spec.arg_kinds, rule.args):
-            schema = EXT_ARG_KINDS[kind]
-            if not isinstance(arg, schema.cls):
-                raise CertificateError(path, f"extension argument {arg!r} does not fit kind {kind!r}")
-            kargs.append(schema.karg(self, arg))
+        if len(rule.args) != spec.n_abs:
+            raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_abs} arguments")
+        kargs = [self.abstraction(a.var, term(self.ktype(a.ty)), a.body) for a in rule.args]
         if len(rule.hyp_blocks) != spec.n_premises:
             raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
-        return embed.ext_constant(rule.name, self.module), kargs
+        return Const(embed.qualify(self.module, spec.const)), kargs
 
     def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> tuple[KTerm, _Layout]:
         """Compile `p`, found at `path` of the tree being translated.
@@ -841,27 +762,6 @@ class _Translator:
         args = [*kargs, *continuations, *consumed]
         binders = tuple(len(eigen) + len(block) for block in blocks)
         return app(head, *args), _Layout(at, len(args), len(kargs), binders, tuple(layouts))
-
-
-def translate_proof(
-    p: LLProof,
-    hyp_env: dict[tff.TffFormula, str],
-    thy: tff.TffTheory,
-    module: Optional[str] = None,
-    sig: Optional[signature.Signature] = None,
-) -> KTerm:
-    """Compile an eliminated proof tree against pre-bound hypotheses."""
-    tbl = tff.table_of(thy)
-    tr = _Translator(thy, tbl, module or thy.name, sig)
-    for phi, name in hyp_env.items():
-        tr.env.setdefault(phi, []).append(name)
-        tr.env_formulas.append((phi, name))
-        tr.counter = max(tr.counter, _hyp_index(name) + 1)
-    return tr.translate(p)[0]
-
-
-def _hyp_index(name: str) -> int:
-    return int(name[1:]) if name[1:].isdigit() else 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ formula class gives its `.tffx` tag, the kind of each field and the
 substitution, the `.tffx` reader and writer, and `embed.translate_formula`
 are all derived from the row.  Terms and types have rows in the same
 lookup (`row_of`), so one free-name walk, one substitution walk and one
-embedding cover every node.
+embedding cover every node.  `ITEMS` does the same for theory items: one
+row per item class gives its `.tffx` tag and field kinds, from which the
+item reader and writer follow.
 """
 
 from __future__ import annotations
@@ -380,8 +382,8 @@ _Row = TypeVar("_Row")
 
 @dataclass(frozen=True, eq=False, slots=True)
 class FieldKind:
-    """What a field of a formula, rule or extension argument holds, and how
-    `.tffx`/`.llpx` read and write it.
+    """What a field of a formula, theory item, rule or extension argument
+    holds, and how `.tffx`/`.llpx` read and write it.
 
     `read(sx, cons, tvars)` and `write(value, cons, tvars)` are given the
     declared type constructors and the type variables in scope.  Kinds are
@@ -406,11 +408,14 @@ def list_kind(name: str, item: FieldKind) -> FieldKind:
 
 
 def read_fields(kinds: Iterable[FieldKind], sxs: list, cons: set[str], tvars: frozenset[str]) -> list:
-    """One value per kind; a bound type variable is in scope in the field after it."""
+    """One value per kind; a bound type variable is in scope in the field
+    after it, the names of a `TVARS` field in every later field."""
     out = []
     scope = tvars
     for kind, sx in zip(kinds, sxs):
         v = kind.read(sx, cons, scope)
+        if kind is TVARS:
+            tvars = tvars | frozenset(v)
         scope = tvars | {v} if kind is BOUND_TY else tvars
         out.append(v)
     return out
@@ -422,6 +427,8 @@ def write_fields(kinds: Iterable[FieldKind], values: Iterable, cons: set[str], t
     scope = tvars
     for kind, v in zip(kinds, values):
         out.append(kind.write(v, cons, scope))
+        if kind is TVARS:
+            tvars = tvars | frozenset(v)
         scope = tvars | {v} if kind is BOUND_TY else tvars
     return out
 
@@ -451,7 +458,7 @@ def formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozen
 
 def formula_to_sexp(phi: TffFormula, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
     row = row_of(phi)
-    out = [row.tag, *write_fields(row.kinds, [getattr(phi, name) for name, _ in row.fields], cons, tvars)]
+    out = [row.tag, *write_fields(row.kinds, _field_values(row, phi), cons, tvars)]
     if row.cls in _TRAILING:
         out += out.pop()
     return out
@@ -468,6 +475,19 @@ VARIABLE_TY = symbol_kind("type variable")
 TYS = list_kind("types", TY)
 TERMS = list_kind("terms", TERM)
 ARGS = list_kind("trailing terms", TERM)  # spliced into the enclosing form
+INT = FieldKind("integer", lambda sx, cons, tvars: _int(sx), lambda v, cons, tvars: v)
+TVARS = list_kind("type variables", SYMBOL)  # in scope in every later field
+
+
+def _binding_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> tuple[str, TffType]:
+    b = _list(sx)
+    if len(b) != 2:
+        raise FormatError(f"bad context binding {sexp.dumps(sx)}, expected (NAME TYPE)")
+    return _symbol(b[0]), TY.read(b[1], cons, tvars)
+
+
+CONTEXT = list_kind("context", FieldKind(
+    "binding", _binding_from_sexp, lambda v, cons, tvars: [v[0], TY.write(v[1], cons, tvars)]))
 
 
 class Connective(NamedTuple):
@@ -479,7 +499,7 @@ class Connective(NamedTuple):
     embedding applies to the translated fields; `Pred` has none, its head
     is its own symbol.  Terms and types have rows too, without a tag or a
     constant: a variable is its own translation, an application's head
-    is its symbol.
+    is its symbol.  Theory items have rows without a constant (`ITEMS`).
     """
 
     cls: type
@@ -525,6 +545,24 @@ _TRAILING = frozenset(row.cls for row in CONNECTIVES if row.kinds[-1:] == (ARGS,
 _ATOMIC = frozenset(row.cls for row in CONNECTIVES if TERM in row.kinds or ARGS in row.kinds)
 
 
+# one row per theory item class: its `.tffx` tag and field kinds
+ITEMS: tuple[Connective, ...] = (
+    _connective(TypeCons, "type", None, SYMBOL, INT),
+    _connective(FunDecl, "fun", None, SYMBOL, TVARS, TYS, TY),
+    _connective(PredDecl, "pred", None, SYMBOL, TVARS, TYS),
+    _connective(Axiom, "axiom", None, SYMBOL, FORMULA),
+    _connective(TermRule, "term-rule", None, TVARS, CONTEXT, TERM, TERM),
+    _connective(PropRule, "prop-rule", None, TVARS, CONTEXT, FORMULA, FORMULA),
+    _connective(ExtDecl, "ext", None, SYMBOL),
+)
+_ITEM_OF = {row.cls: row for row in ITEMS}
+_ITEM_BY_TAG = {row.tag: row for row in ITEMS}
+
+
+def _field_values(row: Connective, x: object) -> list:
+    return [getattr(x, name) for name, _ in row.fields]
+
+
 def row_of(x: object) -> Connective:
     """The row of a formula's, term's or type's class."""
     try:
@@ -548,26 +586,6 @@ class Table:
     def declare(self, name: str) -> None:
         if name in self.type_cons or name in self.funs or name in self.preds or name in self.axioms:
             raise DuplicateSymbol(f"symbol {name} declared twice")
-
-
-def table_of(thy: TffTheory) -> Table:
-    """Symbol table of an already-checked theory."""
-    tbl = Table()
-    for item in thy.items:
-        match item:
-            case TypeCons(name=n, arity=m):
-                tbl.type_cons[n] = m
-            case FunDecl(name=n):
-                tbl.funs[n] = item
-            case PredDecl(name=n):
-                tbl.preds[n] = item
-            case Axiom(name=n, formula=phi):
-                tbl.axioms[n] = phi
-            case ExtDecl(name=n):
-                tbl.exts.append(n)
-            case _:
-                pass
-    return tbl
 
 
 # ---------------------------------------------------------------------------
@@ -867,14 +885,6 @@ def subst_type(ty: TffType, mapping: Mapping[str, TffType]) -> TffType:
     return _subst(ty, mapping, _TYPE_VARS)
 
 
-def subst_term(e: TffTerm, mapping: Mapping[str, TffTerm]) -> TffTerm:
-    return _subst(e, mapping, _TERM_VARS)
-
-
-def subst_type_in_term(e: TffTerm, mapping: Mapping[str, TffType]) -> TffTerm:
-    return _subst(e, mapping, _TYPE_VARS)
-
-
 def subst_formula(phi: TffFormula, mapping: Mapping[str, TffTerm]) -> TffFormula:
     """Capture-avoiding substitution of term variables in a formula."""
     return _subst(phi, mapping, _TERM_VARS)
@@ -908,61 +918,17 @@ def parse_theory(text: str) -> TffTheory:
 
 
 def _item_from_sexp(sx: object, cons: set[str]) -> TheoryItem:
-    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise FormatError(f"bad theory item {sexp.dumps(sx)}")
-    tag = sx[0]
-    if tag == "type":
-        _expect_len(sx, 3)
-        return TypeCons(_symbol(sx[1]), _int(sx[2]))
-    if tag in ("fun", "pred"):
-        _expect_len(sx, 5 if tag == "fun" else 4)
-        tvs = tuple(_symbol(a) for a in _list(sx[2]))
-        scope = frozenset(tvs)
-        arg_types = tuple(type_from_sexp(t, scope, cons) for t in _list(sx[3]))
-        if tag == "pred":
-            return PredDecl(_symbol(sx[1]), tvs, arg_types)
-        return FunDecl(_symbol(sx[1]), tvs, arg_types, type_from_sexp(sx[4], scope, cons))
-    if tag == "axiom":
-        _expect_len(sx, 3)
-        return Axiom(_symbol(sx[1]), formula_from_sexp(sx[2], cons))
-    if tag in ("term-rule", "prop-rule"):
-        _expect_len(sx, 5)
-        tvs = tuple(_symbol(a) for a in _list(sx[1]))
-        scope = frozenset(tvs)
-        ctx = tuple((_symbol(_list(b)[0]), type_from_sexp(_list(b)[1], scope, cons)) for b in _list(sx[2]))
-        side = term_from_sexp if tag == "term-rule" else formula_from_sexp
-        rule = TermRule if tag == "term-rule" else PropRule
-        return rule(tvs, ctx, side(sx[3], cons, scope), side(sx[4], cons, scope))
-    if tag == "ext":
-        _expect_len(sx, 2)
-        return ExtDecl(_symbol(sx[1]))
-    raise FormatError(f"unknown theory item tag {tag!r}")
+    row = tagged_row(sx, _ITEM_BY_TAG, "theory item")
+    _expect_len(sx, len(row.kinds) + 1)
+    return row.cls(*read_fields(row.kinds, sx[1:], cons, frozenset()))
 
 
 def theory_to_sexp(thy: TffTheory) -> list:
     cons = {item.name for item in thy.items if isinstance(item, TypeCons)}
     out: list = ["theory", thy.name]
     for item in thy.items:
-        match item:
-            case TypeCons(name=n, arity=m):
-                out.append(["type", n, m])
-            case FunDecl(name=n, tvars=tvs, arg_types=args, result=res):
-                scope = frozenset(tvs)
-                out.append(
-                    ["fun", n, list(tvs), [type_to_sexp(t, cons, scope) for t in args], type_to_sexp(res, cons, scope)]
-                )
-            case PredDecl(name=n, tvars=tvs, arg_types=args):
-                out.append(["pred", n, list(tvs), [type_to_sexp(t, cons, frozenset(tvs)) for t in args]])
-            case Axiom(name=n, formula=phi):
-                out.append(["axiom", n, formula_to_sexp(phi, cons)])
-            case TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r) | PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
-                scope = frozenset(tvs)
-                is_term = isinstance(item, TermRule)
-                tag, side = ("term-rule", term_to_sexp) if is_term else ("prop-rule", formula_to_sexp)
-                ctx_sx = [[x, type_to_sexp(ty, cons, scope)] for x, ty in ctx]
-                out.append([tag, list(tvs), ctx_sx, side(l, cons, scope), side(r, cons, scope)])
-            case ExtDecl(name=n):
-                out.append(["ext", n])
+        row = _ITEM_OF[type(item)]
+        out.append([row.tag, *write_fields(row.kinds, _field_values(row, item), cons, frozenset())])
     return out
 
 

@@ -158,6 +158,59 @@ def test_translate_rejects_bad_certificate(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("fuel", [40, 80, 160])
+def test_translate_recheck_budget_is_per_entry_as_in_check(tmp_path, capsys, fuel):
+    # `--fuel` is a budget per entry in both commands, so re-checking the
+    # files `translate` wrote gives its verdict
+    files = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(), examples.set_diff_proof())
+    code, stdout, _ = run(["--json", "--fuel", str(fuel), "translate", *files, "--out", str(tmp_path / "o")], capsys)
+    outputs = json.loads(stdout)["outputs"]
+    assert code == run(["--fuel", str(fuel), "check", *outputs], capsys)[0]
+
+
+def test_examples_normalize_goal_against_rechecked_signature(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("llproof.base_signature called")
+
+    monkeypatch.setattr(llproof, "base_signature", unused)
+    code, stdout, _ = run(["examples", "pair-fst-snd", "--out", str(tmp_path / "p")], capsys)
+    assert code == 0
+    assert "normalized goal: logic.eq pairs.elem pairs.a pairs.a" in stdout
+
+
+def test_proof_syntax_error_is_reported_against_the_proof_file(tmp_path, capsys):
+    theory_file = tmp_path / "bool-commute.tffx"
+    theory_file.write_text(tff.print_theory(examples.bool_theory()))
+    bad = tmp_path / "bad.llpx"
+    bad.write_text("(proof (theory bool)\n  (goal (top))\n  (bot)) )\n")
+    argv = ["translate", str(theory_file), str(bad), "--out", str(tmp_path / "o")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"{bad}:3:10: unexpected ')'" in err
+    code, stdout, _ = run(["--json", *argv], capsys)
+    assert code == 2
+    assert json.loads(stdout)["diagnostics"] == [{"file": str(bad), "line": 3, "col": 10, "message": "unexpected ')'"}]
+
+
+def test_theory_syntax_error_has_its_position(tmp_path, capsys):
+    bad = tmp_path / "bad.tffx"
+    bad.write_text("(theory t\n  (type i 0)\n")
+    code, stdout, _ = run(["--json", "translate", str(bad), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert json.loads(stdout)["diagnostics"] == [{"file": str(bad), "line": 1, "col": 1, "message": "unterminated list"}]
+
+
+@pytest.mark.parametrize("binding", ["(x)", "(x i c)", "()"])
+def test_malformed_rule_binding_is_a_syntax_error(tmp_path, capsys, binding):
+    # a binding is exactly `(x TYPE)`: `(x)` used to crash with an
+    # IndexError (exit 1) and `(x i c)` to drop the `c`
+    bad = tmp_path / "rule.tffx"
+    bad.write_text(f"(theory t (type i 0) (term-rule () ({binding}) x x))\n")
+    code, stdout, _ = run(["--json", "translate", str(bad), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert binding in json.loads(stdout)["diagnostics"][0]["message"]
+
+
 # SHA-256 of every file `lpm examples NAME --mode MODE` writes, recorded
 # before the term representation carried cached per-node data; a change
 # to the printer, the embedding or the certificate compiler shows here.

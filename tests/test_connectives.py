@@ -36,7 +36,7 @@ def _subformulas(phi):
 
 def _pinned_formulas(seed):
     thy = random_theory(seed)
-    tbl = tff.table_of(thy)
+    tbl = tff.wf_theory(thy)
     rng = random.Random(1000 + seed)
     scope = TffContext(("al",), (("w", TVar("al")),))
     formulas = random_closed_formulas(rng, tbl, 6)
@@ -61,7 +61,7 @@ def _pinned_records():
     seen = set()
     for seed in PINNED_SEEDS:
         thy, tbl, scope, formulas = _pinned_formulas(seed)
-        other = tff.table_of(random_theory(seed + 1))
+        other = tff.wf_theory(random_theory(seed + 1))
         cons = {i.name for i in thy.items if isinstance(i, tff.TypeCons)}
         retyped = TffContext(("al",), (("w", tff.TCons("base")),))
         for phi in formulas:

@@ -3,7 +3,7 @@
 import pytest
 
 from theory_gen import check_translation_bullets, random_theory
-from lpm import dkparse, embed, examples, kernel, signature, tff
+from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
 from lpm.dkparse import Decl, Rule, parse_term
 from lpm.embed import translate_context, translate_formula, translate_term, translate_type
 from lpm.terms import Const, FVar, app
@@ -156,7 +156,7 @@ def test_theory_entries_empty_membership_rule():
 
 
 def test_translate_theory_returns_checked_signature():
-    sig = embed.translate_theory(examples.pair_theory())
+    sig = llproof.base_signature(examples.pair_theory())
     assert "pairs.fst" in sig and "logic.prf" in sig
 
 

@@ -5,7 +5,7 @@ import pytest
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
 from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
-from lpm.llproof import LLProof, LLSequent, check_certificate, eliminate_pred_fun, translate_sequent
+from lpm.llproof import LLProof, check_certificate, certificate_entries, eliminate_pred_fun
 from lpm.terms import App, Const, FVar, Lam, app
 
 
@@ -180,34 +180,13 @@ def test_eliminate_fresh_variable_avoids_clash():
 
 
 # ---------------------------------------------------------------------------
-# translate_sequent
+# proof translation
 
 
-def test_translate_sequent_single_hypothesis():
-    phi = tff.Or(tff.Bottom(), tff.Top())
-    got = translate_sequent(LLSequent((phi,)))
-    assert got == [("h0", embed.prf(T("logic.or logic.False logic.True")))]
-
-
-def test_translate_sequent_empty():
-    assert translate_sequent(LLSequent(())) == []
-
-
-def test_translate_sequent_duplicates_get_distinct_names():
-    phi = tff.Top()
-    got = translate_sequent(LLSequent((phi, phi)))
-    assert [n for n, _ in got] == ["h0", "h1"]
-    assert got[0][1] == got[1][1]
-
-
-def test_node_conclusion_sequent():
-    node = LLProof(llproof.Ax(tff.Top()))
-    ambient = (tff.Bottom(),)
-    assert node.conclusion(ambient) == LLSequent((tff.Bottom(), tff.Top(), tff.Not(tff.Top())))
-
-
-# ---------------------------------------------------------------------------
-# translate_proof
+def _refutation(thy, tree):
+    # the term the translator compiles under the negated goal's hypothesis
+    entries, _ = certificate_entries(thy, tff.Top(), tree)
+    return entries[0].body.body
 
 
 def test_or_node_translation_shape():
@@ -218,8 +197,8 @@ def test_or_node_translation_shape():
         llproof.Or(bot, bot),
         (LLProof(llproof.Bot()), LLProof(llproof.Bot())),
     )
-    thy = tff.TffTheory("t", ())
-    got = llproof.translate_proof(tree, {tff.Or(bot, bot): "h9"}, thy)
+    thy = tff.TffTheory("t", (tff.Axiom("either", tff.Or(bot, bot)),))
+    got = _refutation(thy, tree)
     from lpm.terms import abstract
 
     f = Const("logic.False")
@@ -228,7 +207,7 @@ def test_or_node_translation_shape():
     def cont(h):
         return Lam(h, prf_f, abstract(App(Const("rules.R_bot"), FVar(h)), h))
 
-    expected = app(Const("rules.R_or"), f, f, cont("h10"), cont("h11"), FVar("h9"))
+    expected = app(Const("rules.R_or"), f, f, cont("h1"), cont("h2"), Const("t.either"))
     assert got == expected
 
 
@@ -236,7 +215,7 @@ def test_translate_proof_missing_hypothesis_path():
     tree = LLProof(llproof.Bot())
     thy = tff.TffTheory("t", ())
     with pytest.raises(llproof.MissingHypothesis) as e:
-        llproof.translate_proof(tree, {}, thy)
+        certificate_entries(thy, tff.Top(), tree)
     assert e.value.path == ()
 
 
@@ -250,7 +229,7 @@ def test_translate_proof_uses_theory_axioms():
         ),
     )
     tree = LLProof(llproof.Bot())  # consumes [bot], provided by the axiom
-    got = llproof.translate_proof(tree, {}, thy)
+    got = _refutation(thy, tree)
     assert got == App(Const("rules.R_bot"), Const("t.bad"))
 
 

@@ -1,5 +1,7 @@
 """Polymorphic first-order syntax: well-formedness and the .tffx format."""
 
+import hashlib
+
 import pytest
 
 from lpm import examples, sexp, tff
@@ -278,3 +280,75 @@ def test_formula_sexp_round_trip():
     cons = {"set"}
     goal = examples.set_diff_goal()
     assert tff.formula_from_sexp(tff.formula_to_sexp(goal, cons), cons) == goal
+
+
+# ---------------------------------------------------------------------------
+# Theory items: pinned reader and writer results.  The digests and the
+# messages were recorded before the items were read and written from one
+# row per item class; they must never be edited.
+
+_ITEM_DIGESTS = {
+    "printed": "120d2bec3a0f765422702cba6bd2a979c3a16222f0e4400463d95d7f8458554d",
+    "repr": "0d0f0e2f6ed22f9b11488b5cf0eb7696ce718343cb15ceab21b23c25568f23c7",
+}
+
+_MALFORMED_ITEMS = [
+    ("(type i)", ("FormatError", "type expects 2 fields: (type i)")),
+    ("(type i 0 1)", ("FormatError", "type expects 2 fields: (type i 0 1)")),
+    ("(fun f () ())", ("FormatError", "fun expects 4 fields: (fun f () ())")),
+    ("(fun f () () i i)", ("FormatError", "fun expects 4 fields: (fun f () () i i)")),
+    ("(pred p ())", ("FormatError", "pred expects 3 fields: (pred p ())")),
+    ("(pred p () () x)", ("FormatError", "pred expects 3 fields: (pred p () () x)")),
+    ("(axiom a)", ("FormatError", "axiom expects 2 fields: (axiom a)")),
+    ("(axiom a (top) (top))", ("FormatError", "axiom expects 2 fields: (axiom a (top) (top))")),
+    ("(term-rule () () x)", ("FormatError", "term-rule expects 4 fields: (term-rule () () x)")),
+    ("(term-rule () () x x x)", ("FormatError", "term-rule expects 4 fields: (term-rule () () x x x)")),
+    ("(prop-rule () () (top))", ("FormatError", "prop-rule expects 4 fields: (prop-rule () () (top))")),
+    ("(prop-rule () () (top) (top) (top))",
+     ("FormatError", "prop-rule expects 4 fields: (prop-rule () () (top) (top) (top))")),
+    ("(ext)", ("FormatError", "ext expects 1 fields: (ext)")),
+    ("(ext a b)", ("FormatError", "ext expects 1 fields: (ext a b)")),
+    ("foo", ("FormatError", "bad theory item foo")),
+    ("()", ("FormatError", "bad theory item ()")),
+    ("(3 x)", ("FormatError", "bad theory item (3 x)")),
+    ("(frob x)", ("FormatError", "unknown theory item tag 'frob'")),
+    ("(type i x)", ("FormatError", "expected an integer, found x")),
+    ("(type 3 0)", ("FormatError", "expected a symbol, found 3")),
+    ("(fun (f) () () i)", ("FormatError", "expected a symbol, found (f)")),
+    ("(fun f x () i)", ("FormatError", "expected a list, found x")),
+    ("(pred p () x)", ("FormatError", "expected a list, found x")),
+    ("(axiom a (frob))", ("FormatError", "unknown formula tag 'frob'")),
+    ("(axiom a x)", ("FormatError", "bad formula x")),
+    ("(fun f (1) () i)", ("FormatError", "expected a symbol, found 1")),
+    ("(term-rule ((a)) () x x)", ("FormatError", "expected a symbol, found (a)")),
+    ("(term-rule () x x x)", ("FormatError", "expected a list, found x")),
+    ("(term-rule () (x) x x)", ("FormatError", "expected a list, found x")),
+    ("(term-rule () ((1 i)) x x)", ("FormatError", "expected a symbol, found 1")),
+    ("(term-rule () ((x (1))) x x)", ("FormatError", "bad type (1)")),
+    ("(prop-rule () () (frob) (top))", ("FormatError", "unknown formula tag 'frob'")),
+]
+
+
+def _item_texts():
+    from theory_gen import random_theory
+
+    thys = [examples.BUILTINS[name][0]() for name in sorted(examples.BUILTINS)]
+    thys += [random_theory(seed) for seed in range(24)]
+    return [tff.print_theory(thy) for thy in thys]
+
+
+def test_theory_items_read_and_written_pinned():
+    texts = _item_texts()
+    items = {type(item) for text in texts for item in tff.parse_theory(text).items}
+    assert items == {TypeCons, FunDecl, PredDecl, tff.Axiom, TermRule, PropRule, tff.ExtDecl}
+    printed = "".join(tff.print_theory(tff.parse_theory(text)) for text in texts)
+    reprs = "\n".join(repr(tff.parse_theory(text)) for text in texts)
+    got = {key: hashlib.sha256(s.encode()).hexdigest() for key, s in (("printed", printed), ("repr", reprs))}
+    assert got == _ITEM_DIGESTS
+
+
+@pytest.mark.parametrize("text, expected", _MALFORMED_ITEMS, ids=[t for t, _ in _MALFORMED_ITEMS])
+def test_malformed_theory_item_messages_pinned(text, expected):
+    with pytest.raises(Exception) as e:
+        tff.theory_from_sexp(sexp.loads_one(f"(theory t (type i 0) {text})"))
+    assert (type(e.value).__name__, str(e.value)) == expected

@@ -342,7 +342,7 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     from lpm.embed import PROP, term, translate_formula, translate_term, translate_type
     from lpm.terms import Const, FVar
 
-    tbl = tff.table_of(thy)
+    tbl = tff.wf_theory(thy)
     rng = random.Random(seed)
     module = thy.name
     type_c = Const("logic.type")
