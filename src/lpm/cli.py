@@ -6,11 +6,16 @@ Three commands:
   against one growing signature.
 * ``lpm translate THEORY.tffx [PROOF.llpx]``: embed a theory (and
   optionally compile a proof certificate), emit the `.dk` files, and
-  re-check the emitted set.
-* ``lpm examples NAME``: run a built-in pipeline end to end.
+  re-check each one as read back.
+* ``lpm examples NAME``: write a built-in example's `.tffx` and `.llpx`
+  files, then run ``lpm translate`` on them.
+
+`_check_text` checks every `.dk` text, given or emitted, so `translate`
+reports a rejected file at its own `FILE:LINE:COL`, as `check` does.
 
 Exit codes: 0 success, 1 type/checking error, 2 syntax error, 3 fuel
-exhausted.  ``LPM_FUEL`` overrides the default rewrite-step budget.
+exhausted or input nested too deeply.  ``LPM_FUEL`` overrides the default
+rewrite-step budget.
 """
 
 from __future__ import annotations
@@ -79,22 +84,49 @@ def make_fuel(args: argparse.Namespace) -> kernel.Fuel:
 
 
 def _exit_code_for(e: Exception) -> int:
-    if isinstance(e, kernel.FuelExhausted):
+    if isinstance(e, (kernel.FuelExhausted, RecursionError)):
         return EXIT_FUEL
     if isinstance(e, (dkparse.DkSyntaxError, sexp.SexpError, tff.FormatError)):
         return EXIT_SYNTAX
     return EXIT_TYPE
 
 
-def _fail(rep: Reporter, file: str, e: Exception, node: Optional[tuple[int, ...]] = None) -> int:
-    """Report `e` against `file` and return its exit code.  An S-expression
-    syntax error is placed at its line and column; a rejected certificate
-    names its proof node, `node` when the kernel found it."""
-    if isinstance(e, sexp.SexpError):
+def _message(e: Exception) -> str:
+    return f"input nested too deeply ({e})" if isinstance(e, RecursionError) else str(e)
+
+
+def _fail(rep: Reporter, file: str, e: Exception) -> int:
+    """Report an error reading, writing or compiling `file` and return its
+    exit code.  A syntax error is placed at its line and column; a
+    certificate the translator rejects names its proof node."""
+    if isinstance(e, (dkparse.DkSyntaxError, sexp.SexpError)):
         rep.diagnose(file, e.line, e.col, e.message)
     else:
-        rep.diagnose(file, 0, 0, str(e), e.path if isinstance(e, llproof.CertificateError) else node)
+        rep.diagnose(file, 0, 0, _message(e), e.path if isinstance(e, llproof.CertificateError) else None)
     return _exit_code_for(e)
+
+
+def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, sig: signature.Signature,
+                tr: Optional[llproof._Translator] = None) -> tuple[int, signature.Signature, int]:
+    """Parse the `.dk` text of `file` and install its entries in order,
+    each with a fresh fuel budget; return the exit code, the extended
+    signature and the number of entries.  A syntax error is reported at
+    its position and a rejected entry at the entry's, with its failing
+    proof node when `tr`, the translator that compiled the text, is given."""
+    try:
+        entries = dkparse.parse_file(text)
+    except (dkparse.DkSyntaxError, RecursionError) as e:
+        return _fail(rep, file, e), sig, 0
+    for entry in entries:
+        try:
+            sig = signature.install_entries(sig, [entry], make_fuel(args))
+        except (kernel.KernelError, signature.SignatureError, RecursionError) as e:
+            node = llproof.failure_path(tr, e) if tr is not None else None
+            rep.diagnose(file, entry.line, entry.col, _message(e), node)
+            return _exit_code_for(e), sig, len(entries)
+        if getattr(entry, "name", None):
+            rep.detail(f"checked {entry.name}")
+    return EXIT_OK, sig, len(entries)
 
 
 def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
@@ -102,27 +134,13 @@ def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
     for path in args.files:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeError) as e:
             rep.diagnose(path, 0, 0, str(e))
             return EXIT_SYNTAX
-        try:
-            entries = dkparse.parse_file(text)
-        except dkparse.DkSyntaxError as e:
-            rep.diagnose(path, e.line, e.col, e.message)
-            return EXIT_SYNTAX
-        for entry in entries:
-            line = getattr(entry, "line", 0)
-            col = getattr(entry, "col", 0)
-            try:
-                fuel = make_fuel(args)
-                sig = signature.install_entries(sig, [entry], fuel)
-            except (kernel.KernelError, signature.SignatureError) as e:
-                rep.diagnose(path, line, col, str(e))
-                return _exit_code_for(e)
-            name = getattr(entry, "name", None)
-            if name:
-                rep.detail(f"checked {name}")
-        rep.say(f"{path}: ok ({len(entries)} entries)")
+        code, sig, n_entries = _check_text(rep, args, path, text, sig)
+        if code != EXIT_OK:
+            return code
+        rep.say(f"{path}: ok ({n_entries} entries)")
     return EXIT_OK
 
 
@@ -135,81 +153,55 @@ def _write(rep: Reporter, out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _emit_and_recheck(
-    rep: Reporter,
-    args: argparse.Namespace,
-    label: str,
-    thy: tff.TffTheory,
-    goal: Optional[tff.TffFormula],
-    proof: Optional[llproof.LLProof],
-) -> tuple[int, signature.Signature]:
-    """Write the `.dk` files and re-check each one as read back, entry by
-    entry with a fresh fuel budget each, as `lpm check` does.
-
-    The certificate is compiled against the signature re-checked from the
-    emitted `logic.dk`, `rules.dk` and `theory.dk`, so it is written last.
-    An error compiling it is reported under the proof file, when there is
-    one; any other error under `label`, for `cert.dk` with its failing
-    proof node, found from the kernel's position through the translator,
-    since the re-parsed entries have the terms it compiled.  Returns the
-    exit code and the re-checked signature.
-    """
-    mode = args.mode
-    out_dir = Path(args.out)
+def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.Signature]:
+    """`lpm translate`: read the theory and the proof, if any, and check the
+    theory; write `logic.dk`, `rules.dk` and `theory.dk`, re-checking each
+    as read back; then compile the certificate against the signature
+    re-checked from them, write it and re-check it.  Returns the exit code
+    and the re-checked signature."""
     sig = signature.EMPTY.with_eta(args.eta)
-    tr = None
+    file = args.theory
     try:
+        thy = tff.parse_theory(Path(file).read_text(encoding="utf-8"))
+        if args.proof:
+            file = args.proof
+            goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
+        file = args.theory
         tff.wf_theory(thy)
-        files = [
-            ("logic.dk", embed.prelude(mode)),
-            ("rules.dk", llproof.rules_prelude(mode)),
-            ("theory.dk", embed.theory_entries(thy)),
-        ]
-        if proof is not None:
-            assert goal is not None
-            files.append(("cert.dk", None))
-        for name, entries in files:
-            if entries is None:  # the certificate, against the modules re-checked so far
-                try:
-                    entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
-                except Exception as e:  # noqa: BLE001 - mapped to exit codes
-                    return _fail(rep, getattr(args, "proof", None) or label, e), sig
-            path = _write(rep, out_dir, name, dkparse.print_file(entries))
-            for entry in dkparse.parse_file(path.read_text(encoding="utf-8")):
-                sig = signature.install_entries(sig, [entry], make_fuel(args))
-            rep.detail(f"re-checked {path}")
+        texts = {
+            "logic.dk": dkparse.print_file(embed.prelude(args.mode)),
+            "rules.dk": dkparse.print_file(llproof.rules_prelude(args.mode)),
+            "theory.dk": dkparse.print_file(embed.theory_entries(thy)),
+        }
+        if args.proof:
+            texts["cert.dk"] = None  # compiled against the modules as re-checked
     except Exception as e:  # noqa: BLE001 - mapped to exit codes
-        return _fail(rep, label, e, llproof.failure_path(tr, e) if tr is not None else None), sig
+        return _fail(rep, file, e), sig
+    tr = None
+    for name, text in texts.items():
+        if text is None:
+            try:
+                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
+                text = dkparse.print_file(entries)
+            except Exception as e:  # noqa: BLE001 - mapped to exit codes
+                return _fail(rep, args.proof, e), sig
+        path = _write(rep, Path(args.out), name, text)
+        code, sig, _ = _check_text(rep, args, str(path), path.read_text(encoding="utf-8"), sig, tr)
+        if code != EXIT_OK:
+            return code, sig
+        rep.detail(f"re-checked {path}")
     if tr is not None:
         rep.say(f"certificate: {path}")
     rep.say("verdict: accepted")
     return EXIT_OK, sig
 
 
-def cmd_translate(args: argparse.Namespace, rep: Reporter) -> int:
-    file = args.theory
-    try:
-        thy = tff.parse_theory(Path(file).read_text(encoding="utf-8"))
-        goal = proof = None
-        if args.proof:
-            file = args.proof
-            goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
-    except Exception as e:  # noqa: BLE001 - mapped to exit codes
-        return _fail(rep, file, e)
-    return _emit_and_recheck(rep, args, args.theory, thy, goal, proof)[0]
-
-
 def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
-    try:
-        mk_thy, mk_goal, mk_proof = examples.BUILTINS[args.name]
-    except KeyError:
-        rep.diagnose(args.name, 0, 0, f"unknown example (choose from {', '.join(sorted(examples.BUILTINS))})")
-        return EXIT_TYPE
-    thy, goal, proof = mk_thy(), mk_goal(), mk_proof()
-    out_dir = Path(args.out)
-    _write(rep, out_dir, f"{args.name}.tffx", tff.print_theory(thy))
-    _write(rep, out_dir, f"{args.name}.llpx", llproof.print_proof(thy, goal, proof))
-    code, sig = _emit_and_recheck(rep, args, args.name, thy, goal, proof)
+    """Write the example's `.tffx` and `.llpx` files, then translate them."""
+    thy, goal, proof = (make() for make in examples.BUILTINS[args.name])
+    args.theory = str(_write(rep, Path(args.out), f"{args.name}.tffx", tff.print_theory(thy)))
+    args.proof = str(_write(rep, Path(args.out), f"{args.name}.llpx", llproof.print_proof(thy, goal, proof)))
+    code, sig = translate(args, rep)
     if code == EXIT_OK and args.name == "pair-fst-snd":
         nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), make_fuel(args))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
@@ -234,13 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("translate", help="embed a theory and optional proof, emit .dk files")
     p_tr.add_argument("theory", help=".tffx theory file")
     p_tr.add_argument("proof", nargs="?", default=None, help=".llpx proof file")
-    p_tr.add_argument("--mode", choices=("deep", "shallow"), default="shallow")
-    p_tr.add_argument("--out", default="out", help="output directory")
-
-    p_ex = sub.add_parser("examples", help="run a built-in example end to end")
+    p_ex = sub.add_parser("examples", help="write a built-in example's .tffx and .llpx files and translate them")
     p_ex.add_argument("name", choices=sorted(examples.BUILTINS))
-    p_ex.add_argument("--mode", choices=("deep", "shallow"), default="shallow")
-    p_ex.add_argument("--out", default="out", help="output directory")
+    for p in (p_tr, p_ex):
+        p.add_argument("--mode", choices=("deep", "shallow"), default="shallow")
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 
@@ -248,12 +238,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.setrecursionlimit(100_000)
     args = build_parser().parse_args(argv)
     rep = Reporter(args.verbose, args.json, args.command)
-    if args.command == "check":
-        code = cmd_check(args, rep)
-    elif args.command == "translate":
-        code = cmd_translate(args, rep)
-    else:
-        code = cmd_examples(args, rep)
+    try:
+        if args.command == "check":
+            code = cmd_check(args, rep)
+        elif args.command == "translate":
+            code = translate(args, rep)[0]
+        else:
+            code = cmd_examples(args, rep)
+    except OSError as e:  # writing an output file
+        code = _fail(rep, e.filename or "-", e)
     return rep.finish(code)
 
 

@@ -269,15 +269,12 @@ class _Parser:
             self.next()  # ':'
             dom = self.app(scope, delta)
             arrow_tok = self.next()
-            if arrow_tok.kind == "->":
-                body = self.term(scope + [name], delta)
-                return Pi(name, dom, body)
-            if arrow_tok.kind == "=>":
-                body = self.term(scope + [name], delta)
-                return Lam(name, dom, body)
-            raise DkSyntaxError(
-                f"unexpected {arrow_tok.text!r} after binder", arrow_tok.line, arrow_tok.col, ("->", "=>")
-            )
+            former = {"->": Pi, "=>": Lam}.get(arrow_tok.kind)
+            if former is None:
+                raise DkSyntaxError(
+                    f"unexpected {arrow_tok.text!r} after binder", arrow_tok.line, arrow_tok.col, ("->", "=>")
+                )
+            return former(name, dom, self.term(scope + [name], delta))
         return self.arrow(scope, delta)
 
     def arrow(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:

@@ -14,14 +14,15 @@ its constant, its kernel type and its shape.
 
 Symbol naming is ASCII and module-qualified: logic constants live under
 `logic.`, theory symbols under the theory's own name, so generated
-preludes and user theories cannot collide.  The normative mapping from
-the usual mathematical notation is in docs/symbols.md.
+preludes and user theories cannot collide.  `qualify` only joins the two
+names: `tff.wf_theory` has already checked that the theory name and
+every symbol are `.dk` identifiers.  The normative mapping from the usual
+mathematical notation is in docs/symbols.md.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
@@ -38,7 +39,6 @@ from .terms import (
     app,
     arrow,
     fresh_name,
-    pi,
 )
 
 PROP = Const("logic.Prop")
@@ -64,12 +64,7 @@ def neg(t: KTerm) -> KTerm:
     return App(NOT, t)
 
 
-_MODULE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*$")
-
-
 def qualify(module: str, name: str) -> str:
-    if not _MODULE_RE.match(module) or not _MODULE_RE.match(name):
-        raise ValueError(f"bad symbol name {module}.{name}")
     return f"{module}.{name}"
 
 
@@ -247,11 +242,11 @@ def _bool_case_type(module: str, on_notforall: bool) -> KTerm:
             return neg(app(FORALL, boolc, p))
         return app(EXISTS, boolc, p)
 
-    return pi(
-        "P",
-        arrow(term(boolc), PROP),
-        lambda p: arrow(branch(p, true_c), branch(p, false_c), prf(concl(p)), prf(FALSE)),
-    )
+    def cases(env: Env) -> KTerm:
+        p = env["P"]
+        return arrow(branch(p, true_c), branch(p, false_c), prf(concl(p)), prf(FALSE))
+
+    return bind(Pi, "P", arrow(term(boolc), PROP), {}, cases)
 
 
 class ExtRule(NamedTuple):

@@ -130,14 +130,13 @@ class Fuel:
 class RewriteRule:
     """The matching index of an installed rule `lhs --> rhs`: `lhs` is the
     constant `head` applied to the first-order patterns `lhs_args`, whose
-    variables `delta` are those of the pattern context `ctx`."""
+    variables `delta` are those of the pattern context `ctx`, as
+    `Signature.add_rewrite` checks before it builds one."""
 
     __slots__ = ("ctx", "lhs", "rhs", "head", "lhs_args", "arity", "delta", "screens")
 
     def __init__(self, ctx: Iterable[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm):
         head, args = spine(lhs)
-        if not isinstance(head, Const):
-            raise ValueError("rewrite rule left-hand side must be constant-headed")
         self.ctx = tuple(ctx)
         self.lhs = lhs
         self.rhs = rhs
@@ -276,14 +275,10 @@ def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
             if type(head) is Const and sig.rules_for(head.name):
                 return t
             return app(head, *(normalize(sig, a, fuel) for a in args))
-        case Lam(name=n, annot=ty, body=b):
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
             f = fresh_name(n or "x")
             nb = normalize(sig, instantiate(b, FVar(f)), fuel)
-            return Lam(n, normalize(sig, ty, fuel), abstract(nb, f))
-        case Pi(name=n, domain=d, codomain=c):
-            f = fresh_name(n or "x")
-            nc = normalize(sig, instantiate(c, FVar(f)), fuel)
-            return Pi(n, normalize(sig, d, fuel), abstract(nc, f))
+            return t.__class__(n, normalize(sig, d, fuel), abstract(nb, f))
         case _:
             return t
 
@@ -315,16 +310,11 @@ def _conv_heads(sig: Signature, wa: KTerm, wb: KTerm, fuel: Fuel, depth: int) ->
             if ha == hb and len(argsa) == len(argsb):
                 return all(_conv(sig, x, y, fuel, depth + 1) for x, y in zip(argsa, argsb))
             return False
-        case (Lam(annot=ta, body=ba), Lam(annot=tb, body=bb)):
-            if not _conv(sig, ta, tb, fuel, depth + 1):
+        case (Lam(annot=x, body=u), Lam(annot=y, body=v)) | (Pi(domain=x, codomain=u), Pi(domain=y, codomain=v)):
+            if not _conv(sig, x, y, fuel, depth + 1):
                 return False
             f = FVar(fresh_name())
-            return _conv(sig, instantiate(ba, f), instantiate(bb, f), fuel, depth + 1)
-        case (Pi(domain=da, codomain=ca), Pi(domain=db, codomain=cb)):
-            if not _conv(sig, da, db, fuel, depth + 1):
-                return False
-            f = FVar(fresh_name())
-            return _conv(sig, instantiate(ca, f), instantiate(cb, f), fuel, depth + 1)
+            return _conv(sig, instantiate(u, f), instantiate(v, f), fuel, depth + 1)
         case (Lam(body=ba), _) if sig.eta:
             f = FVar(fresh_name())
             return _conv(sig, instantiate(ba, f), App(wb, f), fuel, depth + 1)

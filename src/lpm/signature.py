@@ -116,8 +116,6 @@ class Signature:
         _check_pattern(lhs, set(delta))
         lhs_vars = free_fvars(lhs)
         rhs_vars = free_fvars(rhs)
-        if not lhs_vars <= set(delta):
-            raise FVViolation(lhs_vars - set(delta), "left-hand side outside the pattern context")
         if not rhs_vars <= lhs_vars:
             raise FVViolation(rhs_vars - lhs_vars, "right-hand side not covered by the left")
         try:

@@ -256,10 +256,8 @@ def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
             return value if i == depth else body
         case App(fn=f, arg=a):
             return App(instantiate(f, value, depth), instantiate(a, value, depth))
-        case Lam(name=n, annot=t, body=b):
-            return Lam(n, instantiate(t, value, depth), instantiate(b, value, depth + 1))
-        case Pi(name=n, domain=d, codomain=c):
-            return Pi(n, instantiate(d, value, depth), instantiate(c, value, depth + 1))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return body.__class__(n, instantiate(d, value, depth), instantiate(b, value, depth + 1))
         case _:
             return body
 
@@ -273,10 +271,8 @@ def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
             return Var(depth, name)
         case App(fn=f, arg=a):
             return App(abstract(f, name, depth), abstract(a, name, depth))
-        case Lam(name=n, annot=ty, body=b):
-            return Lam(n, abstract(ty, name, depth), abstract(b, name, depth + 1))
-        case Pi(name=n, domain=d, codomain=c):
-            return Pi(n, abstract(d, name, depth), abstract(c, name, depth + 1))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return t.__class__(n, abstract(d, name, depth), abstract(b, name, depth + 1))
         case _:
             return t
 
@@ -294,10 +290,8 @@ def substitute(t: KTerm, bindings: dict[str, KTerm]) -> KTerm:
             return bindings.get(n, t)
         case App(fn=f, arg=a):
             return App(substitute(f, bindings), substitute(a, bindings))
-        case Lam(name=n, annot=ty, body=b):
-            return Lam(n, substitute(ty, bindings), substitute(b, bindings))
-        case Pi(name=n, domain=d, codomain=c):
-            return Pi(n, substitute(d, bindings), substitute(c, bindings))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return t.__class__(n, substitute(d, bindings), substitute(b, bindings))
         case _:
             return t
 
@@ -346,9 +340,3 @@ _fresh_counter = itertools.count()
 def fresh_name(hint: str = "x") -> str:
     """A free-variable name that no parsed or printed term can contain."""
     return f"{hint}#{next(_fresh_counter)}"
-
-
-def pi(name: str, domain: KTerm, body_fn) -> KTerm:
-    """Dependent product built through a callback receiving the bound variable."""
-    u = fresh_name(name)
-    return Pi(name, domain, abstract(body_fn(FVar(u)), u))

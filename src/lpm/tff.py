@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Optional, TypeVar, Union
 
-from . import sexp
+from . import dkparse, sexp
 
 # ---------------------------------------------------------------------------
 # Syntax
@@ -584,6 +584,7 @@ class Table:
         self.exts: list[str] = []
 
     def declare(self, name: str) -> None:
+        _check_ident("symbol", name)
         if name in self.type_cons or name in self.funs or name in self.preds or name in self.axioms:
             raise DuplicateSymbol(f"symbol {name} declared twice")
 
@@ -685,6 +686,7 @@ def wf_theory(thy: TffTheory) -> Table:
     failing item.  Symbol names are unique across all namespaces so the
     kernel embedding stays injective.
     """
+    _check_ident("theory name", thy.name)
     tbl = Table()
     for index, item in enumerate(thy.items):
         try:
@@ -744,14 +746,20 @@ def _check_scheme_tvars(tvs: tuple[str, ...]) -> None:
         raise DuplicateSymbol("duplicate type variables in scheme")
 
 
+def _check_ident(what: str, name: str) -> None:
+    if not dkparse._IDENT_RE.fullmatch(name) or name in dkparse._KEYWORDS:
+        raise TffError(f"{what} {name!r} is not a .dk identifier")
+
+
 def _rule_context(tbl: Table, tvs: tuple[str, ...], ctx: tuple[tuple[str, TffType], ...]) -> TffContext:
     _check_scheme_tvars(tvs)
+    for a in tvs:
+        _check_ident("type variable", a)
     out = TffContext(tvars=tvs)
-    seen: set[str] = set()
     for x, ty in ctx:
-        if x in seen:
+        _check_ident("context variable", x)
+        if out.lookup(x) is not None:
             raise DuplicateSymbol(f"duplicate context variable {x}")
-        seen.add(x)
         wf_type(tbl, tvs, ty)
         out = out.bind(x, ty)
     return out

@@ -361,3 +361,95 @@ def test_translate_output_does_not_depend_on_earlier_runs(tmp_path, capsys):
     capsys.readouterr()
     assert written[0] == written[1]
     assert b"c'0 : logic.term cap.i" in written[0]["cert.dk"]
+
+
+def test_recheck_failure_is_reported_at_the_emitted_file(tmp_path, capsys):
+    # the re-check of cert.dk is `lpm check`'s routine: the rejected entry
+    # is reported at its own position in the file written, with its node
+    from mutations import chain_certificate, chain_leaf_path
+
+    files = _write_inputs(tmp_path, *chain_certificate(6, {2}))
+    out = tmp_path / "out"
+    code, stdout, _ = run(["--json", "translate", *files, "--out", str(out)], capsys)
+    assert code == 1
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert {k: diagnostic[k] for k in ("file", "line", "col", "path")} == {
+        "file": str(out / "cert.dk"), "line": 1, "col": 1, "path": list(chain_leaf_path(6, 2)),
+    }
+
+
+def test_examples_check_the_files_they_write(tmp_path, capsys, monkeypatch):
+    # `examples` runs `translate` on the two files it wrote, so it reads
+    # the theory back instead of using the one it built
+    def unreadable(text):
+        raise tff.FormatError("theory not read back")
+
+    monkeypatch.setattr(tff, "parse_theory", unreadable)
+    code, _, err = run(["examples", "pair-fst-snd", "--out", str(tmp_path / "p")], capsys)
+    assert code != 0
+    assert "theory not read back" in err
+
+
+@pytest.mark.parametrize(
+    "theory, where",
+    [
+        ("(theory t (type a-b 0))", "item 0 (TypeCons): symbol 'a-b'"),
+        ("(theory def (type b 0))", "theory name 'def'"),
+        ("(theory Kind (type b 0))", "theory name 'Kind'"),
+        ("(theory t (type i 0) (fun f () (i) i) (term-rule () ((a-b i)) (f () a-b) a-b))",
+         "item 2 (TermRule): context variable 'a-b'"),
+        ("(theory t (type i 0) (fun f () (i) i) (term-rule (b-c) ((x i)) (f () x) x))",
+         "item 2 (TermRule): type variable 'b-c'"),
+    ],
+    ids=["symbol", "keyword-theory", "sort-theory", "context-variable", "rule-type-variable"],
+)
+def test_names_that_are_not_dk_identifiers_are_rejected_before_writing(tmp_path, capsys, theory, where):
+    # every name the .dk files print as written is checked by wf_theory:
+    # a bad one names its theory item, exits 1 and writes nothing
+    bad = tmp_path / "bad.tffx"
+    bad.write_text(theory + "\n")
+    out = tmp_path / "o"
+    code, stdout, _ = run(["--json", "translate", str(bad), "--out", str(out)], capsys)
+    assert code == 1
+    payload = json.loads(stdout)
+    assert payload["outputs"] == [] and not out.exists()
+    [diagnostic] = payload["diagnostics"]
+    assert diagnostic["message"] == f"{where} is not a .dk identifier"
+
+
+def test_deeply_nested_dk_input_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.dk"
+    deep.write_text("A : Type. a : A. def x : A := " + "(" * 40_000 + "a" + ")" * 40_000 + ".\n")
+    code, _, err = run(["check", str(deep)], capsys)
+    assert code == 3
+    assert "nested too deeply" in err and "Traceback" not in err
+    code, stdout, _ = run(["--json", "check", str(deep)], capsys)
+    assert code == 3
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert diagnostic["file"] == str(deep) and "nested too deeply" in diagnostic["message"]
+
+
+def test_deeply_nested_formula_exits_3_in_translate(tmp_path, capsys):
+    # the .tffx reader and the embedding take 30,000 nested negations;
+    # re-reading the emitted theory.dk runs out of stack
+    deep = tmp_path / "deep.tffx"
+    deep.write_text("(theory t (pred p () ()) (axiom h " + "(not " * 30_000 + "(pred p ())" + ")" * 30_000 + "))\n")
+    code, stdout, _ = run(["--json", "translate", str(deep), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    payload = json.loads(stdout)
+    assert payload["exit_code"] == 3
+    assert "nested too deeply" in payload["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize("command", ["examples", "translate"])
+def test_unwritable_output_directory_is_a_diagnostic(tmp_path, capsys, command):
+    # an output file that cannot be written is reported against its path
+    theory_file = tmp_path / "pairs.tffx"
+    theory_file.write_text(tff.print_theory(examples.pair_theory()))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["examples", "pair-fst-snd"] if command == "examples" else ["translate", str(theory_file)]
+    code, stdout, _ = run(["--json", *argv, "--out", str(blocker / "o")], capsys)
+    assert code == 1
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert diagnostic["file"] == str(blocker / "o")

@@ -251,6 +251,21 @@ def test_convertible_eta_off_by_default(bool_sig):
     assert kernel.convertible(bool_sig.with_eta(), lam, FVar("f"))
 
 
+@pytest.mark.parametrize("eta", [False, True])
+def test_convertible_compares_binders_of_one_kind(bool_sig, eta):
+    # an abstraction and a product are never convertible, even with the
+    # same parts; two of one kind compare their parts under the binder
+    sig = bool_sig.with_eta(eta)
+    dom = T("logic.term bool.bool")
+    other_dom = T("logic.term bool.bool -> logic.term bool.bool")
+    body = App(Lam("y", dom, Var(0)), Var(0))  # beta-reduces to the bound variable
+    for former in (Lam, Pi):
+        assert kernel.convertible(sig, former("x", dom, body), former("z", dom, Var(0)))
+        assert not kernel.convertible(sig, former("x", dom, body), former("x", other_dom, Var(0)))
+    assert not kernel.convertible(sig, Lam("x", dom, Var(0)), Pi("x", dom, Var(0)))
+    assert not kernel.convertible(sig, Pi("x", dom, Var(0)), Lam("x", dom, Var(0)))
+
+
 def test_convertible_through_stuck_heads(bool_sig):
     # same stuck head, non-convertible argument pairs, convertible wholes
     a = T("bool.andb (bool.notb bool.true) bool.true")
