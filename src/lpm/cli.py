@@ -235,19 +235,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # deep inputs recurse in the parsers, the printer and the kernel; an
+    # in-process caller gets its own limit back
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100_000)
-    args = build_parser().parse_args(argv)
-    rep = Reporter(args.verbose, args.json, args.command)
     try:
-        if args.command == "check":
-            code = cmd_check(args, rep)
-        elif args.command == "translate":
-            code = translate(args, rep)[0]
-        else:
-            code = cmd_examples(args, rep)
-    except OSError as e:  # writing an output file
-        code = _fail(rep, e.filename or "-", e)
-    return rep.finish(code)
+        args = build_parser().parse_args(argv)
+        rep = Reporter(args.verbose, args.json, args.command)
+        try:
+            if args.command == "check":
+                code = cmd_check(args, rep)
+            elif args.command == "translate":
+                code = translate(args, rep)[0]
+            else:
+                code = cmd_examples(args, rep)
+        except OSError as e:  # writing an output file
+            code = _fail(rep, e.filename or "-", e)
+        return rep.finish(code)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -28,18 +28,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import tff
 from .dkparse import Comment, Decl, Entry, Rule, parse_file
-from .terms import (
-    App,
-    Const,
-    FVar,
-    KTerm,
-    Lam,
-    Pi,
-    abstract,
-    app,
-    arrow,
-    fresh_name,
-)
+from .terms import App, Const, FVar, KTerm, Lam, Pi, Var, app, arrow, shift
 
 PROP = Const("logic.Prop")
 PRF = Const("logic.prf")
@@ -95,11 +84,13 @@ def prelude(mode: str = "shallow") -> list[Entry]:
 # Translation functions
 
 Env = Mapping[str, KTerm]
+# the translations of the nodes one caller translates under an empty `Env`
+Memo = dict[object, KTerm]
 
 
-def translate_type(ty: tff.TffType, module: str = "", env: Optional[Env] = None) -> KTerm:
+def translate_type(ty: tff.TffType, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None) -> KTerm:
     """Type variables map to themselves, constructors to curried applications."""
-    return _translate(ty, module, env or {})
+    return _translate(ty, module, env or {}, memo)
 
 
 def translate_term(e: tff.TffTerm, module: str = "", env: Optional[Env] = None) -> KTerm:
@@ -107,18 +98,23 @@ def translate_term(e: tff.TffTerm, module: str = "", env: Optional[Env] = None) 
     return _translate(e, module, env or {})
 
 
-def translate_formula(phi: tff.TffFormula, module: str = "", env: Optional[Env] = None) -> KTerm:
+def translate_formula(
+    phi: tff.TffFormula, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None
+) -> KTerm:
     """The row's `logic` constant (a predicate's own symbol) applied to the
     translated fields; a bound variable and the body after it become one
     abstraction."""
-    return _translate(phi, module, env or {})
+    return _translate(phi, module, env or {}, memo)
 
 
-def _translate(x: object, module: str, env: Env) -> KTerm:
+def _translate(x: object, module: str, env: Env, memo: Optional[Memo] = None) -> KTerm:
     """A formula, term or type, following its `tff` row: the row's head
     applied to the translated fields.  A row without a constant has its
     head symbol, or its variable, as first field; a variable is looked up
-    in `env`, unbound ones map to themselves."""
+    in `env`, unbound ones map to themselves.  With `memo` and an empty
+    `env`, equal nodes translate to one shared term."""
+    if memo is not None and not env and (t := memo.get(x)) is not None:
+        return t
     row = tff.row_of(x)
     head = _HEADS.get(row.cls)
     if head is None:
@@ -127,10 +123,15 @@ def _translate(x: object, module: str, env: Env) -> KTerm:
         if kind is not tff.SYMBOL:
             return env.get(v, FVar(v))
         head = Const(qualify(module, v)) if module else Const(v)
-    return app(head, *translate_fields(row.fields, x, module, env))
+    t = app(head, *translate_fields(row.fields, x, module, env, memo))
+    if memo is not None and not env:
+        memo[x] = t
+    return t
 
 
-def translate_fields(fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env) -> list[KTerm]:
+def translate_fields(
+    fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env, memo: Optional[Memo] = None
+) -> list[KTerm]:
     """The kernel arguments of the named fields of `x`, given with their
     kinds, in order: one per formula, type or term and per item of a list.
     A bound variable and the formula after it give one abstraction, over
@@ -142,18 +143,18 @@ def translate_fields(fields: Iterable[tuple[str, tff.FieldKind]], x: object, mod
         v = getattr(x, name)
         if kind is tff.FORMULA:
             if bound is None:
-                args.append(_translate(v, module, env))
+                args.append(_translate(v, module, env, memo))
             else:
                 annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
                 args.append(bind(Lam, bound, annot, env, lambda env: _translate(v, module, env)))
         elif kind is tff.TY:
-            kty = _translate(v, module, env)
+            kty = _translate(v, module, env, memo)
             args.append(kty)
         elif kind is tff.TERM:
-            args.append(_translate(v, module, env))
+            args.append(_translate(v, module, env, memo))
         elif kind is tff.TYS or kind is tff.ARGS or kind is tff.TERMS:
             for y in v:
-                args.append(_translate(y, module, env))
+                args.append(_translate(y, module, env, memo))
         elif kind is tff.BOUND or kind is tff.BOUND_TY:
             bound, bound_kind = v, kind
     return args
@@ -167,9 +168,10 @@ def bind(
     body: Callable[[Env], KTerm],
 ) -> KTerm:
     """`former` (`Lam` or `Pi`) binding `name : annot` over `body(env)`,
-    which sees `name` as a fresh variable."""
-    u = fresh_name(name)
-    return former(name, annot, abstract(body({**env, name: FVar(u)}), u))
+    which sees `name` as the binder's index and `env` shifted under it."""
+    inner = {x: shift(t, 1) for x, t in env.items()}
+    inner[name] = Var(0, name)
+    return former(name, annot, body(inner))
 
 
 def translate_context(ctx: tff.TffContext, module: str = "") -> list[tuple[str, KTerm]]:

@@ -8,7 +8,9 @@ loudly instead of hanging.
 
 `whnf` is the one reduction entry point and the head it returns is final,
 so typing reads products and sorts off it, and conversion compares final
-heads before the parts below them.
+heads before the parts below them.  No binder is opened (see `terms`):
+typing carries the enclosing binders' types as a de Bruijn context, and
+conversion and `normalize` work on binder bodies in place.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .terms import (
     Pi,
     Sort,
     Var,
-    abstract,
     app,
-    fresh_name,
     instantiate,
+    shift,
     spine,
     substitute,
 )
@@ -73,8 +74,9 @@ class UnboundIdentifier(KernelError):
 
 
 class NotAFunction(KernelError):
-    def __init__(self, fn: KTerm, fn_type: KTerm):
-        super().__init__(f"term {print_term(fn)} of type {print_term(fn_type)} is applied but is not a function")
+    def __init__(self, fn: KTerm, fn_type: KTerm, scope: tuple[str, ...] = ()):
+        super().__init__(
+            f"term {print_term(fn, scope)} of type {print_term(fn_type, scope)} is applied but is not a function")
         self.fn = fn
         self.fn_type = fn_type
 
@@ -91,8 +93,8 @@ class UntypableKind(KernelError):
 class TypeMismatch(KernelError):
     """Failed conversion check, carrying both sides in normal form."""
 
-    def __init__(self, expected: KTerm, actual: KTerm):
-        super().__init__(f"type mismatch: expected {print_term(expected)}, found {print_term(actual)}")
+    def __init__(self, expected: KTerm, actual: KTerm, scope: tuple[str, ...] = ()):
+        super().__init__(f"type mismatch: expected {print_term(expected, scope)}, found {print_term(actual, scope)}")
         self.expected = expected
         self.actual = actual
 
@@ -276,9 +278,7 @@ def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
                 return t
             return app(head, *(normalize(sig, a, fuel) for a in args))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
-            f = fresh_name(n or "x")
-            nb = normalize(sig, instantiate(b, FVar(f)), fuel)
-            return t.__class__(n, normalize(sig, d, fuel), abstract(nb, f))
+            return t.__class__(n, normalize(sig, d, fuel), normalize(sig, b, fuel))
         case _:
             return t
 
@@ -311,102 +311,110 @@ def _conv_heads(sig: Signature, wa: KTerm, wb: KTerm, fuel: Fuel, depth: int) ->
                 return all(_conv(sig, x, y, fuel, depth + 1) for x, y in zip(argsa, argsb))
             return False
         case (Lam(annot=x, body=u), Lam(annot=y, body=v)) | (Pi(domain=x, codomain=u), Pi(domain=y, codomain=v)):
-            if not _conv(sig, x, y, fuel, depth + 1):
-                return False
-            f = FVar(fresh_name())
-            return _conv(sig, instantiate(u, f), instantiate(v, f), fuel, depth + 1)
+            return _conv(sig, x, y, fuel, depth + 1) and _conv(sig, u, v, fuel, depth + 1)
         case (Lam(body=ba), _) if sig.eta:
-            f = FVar(fresh_name())
-            return _conv(sig, instantiate(ba, f), App(wb, f), fuel, depth + 1)
+            return _conv(sig, ba, App(shift(wb, 1), Var(0)), fuel, depth + 1)
         case (_, Lam(body=bb)) if sig.eta:
-            f = FVar(fresh_name())
-            return _conv(sig, App(wa, f), instantiate(bb, f), fuel, depth + 1)
+            return _conv(sig, App(shift(wa, 1), Var(0)), bb, fuel, depth + 1)
         case _:
             return False
 
 
 Context = Mapping[str, KTerm]
+Binders = list[tuple[str, KTerm]]
+Memo = dict[KTerm, KTerm]
 
 
 def infer(sig: Signature, ctx: Context, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     """Infer the type of `t` in the signature and local context."""
-    fuel = fuel or Fuel()
-    return _infer(sig, dict(ctx), t, fuel)
+    return _infer(sig, [], t, fuel or Fuel(), {FVar(n): ty for n, ty in ctx.items()})
 
 
-def _infer(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel) -> KTerm:
-    match t:
-        case Sort(name="Type"):
-            return KIND
-        case Sort():
-            raise UntypableKind()
-        case FVar(name=n):
-            try:
-                return ctx[n]
-            except KeyError:
-                raise UnboundIdentifier(n) from None
-        case Const(name=n):
-            ty = sig.type_of(n)
-            if ty is None:
-                raise UnboundIdentifier(n)
-            return ty
-        case Var(index=i):
-            raise UnboundIdentifier(f"#{i}")
-        case App(fn=f, arg=a):
-            fn_ty = whnf(sig, _infer_child(sig, ctx, f, fuel, 0), fuel)
-            if not isinstance(fn_ty, Pi):
-                raise NotAFunction(f, fn_ty)
-            arg_ty = _infer_child(sig, ctx, a, fuel, 1)
-            if not _conv(sig, arg_ty, fn_ty.domain, fuel, 0):
-                raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel))
-            return instantiate(fn_ty.codomain, a)
-        case Lam(name=n, annot=ty, body=b):
-            _check_domain(sig, ctx, ty, fuel)
-            f = fresh_name(n or "x")
-            ctx2 = dict(ctx)
-            ctx2[f] = ty
-            body_ty = _infer_child(sig, ctx2, instantiate(b, FVar(f)), fuel, 1)
-            try:
-                body_sort = whnf(sig, _infer(sig, ctx2, body_ty, fuel), fuel)
-            except KernelError as e:
-                e.trail.clear()  # body_ty is not a subterm: the failure is here
-                raise
-            if not isinstance(body_sort, Sort):
-                raise SortError(f"lambda body type {print_term(body_ty)} does not live in a sort")
-            return Pi(n, ty, abstract(body_ty, f))
-        case Pi(name=n, domain=d, codomain=c):
-            _check_domain(sig, ctx, d, fuel)
-            f = fresh_name(n or "x")
-            ctx2 = dict(ctx)
-            ctx2[f] = d
-            cod_sort = whnf(sig, _infer_child(sig, ctx2, instantiate(c, FVar(f)), fuel, 1), fuel)
-            if not isinstance(cod_sort, Sort):
-                raise SortError(f"product codomain in {print_term(t)} is not a sort")
-            return cod_sort
-        case _:
-            raise KernelError(f"cannot type {t!r}")
-
-
-def _infer_child(sig: Signature, ctx: dict[str, KTerm], t: KTerm, fuel: Fuel, child: int) -> KTerm:
-    """`_infer` on child `child` of the term being typed, recorded in the trail."""
+def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, child: int | None = None) -> KTerm:
+    """The type of `t` under `bound`, the (name, type) of each enclosing
+    binder, innermost last, grown and shrunk in place.  `memo`, one per
+    `infer`, maps the local context's variables and each locally closed
+    term typed so far to its type; `child` is `t`'s index in its parent."""
+    closed = t.lbr == 0
+    if closed and (ty := memo.get(t)) is not None:
+        return ty
     try:
-        return _infer(sig, ctx, t, fuel)
+        match t:
+            case Sort(name="Type"):
+                return KIND
+            case Sort():
+                raise UntypableKind()
+            case Const(name=n) | FVar(name=n):
+                ty = sig.type_of(n) if t.__class__ is Const else None  # the context's are in `memo`
+                if ty is None:
+                    raise UnboundIdentifier(n)
+                return ty
+            case Var(index=i):
+                if i >= len(bound):
+                    raise UnboundIdentifier(f"#{i}")
+                return shift(bound[-1 - i][1], i + 1)
+            case App(fn=f, arg=a):
+                fn_ty = whnf(sig, _infer(sig, bound, f, fuel, memo, 0), fuel)
+                if not isinstance(fn_ty, Pi):
+                    raise NotAFunction(f, fn_ty, _names(bound))
+                arg_ty = _infer(sig, bound, a, fuel, memo, 1)
+                if not _conv(sig, arg_ty, fn_ty.domain, fuel, 0):
+                    raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
+                ty = instantiate(fn_ty.codomain, a)
+            case Lam(name=n, annot=d, body=b):
+                _check_domain(sig, bound, d, fuel, memo)
+                bound.append((n, d))
+                body_ty = _infer(sig, bound, b, fuel, memo, 1)
+                try:
+                    s = whnf(sig, _infer(sig, bound, body_ty, fuel, memo), fuel)
+                except KernelError as e:
+                    e.trail.clear()  # body_ty is not a subterm: the failure is here
+                    raise
+                if not isinstance(s, Sort):
+                    raise SortError(f"lambda body type {print_term(body_ty, _names(bound))} does not live in a sort")
+                bound.pop()
+                ty = Pi(n, d, body_ty)
+            case Pi(name=n, domain=d, codomain=c):
+                _check_domain(sig, bound, d, fuel, memo)
+                bound.append((n, d))
+                ty = whnf(sig, _infer(sig, bound, c, fuel, memo, 1), fuel)
+                bound.pop()
+                if not isinstance(ty, Sort):
+                    raise SortError(f"product codomain in {print_term(t, _names(bound))} is not a sort")
+            case _:
+                raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
-        e.trail.append(child)
+        if child is not None:
+            e.trail.append(child)
         raise
+    if closed:
+        memo[t] = ty
+    return ty
 
 
-def _check_domain(sig: Signature, ctx: dict[str, KTerm], ty: KTerm, fuel: Fuel) -> None:
+def _check_domain(sig: Signature, bound: Binders, ty: KTerm, fuel: Fuel, memo: Memo) -> None:
     """`ty`, child 0 of a binder, must have sort Type."""
-    s = whnf(sig, _infer_child(sig, ctx, ty, fuel, 0), fuel)
+    s = whnf(sig, _infer(sig, bound, ty, fuel, memo, 0), fuel)
     if s != TYPE:
-        raise SortError(f"binder domain {print_term(ty)} must have sort Type, has {print_term(s)}")
+        names = _names(bound)
+        raise SortError(f"binder domain {print_term(ty, names)} must have sort Type, has {print_term(s, names)}")
+
+
+def _names(bound: Binders) -> tuple[str, ...]:
+    """The binders' names for messages, outermost first, primed apart."""
+    names: dict[str, None] = {}  # ordered, with constant-time lookups
+    for n, _ in bound:
+        n = n or "x"
+        while n in names:
+            n += "'"
+        names[n] = None
+    return tuple(names)
 
 
 def check(sig: Signature, ctx: Context, t: KTerm, expected: KTerm, fuel: Fuel | None = None) -> None:
     """Check `t` against `expected`; raises `TypeMismatch` on failure."""
     fuel = fuel or Fuel()
-    actual = _infer(sig, dict(ctx), t, fuel)
+    actual = infer(sig, ctx, t, fuel)
     if not _conv(sig, actual, expected, fuel, 0):
         raise TypeMismatch(_safe_nf(sig, expected, fuel), _safe_nf(sig, actual, fuel))
 

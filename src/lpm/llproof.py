@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from . import embed, kernel, sexp, signature, tff
 from .dkparse import Def, Entry
 from .embed import FALSE, TYPE_C, prf, term
-from .terms import Const, FVar, KTerm, Lam, abstract, app, arrow, fresh_name
+from .terms import Const, KTerm, Lam, Var, app, arrow
 from .tff import BOUND, BOUND_TY, FORMULA, SYMBOL, TERM, TERMS, TY, TYS
 
 # ---------------------------------------------------------------------------
@@ -596,32 +596,45 @@ class _Translator:
         self.sig = sig
         self.fuel = fuel
         self.counter = 0
-        # formula -> stack of hypothesis variable names (innermost last)
-        self.env: dict[tff.TffFormula, list[str]] = {}
-        self.env_formulas: list[tuple[tff.TffFormula, str]] = []
-        # eigenvariables in scope -> their kernel variables
-        self.kenv: dict[str, KTerm] = {}
+        # binders around the term being compiled; each hypothesis and
+        # eigenvariable records the level of its binder, so a use at this
+        # depth is the index `depth - level - 1`
+        self.depth = 0
+        # formula -> stack of (hypothesis name, level), innermost last
+        self.env: dict[tff.TffFormula, list[tuple[str, int]]] = {}
+        self.env_formulas: list[tuple[tff.TffFormula, str, int]] = []
+        # eigenvariables in scope -> their levels
+        self.kenv: dict[str, int] = {}
+        # the embedding of each formula, term and type met with no
+        # eigenvariable in scope: equal formulas share one kernel term
+        self.memo: embed.Memo = {}
         # set by `certificate_entries`: the layout of the refutation
         self.layout: Optional[_Layout] = None
 
     # -- environment -------------------------------------------------
 
     def push_hyp(self, phi: tff.TffFormula) -> tuple[str, KTerm]:
+        """Bind a hypothesis `phi` at the current depth: its name and type."""
         name = f"h{self.counter}"
         self.counter += 1
         ktype = prf(self.formula(phi))
-        self.env.setdefault(phi, []).append(name)
-        self.env_formulas.append((phi, name))
+        self.env.setdefault(phi, []).append((name, self.depth))
+        self.env_formulas.append((phi, name, self.depth))
+        self.depth += 1
         return name, ktype
 
-    def pop_hyp(self, phi: tff.TffFormula, name: str) -> None:
+    def pop_hyp(self, phi: tff.TffFormula) -> None:
         self.env[phi].pop()
         self.env_formulas.pop()
+        self.depth -= 1
+
+    def var(self, name: str, level: int) -> Var:
+        return Var(self.depth - level - 1, name)
 
     def lookup(self, phi: tff.TffFormula, path: tuple[int, ...]) -> KTerm:
         stack = self.env.get(phi)
         if stack:
-            return FVar(stack[-1])
+            return self.var(*stack[-1])
         axiom = next((n for n, f in self.tbl.axioms.items() if f == phi), None)
         if axiom is not None:
             return Const(embed.qualify(self.module, axiom))
@@ -629,11 +642,11 @@ class _Translator:
         # structural miss falls back to conversion against the sequent
         if self.sig is not None:
             want = self.formula(phi)
-            for candidate, name in reversed(self.env_formulas):
+            for candidate, name, level in reversed(self.env_formulas):
                 have = self.formula(candidate)
                 try:
                     if kernel.convertible(self.sig, have, want, self._fresh_fuel()):
-                        return FVar(name)
+                        return self.var(name, level)
                 except kernel.FuelExhausted:
                     continue
             for name, f in self.tbl.axioms.items():
@@ -650,15 +663,18 @@ class _Translator:
 
     # -- formula/term/type translation under the eigenvariable scope --
 
+    def eigen_env(self) -> embed.Env:
+        return {x: self.var(x, level) for x, level in self.kenv.items()}
+
     def formula(self, phi: tff.TffFormula) -> KTerm:
-        return embed.translate_formula(phi, self.module, self.kenv)
+        return embed.translate_formula(phi, self.module, self.eigen_env(), self.memo)
 
     def ktype(self, ty: tff.TffType) -> KTerm:
-        return embed.translate_type(ty, self.module, self.kenv)
+        return embed.translate_type(ty, self.module, self.eigen_env(), self.memo)
 
     def abstraction(self, var: str, annot: KTerm, body: tff.TffFormula) -> KTerm:
         """`\\var : annot => body`, with `var` bound in the translated body."""
-        return embed.bind(Lam, var, annot, self.kenv, lambda env: embed.translate_formula(body, self.module, env))
+        return embed.bind(Lam, var, annot, self.eigen_env(), lambda env: embed.translate_formula(body, self.module, env))
 
     # -- freshness and closedness side conditions ----------------------
 
@@ -667,7 +683,7 @@ class _Translator:
             raise FreshnessViolation(path, f"constant {name} was already introduced")
         if name in self.tbl.funs or name in self.tbl.preds or name in self.tbl.type_cons:
             raise FreshnessViolation(path, f"constant {name} collides with a theory symbol")
-        for phi, _ in self.env_formulas:
+        for phi, *_ in self.env_formulas:
             if name in tff.formula_vars(phi):
                 raise FreshnessViolation(path, f"constant {name} occurs in the conclusion sequent")
 
@@ -676,7 +692,7 @@ class _Translator:
             raise FreshnessViolation(path, f"type {name} was already introduced")
         if name in self.tbl.type_cons:
             raise FreshnessViolation(path, f"type {name} collides with a theory constructor")
-        for phi, _ in self.env_formulas:
+        for phi, *_ in self.env_formulas:
             if name in tff.formula_tvars(phi):
                 raise FreshnessViolation(path, f"type {name} occurs in the conclusion sequent")
 
@@ -698,7 +714,7 @@ class _Translator:
         if isinstance(rule, Ext):
             return self.ext_args(rule, path)
         self.check_witnesses(rule, path)
-        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.kenv)
+        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.eigen_env(), self.memo)
         return Const(f"rules.{_SCHEMA[type(rule)].const}"), kargs
 
     def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
@@ -733,7 +749,9 @@ class _Translator:
         continuations: list[KTerm] = []
         layouts: list[_Layout] = []
         for i, (premise, block) in enumerate(zip(p.premises, blocks)):
-            opened: list[tuple[str, str, KTerm]] = []
+            # the continuation binds the eigenvariables, then the block's
+            # hypotheses, each typed at the depth of its own binder
+            binders: list[tuple[str, KTerm]] = []
             for name, ty in eigen:
                 if ty is None:
                     self.check_fresh_type(name, at)
@@ -741,20 +759,18 @@ class _Translator:
                 else:
                     self.check_fresh_const(name, at)
                     annot = term(self.ktype(ty))
-                u = fresh_name(name)
-                self.kenv[name] = FVar(u)
-                opened.append((name, u, annot))
-            bound: list[tuple[tff.TffFormula, str, KTerm]] = []
-            for phi in block:
-                name, ktype = self.push_hyp(phi)
-                bound.append((phi, name, ktype))
+                self.kenv[name] = self.depth
+                self.depth += 1
+                binders.append((name, annot))
+            binders += [self.push_hyp(phi) for phi in block]
             body, layout = self.translate(premise, path + (i,))
-            for phi, name, ktype in reversed(bound):
-                self.pop_hyp(phi, name)
-                body = Lam(name, ktype, abstract(body, name))
-            for name, u, annot in reversed(opened):
+            for phi in reversed(block):
+                self.pop_hyp(phi)
+            for name, _ in eigen:
                 del self.kenv[name]
-                body = Lam(name, annot, abstract(body, u))
+            self.depth -= len(eigen)
+            for name, annot in reversed(binders):
+                body = Lam(name, annot, body)
             continuations.append(body)
             layouts.append(layout)
 
@@ -797,7 +813,7 @@ def certificate_entries(
     name, ktype = tr.push_hyp(neg_goal)
     body, tr.layout = tr.translate(proof)
     cert_type = arrow(ktype, prf(FALSE))
-    cert_body = Lam(name, ktype, abstract(body, name))
+    cert_body = Lam(name, ktype, body)
     return [Def("cert.goal", cert_type, cert_body)], tr
 
 

@@ -6,10 +6,10 @@ constants are `Const`.  Binder display names are kept for printing but
 excluded from equality, so structural equality coincides with
 alpha-equivalence.
 
-The discipline throughout the kernel is that every term handled at top
-level is *locally closed* (no dangling indices).  Binders are always
-opened with `instantiate` before their bodies are inspected, which makes
-free-variable substitution capture-free without any index shifting.
+Binders are never opened: the kernel works on a binder's body in place,
+where `Var(i)` is the i-th enclosing binder.  A term moved under `k` more
+binders is `shift`ed by `k`, as `instantiate` and `substitute` do to a
+value and `arrow` to each component; a locally closed term needs none.
 
 Every node caches four values, derived from its children once, at
 construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
@@ -26,14 +26,12 @@ construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
 
 Terms are immutable, which is what keeps the cached data valid: nothing
 in `lpm` assigns to a term's fields after construction.  The walks below
-use the cache to return a subtree they cannot change at once:
-`instantiate` and `uses_binder` skip a subtree whose indices do not reach
-the binder, `abstract`, `substitute` and `free_fvars` one without `FVar`.
+use the cache to return a subtree they cannot change at once: `shift`,
+`instantiate` and `uses_binder` skip one whose indices do not reach the
+binder, `abstract`, `substitute` and `free_fvars` one without `FVar`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 class KTerm:
@@ -230,10 +228,10 @@ def app(fn: KTerm, *args: KTerm) -> KTerm:
 
 
 def arrow(*tys: KTerm) -> KTerm:
-    """Right-nested non-dependent product `t1 -> ... -> tn`."""
-    result = tys[-1]
-    for t in reversed(tys[:-1]):
-        result = Pi("", t, result)
+    """Right-nested non-dependent product `t1 -> ... -> tn` of types in its own context."""
+    result = shift(tys[-1], len(tys) - 1)
+    for j in range(len(tys) - 2, -1, -1):
+        result = Pi("", shift(tys[j], j), result)
     return result
 
 
@@ -247,13 +245,30 @@ def spine(t: KTerm) -> tuple[KTerm, list[KTerm]]:
     return t, args
 
 
+def shift(t: KTerm, by: int, cutoff: int = 0) -> KTerm:
+    """`t` with `by` added to each index that escapes `cutoff` binders."""
+    if t.lbr <= cutoff or not by:
+        return t
+    match t:
+        case Var(index=i, name=n):
+            return Var(i + by, n)
+        case App(fn=f, arg=a):
+            return App(shift(f, by, cutoff), shift(a, by, cutoff))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return t.__class__(n, shift(d, by, cutoff), shift(b, by, cutoff + 1))
+        case _:
+            return t
+
+
 def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
-    """Replace the binder index `depth` in `body` by a locally closed term."""
+    """Replace index `depth` in `body` by `value`, given at that binder, and lower the indices past it."""
     if body.lbr <= depth:
         return body
     match body:
-        case Var(index=i):
-            return value if i == depth else body
+        case Var(index=i, name=n):
+            if i > depth:
+                return Var(i - 1, n)
+            return shift(value, depth) if depth and value.lbr else value
         case App(fn=f, arg=a):
             return App(instantiate(f, value, depth), instantiate(a, value, depth))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
@@ -277,21 +292,19 @@ def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
             return t
 
 
-def substitute(t: KTerm, bindings: dict[str, KTerm]) -> KTerm:
-    """Simultaneous substitution of free variables by locally closed terms.
-
-    Capture-avoiding by construction: binders are indices, so no value can
-    be captured when the walk passes under them.
-    """
+def substitute(t: KTerm, bindings: dict[str, KTerm], depth: int = 0) -> KTerm:
+    """Simultaneous, capture-avoiding substitution of free variables by
+    terms given in the context of `t`, shifted past the `depth` binders passed."""
     if not bindings or not t.has_fvar:
         return t
     match t:
         case FVar(name=n):
-            return bindings.get(n, t)
+            v = bindings.get(n, t)
+            return shift(v, depth) if depth and v.lbr else v
         case App(fn=f, arg=a):
-            return App(substitute(f, bindings), substitute(a, bindings))
+            return App(substitute(f, bindings, depth), substitute(a, bindings, depth))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
-            return t.__class__(n, substitute(d, bindings), substitute(b, bindings))
+            return t.__class__(n, substitute(d, bindings, depth), substitute(b, bindings, depth + 1))
         case _:
             return t
 
@@ -332,11 +345,3 @@ def uses_binder(body: KTerm, depth: int = 0) -> bool:
 def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
     """True when every de Bruijn index resolves to an enclosing binder."""
     return t.lbr <= depth
-
-
-_fresh_counter = itertools.count()
-
-
-def fresh_name(hint: str = "x") -> str:
-    """A free-variable name that no parsed or printed term can contain."""
-    return f"{hint}#{next(_fresh_counter)}"

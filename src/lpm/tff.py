@@ -33,7 +33,18 @@ from . import dkparse, sexp
 # Syntax
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """`dataclass(frozen=True)` whose structural hash is computed once, at
+    construction, from the children's cached ones: hashing a formula, as
+    every dict keyed by formulas does, never walks it."""
+    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", structural(self))
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@_node
 class TVar:
     name: str
 
@@ -41,7 +52,7 @@ class TVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class TCons:
     name: str
     args: tuple["TffType", ...] = ()
@@ -55,7 +66,7 @@ class TCons:
 TffType = Union[TVar, TCons]
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
@@ -63,7 +74,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Fun:
     name: str
     ty_args: tuple[TffType, ...] = ()
@@ -83,80 +94,80 @@ class TffFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Top(TffFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(TffFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(TffFormula):
     body: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class And(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(TffFormula):
     ty: TffType
     lhs: TffTerm
     rhs: TffTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Pred(TffFormula):
     name: str
     ty_args: tuple[TffType, ...] = ()
     args: tuple[TffTerm, ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(TffFormula):
     var: str
     ty: TffType
     body: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(TffFormula):
     var: str
     ty: TffType
     body: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ForallType(TffFormula):
     tvar: str
     body: TffFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsType(TffFormula):
     tvar: str
     body: TffFormula

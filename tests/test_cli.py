@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -453,3 +454,9 @@ def test_unwritable_output_directory_is_a_diagnostic(tmp_path, capsys, command):
     assert code == 1
     [diagnostic] = json.loads(stdout)["diagnostics"]
     assert diagnostic["file"] == str(blocker / "o")
+
+
+def test_main_restores_the_callers_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
+    assert run(["check", "/dev/null"], capsys)[0] == 0
+    assert sys.getrecursionlimit() == limit

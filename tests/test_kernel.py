@@ -414,3 +414,61 @@ def test_error_position_locates_failing_subterm(bool_sig):
     assert position(Pi("x", T("logic.term bool.bool"), Const("bool.nope"))) == (kernel.UnboundIdentifier, (1,))
     # a failed final conversion is at the checked term itself
     assert position(Const("bool.true"), Const("logic.Prop")) == (kernel.TypeMismatch, ())
+
+
+# ---------------------------------------------------------------------------
+# reduction and conversion under binders: loose indices are rigid variables
+
+
+def test_beta_under_binders_shifts_the_argument(logic_shallow):
+    # the redex sits under x and its argument mentions x; the body also
+    # reaches past the redex's own binder (no rule has these heads)
+    t = T("x : logic.Prop => (y : logic.Prop => z : logic.Prop => logic.and y (logic.or x z)) (logic.not x)")
+    expected = T("x : logic.Prop => z : logic.Prop => logic.and (logic.not x) (logic.or x z)")
+    assert kernel.normalize(logic_shallow, t) == expected
+    assert kernel.convertible(logic_shallow, t, expected)
+    assert kernel.infer(logic_shallow, {}, t) == kernel.infer(logic_shallow, {}, expected)
+
+
+def test_rule_fires_on_open_arguments_under_a_binder(logic_shallow):
+    # prf (imp A B) --> prf A -> prf B and prf (forall a P) --> x : term a ->
+    # prf (P x): the matched arguments are loose indices, and the right-hand
+    # side's own binder must shift them
+    t = T("A : logic.Prop => B : logic.Prop => logic.prf (logic.imp A B)")
+    assert kernel.normalize(logic_shallow, t) == T("A : logic.Prop => B : logic.Prop => logic.prf A -> logic.prf B")
+    t = T("a : logic.type => P : (logic.term a -> logic.Prop) => logic.prf (logic.forall a P)")
+    expected = T("a : logic.type => P : (logic.term a -> logic.Prop) => x : logic.term a -> logic.prf (P x)")
+    assert kernel.normalize(logic_shallow, t) == expected
+    assert kernel.convertible(logic_shallow, t, expected)
+
+
+def test_eta_on_open_terms(bool_sig):
+    # under g, `x => g x` is g itself by eta; with g's index shifted past x
+    f_ty = "(logic.term bool.bool -> logic.term bool.bool)"
+    expanded = T(f"g : {f_ty} => x : logic.term bool.bool => g x")
+    plain = T(f"g : {f_ty} => g")
+    other = T(f"g : {f_ty} => x : logic.term bool.bool => g (bool.notb x)")
+    assert not kernel.convertible(bool_sig, expanded, plain)
+    eta = bool_sig.with_eta()
+    assert kernel.convertible(eta, expanded, plain)
+    assert kernel.convertible(eta, plain, expanded)
+    assert not kernel.convertible(eta, other, plain)
+
+
+def test_messages_name_bound_variables():
+    # a bound variable prints under its binder's name, primed apart from
+    # an outer binder of the same name
+    def message(text):
+        with pytest.raises(kernel.KernelError) as e:
+            signature.install_entries(signature.EMPTY, parse_file(text))
+        return str(e.value)
+
+    base = "A : Type.\nB : A -> Type.\nf : x : A -> B x -> A.\ng : A -> A -> A.\n"
+    assert message("A : Type.\n#ASSERT (x : A => x x) : A -> A.") == (
+        "term x of type A is applied but is not a function")
+    assert message(base + "#ASSERT (x : A => x : A => g x x x) : A -> A -> A.") == (
+        "term g x' x' of type A is applied but is not a function")
+    assert message(base + "#ASSERT (x : A => y : A => z : B y => f x z) : A -> y : A -> B y -> A.") == (
+        "type mismatch: expected B x, found B y")
+    assert message("A : Type.\n#ASSERT (x : A => y : x => y) : A -> A.") == (
+        "binder domain x must have sort Type, has A")

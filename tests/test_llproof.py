@@ -1,9 +1,14 @@
 """Proof trees: rule preludes, elimination, compilation, certificates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
-from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
+from lpm import dkparse, embed, examples, kernel, llproof, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.llproof import LLProof, check_certificate, certificate_entries, eliminate_pred_fun
 from lpm.terms import App, Const, FVar, Lam, app
@@ -599,3 +604,51 @@ def test_parse_proof_validates_structure():
         llproof.parse_proof("(proof (theory bool) (goal (top)) (frob))", thy)
     with pytest.raises(tff.FormatError):
         llproof.parse_proof("(proof (theory bool) (goal (top)) (ext bool-case-exists ((abs x)) () ()))", thy)
+
+
+# ---------------------------------------------------------------------------
+# checking cost: no binder is opened or closed, and work grows linearly
+
+
+def _kernel_calls(monkeypatch, n: int) -> dict[str, int]:
+    """Calls of the kernel's typing, reduction and conversion workers while
+    `check_certificate` accepts chain-n; fails on any call of `abstract`."""
+    thy, goal, proof = chain_certificate(n)
+    sig = llproof.base_signature(thy)
+    counts = dict.fromkeys(("_infer", "whnf", "_conv"), 0)
+    with monkeypatch.context() as m:
+        for name in counts:
+            def counted(*args, _fn=getattr(kernel, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            m.setattr(kernel, name, counted)
+
+        def no_abstract(*args, **kwargs):
+            raise AssertionError("terms.abstract called while checking a certificate")
+
+        for module in (terms, kernel, signature, embed, llproof, dkparse):
+            if hasattr(module, "abstract"):
+                m.setattr(module, "abstract", no_abstract)
+        assert check_certificate(thy, goal, proof, sig=sig).accepted
+    return counts
+
+
+def test_chain_checking_work_grows_linearly(monkeypatch):
+    small, large = _kernel_calls(monkeypatch, 32), _kernel_calls(monkeypatch, 64)
+    for name in small:
+        assert large[name] <= 2.1 * small[name], (name, small[name], large[name])
+
+
+def test_chain_64_checks_at_the_default_recursion_limit():
+    # a fresh interpreter keeps the default limit of 1000 frames
+    here = Path(__file__).resolve().parent
+    code = (
+        "import sys; from lpm import llproof; from mutations import chain_certificate; "
+        "assert sys.getrecursionlimit() == 1000; "
+        "v = llproof.check_certificate(*chain_certificate(64)); print(v.accepted, v.error)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "True None"

@@ -18,10 +18,12 @@ from lpm.terms import (
     free_fvars,
     instantiate,
     is_locally_closed,
+    shift,
     spine,
     substitute,
     uses_binder,
 )
+from lpm.dkparse import parse_term, print_term
 
 
 def test_substitute_single_variable():
@@ -252,3 +254,72 @@ def test_deep_equality_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert results == [(True, False, True)] * 2
+
+
+# -- terms with loose indices ---------------------------------------------
+
+
+def _open_terms(seed: int, count: int, scope: int = 3) -> list[KTerm]:
+    """Random terms whose indices may escape up to `scope` binders."""
+    rng = random.Random(seed)
+    return [_random_term(rng, 4, scope) for _ in range(count)]
+
+
+def test_shift_then_instantiate_is_identity_random():
+    # index 0 is free after the shift, so instantiating it changes nothing
+    # but lowers the shifted indices back
+    values = _open_terms(31, 20)
+    for i, t in enumerate(_open_terms(29, 300)):
+        assert instantiate(shift(t, 1), values[i % 20]) == t, t
+
+
+def test_shifts_compose_random():
+    for i, t in enumerate(_open_terms(37, 300)):
+        a, b = i % 3, (i // 3) % 4
+        assert shift(shift(t, a), b) == shift(t, a + b), t
+        assert shift(shift(t, a, 1), b, 1) == shift(t, a + b, 1), t
+
+
+def test_shift_returns_closed_terms_as_is_random():
+    for t in random_terms(seed=41, count=100):
+        assert t.lbr == 0
+        assert shift(t, 3) is t
+    for t in _open_terms(43, 100):
+        assert shift(t, 2, t.lbr) is t
+
+
+def test_instantiate_shifts_an_open_value_under_binders():
+    # the value refers to the binder outside the instantiated one; under
+    # the lambda that binder is one index further away
+    body = Lam("y", Const("A"), App(Var(1), Var(0)))
+    assert instantiate(body, Var(0)) == Lam("y", Const("A"), App(Var(1), Var(0)))
+    assert instantiate(body, App(Const("f"), Var(2))) == Lam("y", Const("A"), App(App(Const("f"), Var(3)), Var(0)))
+    # indices past the instantiated binder move down by one
+    assert instantiate(App(Var(0), Var(2)), Const("c")) == App(Const("c"), Var(1))
+
+
+def test_substitute_shifts_an_open_value_under_binders():
+    t = Lam("y", Const("A"), App(FVar("x"), Var(0)))
+    assert substitute(t, {"x": Var(0)}) == Lam("y", Const("A"), App(Var(1), Var(0)))
+    assert substitute(FVar("x"), {"x": Var(0)}) == Var(0)
+
+
+def test_substitute_agrees_with_instantiate_random():
+    # substituting x by v is abstracting x over a fresh index 0 and
+    # instantiating that index by v
+    values = _open_terms(53, 20)
+    for i, t in enumerate(_open_terms(47, 300)):
+        v = values[i % 20]
+        assert substitute(t, {"x": v}) == instantiate(abstract(shift(t, 1), "x"), v), (t, v)
+
+
+def test_arrow_of_open_components_matches_the_parser_random():
+    # each component is written in the context of the whole product: the
+    # parser resolves it under the anonymous binders before it
+    rng = random.Random(59)
+    scope = ("u", "v")
+    for _ in range(100):
+        parts = [_random_term(rng, 3, 2) for _ in range(rng.randrange(1, 5))]
+        text = " -> ".join(f"({print_term(p, scope)})" for p in parts)
+        parsed = parse_term(f"u : A -> v : A -> {text}", ("x", "y", "z"))
+        assert parsed == Pi("u", Const("A"), Pi("v", Const("A"), arrow(*parts))), text
