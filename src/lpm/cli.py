@@ -13,9 +13,10 @@ Three commands:
 `_check_text` checks every `.dk` text, given or emitted, so `translate`
 reports a rejected file at its own `FILE:LINE:COL`, as `check` does.
 
-Exit codes: 0 success, 1 type/checking error, 2 syntax error, 3 fuel
-exhausted or input nested too deeply.  ``LPM_FUEL`` overrides the default
-rewrite-step budget.
+Exit codes: 0 success, 1 type/checking error, 2 syntax error, unreadable
+input or bad budget, 3 fuel exhausted or input nested too deeply.
+``LPM_FUEL`` overrides the default rewrite-step budget.  `check` loads
+only the trusted base; the pipeline is imported by the other commands.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from . import dkparse, embed, examples, kernel, llproof, sexp, signature, tff
+from . import dkparse, kernel, signature
 
 EXIT_OK = 0
 EXIT_TYPE = 1
 EXIT_SYNTAX = 2
 EXIT_FUEL = 3
+EXAMPLES = ("bool-commute", "pair-fst-snd", "pred-decomp", "set-diff")  # sorted(examples.BUILTINS)
 
 
 class Reporter:
@@ -75,18 +77,28 @@ class Reporter:
         return code
 
 
-def make_fuel(args: argparse.Namespace) -> kernel.Fuel:
-    steps = args.fuel
-    if steps is None:
-        env = os.environ.get("LPM_FUEL")
-        steps = int(env) if env else kernel.DEFAULT_REWRITE_STEPS
-    return kernel.Fuel(steps, args.conv_depth)
+def _budget_error(args: argparse.Namespace) -> Optional[str]:
+    """Set `args.fuel` from the flag, else ``LPM_FUEL``, else the default;
+    name the budget that is not a nonnegative integer, if any."""
+    env = os.environ.get("LPM_FUEL")
+    fuel = ("LPM_FUEL", env) if args.fuel is None and env else ("--fuel", args.fuel)
+    for name, value in (fuel, ("--conv-depth", args.conv_depth)):
+        if value is not None and not str(value).strip().removeprefix("+").isdecimal():
+            return f"{name} must be a nonnegative integer, got {value!r}"
+    args.fuel = kernel.DEFAULT_REWRITE_STEPS if fuel[1] is None else int(fuel[1])
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The classes `lpm.MODULE.CLASS` whose module is loaded (not in `check`)."""
+    return tuple(getattr(sys.modules[m], c) for m, _, c in (n.rpartition(".") for n in names) if m in sys.modules)
 
 
 def _exit_code_for(e: Exception) -> int:
     if isinstance(e, (kernel.FuelExhausted, RecursionError)):
         return EXIT_FUEL
-    if isinstance(e, (dkparse.DkSyntaxError, sexp.SexpError, tff.FormatError)):
+    # an input that cannot be read or decoded counts as a syntax error
+    syntax = (dkparse.DkSyntaxError, OSError, UnicodeError, *_loaded("lpm.sexp.SexpError", "lpm.tff.FormatError"))
+    if isinstance(e, syntax):
         return EXIT_SYNTAX
     return EXIT_TYPE
 
@@ -99,30 +111,29 @@ def _fail(rep: Reporter, file: str, e: Exception) -> int:
     """Report an error reading, writing or compiling `file` and return its
     exit code.  A syntax error is placed at its line and column; a
     certificate the translator rejects names its proof node."""
-    if isinstance(e, (dkparse.DkSyntaxError, sexp.SexpError)):
+    if isinstance(e, (dkparse.DkSyntaxError, *_loaded("lpm.sexp.SexpError"))):
         rep.diagnose(file, e.line, e.col, e.message)
     else:
-        rep.diagnose(file, 0, 0, _message(e), e.path if isinstance(e, llproof.CertificateError) else None)
+        rep.diagnose(file, 0, 0, _message(e), e.path if isinstance(e, _loaded("lpm.llproof.CertificateError")) else None)
     return _exit_code_for(e)
 
 
 def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, sig: signature.Signature,
-                tr: Optional[llproof._Translator] = None) -> tuple[int, signature.Signature, int]:
+                locate: Optional[Callable] = None) -> tuple[int, signature.Signature, int]:
     """Parse the `.dk` text of `file` and install its entries in order,
     each with a fresh fuel budget; return the exit code, the extended
     signature and the number of entries.  A syntax error is reported at
-    its position and a rejected entry at the entry's, with its failing
-    proof node when `tr`, the translator that compiled the text, is given."""
+    its position and a rejected entry at the entry's, with the failing
+    proof node that `locate`, given for a compiled certificate, finds."""
     try:
         entries = dkparse.parse_file(text)
     except (dkparse.DkSyntaxError, RecursionError) as e:
         return _fail(rep, file, e), sig, 0
     for entry in entries:
         try:
-            sig = signature.install_entries(sig, [entry], make_fuel(args))
+            sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel, args.conv_depth))
         except (kernel.KernelError, signature.SignatureError, RecursionError) as e:
-            node = llproof.failure_path(tr, e) if tr is not None else None
-            rep.diagnose(file, entry.line, entry.col, _message(e), node)
+            rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
             return _exit_code_for(e), sig, len(entries)
         if getattr(entry, "name", None):
             rep.detail(f"checked {entry.name}")
@@ -135,8 +146,7 @@ def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeError) as e:
-            rep.diagnose(path, 0, 0, str(e))
-            return EXIT_SYNTAX
+            return _fail(rep, path, e)
         code, sig, n_entries = _check_text(rep, args, path, text, sig)
         if code != EXIT_OK:
             return code
@@ -159,6 +169,7 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
     as read back; then compile the certificate against the signature
     re-checked from them, write it and re-check it.  Returns the exit code
     and the re-checked signature."""
+    from . import embed, llproof, tff
     sig = signature.EMPTY.with_eta(args.eta)
     file = args.theory
     try:
@@ -181,12 +192,14 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
     for name, text in texts.items():
         if text is None:
             try:
-                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=make_fuel(args))
+                fuel = kernel.Fuel(args.fuel, args.conv_depth)
+                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=fuel)
                 text = dkparse.print_file(entries)
             except Exception as e:  # noqa: BLE001 - mapped to exit codes
                 return _fail(rep, args.proof, e), sig
         path = _write(rep, Path(args.out), name, text)
-        code, sig, _ = _check_text(rep, args, str(path), path.read_text(encoding="utf-8"), sig, tr)
+        locate = None if tr is None else (lambda e: llproof.failure_path(tr, e))
+        code, sig, _ = _check_text(rep, args, str(path), path.read_text(encoding="utf-8"), sig, locate)
         if code != EXIT_OK:
             return code, sig
         rep.detail(f"re-checked {path}")
@@ -198,12 +211,13 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
 
 def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
     """Write the example's `.tffx` and `.llpx` files, then translate them."""
+    from . import embed, examples, llproof, tff
     thy, goal, proof = (make() for make in examples.BUILTINS[args.name])
     args.theory = str(_write(rep, Path(args.out), f"{args.name}.tffx", tff.print_theory(thy)))
     args.proof = str(_write(rep, Path(args.out), f"{args.name}.llpx", llproof.print_proof(thy, goal, proof)))
     code, sig = translate(args, rep)
     if code == EXIT_OK and args.name == "pair-fst-snd":
-        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), make_fuel(args))
+        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), kernel.Fuel(args.fuel, args.conv_depth))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
     return code
 
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("theory", help=".tffx theory file")
     p_tr.add_argument("proof", nargs="?", default=None, help=".llpx proof file")
     p_ex = sub.add_parser("examples", help="write a built-in example's .tffx and .llpx files and translate them")
-    p_ex.add_argument("name", choices=sorted(examples.BUILTINS))
+    p_ex.add_argument("name", choices=EXAMPLES)
     for p in (p_tr, p_ex):
         p.add_argument("--mode", choices=("deep", "shallow"), default="shallow")
         p.add_argument("--out", default="out", help="output directory")
@@ -242,6 +256,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         rep = Reporter(args.verbose, args.json, args.command)
+        error = _budget_error(args)
+        if error is not None:
+            rep.diagnose("-", 0, 0, error)
+            return rep.finish(EXIT_SYNTAX)
         try:
             if args.command == "check":
                 code = cmd_check(args, rep)
@@ -250,7 +268,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 code = cmd_examples(args, rep)
         except OSError as e:  # writing an output file
-            code = _fail(rep, e.filename or "-", e)
+            rep.diagnose(e.filename or "-", 0, 0, str(e))
+            code = EXIT_TYPE
         return rep.finish(code)
     finally:
         sys.setrecursionlimit(limit)

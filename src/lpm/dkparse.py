@@ -18,9 +18,9 @@ printing a reparsed entry reproduces the text byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .record import Record
 from .terms import (
     KIND,
     TYPE,
@@ -51,50 +51,44 @@ class DkSyntaxError(Exception):
 # Entries
 
 
-@dataclass(frozen=True)
-class Entry:
-    pass
+class Entry(Record):
+    _loose = ("line", "col")  # shown, not compared
 
 
-@dataclass(frozen=True)
 class Decl(Entry):
     name: str
     type: KTerm
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class Def(Entry):
     name: str
     type: KTerm
     body: KTerm
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class Rule(Entry):
     ctx: tuple[tuple[str, KTerm], ...]
     lhs: KTerm
     rhs: KTerm
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class AssertType(Entry):
     term: KTerm
     type: KTerm
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class Comment(Entry):
     text: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ and constant are registered in `embed.EXT_RULES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
 from .dkparse import Def, Entry
 from .embed import FALSE, TYPE_C, prf, term
+from .record import Record, values as field_values
 from .terms import Const, KTerm, Lam, Var, app, arrow
 from .tff import BOUND, BOUND_TY, FORMULA, SYMBOL, TERM, TERMS, TY, TYS
 
@@ -39,154 +39,130 @@ from .tff import BOUND, BOUND_TY, FORMULA, SYMBOL, TERM, TERMS, TY, TYS
 # Rules
 
 
-@dataclass(frozen=True)
-class Bot:
+class Bot(Record):
     pass
 
 
-@dataclass(frozen=True)
-class NotTop:
+class NotTop(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Ax:
+class Ax(Record):
     p: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(Record):
     p: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Neq:
+class Neq(Record):
     ty: tff.TffType
     t: tff.TffTerm
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Record):
     ty: tff.TffType
     t: tff.TffTerm
     u: tff.TffTerm
 
 
-@dataclass(frozen=True)
-class NotNot:
+class NotNot(Record):
     p: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Imp:
+class Imp(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class NotAnd:
+class NotAnd(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class NotOr:
+class NotOr(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class NotImp:
+class NotImp(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class NotIff:
+class NotIff(Record):
     p: tff.TffFormula
     q: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     ty: tff.TffType
     var: str
     body: tff.TffFormula
     const: str  # fresh constant bound in the premise
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     ty: tff.TffType
     var: str
     body: tff.TffFormula
     witness: tff.TffTerm  # closed instantiation
 
 
-@dataclass(frozen=True)
-class NotExists:
+class NotExists(Record):
     ty: tff.TffType
     var: str
     body: tff.TffFormula
     witness: tff.TffTerm
 
 
-@dataclass(frozen=True)
-class NotForall:
+class NotForall(Record):
     ty: tff.TffType
     var: str
     body: tff.TffFormula
     const: str
 
 
-@dataclass(frozen=True)
-class ExistsType:
+class ExistsType(Record):
     tvar: str
     body: tff.TffFormula
     fresh_type: str
 
 
-@dataclass(frozen=True)
-class ForallType:
+class ForallType(Record):
     tvar: str
     body: tff.TffFormula
     witness: tff.TffType
 
 
-@dataclass(frozen=True)
-class NotExistsType:
+class NotExistsType(Record):
     tvar: str
     body: tff.TffFormula
     witness: tff.TffType
 
 
-@dataclass(frozen=True)
-class NotForallType:
+class NotForallType(Record):
     tvar: str
     body: tff.TffFormula
     fresh_type: str
 
 
-@dataclass(frozen=True)
-class Pred:
+class Pred(Record):
     name: str
     ty_args: tuple[tff.TffType, ...]
     lhs_args: tuple[tff.TffTerm, ...]
@@ -194,8 +170,7 @@ class Pred:
     eq_types: tuple[tff.TffType, ...]
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(Record):
     name: str
     ty_args: tuple[tff.TffType, ...]
     lhs_args: tuple[tff.TffTerm, ...]
@@ -204,8 +179,7 @@ class Fun:
     result_ty: tff.TffType
 
 
-@dataclass(frozen=True)
-class Subst:
+class Subst(Record):
     ty: tff.TffType
     var: str
     body: tff.TffFormula
@@ -213,8 +187,7 @@ class Subst:
     u: tff.TffTerm
 
 
-@dataclass(frozen=True)
-class AbsArg:
+class AbsArg(Record):
     """Predicate abstraction argument `lambda var : ty. body`."""
 
     var: str
@@ -222,8 +195,7 @@ class AbsArg:
     body: tff.TffFormula
 
 
-@dataclass(frozen=True)
-class Ext:
+class Ext(Record):
     name: str
     args: tuple[AbsArg, ...]
     conclusions: tuple[tff.TffFormula, ...]
@@ -237,8 +209,7 @@ LLRule = Union[
 ]
 
 
-@dataclass(frozen=True)
-class LLProof:
+class LLProof(Record):
     rule: LLRule
     premises: tuple["LLProof", ...] = ()
     # Consumed hypotheses as written in the sequent, when they differ
@@ -246,7 +217,8 @@ class LLProof:
     concls: Optional[tuple[tff.TffFormula, ...]] = None
     # Path of the written node this one was made from, set by
     # `eliminate_pred_fun`; rejections are reported there.
-    origin: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    origin: Optional[tuple[int, ...]] = None
+    _loose = _hidden = ("origin",)
 
     def conclusion_hyps(self) -> tuple[tff.TffFormula, ...]:
         return self.concls if self.concls is not None else tuple(_SCHEMA[type(self.rule)].consumes(self.rule))
@@ -296,11 +268,6 @@ FRESH_TY = tff.symbol_kind("fresh type")
 FORMULAS = tff.list_kind("formulas", FORMULA)
 
 
-def _values(x: object) -> tuple:
-    """The field values of a rule or extension argument, in field order."""
-    return tuple(getattr(x, f.name) for f in fields(x))
-
-
 # the one extension argument, `(abs X TY F)`, keyed by its `.llpx` tag
 _ABS_KINDS = {"abs": (SYMBOL, TY, FORMULA)}
 
@@ -313,7 +280,7 @@ def _abs_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> AbsArg:
 
 
 def _abs_to_sexp(arg: AbsArg, cons: set[str], tvars: frozenset[str]) -> list:
-    return ["abs", *tff.write_fields(_ABS_KINDS["abs"], _values(arg), cons, tvars)]
+    return ["abs", *tff.write_fields(_ABS_KINDS["abs"], field_values(arg), cons, tvars)]
 
 
 EXT_ARGS = tff.list_kind(
@@ -324,7 +291,7 @@ BLOCKS = tff.list_kind("hypothesis blocks", FORMULAS)
 class RuleSchema(NamedTuple):
     """One inference rule: the only place its syntax is defined.
 
-    `kinds` gives the kind of each dataclass field, in field order.  The
+    `kinds` gives the kind of each record field, in field order.  The
     kernel arguments of a rule are its fields as `embed.translate_fields`
     translates them, a witness as the term or type it holds.
     `consumes` maps a rule to the hypotheses its node consumes by default,
@@ -420,7 +387,7 @@ _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
 # witness as the term or type it holds
 _WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
 _KERNEL_FIELDS = {
-    row.cls: tuple((f.name, _WITNESSED.get(k, k)) for f, k in zip(fields(row.cls), row.kinds)) for row in RULES
+    row.cls: tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)) for row in RULES
 }
 
 
@@ -432,7 +399,7 @@ def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
     """
     out: list[tuple[str, Optional[tff.TffType]]] = []
     ty = None
-    for kind, v in zip(_SCHEMA[type(rule)].kinds, _values(rule)):
+    for kind, v in zip(_SCHEMA[type(rule)].kinds, field_values(rule)):
         if kind is TY:
             ty = v
         elif kind is FRESH:
@@ -698,7 +665,7 @@ class _Translator:
 
     def check_witnesses(self, rule: LLRule, path: tuple[int, ...]) -> None:
         """Witness fields may mention only eigenvariables in scope."""
-        for kind, v in zip(_SCHEMA[type(rule)].kinds, _values(rule)):
+        for kind, v in zip(_SCHEMA[type(rule)].kinds, field_values(rule)):
             if kind is WITNESS:
                 stray = tff.term_vars(v) - set(self.kenv)
                 if stray:
@@ -784,12 +751,12 @@ class _Translator:
 # Certificate checking
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     accepted: bool
     error: Optional[str] = None
     path: Optional[tuple[int, ...]] = None
-    entries: list = field(default_factory=list)
+    entries: Sequence[Entry] = ()
+    __hash__ = None
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -903,7 +870,7 @@ def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
 
 def proof_to_sexp(p: LLProof, cons: set[str]) -> list:
     row = _SCHEMA[type(p.rule)]
-    out = [row.tag, *tff.write_fields(row.kinds, _values(p.rule), cons, frozenset())]
+    out = [row.tag, *tff.write_fields(row.kinds, field_values(p.rule), cons, frozenset())]
     if p.concls is not None:
         out.append(["concl", *FORMULAS.write(p.concls, cons, frozenset())])
     out += [proof_to_sexp(q, cons) for q in p.premises]

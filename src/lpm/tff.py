@@ -22,38 +22,24 @@ item reader and writer follow.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from . import dkparse, sexp
+from .record import Record, values as field_values
 
 # ---------------------------------------------------------------------------
-# Syntax
+# Syntax: `Record`s, hashed once, at construction, so no dict walks them
 
 
-def _node(cls: type) -> type:
-    """`dataclass(frozen=True)` whose structural hash is computed once, at
-    construction, from the children's cached ones: hashing a formula, as
-    every dict keyed by formulas does, never walks it."""
-    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", structural(self))
-    cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
-    cls.__hash__ = lambda self: self._hash
-    return cls
-
-
-@_node
-class TVar:
+class TVar(Record):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@_node
-class TCons:
+class TCons(Record):
     name: str
     args: tuple["TffType", ...] = ()
 
@@ -66,16 +52,14 @@ class TCons:
 TffType = Union[TVar, TCons]
 
 
-@_node
-class Var:
+class Var(Record):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@_node
-class Fun:
+class Fun(Record):
     name: str
     ty_args: tuple[TffType, ...] = ()
     args: tuple["TffTerm", ...] = ()
@@ -90,84 +74,71 @@ class Fun:
 TffTerm = Union[Var, Fun]
 
 
-class TffFormula:
-    __slots__ = ()
+class TffFormula(Record):
+    """A formula: an instance of one of the classes in `CONNECTIVES`."""
 
 
-@_node
 class Top(TffFormula):
     pass
 
 
-@_node
 class Bottom(TffFormula):
     pass
 
 
-@_node
 class Not(TffFormula):
     body: TffFormula
 
 
-@_node
 class And(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@_node
 class Or(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@_node
 class Implies(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@_node
 class Iff(TffFormula):
     lhs: TffFormula
     rhs: TffFormula
 
 
-@_node
 class Eq(TffFormula):
     ty: TffType
     lhs: TffTerm
     rhs: TffTerm
 
 
-@_node
 class Pred(TffFormula):
     name: str
     ty_args: tuple[TffType, ...] = ()
     args: tuple[TffTerm, ...] = ()
 
 
-@_node
 class Forall(TffFormula):
     var: str
     ty: TffType
     body: TffFormula
 
 
-@_node
 class Exists(TffFormula):
     var: str
     ty: TffType
     body: TffFormula
 
 
-@_node
 class ForallType(TffFormula):
     tvar: str
     body: TffFormula
 
 
-@_node
 class ExistsType(TffFormula):
     tvar: str
     body: TffFormula
@@ -177,51 +148,44 @@ class ExistsType(TffFormula):
 # Theories
 
 
-@dataclass(frozen=True)
-class TypeCons:
+class TypeCons(Record):
     name: str
     arity: int
 
 
-@dataclass(frozen=True)
-class FunDecl:
+class FunDecl(Record):
     name: str
     tvars: tuple[str, ...]
     arg_types: tuple[TffType, ...]
     result: TffType
 
 
-@dataclass(frozen=True)
-class PredDecl:
+class PredDecl(Record):
     name: str
     tvars: tuple[str, ...]
     arg_types: tuple[TffType, ...]
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     name: str
     formula: TffFormula
 
 
-@dataclass(frozen=True)
-class TermRule:
+class TermRule(Record):
     tvars: tuple[str, ...]
     ctx: tuple[tuple[str, TffType], ...]
     lhs: TffTerm
     rhs: TffTerm
 
 
-@dataclass(frozen=True)
-class PropRule:
+class PropRule(Record):
     tvars: tuple[str, ...]
     ctx: tuple[tuple[str, TffType], ...]
     lhs: TffFormula
     rhs: TffFormula
 
 
-@dataclass(frozen=True)
-class ExtDecl:
+class ExtDecl(Record):
     """Reference to a registered extension deduction rule of the theory."""
 
     name: str
@@ -230,14 +194,12 @@ class ExtDecl:
 TheoryItem = Union[TypeCons, FunDecl, PredDecl, Axiom, TermRule, PropRule, ExtDecl]
 
 
-@dataclass(frozen=True)
-class TffTheory:
+class TffTheory(Record):
     name: str
     items: tuple[TheoryItem, ...]
 
 
-@dataclass(frozen=True)
-class TffContext:
+class TffContext(Record):
     """Term variables in order plus the type variables in scope."""
 
     tvars: tuple[str, ...] = ()
@@ -391,14 +353,13 @@ def term_to_sexp(e: TffTerm, cons: set[str], tvars: frozenset[str] = frozenset()
 _Row = TypeVar("_Row")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class FieldKind:
+class FieldKind(Record):
     """What a field of a formula, theory item, rule or extension argument
     holds, and how `.tffx`/`.llpx` read and write it.
 
     `read(sx, cons, tvars)` and `write(value, cons, tvars)` are given the
-    declared type constructors and the type variables in scope.  Kinds are
-    compared by identity.
+    declared type constructors and the type variables in scope.  Each kind
+    has its own name, and code tells kinds apart with `is`.
     """
 
     name: str
@@ -469,7 +430,7 @@ def formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozen
 
 def formula_to_sexp(phi: TffFormula, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
     row = row_of(phi)
-    out = [row.tag, *write_fields(row.kinds, _field_values(row, phi), cons, tvars)]
+    out = [row.tag, *write_fields(row.kinds, field_values(phi), cons, tvars)]
     if row.cls in _TRAILING:
         out += out.pop()
     return out
@@ -504,7 +465,7 @@ CONTEXT = list_kind("context", FieldKind(
 class Connective(NamedTuple):
     """One formula class: the only place its syntax and embedding are defined.
 
-    `kinds` gives the kind of each dataclass field, in field order, and
+    `kinds` gives the kind of each record field, in field order, and
     `fields` pairs them with the field names.  A bound variable scopes
     over the formula field after it.  `const` is the `logic` constant the
     embedding applies to the translated fields; `Pred` has none, its head
@@ -521,7 +482,7 @@ class Connective(NamedTuple):
 
 
 def _connective(cls: type, tag: Optional[str], const: Optional[str], *kinds: FieldKind) -> Connective:
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = cls.__match_args__
     if len(names) != len(kinds):
         raise TypeError(f"{cls.__name__} has {len(names)} fields, {len(kinds)} kinds given")
     return Connective(cls, tag, const, kinds, tuple(zip(names, kinds)))
@@ -568,10 +529,6 @@ ITEMS: tuple[Connective, ...] = (
 )
 _ITEM_OF = {row.cls: row for row in ITEMS}
 _ITEM_BY_TAG = {row.tag: row for row in ITEMS}
-
-
-def _field_values(row: Connective, x: object) -> list:
-    return [getattr(x, name) for name, _ in row.fields]
 
 
 def row_of(x: object) -> Connective:
@@ -947,7 +904,7 @@ def theory_to_sexp(thy: TffTheory) -> list:
     out: list = ["theory", thy.name]
     for item in thy.items:
         row = _ITEM_OF[type(item)]
-        out.append([row.tag, *write_fields(row.kinds, _field_values(row, item), cons, frozenset())])
+        out.append([row.tag, *write_fields(row.kinds, field_values(item), cons, frozenset())])
     return out
 
 

@@ -10,9 +10,8 @@ failing paths are known from the tree's shape.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from lpm import llproof, tff
+from lpm.record import replace
 
 
 def _with_premises(p: llproof.LLProof, premises) -> llproof.LLProof:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -460,3 +463,96 @@ def test_main_restores_the_callers_recursion_limit(capsys):
     limit = sys.getrecursionlimit()
     assert run(["check", "/dev/null"], capsys)[0] == 0
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize(
+    "flags, env, named",
+    [(["--fuel", "-1"], None, "--fuel"), (["--conv-depth", "-1"], None, "--conv-depth"),
+     ([], "abc", "LPM_FUEL"), ([], "-5", "LPM_FUEL")],
+    ids=["fuel", "conv-depth", "env-not-an-integer", "env-negative"],
+)
+def test_bad_budget_is_a_diagnostic(tmp_path, capsys, monkeypatch, flags, env, named):
+    if env is None:
+        monkeypatch.delenv("LPM_FUEL", raising=False)
+    else:
+        monkeypatch.setenv("LPM_FUEL", env)
+    code, stdout, _ = run(["--json", *flags, "check", "/dev/null"], capsys)
+    assert code == 2
+    payload = json.loads(stdout)
+    assert (payload["status"], payload["exit_code"]) == ("error", 2)
+    [diagnostic] = payload["diagnostics"]
+    assert named in diagnostic["message"] and "nonnegative integer" in diagnostic["message"]
+    code, stdout, err = run([*flags, "translate", str(tmp_path / "absent.tffx")], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("-:0:0: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("broken", ["missing-theory", "proof-not-utf8"])
+def test_translate_unreadable_input_exits_2(tmp_path, capsys, broken):
+    theory, proof = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(), examples.set_diff_proof())
+    if broken == "missing-theory":
+        theory = tmp_path / "absent.tffx"
+    else:
+        Path(proof).write_bytes(b"(proof \xff)")
+    code, stdout, _ = run(["--json", "translate", str(theory), str(proof), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert diagnostic["file"] == str(theory if broken == "missing-theory" else proof)
+    assert not (tmp_path / "o").exists()
+
+
+def test_examples_undecodable_input_exits_2(tmp_path, capsys, monkeypatch):
+    # the example's files are translated as read back: one that does not
+    # decode is an unreadable input, as in `translate` and `check`
+    write = cli._write
+
+    def corrupting_write(rep, out_dir, name, text):
+        path = write(rep, out_dir, name, text)
+        if name.endswith(".llpx"):
+            path.write_bytes(b"\xff")
+        return path
+
+    monkeypatch.setattr(cli, "_write", corrupting_write)
+    code, stdout, _ = run(["--json", "examples", "set-diff", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    [diagnostic] = json.loads(stdout)["diagnostics"]
+    assert diagnostic["file"] == str(tmp_path / "set-diff.llpx")
+
+
+def test_example_names_are_the_builtins(capsys):
+    assert cli.EXAMPLES == tuple(sorted(examples.BUILTINS))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["examples", "no-such-example"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'no-such-example' (choose from " + ", ".join(map(repr, cli.EXAMPLES)) + ")" in err
+
+
+_TRUST_PROBE = """
+import json, sys
+import lpm
+loaded_by_import = sorted(m for m in sys.modules if m.startswith("lpm."))
+import lpm.cli
+code = lpm.cli.main(["check", *sys.argv[1:]])
+loaded = set(sys.modules)
+tff = lpm.tff
+print(json.dumps({"code": code, "import": loaded_by_import, "loaded": sorted(loaded),
+                  "tff": tff.__name__, "and": repr(tff.And(tff.Top(), tff.Bottom()))}))
+"""
+
+
+def test_check_loads_only_the_trusted_base(tmp_path, capsys):
+    assert cli.main(["examples", "set-diff", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    files = [str(tmp_path / n) for n in ("logic.dk", "rules.dk", "theory.dk", "cert.dk")]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _TRUST_PROBE, *files], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["import"] == []
+    untrusted = {"lpm.tff", "lpm.embed", "lpm.llproof", "lpm.examples", "lpm.sexp", "dataclasses"}
+    assert untrusted.isdisjoint(result["loaded"])
+    assert {"lpm.terms", "lpm.kernel", "lpm.signature", "lpm.dkparse"} <= set(result["loaded"])
+    assert (result["tff"], result["and"]) == ("lpm.tff", "And(lhs=Top(), rhs=Bottom())")

@@ -1,6 +1,5 @@
 """Formula traversals: pinned outputs, properties and the connective docs."""
 
-import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -28,8 +27,8 @@ PINNED_DIGESTS = {
 
 def _subformulas(phi):
     yield phi
-    for f in dataclasses.fields(phi):
-        v = getattr(phi, f.name)
+    for f in phi.__match_args__:
+        v = getattr(phi, f)
         if isinstance(v, tff.TffFormula):
             yield from _subformulas(v)
 

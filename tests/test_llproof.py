@@ -344,7 +344,7 @@ def test_rejection_below_pred_reported_at_written_node(base_sigs):
 
 def test_freshness_violation_rejected(base_sigs):
     from mutations import _replace_at
-    from dataclasses import replace
+    from lpm.record import replace
 
     proof = examples.set_diff_proof()
     # inner NotForall reuses the outer eigenvariable c1
@@ -359,7 +359,7 @@ def test_freshness_violation_rejected(base_sigs):
 
 def test_unregistered_ext_rejected(base_sigs):
     proof = examples.bool_commute_proof()
-    from dataclasses import replace
+    from lpm.record import replace
 
     bad = LLProof(replace(proof.rule, name="no-such"), proof.premises, proof.concls)
     v = check_certificate(examples.bool_theory(), examples.bool_commute_goal(), bad,
