@@ -14,7 +14,7 @@ Three commands:
 reports a rejected file at its own `FILE:LINE:COL`, as `check` does.
 
 Exit codes: 0 success, 1 type/checking error, 2 syntax error, unreadable
-input or bad budget, 3 fuel exhausted or input nested too deeply.
+input, bad budget or usage error, 3 fuel exhausted or input nested too deeply.
 ``LPM_FUEL`` overrides the default rewrite-step budget.  `check` loads
 only the trusted base; the pipeline is imported by the other commands.
 """
@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,7 +39,7 @@ EXAMPLES = ("bool-commute", "pair-fst-snd", "pred-decomp", "set-diff")  # sorted
 
 
 class Reporter:
-    def __init__(self, verbose: bool, as_json: bool, command: str):
+    def __init__(self, verbose: bool, as_json: bool, command: Optional[str]):
         self.verbose = verbose
         self.as_json = as_json
         self.command = command
@@ -81,11 +82,10 @@ def _budget_error(args: argparse.Namespace) -> Optional[str]:
     """Set `args.fuel` from the flag, else ``LPM_FUEL``, else the default;
     name the budget that is not a nonnegative integer, if any."""
     env = os.environ.get("LPM_FUEL")
-    fuel = ("LPM_FUEL", env) if args.fuel is None and env else ("--fuel", args.fuel)
-    for name, value in (fuel, ("--conv-depth", args.conv_depth)):
-        if value is not None and not str(value).strip().removeprefix("+").isdecimal():
-            return f"{name} must be a nonnegative integer, got {value!r}"
-    args.fuel = kernel.DEFAULT_REWRITE_STEPS if fuel[1] is None else int(fuel[1])
+    name, value = ("LPM_FUEL", env) if args.fuel is None and env else ("--fuel", args.fuel)
+    if value is not None and not str(value).strip().removeprefix("+").isdecimal():
+        return f"{name} must be a nonnegative integer, got {value!r}"
+    args.fuel = kernel.DEFAULT_REWRITE_STEPS if value is None else int(value)
 
 
 def _loaded(*names: str) -> tuple[type, ...]:
@@ -131,7 +131,7 @@ def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, s
         return _fail(rep, file, e), sig, 0
     for entry in entries:
         try:
-            sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel, args.conv_depth))
+            sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel))
         except (kernel.KernelError, signature.SignatureError, RecursionError) as e:
             rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
             return _exit_code_for(e), sig, len(entries)
@@ -192,7 +192,7 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
     for name, text in texts.items():
         if text is None:
             try:
-                fuel = kernel.Fuel(args.fuel, args.conv_depth)
+                fuel = kernel.Fuel(args.fuel)
                 entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=fuel)
                 text = dkparse.print_file(entries)
             except Exception as e:  # noqa: BLE001 - mapped to exit codes
@@ -217,20 +217,25 @@ def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
     args.proof = str(_write(rep, Path(args.out), f"{args.name}.llpx", llproof.print_proof(thy, goal, proof)))
     code, sig = translate(args, rep)
     if code == EXIT_OK and args.name == "pair-fst-snd":
-        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), kernel.Fuel(args.fuel, args.conv_depth))
+        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), kernel.Fuel(args.fuel))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
     return code
 
 
+class _UsageError(Exception):
+    """A command line the parser in `args[0]` rejects with the message in `args[1]`."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(self, message)  # `main` reports it as argparse would, or as a payload
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lpm", description="Proof checker for the lambda-Pi-calculus modulo rewriting."
-    )
+    parser = _ArgumentParser(prog="lpm", description="Proof checker for the lambda-Pi-calculus modulo rewriting.")
     parser.add_argument("-v", "--verbose", action="store_true", help="per-entry progress")
     parser.add_argument("--json", action="store_true", help="machine-readable diagnostics")
     parser.add_argument("--fuel", type=int, default=None, help="max rewrite steps (default 100000)")
-    parser.add_argument("--conv-depth", type=int, default=kernel.DEFAULT_CONVERSION_DEPTH,
-                        help="max conversion recursion depth")
     parser.add_argument("--eta", action="store_true", help="enable eta-conversion")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,29 +253,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace, rep: Reporter) -> int:
+    """Run the command in a thread whose stack is large enough that deep
+    input meets the recursion limit (a `RecursionError`, exit 3) before the
+    end of the C stack (a crash); an unexpected exception is raised here."""
+    command = {"check": cmd_check, "translate": lambda a, r: translate(a, r)[0], "examples": cmd_examples}
+    outcome: dict[str, object] = {}
+
+    def work() -> None:
+        try:
+            outcome["code"] = command[args.command](args, rep)
+        except OSError as e:  # writing an output file
+            rep.diagnose(e.filename or "-", 0, 0, str(e))
+            outcome["code"] = EXIT_TYPE
+        except BaseException as e:  # noqa: BLE001 - raised again in the caller
+            outcome["error"] = e
+
+    size = threading.stack_size(512 << 20)  # the C recursion of `==` or `f(*...)` fits, to the limit
+    try:
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+    finally:
+        threading.stack_size(size)
+    worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["code"]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    # deep inputs recurse in the parsers, the printer and the kernel; an
-    # in-process caller gets its own limit back
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as e:
+        parser, message = e.args
+        if "--json" not in argv:
+            argparse.ArgumentParser.error(parser, message)  # usage text and SystemExit(2)
+        args = argparse.Namespace(verbose=False, json=True, command=None)
+    else:
+        message = _budget_error(args)
+    rep = Reporter(args.verbose, args.json, args.command)
+    if message is not None:
+        rep.diagnose("-", 0, 0, message)
+        return rep.finish(EXIT_SYNTAX)
+    # deep input recurses in the parsers, printer and kernel; a caller gets its limit back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100_000)
     try:
-        args = build_parser().parse_args(argv)
-        rep = Reporter(args.verbose, args.json, args.command)
-        error = _budget_error(args)
-        if error is not None:
-            rep.diagnose("-", 0, 0, error)
-            return rep.finish(EXIT_SYNTAX)
-        try:
-            if args.command == "check":
-                code = cmd_check(args, rep)
-            elif args.command == "translate":
-                code = translate(args, rep)[0]
-            else:
-                code = cmd_examples(args, rep)
-        except OSError as e:  # writing an output file
-            rep.diagnose(e.filename or "-", 0, 0, str(e))
-            code = EXIT_TYPE
-        return rep.finish(code)
+        return rep.finish(_run(args, rep))
     finally:
         sys.setrecursionlimit(limit)
 

@@ -282,10 +282,6 @@ class _Parser:
     def app(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
         t = self.atom(scope, delta)
         while self.peek().kind in ("IDENT", "Type", "Kind", "("):
-            # an identifier followed by ':' starts the next binder context,
-            # never an argument
-            if self.peek().kind == "IDENT" and self.tokens[self.pos + 1].kind == ":":
-                break
             t = App(t, self.atom(scope, delta))
         return t
 

@@ -196,9 +196,9 @@ def _scheme(
     return under(0, {})
 
 
-def theory_entries(thy: tff.TffTheory, module: Optional[str] = None) -> list[Entry]:
+def theory_entries(thy: tff.TffTheory) -> list[Entry]:
     """Kernel entries for one theory (without the logic prelude)."""
-    module = module or thy.name
+    module = thy.name
     entries: list[Entry] = []
     for item in thy.items:
         match item:

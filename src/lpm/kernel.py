@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 
 
 DEFAULT_REWRITE_STEPS = 100_000
-DEFAULT_CONVERSION_DEPTH = 10_000
 
 
 class KernelError(Exception):
@@ -100,33 +99,24 @@ class TypeMismatch(KernelError):
 
 
 class Fuel:
-    """Budgets for rewrite steps and conversion recursion depth.
+    """A budget of rewrite steps, shared by every kernel call given it.
 
-    Counters only decrease; running out raises `FuelExhausted` rather
+    The counter only decreases; running out raises `FuelExhausted` rather
     than silently accepting or rejecting anything.
     """
 
-    __slots__ = ("max_rewrite_steps", "max_conversion_depth", "steps_left")
+    __slots__ = ("max_rewrite_steps", "steps_left")
 
-    def __init__(
-        self,
-        max_rewrite_steps: int = DEFAULT_REWRITE_STEPS,
-        max_conversion_depth: int = DEFAULT_CONVERSION_DEPTH,
-    ):
-        if max_rewrite_steps < 0 or max_conversion_depth < 0:
-            raise ValueError("fuel budgets must be nonnegative")
+    def __init__(self, max_rewrite_steps: int = DEFAULT_REWRITE_STEPS):
+        if max_rewrite_steps < 0:
+            raise ValueError("the fuel budget must be nonnegative")
         self.max_rewrite_steps = max_rewrite_steps
-        self.max_conversion_depth = max_conversion_depth
         self.steps_left = max_rewrite_steps
 
     def step(self) -> None:
         if self.steps_left <= 0:
             raise FuelExhausted(f"rewrite budget of {self.max_rewrite_steps} steps exhausted")
         self.steps_left -= 1
-
-    def check_depth(self, depth: int) -> None:
-        if depth > self.max_conversion_depth:
-            raise FuelExhausted(f"conversion depth budget of {self.max_conversion_depth} exhausted")
 
 
 class RewriteRule:
@@ -276,7 +266,7 @@ def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
             head, args = spine(t)
             if type(head) is Const and sig.rules_for(head.name):
                 return t
-            return app(head, *(normalize(sig, a, fuel) for a in args))
+            return app(head, *[normalize(sig, a, fuel) for a in args])
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
             return t.__class__(n, normalize(sig, d, fuel), normalize(sig, b, fuel))
         case _:
@@ -289,35 +279,39 @@ def convertible(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel | None = None) ->
     Final heads (`whnf`) are compared, then the parts below them: this
     holds exactly when the normal forms are equal (up to eta, if on).
     """
-    fuel = fuel or Fuel()
-    return _conv(sig, a, b, fuel, 0)
+    return _conv(sig, a, b, fuel or Fuel())
 
 
-def _conv(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel, depth: int) -> bool:
-    fuel.check_depth(depth)
+def _conv(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel) -> bool:
+    """`convertible` as one loop over the pairs left to compare, leftmost on
+    top: parts are compared depth first, left to right, and no depth recurses."""
     if a == b:
         return True
-    wa = whnf(sig, a, fuel)
-    wb = whnf(sig, b, fuel)
-    return wa == wb or _conv_heads(sig, wa, wb, fuel, depth)
-
-
-def _conv_heads(sig: Signature, wa: KTerm, wb: KTerm, fuel: Fuel, depth: int) -> bool:
-    match wa, wb:
-        case (App(), App()):
-            ha, argsa = spine(wa)
-            hb, argsb = spine(wb)
-            if ha == hb and len(argsa) == len(argsb):
-                return all(_conv(sig, x, y, fuel, depth + 1) for x, y in zip(argsa, argsb))
-            return False
-        case (Lam(annot=x, body=u), Lam(annot=y, body=v)) | (Pi(domain=x, codomain=u), Pi(domain=y, codomain=v)):
-            return _conv(sig, x, y, fuel, depth + 1) and _conv(sig, u, v, fuel, depth + 1)
-        case (Lam(body=ba), _) if sig.eta:
-            return _conv(sig, ba, App(shift(wb, 1), Var(0)), fuel, depth + 1)
-        case (_, Lam(body=bb)) if sig.eta:
-            return _conv(sig, App(shift(wa, 1), Var(0)), bb, fuel, depth + 1)
-        case _:
-            return False
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a == b:
+            continue
+        wa = whnf(sig, a, fuel)
+        wb = whnf(sig, b, fuel)
+        if wa == wb:
+            continue
+        match wa, wb:
+            case (App(), App()):
+                ha, argsa = spine(wa)
+                hb, argsb = spine(wb)
+                if ha != hb or len(argsa) != len(argsb):
+                    return False
+                pairs += zip(reversed(argsa), reversed(argsb))
+            case (Lam(annot=x, body=u), Lam(annot=y, body=v)) | (Pi(domain=x, codomain=u), Pi(domain=y, codomain=v)):
+                pairs += ((u, v), (x, y))
+            case (Lam(body=ba), _) if sig.eta:
+                pairs.append((ba, App(shift(wb, 1), Var(0))))
+            case (_, Lam(body=bb)) if sig.eta:
+                pairs.append((App(shift(wa, 1), Var(0)), bb))
+            case _:
+                return False
+    return True
 
 
 Context = Mapping[str, KTerm]
@@ -358,7 +352,7 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                 if not isinstance(fn_ty, Pi):
                     raise NotAFunction(f, fn_ty, _names(bound))
                 arg_ty = _infer(sig, bound, a, fuel, memo, 1)
-                if not _conv(sig, arg_ty, fn_ty.domain, fuel, 0):
+                if not _conv(sig, arg_ty, fn_ty.domain, fuel):
                     raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
                 ty = instantiate(fn_ty.codomain, a)
             case Lam(name=n, annot=d, body=b):
@@ -415,13 +409,13 @@ def check(sig: Signature, ctx: Context, t: KTerm, expected: KTerm, fuel: Fuel | 
     """Check `t` against `expected`; raises `TypeMismatch` on failure."""
     fuel = fuel or Fuel()
     actual = infer(sig, ctx, t, fuel)
-    if not _conv(sig, actual, expected, fuel, 0):
+    if not _conv(sig, actual, expected, fuel):
         raise TypeMismatch(_safe_nf(sig, expected, fuel), _safe_nf(sig, actual, fuel))
 
 
 def _safe_nf(sig: Signature, t: KTerm, fuel: Fuel) -> KTerm:
     """Best-effort normal form for error messages."""
     try:
-        return normalize(sig, t, Fuel(min(fuel.steps_left, 10_000), fuel.max_conversion_depth))
+        return normalize(sig, t, Fuel(min(fuel.steps_left, 10_000)))
     except FuelExhausted:
         return t

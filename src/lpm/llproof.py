@@ -549,19 +549,12 @@ class _Layout(NamedTuple):
 
 
 class _Translator:
-    def __init__(
-        self,
-        thy: tff.TffTheory,
-        tbl: tff.Table,
-        module: str,
-        sig: Optional[signature.Signature] = None,
-        fuel: Optional[kernel.Fuel] = None,
-    ):
-        self.thy = thy
+    def __init__(self, thy: tff.TffTheory, tbl: tff.Table,
+                 sig: Optional[signature.Signature] = None, fuel: Optional[kernel.Fuel] = None):
         self.tbl = tbl
-        self.module = module
+        self.module = thy.name
         self.sig = sig
-        self.fuel = fuel
+        self.steps = fuel.max_rewrite_steps if fuel else kernel.DEFAULT_REWRITE_STEPS  # per conversion
         self.counter = 0
         # binders around the term being compiled; each hypothesis and
         # eigenvariable records the level of its binder, so a use at this
@@ -612,21 +605,17 @@ class _Translator:
             for candidate, name, level in reversed(self.env_formulas):
                 have = self.formula(candidate)
                 try:
-                    if kernel.convertible(self.sig, have, want, self._fresh_fuel()):
+                    if kernel.convertible(self.sig, have, want, kernel.Fuel(self.steps)):
                         return self.var(name, level)
                 except kernel.FuelExhausted:
                     continue
             for name, f in self.tbl.axioms.items():
                 try:
-                    if kernel.convertible(self.sig, self.formula(f), want, self._fresh_fuel()):
+                    if kernel.convertible(self.sig, self.formula(f), want, kernel.Fuel(self.steps)):
                         return Const(embed.qualify(self.module, name))
                 except kernel.FuelExhausted:
                     continue
         raise MissingHypothesis(path, f"hypothesis {phi} is not available in the sequent")
-
-    def _fresh_fuel(self) -> kernel.Fuel:
-        budget = self.fuel or kernel.Fuel()
-        return kernel.Fuel(budget.max_rewrite_steps, budget.max_conversion_depth)
 
     # -- formula/term/type translation under the eigenvariable scope --
 
@@ -762,26 +751,17 @@ class Verdict(Record):
         return self.accepted
 
 
-def certificate_entries(
-    thy: tff.TffTheory,
-    goal: tff.TffFormula,
-    proof: LLProof,
-    module: Optional[str] = None,
-    sig: Optional[signature.Signature] = None,
-    fuel: Optional[kernel.Fuel] = None,
-) -> tuple[list[Entry], _Translator]:
+def certificate_entries(thy: tff.TffTheory, goal: tff.TffFormula, proof: LLProof,
+                        sig: Optional[signature.Signature] = None,
+                        fuel: Optional[kernel.Fuel] = None) -> tuple[list[Entry], _Translator]:
     """The `cert` module: the goal constant with its proof definition."""
-    module = module or thy.name
     tbl = tff.wf_theory(thy)
     tff.wf_formula(tbl, tff.TffContext(), goal)
     proof = eliminate_pred_fun(proof)
-    tr = _Translator(thy, tbl, module, sig, fuel)
-    neg_goal = tff.Not(goal)
-    name, ktype = tr.push_hyp(neg_goal)
+    tr = _Translator(thy, tbl, sig, fuel)
+    name, ktype = tr.push_hyp(tff.Not(goal))
     body, tr.layout = tr.translate(proof)
-    cert_type = arrow(ktype, prf(FALSE))
-    cert_body = Lam(name, ktype, body)
-    return [Def("cert.goal", cert_type, cert_body)], tr
+    return [Def("cert.goal", arrow(ktype, prf(FALSE)), Lam(name, ktype, body))], tr
 
 
 def check_certificate(

@@ -169,7 +169,7 @@ def test_criterion_7_normalization_oracle(bool_sig, capsys):
     randomly sampled reduction sequences.  Zero disagreements anywhere.
     """
     t0 = time.perf_counter()
-    fuel = kernel.Fuel(10**9, 10**6)
+    fuel = kernel.Fuel(10**9)
     by_size = bool_oracle.enumerate_terms(12)
 
     # tier 1: exhaustive all-sequences oracle on everything it can exhaust

@@ -467,9 +467,8 @@ def test_main_restores_the_callers_recursion_limit(capsys):
 
 @pytest.mark.parametrize(
     "flags, env, named",
-    [(["--fuel", "-1"], None, "--fuel"), (["--conv-depth", "-1"], None, "--conv-depth"),
-     ([], "abc", "LPM_FUEL"), ([], "-5", "LPM_FUEL")],
-    ids=["fuel", "conv-depth", "env-not-an-integer", "env-negative"],
+    [(["--fuel", "-1"], None, "--fuel"), ([], "abc", "LPM_FUEL"), ([], "-5", "LPM_FUEL")],
+    ids=["fuel", "env-not-an-integer", "env-negative"],
 )
 def test_bad_budget_is_a_diagnostic(tmp_path, capsys, monkeypatch, flags, env, named):
     if env is None:
@@ -485,6 +484,23 @@ def test_bad_budget_is_a_diagnostic(tmp_path, capsys, monkeypatch, flags, env, n
     code, stdout, err = run([*flags, "translate", str(tmp_path / "absent.tffx")], capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("-:0:0: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--bogus", "check", "f.dk"], "unrecognized arguments: --bogus"),
+     (["--conv-depth", "5", "check", "f.dk"], "invalid choice: '5'"),
+     (["examples", "no-such-example"], "invalid choice: 'no-such-example'")],
+    ids=["unknown-flag", "conv-depth", "invalid-example"],
+)
+def test_usage_error_under_json_is_a_payload(capsys, argv, message):
+    # without --json, argparse reports it (test_example_names_are_the_builtins)
+    code, stdout, err = run(["--json", *argv], capsys)
+    assert code == 2 and err == ""
+    payload = json.loads(stdout)
+    assert (payload["status"], payload["exit_code"]) == ("error", 2)
+    [diagnostic] = payload["diagnostics"]
+    assert diagnostic["file"] == "-" and message in diagnostic["message"]
 
 
 @pytest.mark.parametrize("broken", ["missing-theory", "proof-not-utf8"])
@@ -556,3 +572,49 @@ def test_check_loads_only_the_trusted_base(tmp_path, capsys):
     assert untrusted.isdisjoint(result["loaded"])
     assert {"lpm.terms", "lpm.kernel", "lpm.signature", "lpm.dkparse"} <= set(result["loaded"])
     assert (result["tff"], result["and"]) == ("lpm.tff", "And(lhs=Top(), rhs=Bottom())")
+
+
+_DEPTH = 20_000  # each input below crashed the C stack of an 8 MiB main thread
+
+
+def _tower(head, leaf):
+    return f"({head} " * _DEPTH + leaf + ")" * _DEPTH
+
+
+_DEEP_INPUTS = {
+    # conversion and normalize under a stuck `g`
+    "conversion": (
+        {"deep.dk": "A : Type. f : A -> A. g : A -> A. c : A. d : A. [] g c --> c. P : A -> Type. "
+                    f"p : P (g {_tower('f', 'c')}). #ASSERT p : P (g {_tower('f', 'd')})."},
+        ["check", "deep.dk"],
+    ),
+    # a conclusion compared with the goal's negation, record by record
+    "formula-compare": (
+        {"t.tffx": "(theory t (pred P () ()))",
+         "deep.llpx": "(proof (theory t) (goal {0}) (nottop (concl (not {0}))))".format(_tower("not", "(top)"))},
+        ["translate", "t.tffx", "deep.llpx", "--out", "o"],
+    ),
+    # a term read from the theory file
+    "term": (
+        {"deep.tffx": f"(theory t (type i 0) (fun f () (i) i) (fun c () () i) (pred P () (i)) "
+                      f"(axiom h (pred P () {_tower('f ()', '(c ())')})))"},
+        ["translate", "deep.tffx", "--out", "o"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP_INPUTS))
+def test_deep_input_ends_in_a_verdict_in_a_subprocess(tmp_path, case):
+    # a crash here is a failed test, not a dead test run
+    files, argv = _DEEP_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "lpm.cli", "--json", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr[-2000:]
+    payload = json.loads(proc.stdout)
+    assert payload["exit_code"] == proc.returncode
+    if case == "conversion":  # the two sides differ at the leaf
+        assert proc.returncode == 1 and "type mismatch" in payload["diagnostics"][0]["message"]

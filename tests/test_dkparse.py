@@ -140,6 +140,27 @@ def test_assert_entry_round_trip():
     assert parse_file(text) == [e]
 
 
+@pytest.mark.parametrize(
+    "subject, text",
+    [(App(Const("f"), Const("c")), "#ASSERT f c : A."),
+     (app(Const("m.f"), Const("a"), Const("x.c")), "#ASSERT m.f a x.c : A."),
+     (App(Const("f"), App(Const("g"), Const("c"))), "#ASSERT f (g c) : A.")],
+    ids=["application", "qualified-last-argument", "nested"],
+)
+def test_assert_application_round_trip(subject, text):
+    # the subject's last argument is an argument, though a ':' follows it
+    e = AssertType(subject, Const("A"))
+    assert print_entry(e) == text
+    assert parse_file(text) == [e]
+
+
+def test_missing_dot_is_reported_at_the_next_colon():
+    # without the '.', the next declaration's name is read as an argument
+    with pytest.raises(DkSyntaxError) as e:
+        parse_file("a : Type\nb : Type.")
+    assert str(e.value) == "2:3: unexpected ':' (expected .)"
+
+
 def test_def_entry_round_trip():
     e = Def("cert.goal", arrow(Const("A"), Const("B")), Lam("h", Const("A"), Const("b")))
     assert parse_file(print_entry(e)) == [e]

@@ -1,6 +1,7 @@
 """Kernel operations: matching, reduction, conversion, typing."""
 
 import random
+import sys
 
 import pytest
 
@@ -158,7 +159,7 @@ def _open_terms(count, seed):
 def test_whnf_head_is_final(bool_sig):
     # no reduction inside the arguments can change the head whnf returns
     for t in [T("bool.andb (bool.notb bool.true) x", ("x",))] + _open_terms(400, 5):
-        fuel = Fuel(10**7, 10**5)
+        fuel = Fuel(10**7)
         w_head, w_args = spine(kernel.whnf(bool_sig, t, fuel))
         n_head, n_args = spine(kernel.normalize(bool_sig, t, fuel))
         assert (w_head, len(w_args)) == (n_head, len(n_args)), t
@@ -167,12 +168,12 @@ def test_whnf_head_is_final(bool_sig):
 def test_convertible_agrees_with_normal_forms(bool_sig):
     rng = random.Random(11)
     terms = _open_terms(200, 7)
-    nfs = [kernel.normalize(bool_sig, t, Fuel(10**7, 10**5)) for t in terms]
+    nfs = [kernel.normalize(bool_sig, t, Fuel(10**7)) for t in terms]
     pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(300)]
     pairs += [(i, j) for i in range(200) for j in range(i + 1, 200) if nfs[i] == nfs[j]][:300]
     outcomes = set()
     for i, j in pairs:
-        conv = kernel.convertible(bool_sig, terms[i], terms[j], Fuel(10**7, 10**5))
+        conv = kernel.convertible(bool_sig, terms[i], terms[j], Fuel(10**7))
         assert conv == (nfs[i] == nfs[j]), (terms[i], terms[j])
         outcomes.add(conv)
     assert outcomes == {True, False}
@@ -224,7 +225,7 @@ def test_normalize_matches_exhaustive_oracle_small(bool_sig):
     # that the oracle can exhaust comfortably; the acceptance suite
     # extends this check to size 12 with fixed-strategy oracles
     terms = enumerate_terms(6)
-    fuel = Fuel(10**9, 10**6)
+    fuel = Fuel(10**9)
     for size in range(1, 7):
         for t in terms[size]:
             assert from_kterm(kernel.normalize(bool_sig, to_kterm(t), fuel)) == exhaustive_nf(t)
@@ -289,15 +290,29 @@ def test_convertible_equivalence_properties(bool_sig):
             assert kernel.convertible(bool_sig, a, c)
 
 
-def test_conversion_depth_fuel(bool_sig):
-    def tower(leaf):
-        t = leaf
-        for _ in range(40):
-            t = app(Const("bool.andb"), t, Const("d"))
-        return t
+def test_conversion_has_no_depth_budget(bool_sig):
+    # conversion is one loop over the pairs it compares: its verdict does
+    # not depend on how deep they are, and no depth recurses
+    def tower(leaf, n, head, *rest):
+        for _ in range(n):
+            leaf = app(head, leaf, *rest)
+        return leaf
 
-    with pytest.raises(kernel.FuelExhausted):
-        kernel.convertible(bool_sig, tower(Const("c")), tower(Const("e")), Fuel(10**6, max_conversion_depth=10))
+    andb, d, f = Const("bool.andb"), Const("d"), Const("f")  # no rule has the head f
+    c_tower, e_tower = tower(Const("c"), 40, andb, d), tower(Const("e"), 40, andb, d)
+    for budget in (0, 10, 10**6):
+        assert not kernel.convertible(bool_sig, c_tower, e_tower, Fuel(budget))
+    deep_c, deep_d = tower(Const("c"), 50_000, f), tower(d, 50_000, f)
+    deep_redex = tower(App(Lam("x", Const("A"), Var(0)), Const("c")), 50_000, f)  # every level is compared
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        verdicts = kernel.convertible(bool_sig, deep_c, deep_d), kernel.convertible(bool_sig, deep_c, deep_redex)
+    except RecursionError:
+        pytest.fail("conversion recursed on 50,000-deep terms", pytrace=False)  # their repr would recurse too
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == (False, True)
 
 
 # ---------------------------------------------------------------------------
