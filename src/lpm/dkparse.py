@@ -18,7 +18,8 @@ printing a reparsed entry reproduces the text byte for byte.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_left
+from itertools import accumulate
 
 from .record import Record
 from .terms import (
@@ -97,72 +98,20 @@ class Comment(Entry):
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 _IDENT_RE = re.compile(_IDENT)
 _KEYWORDS = ("Type", "Kind", "def")
+_SYMBOLS = frozenset(_KEYWORDS + ("#ASSERT", "-->", "->", "=>", ":=", ":", ".", "(", ")", "[", "]", ","))
+# a token not in `_FIXED` is an identifier; "" ends the input
+_FIXED = _SYMBOLS | {""}
 
-# One token after optional whitespace; the group that matched names its
-# kind.  A keyword is never qualified, so `Type.x` is `Type`, `.`, `x`;
-# any other identifier may carry one module prefix, `mod.id`.
+# One token and the whitespace after it.  A keyword is never qualified, so
+# `Type.x` is `Type`, `.`, `x`; any other identifier may carry one module
+# prefix, `mod.id`.  A one-character symbol is matched as a character,
+# like a stray one; a command as `#` and an identifier, like an unknown one.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
-    rf"(?P<keyword>(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_']))"
-    rf"|(?P<IDENT>{_IDENT}(?:\.{_IDENT})?)"
-    r"|(?P<comment>\(;)"
-    r"|(?P<symbol>-->|->|=>|:=|[:.()\[\],])"
-    rf"|(?P<command>#(?:{_IDENT})?)"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<stray>.))"
+    rf"(?:(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_'])|{_IDENT}(?:\.{_IDENT})?|#(?:{_IDENT})?|-->|->|=>|:=|[^ \t\r\n])"
+    r"[ \t\r\n]*"
 )
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
 _COMMENT_DELIM_RE = re.compile(r"\(;|;\)")
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]]:
-    """The tokens of `text`, ending with `EOF`, and its comments keyed by
-    the index of the token each one comes before."""
-    tokens: list[Token] = []
-    comments: dict[int, list[Comment]] = {}
-    match = _TOKEN_RE.match
-    pos = last = line_start = 0
-    line = 1
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind)
-        # only whitespace and comments span lines, and both lie between
-        # the previous token's start and this one's
-        newlines = text.count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", last, start) + 1
-        last = start
-        col = start - line_start + 1
-        word = m.group(kind)
-        pos = m.end()
-        if kind == "IDENT":
-            tokens.append(Token("IDENT", word, line, col))
-        elif kind == "comment":
-            depth = 1
-            while depth:
-                d = _COMMENT_DELIM_RE.search(text, pos)
-                if d is None:
-                    raise DkSyntaxError("unterminated comment", line, col)
-                depth += 1 if d.group() == "(;" else -1
-                pos = d.end()
-            comments.setdefault(len(tokens), []).append(Comment(text[start + 2 : pos - 2].strip(), line, col))
-        elif kind == "EOF":
-            tokens.append(Token("EOF", "", line, col))
-            return tokens, comments
-        elif kind == "stray":
-            raise DkSyntaxError(f"stray character {word!r}", line, col)
-        elif kind == "command" and word != "#ASSERT":
-            raise DkSyntaxError(f"unknown command {word}", line, col)
-        else:  # a symbol, a keyword or `#ASSERT` is its own kind
-            tokens.append(Token(word, word, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +119,78 @@ def _tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]]:
 
 
 class _Parser:
+    """One parse.  Tokens are strings and a token that is not in `_FIXED`
+    is an identifier.  The terms built are hash-consed in `table`, keyed
+    by class, display name or index and the identities of the children,
+    so equal subterms with equal names are one object."""
+
     def __init__(self, text: str):
-        self.tokens, self.comments = _tokenize(text)
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
+        self.tokens, self.offsets, self.comments = self.lex(text)
         self.pos = 0
+        self.scope: list[str] = []  # the binder names, innermost last
+        self.table: dict[tuple, KTerm] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def where(self, offset: int) -> tuple[int, int]:
+        k = bisect_left(self.newlines, offset)
+        return k + 1, offset - (self.newlines[k - 1] if k else -1)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def lex(self, text: str) -> tuple[list[str], list[int], dict[int, list[Comment]]]:
+        """The tokens of `text`, ending with "", the offset of each, and the
+        comments keyed by the index of the token each one comes before."""
+        tokens: list[str] = []
+        offsets: list[int] = []
+        comments: dict[int, list[Comment]] = {}
+        pos = 0
+        while True:
+            # one scan up to the next comment; the matches tile the stretch,
+            # so the running sum of their lengths gives each token's offset
+            opener = text.find("(;", pos)
+            end = len(text) if opener < 0 else opener
+            pos = _SPACE_RE.match(text, pos).end()
+            found = _TOKEN_RE.findall(text, pos, end)
+            words = list(map(str.rstrip, found))
+            starts = list(accumulate(map(len, found), initial=pos))
+            bad = [w for w in set(words) - _SYMBOLS if not _IDENT_RE.match(w)]
+            if bad:
+                i = min(map(words.index, bad))
+                word = words[i]
+                message = f"unknown command {word}" if word[:1] == "#" else f"stray character {text[starts[i]]!r}"
+                raise DkSyntaxError(message, *self.where(starts[i]))
+            tokens += words
+            offsets += starts  # its last entry is `end`
+            if opener < 0:
+                tokens.append("")
+                return tokens, offsets, comments
+            offsets.pop()
+            depth, pos = 1, opener + 2
+            while depth:
+                d = _COMMENT_DELIM_RE.search(text, pos)
+                if d is None:
+                    raise DkSyntaxError("unterminated comment", *self.where(opener))
+                depth += 1 if d.group() == "(;" else -1
+                pos = d.end()
+            comment = Comment(text[opener + 2 : pos - 2].strip(), *self.where(opener))
+            comments.setdefault(len(tokens), []).append(comment)
+
+    def error(self, message: str, i: int, expected: tuple[str, ...] = ()) -> DkSyntaxError:
+        return DkSyntaxError(message, *self.where(self.offsets[i]), expected)
+
+    def unexpected(self, i: int, expected: str) -> DkSyntaxError:
+        return self.error(f"unexpected {self.tokens[i] or 'end of input'!r}", i, (expected,))
+
+    def expect(self, tok: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.unexpected(self.pos, tok or "EOF")
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise DkSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col, (kind,))
+    def ident(self, unqualified: bool = False) -> str:
+        tok = self.tokens[self.pos]
+        if tok in _FIXED:
+            raise self.unexpected(self.pos, "IDENT")
+        if unqualified and "." in tok:
+            raise self.error(f"qualified name {tok!r} not allowed here", self.pos)
+        self.pos += 1
         return tok
 
     # -- entries
@@ -195,118 +200,123 @@ class _Parser:
         out: list[Entry] = []
         while True:
             out += self.comments.get(self.pos, ())
-            if self.peek().kind == "EOF":
+            if self.tokens[self.pos] == "":
                 return out
             out.append(self.entry())
 
     def entry(self) -> Entry:
-        tok = self.peek()
-        if tok.kind == "def":
-            self.next()
-            name = self.ident_token().text
+        start = self.pos
+        tok = self.tokens[start]
+        line, col = self.where(self.offsets[start])
+        if tok == "def":
+            self.pos += 1
+            name = self.ident()
             self.expect(":")
-            ty = self.term([], ())
+            ty = self.term(())
             self.expect(":=")
-            body = self.term([], ())
+            body = self.term(())
             self.expect(".")
-            return Def(name, ty, body, tok.line, tok.col)
-        if tok.kind == "[":
-            self.next()
+            return Def(name, ty, body, line, col)
+        if tok == "[":
+            self.pos += 1
             ctx: list[tuple[str, KTerm]] = []
             delta: list[str] = []
-            if self.peek().kind != "]":
+            if self.tokens[self.pos] != "]":
                 while True:
-                    name = self.ident_token(unqualified=True).text
+                    name = self.ident(unqualified=True)
                     self.expect(":")
-                    ctx.append((name, self.term([], tuple(delta))))
+                    ctx.append((name, self.term(tuple(delta))))
                     delta.append(name)
-                    if self.peek().kind != ",":
+                    if self.tokens[self.pos] != ",":
                         break
-                    self.next()
+                    self.pos += 1
             self.expect("]")
-            lhs = self.term([], tuple(delta))
+            lhs = self.term(tuple(delta))
             self.expect("-->")
-            rhs = self.term([], tuple(delta))
+            rhs = self.term(tuple(delta))
             self.expect(".")
-            return Rule(tuple(ctx), lhs, rhs, tok.line, tok.col)
-        if tok.kind == "#ASSERT":
-            self.next()
-            term = self.arrow([], ())
+            return Rule(tuple(ctx), lhs, rhs, line, col)
+        if tok == "#ASSERT":
+            self.pos += 1
+            term = self.arrow(())
             self.expect(":")
-            ty = self.term([], ())
+            ty = self.term(())
             self.expect(".")
-            return AssertType(term, ty, tok.line, tok.col)
-        if tok.kind == "IDENT":
-            name = self.next().text
+            return AssertType(term, ty, line, col)
+        if tok not in _FIXED:
+            self.pos += 1
             self.expect(":")
-            ty = self.term([], ())
+            ty = self.term(())
             self.expect(".")
-            return Decl(name, ty, tok.line, tok.col)
-        raise DkSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col,
-            ("declaration", "def", "rewrite rule", "#ASSERT"),
+            return Decl(tok, ty, line, col)
+        raise self.error(
+            f"unexpected {tok or 'end of input'!r}", start, ("declaration", "def", "rewrite rule", "#ASSERT")
         )
 
-    def ident_token(self, unqualified: bool = False) -> Token:
-        tok = self.expect("IDENT")
-        if unqualified and "." in tok.text:
-            raise DkSyntaxError(f"qualified name {tok.text!r} not allowed here", tok.line, tok.col)
-        return tok
+    # -- terms; `delta` holds the rule-context variables in force, and a
+    #    term is looked up in `table` before it is built
 
-    # -- terms; `scope` is the binder stack (innermost last), `delta` the
-    #    rule-context variables in force
-
-    def term(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
-        tok = self.peek()
-        if tok.kind == "IDENT" and "." not in tok.text and self.tokens[self.pos + 1].kind == ":":
-            name = self.next().text
-            self.next()  # ':'
-            dom = self.app(scope, delta)
-            arrow_tok = self.next()
-            former = {"->": Pi, "=>": Lam}.get(arrow_tok.kind)
+    def term(self, delta: tuple[str, ...]) -> KTerm:
+        tokens, i = self.tokens, self.pos
+        name = tokens[i]
+        if name not in _FIXED and "." not in name and tokens[i + 1] == ":":
+            self.pos = i + 2
+            dom = self.app(delta)
+            former = {"->": Pi, "=>": Lam}.get(tokens[self.pos])
             if former is None:
-                raise DkSyntaxError(
-                    f"unexpected {arrow_tok.text!r} after binder", arrow_tok.line, arrow_tok.col, ("->", "=>")
-                )
-            return former(name, dom, self.term(scope + [name], delta))
-        return self.arrow(scope, delta)
+                raise self.error(f"unexpected {tokens[self.pos]!r} after binder", self.pos, ("->", "=>"))
+            self.pos += 1
+            return self.binder(former, name, dom, delta)
+        return self.arrow(delta)
 
-    def arrow(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
-        left = self.app(scope, delta)
-        if self.peek().kind == "->":
-            self.next()
-            right = self.term(scope + [""], delta)
-            return Pi("", left, right)
+    def binder(self, former: type, name: str, dom: KTerm, delta: tuple[str, ...]) -> KTerm:
+        self.scope.append(name)
+        body = self.term(delta)
+        self.scope.pop()
+        key = (former, name, id(dom), id(body))
+        return self.table.get(key) or self.table.setdefault(key, former(name, dom, body))
+
+    def arrow(self, delta: tuple[str, ...]) -> KTerm:
+        left = self.app(delta)
+        if self.tokens[self.pos] == "->":
+            self.pos += 1
+            return self.binder(Pi, "", left, delta)
         return left
 
-    def app(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
-        t = self.atom(scope, delta)
-        while self.peek().kind in ("IDENT", "Type", "Kind", "("):
-            t = App(t, self.atom(scope, delta))
+    def app(self, delta: tuple[str, ...]) -> KTerm:
+        tokens, table = self.tokens, self.table
+        t = self.atom(delta)
+        while (tok := tokens[self.pos]) not in _FIXED or tok in ("Type", "Kind", "("):
+            a = self.atom(delta)
+            key = (App, id(t), id(a))
+            t = table.get(key) or table.setdefault(key, App(t, a))
         return t
 
-    def atom(self, scope: list[str], delta: tuple[str, ...]) -> KTerm:
-        tok = self.next()
-        if tok.kind == "Type":
+    def atom(self, delta: tuple[str, ...]) -> KTerm:
+        i = self.pos
+        tok = self.tokens[i]
+        self.pos = i + 1
+        if tok not in _FIXED:
+            key = self.leaf(tok, delta)
+            return self.table.get(key) or self.table.setdefault(key, key[0](*key[1:]))
+        if tok == "Type":
             return TYPE
-        if tok.kind == "Kind":
+        if tok == "Kind":
             return KIND
-        if tok.kind == "IDENT":
-            return self.resolve(tok.text, scope, delta)
-        if tok.kind == "(":
-            t = self.term(scope, delta)
+        if tok == "(":
+            t = self.term(delta)
             self.expect(")")
             return t
-        raise DkSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col, ("term",))
+        raise self.unexpected(i, "term")
 
-    def resolve(self, name: str, scope: list[str], delta: tuple[str, ...]) -> KTerm:
+    def leaf(self, name: str, delta: tuple[str, ...]) -> tuple:
+        """The class and the fields of what `name` stands for."""
         if "." not in name:
-            for i, binder in enumerate(reversed(scope)):
-                if binder == name:
-                    return Var(i, name)
+            if name in self.scope:
+                return (Var, self.scope[::-1].index(name), name)
             if name in delta:
-                return FVar(name)
-        return Const(name)
+                return (FVar, name)
+        return (Const, name)
 
 
 def parse_file(text: str) -> list[Entry]:
@@ -317,8 +327,8 @@ def parse_file(text: str) -> list[Entry]:
 def parse_term(text: str, delta: tuple[str, ...] = ()) -> KTerm:
     """Parse a single term (testing convenience)."""
     p = _Parser(text)
-    t = p.term([], delta)
-    p.expect("EOF")
+    t = p.term(delta)
+    p.expect("")
     return t
 
 
@@ -366,11 +376,12 @@ def _binder_name(hint: str, body: KTerm, scope: tuple[str, ...]) -> str:
     The name must not capture a free variable, an unqualified constant,
     or a reference to an outer binder occurring in the body.
     """
-    base = hint if hint and _IDENT_RE.fullmatch(hint) and hint not in _KEYWORDS else "x"
-    avoid = _captured_names(body, scope)
-    name = base
-    while name in avoid:
-        name += "'"
+    name = hint if hint and _IDENT_RE.fullmatch(hint) and hint not in _KEYWORDS else "x"
+    # only an outer binder's name, a free variable or a bare constant can be captured
+    if name in scope or body.has_fvar or body.has_bare_const:
+        avoid = _captured_names(body, scope)
+        while name in avoid:
+            name += "'"
     return name
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 
 class SexpError(Exception):
@@ -15,44 +16,32 @@ class SexpError(Exception):
 
 Sexp = "str | int | list"
 
-# One token after any run of whitespace and `;` line comments; the group
-# that matched names its kind.  Integers are exactly `-?[0-9]+`, any other
-# atom is a symbol.
-_ATOM_END = r"(?![^ \t\r\n();])"
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|;[^\n]*)*(?:"
-    r"(?P<open>\()|(?P<close>\))"
-    rf"|(?P<int>-?[0-9]+{_ATOM_END})|(?P<symbol>[^ \t\r\n();]+)"
-    r"|(?P<end>\Z))"
-)
+# Whitespace and `;` line comments, then an atom, a parenthesis or, at the
+# end of the text, "".  An atom that is exactly `-?[0-9]+` is an integer,
+# any other a symbol.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def loads(text: str) -> list:
     """Read every toplevel S-expression in `text`."""
     items: list = []
-    open_lists: list[tuple[list, int]] = []  # enclosing list, offset of its "("
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "symbol":
-            items.append(m.group(kind))
-        elif kind == "int":
-            items.append(int(m.group(kind)))
-        elif kind == "open":
-            open_lists.append((items, pos - 1))
+    open_lists: list[tuple[list, int]] = []  # enclosing list, index of its "("
+    for i, tok in enumerate(_TOKEN_RE.findall(text)):
+        if tok == "(":
+            open_lists.append((items, i))
             items = []
-        elif kind == "close":
+        elif tok == ")":
             if not open_lists:
-                raise _error("unexpected ')'", text, pos - 1)
+                raise _error("unexpected ')'", text, i)
             outer, _ = open_lists.pop()
             outer.append(items)
             items = outer
-        elif open_lists:
-            raise _error("unterminated list", text, open_lists[-1][1])
-        else:
-            return items
+        elif tok:
+            items.append(int(tok) if _INT_RE.fullmatch(tok) else tok)
+    if open_lists:
+        raise _error("unterminated list", text, open_lists[-1][1])
+    return items
 
 
 def loads_one(text: str) -> object:
@@ -62,8 +51,10 @@ def loads_one(text: str) -> object:
     return items[0]
 
 
-def _error(message: str, text: str, offset: int) -> SexpError:
-    """Every character counts as one column, tab and CR included."""
+def _error(message: str, text: str, index: int) -> SexpError:
+    """The error at the `index`-th match of `_TOKEN_RE`; every character
+    counts as one column, tab and CR included."""
+    offset = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     return SexpError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 

@@ -25,8 +25,10 @@ construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
   rest with an explicit stack.
 
 Terms are immutable, which is what keeps the cached data valid: nothing
-in `lpm` assigns to a term's fields after construction.  The walks below
-use the cache to return a subtree they cannot change at once: `shift`,
+in `lpm` assigns to a term's fields after construction.  It also lets
+terms be shared: the `.dk` parser builds each term of a file once, so
+`==` on parsed terms usually settles by identity.  The walks below use
+the cache to return a subtree they cannot change at once: `shift`,
 `instantiate` and `uses_binder` skip one whose indices do not reach the
 binder, `abstract`, `substitute` and `free_fvars` one without `FVar`.
 """
@@ -51,8 +53,20 @@ class KTerm:
         return self._hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # pieces still to write, last first, so depth costs no recursion
+        out: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            t = stack.pop()
+            if not isinstance(t, KTerm):
+                out.append(t)
+                continue
+            stack.append(")")
+            for i, f in reversed(tuple(enumerate(t.__match_args__))):
+                v = getattr(t, f)
+                stack += (v if isinstance(v, KTerm) else repr(v), f"{', ' if i else ''}{f}=")
+            stack.append(f"{type(t).__name__}(")
+        return "".join(out)
 
 
 class _Named(KTerm):

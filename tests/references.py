@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 from lpm import embed, examples, llproof
+from lpm.dkparse import Comment, DkSyntaxError
 from lpm.terms import App, Const, FVar, KTerm, Lam, abstract, app
 
 
@@ -104,3 +108,73 @@ def corpus_dk_files() -> list[tuple[str, list]]:
         cert, _ = llproof.certificate_entries(thy, mk_goal(), mk_proof())
         out.append((f"{name}-cert.dk", cert))
     return out
+
+
+# The `.dk` lexer as it was before tokens became plain strings: one
+# `match` per token, positions counted as it goes.  It is the oracle the
+# differential lexer test compares `dkparse` against.
+
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_KEYWORDS = ("Type", "Kind", "def")
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:"
+    rf"(?P<keyword>(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_']))"
+    rf"|(?P<IDENT>{_IDENT}(?:\.{_IDENT})?)"
+    r"|(?P<comment>\(;)"
+    r"|(?P<symbol>-->|->|=>|:=|[:.()\[\],])"
+    rf"|(?P<command>#(?:{_IDENT})?)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<stray>.))"
+)
+_COMMENT_DELIM_RE = re.compile(r"\(;|;\)")
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]]:
+    """The tokens of `text`, ending with `EOF`, and its comments keyed by
+    the index of the token each one comes before."""
+    tokens: list[Token] = []
+    comments: dict[int, list[Comment]] = {}
+    match = _TOKEN_RE.match
+    pos = last = line_start = 0
+    line = 1
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        # only whitespace and comments span lines, and both lie between
+        # the previous token's start and this one's
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, start) + 1
+        last = start
+        col = start - line_start + 1
+        word = m.group(kind)
+        pos = m.end()
+        if kind == "IDENT":
+            tokens.append(Token("IDENT", word, line, col))
+        elif kind == "comment":
+            depth = 1
+            while depth:
+                d = _COMMENT_DELIM_RE.search(text, pos)
+                if d is None:
+                    raise DkSyntaxError("unterminated comment", line, col)
+                depth += 1 if d.group() == "(;" else -1
+                pos = d.end()
+            comments.setdefault(len(tokens), []).append(Comment(text[start + 2 : pos - 2].strip(), line, col))
+        elif kind == "EOF":
+            tokens.append(Token("EOF", "", line, col))
+            return tokens, comments
+        elif kind == "stray":
+            raise DkSyntaxError(f"stray character {word!r}", line, col)
+        elif kind == "command" and word != "#ASSERT":
+            raise DkSyntaxError(f"unknown command {word}", line, col)
+        else:  # a symbol, a keyword or `#ASSERT` is its own kind
+            tokens.append(Token(word, word, line, col))

@@ -19,7 +19,7 @@ from lpm.dkparse import (
     print_file,
     print_term,
 )
-from lpm.terms import TYPE, App, Const, FVar, Lam, Pi, Var, app, arrow
+from lpm.terms import TYPE, App, Const, FVar, Lam, Pi, Var, app, arrow, spine
 
 
 def test_parse_declaration():
@@ -239,3 +239,13 @@ def test_syntax_error_messages_pinned(text, message):
     with pytest.raises(DkSyntaxError) as e:
         parse_file(text)
     assert str(e.value) == message
+
+
+def test_parse_shares_equal_subterms_with_equal_names():
+    # the two abstractions differ only in the name of a binder their body does not use
+    text = "c : f (g a) (x : A => b) (y : A => b) (g a) (x : A => b).\n"
+    (e,) = parse_file(text)
+    (_, args) = spine(e.type)
+    assert args[0] is args[3] and args[1] is args[4]
+    assert args[1] == args[2] and args[1] is not args[2]  # the display names differ
+    assert print_file([e]) == text

@@ -1,0 +1,127 @@
+"""Properties of the `.dk` front end: the lexer against its reference,
+printing and parsing as inverses, and sharing in parsed terms."""
+
+from hypothesis import given, settings, strategies as st
+
+from references import reference_tokenize
+from lpm import dkparse
+from lpm.dkparse import Decl, Def, DkSyntaxError, Rule, parse_file, parse_term, print_file, print_term
+from lpm.terms import KIND, TYPE, App, Const, FVar, KTerm, Lam, Pi, Var
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+# ---------------------------------------------------------------------------
+# The lexer gives the reference lexer's tokens, positions, comments and errors
+
+FRAGMENTS = (
+    "x", "y1", "h0", "a'b", "_", "logic.prf", "m.x", "Type", "Kind", "def", "Typex", "Type'",
+    "-->", "->", "=>", ":=", ":", ".", "(", ")", "[", "]", ",", "#ASSERT",
+    " ", " ", "  ", "\t", "\n", "\r\n", "(; c ;)", "(;(; nested ;) ;)", "(; line\nbreak ;)",
+)
+# an unknown command, a stray character (one of them a space to `str.strip`)
+# or half a comment
+ERRORS = ("#FOO", "#", "~", "-", "=", "1", "'", ">", ";", "\x0b", "\u00a0", "(;", ";)")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(ERRORS)), max_size=2),
+)
+def test_lexer_matches_reference(fragments, errors):
+    for i, bad in errors:
+        fragments.insert(i, bad)
+    text = "".join(fragments)
+    try:
+        expected, expected_comments = reference_tokenize(text)
+    except DkSyntaxError as e:
+        expected_error = str(e)
+    else:
+        expected_error = None
+    try:
+        p = dkparse._Parser(text)
+    except DkSyntaxError as e:
+        assert str(e) == expected_error
+        return
+    assert expected_error is None
+    assert p.tokens == [tok.text for tok in expected]
+    assert [p.where(offset) for offset in p.offsets] == [(tok.line, tok.col) for tok in expected]
+    kinds = [tok if tok in dkparse._FIXED else "IDENT" for tok in p.tokens]
+    assert kinds[:-1] == [tok.kind for tok in expected[:-1]] and expected[-1].kind == "EOF"
+
+    def positioned(comments):
+        return {i: [(c.text, c.line, c.col) for c in cs] for i, cs in comments.items()}
+
+    assert positioned(p.comments) == positioned(expected_comments)
+
+
+# ---------------------------------------------------------------------------
+# Random terms whose binder names clash with outer binders, bare constants
+# and rule-context variables, so the printer both renames and does not
+
+DELTA = ("a", "b")
+CONSTS = ("c", "x", "f", "m.c", "m.f")
+BINDER_NAMES = ("", "x", "y", "x'", "c", "a", "h0", "def", "m.q")
+
+
+def _term(data, depth: int, budget: int) -> KTerm:
+    leaves = ["sort", "const", "fvar"] + ["var"] * (depth > 0)
+    kind = data.draw(st.sampled_from(leaves + ["app", "lam", "pi"] * (budget > 0)))
+    if kind == "sort":
+        return data.draw(st.sampled_from((TYPE, KIND)))
+    if kind == "const":
+        return Const(data.draw(st.sampled_from(CONSTS)))
+    if kind == "fvar":
+        return FVar(data.draw(st.sampled_from(DELTA)))
+    if kind == "var":
+        return Var(data.draw(st.integers(0, depth - 1)))
+    left = _term(data, depth, budget - 1)
+    if kind == "app":
+        return App(left, _term(data, depth, budget - 1))
+    former = Lam if kind == "lam" else Pi
+    return former(data.draw(st.sampled_from(BINDER_NAMES)), left, _term(data, depth + 1, budget - 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_print_parse_round_trip(data):
+    t = _term(data, 0, 5)
+    text = print_term(t)
+    parsed = parse_term(text, DELTA)
+    assert parsed == t
+    assert print_term(parsed) == text
+
+
+def _entry_terms(e) -> list[KTerm]:
+    match e:
+        case Decl(type=ty):
+            return [ty]
+        case Def(type=ty, body=b):
+            return [ty, b]
+        case Rule(ctx=ctx, lhs=lhs, rhs=rhs):
+            return [ty for _, ty in ctx] + [lhs, rhs]
+
+
+def _subterms(t: KTerm):
+    yield t
+    for field in t.__match_args__:
+        child = getattr(t, field)
+        if isinstance(child, KTerm):
+            yield from _subterms(child)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_parsed_equal_subterms_are_one_object(data):
+    ctx = tuple((x, Const("m.c")) for x in DELTA)
+    terms = [_term(data, 0, 4) for _ in range(4)]
+    entries = [Decl("d0", terms[0]), Def("d1", terms[1], terms[0]), Rule(ctx, terms[2], terms[3])]
+    text = print_file(entries)
+    parsed = parse_file(text)
+    assert print_file(parsed) == text  # sharing kept every display name
+    seen: dict[str, KTerm] = {}
+    for e in parsed:
+        for t in _entry_terms(e):
+            for sub in _subterms(t):
+                # `repr` shows every display name, so equal ones are equal terms with equal names
+                assert seen.setdefault(repr(sub), sub) is sub

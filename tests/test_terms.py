@@ -256,6 +256,22 @@ def test_deep_equality_without_recursion():
     assert results == [(True, False, True)] * 2
 
 
+
+def test_deep_repr_without_recursion():
+    # the repr of a 50000-deep application tower, at the default recursion limit
+    tower = Const("a")
+    for _ in range(50_000):
+        tower = App(Const("f"), tower)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(tower)
+    except RecursionError:
+        text = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "App(fn=Const(name='f'), arg=" * 50_000 + "Const(name='a')" + ")" * 50_000
+
 # -- terms with loose indices ---------------------------------------------
 
 
