@@ -217,7 +217,7 @@ def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
     args.proof = str(_write(rep, Path(args.out), f"{args.name}.llpx", llproof.print_proof(thy, goal, proof)))
     code, sig = translate(args, rep)
     if code == EXIT_OK and args.name == "pair-fst-snd":
-        nf = kernel.normalize(sig, embed.translate_formula(goal, thy.name), kernel.Fuel(args.fuel))
+        nf = kernel.normalize(sig, embed.translate(goal, thy.name), kernel.Fuel(args.fuel))
         rep.say(f"normalized goal: {dkparse.print_term(nf)}")
     return code
 

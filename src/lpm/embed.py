@@ -5,10 +5,10 @@ the twelve connective/quantifier/equality constants, and (in shallow
 mode) the rewrite rules that unfold `prf` onto impredicative encodings.
 The module is the packaged text `prelude/logic.dk`, parsed once per
 process; deep mode keeps only its declarations.
-The `translate_*` functions map logic-level types, terms, formulas and
-contexts onto kernel terms, and `theory_entries` a whole theory onto
-kernel entries.  `translate_formula` follows `tff.CONNECTIVES`, the one
-place a connective and its `logic` constant are defined.  `EXT_RULES` is
+`translate` maps logic-level types, terms and formulas onto kernel terms,
+`translate_context` contexts, and `theory_entries` a whole theory onto
+kernel entries.  `translate` follows `tff.CONNECTIVES`, the one place a
+connective and its `logic` constant are defined.  `EXT_RULES` is
 the one registry of extension deduction rules: one row per rule gives
 its constant, its kernel type and its shape.
 
@@ -88,31 +88,17 @@ Env = Mapping[str, KTerm]
 Memo = dict[object, KTerm]
 
 
-def translate_type(ty: tff.TffType, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None) -> KTerm:
-    """Type variables map to themselves, constructors to curried applications."""
-    return _translate(ty, module, env or {}, memo)
-
-
-def translate_term(e: tff.TffTerm, module: str = "", env: Optional[Env] = None) -> KTerm:
-    """Function applications take their type arguments first, then terms."""
-    return _translate(e, module, env or {})
-
-
-def translate_formula(
-    phi: tff.TffFormula, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None
-) -> KTerm:
-    """The row's `logic` constant (a predicate's own symbol) applied to the
-    translated fields; a bound variable and the body after it become one
-    abstraction."""
-    return _translate(phi, module, env or {}, memo)
-
-
-def _translate(x: object, module: str, env: Env, memo: Optional[Memo] = None) -> KTerm:
-    """A formula, term or type, following its `tff` row: the row's head
-    applied to the translated fields.  A row without a constant has its
-    head symbol, or its variable, as first field; a variable is looked up
-    in `env`, unbound ones map to themselves.  With `memo` and an empty
+def translate(x: object, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None) -> KTerm:
+    """A formula, term or type, following its `tff` row: the row's `logic`
+    constant applied to the translated fields.  A row without a constant
+    has its head symbol, or its variable, as first field: a predicate,
+    function or type constructor becomes its symbol, qualified by `module`,
+    applied to its type arguments, then its terms; a variable is looked up
+    in `env`, and unbound ones map to themselves.  A bound variable and
+    the body after it become one abstraction.  With `memo` and an empty
     `env`, equal nodes translate to one shared term."""
+    if env is None:
+        env = {}
     if memo is not None and not env and (t := memo.get(x)) is not None:
         return t
     row = tff.row_of(x)
@@ -143,18 +129,18 @@ def translate_fields(
         v = getattr(x, name)
         if kind is tff.FORMULA:
             if bound is None:
-                args.append(_translate(v, module, env, memo))
+                args.append(translate(v, module, env, memo))
             else:
                 annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
-                args.append(bind(Lam, bound, annot, env, lambda env: _translate(v, module, env)))
+                args.append(bind(Lam, bound, annot, env, lambda env: translate(v, module, env)))
         elif kind is tff.TY:
-            kty = _translate(v, module, env, memo)
+            kty = translate(v, module, env, memo)
             args.append(kty)
         elif kind is tff.TERM:
-            args.append(_translate(v, module, env, memo))
+            args.append(translate(v, module, env, memo))
         elif kind is tff.TYS or kind is tff.ARGS or kind is tff.TERMS:
             for y in v:
-                args.append(_translate(y, module, env, memo))
+                args.append(translate(y, module, env, memo))
         elif kind is tff.BOUND or kind is tff.BOUND_TY:
             bound, bound_kind = v, kind
     return args
@@ -177,7 +163,7 @@ def bind(
 def translate_context(ctx: tff.TffContext, module: str = "") -> list[tuple[str, KTerm]]:
     """Type variables become `type` bindings, term variables `term`-typed
     ones; each name stays free in the types after it."""
-    return [(a, TYPE_C) for a in ctx.tvars] + [(x, term(translate_type(ty, module))) for x, ty in ctx.vars]
+    return [(a, TYPE_C) for a in ctx.tvars] + [(x, term(translate(ty, module))) for x, ty in ctx.vars]
 
 
 def _scheme(
@@ -191,7 +177,7 @@ def _scheme(
     def under(i: int, env: Env) -> KTerm:
         if i < len(tvars):
             return bind(Pi, tvars[i], TYPE_C, env, lambda env: under(i + 1, env))
-        return arrow(*(term(translate_type(t, module, env)) for t in arg_types), result(env))
+        return arrow(*(term(translate(t, module, env)) for t in arg_types), result(env))
 
     return under(0, {})
 
@@ -205,16 +191,16 @@ def theory_entries(thy: tff.TffTheory) -> list[Entry]:
             case tff.TypeCons(name=n, arity=m):
                 entries.append(Decl(qualify(module, n), arrow(*([TYPE_C] * m), TYPE_C)))
             case tff.FunDecl(name=n, tvars=tvs, arg_types=args, result=res):
-                ty = _scheme(module, tvs, args, lambda env: term(translate_type(res, module, env)))
+                ty = _scheme(module, tvs, args, lambda env: term(translate(res, module, env)))
                 entries.append(Decl(qualify(module, n), ty))
             case tff.PredDecl(name=n, tvars=tvs, arg_types=args):
                 ty = _scheme(module, tvs, args, lambda env: PROP)
                 entries.append(Decl(qualify(module, n), ty))
             case tff.Axiom(name=n, formula=phi):
-                entries.append(Decl(qualify(module, n), prf(translate_formula(phi, module))))
+                entries.append(Decl(qualify(module, n), prf(translate(phi, module))))
             case tff.TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r) | tff.PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
                 kctx = translate_context(tff.TffContext(tvs, ctx), module)
-                entries.append(Rule(tuple(kctx), _translate(l, module, {}), _translate(r, module, {})))
+                entries.append(Rule(tuple(kctx), translate(l, module), translate(r, module)))
             case tff.ExtDecl(name=n):
                 entries.append(ext_declaration(n, module))
     return entries

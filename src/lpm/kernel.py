@@ -125,17 +125,15 @@ class RewriteRule:
     variables `delta` are those of the pattern context `ctx`, as
     `Signature.add_rewrite` checks before it builds one."""
 
-    __slots__ = ("ctx", "lhs", "rhs", "head", "lhs_args", "arity", "delta", "screens")
+    __slots__ = ("rhs", "head", "lhs_args", "arity", "delta", "screens")
 
     def __init__(self, ctx: Iterable[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm):
         head, args = spine(lhs)
-        self.ctx = tuple(ctx)
-        self.lhs = lhs
         self.rhs = rhs
         self.head = head.name
         self.lhs_args = tuple(args)
         self.arity = len(args)
-        self.delta = frozenset(name for name, _ in self.ctx)
+        self.delta = frozenset(name for name, _ in ctx)
         # (position, head constant, spine length) of each constant-headed
         # pattern argument, used to skip definite non-matches cheaply
         self.screens = tuple(
@@ -146,20 +144,10 @@ class RewriteRule:
 Substitution = dict[str, KTerm]
 
 
-def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[Substitution]:
-    """First-order syntactic matching of a rule pattern against a term.
-
-    Pattern variables (free variables named in `delta`) match arbitrary
-    subterms; repeated occurrences must match alpha-equal subterms.
-    Everything else matches only itself.  Returns the bindings or None.
-    """
-    bindings: Substitution = {}
-    if _match(lhs, subject, frozenset(delta), bindings):
-        return bindings
-    return None
-
-
 def _match(pat: KTerm, subj: KTerm, delta: frozenset[str], out: Substitution) -> bool:
+    """First-order matching of a rule pattern against a term, binding in
+    `out`: a variable of `delta` matches any subterm, equal ones at each
+    of its occurrences; anything else matches only itself."""
     stack = [(pat, subj)]
     while stack:
         p, s = stack.pop()

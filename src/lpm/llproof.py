@@ -19,7 +19,10 @@ in deep mode (the file's `R_` declarations) and given rewrite
 definitions in shallow mode, where the law of excluded middle is the
 only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
-over the result; `certificate_entries` is the one translator entry.  An
+over the result; `certificate_entries` is the one translator entry.  A
+`pred` or `fun` congruence node is compiled as the chain of `Subst`
+steps it stands for, built where the translator reaches the node;
+`eliminate_pred_fun` builds the same chains over a whole tree.  An
 extension rule node takes `(abs X TY F)` arguments only, and its shape
 and constant are registered in `embed.EXT_RULES`.
 """
@@ -215,13 +218,6 @@ class LLProof(Record):
     # Consumed hypotheses as written in the sequent, when they differ
     # from the shapes implied by the rule parameters (congruence).
     concls: Optional[tuple[tff.TffFormula, ...]] = None
-    # Path of the written node this one was made from, set by
-    # `eliminate_pred_fun`; rejections are reported there.
-    origin: Optional[tuple[int, ...]] = None
-    _loose = _hidden = ("origin",)
-
-    def conclusion_hyps(self) -> tuple[tff.TffFormula, ...]:
-        return self.concls if self.concls is not None else tuple(_SCHEMA[type(self.rule)].consumes(self.rule))
 
 
 class CertificateError(Exception):
@@ -297,8 +293,8 @@ class RuleSchema(NamedTuple):
     `consumes` maps a rule to the hypotheses its node consumes by default,
     and `blocks` to the hypotheses each premise introduces, in binding
     order.  `const` names the rule's constant in the `rules` module; `Pred`
-    and `Fun` have none (they are eliminated before translation), nor has
-    `Ext` (its constant belongs to the theory).
+    and `Fun` have none (they are compiled as their `Subst` chains), nor
+    has `Ext` (its constant belongs to the theory).
     """
 
     cls: type
@@ -443,33 +439,43 @@ def rules_prelude(mode: str = "shallow") -> list[Entry]:
 
 
 def eliminate_pred_fun(p: LLProof, path: tuple[int, ...] = ()) -> LLProof:
-    """Decompose every Pred/Fun node into a chain of Subst steps.
+    """Decompose every Pred/Fun node of the tree into its Subst chain.
+
+    The translator decomposes each node where it reaches it instead; this
+    whole-tree form is the reference it is checked against.  `path`
+    locates `p` in the whole tree, for error reports.
+    """
+    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
+    return _decompose(LLProof(p.rule, premises, p.concls), path)
+
+
+def _decompose(p: LLProof, path: tuple[int, ...]) -> LLProof:
+    """The Subst chain a Pred/Fun node at `path` stands for; other nodes
+    are returned as they are.
 
     An n-ary predicate node becomes n Subst steps closed by an axiom
     step on the fully rewritten atom; an n-ary function node becomes n
     Subst steps on the disequality closed by a reflexivity refutation.
-    All other nodes are preserved.  `path` locates `p` in the whole tree,
-    for error reports; every node of the result records as its `origin`
-    the path of the written node it comes from.
+    Step k takes the node's premise k as its premise 0 and step k + 1 as
+    its premise 1.
     """
-    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
     match p.rule:
         case Pred(name=pn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys):
-            _check_arities(ts, us, eq_tys, premises, path)
+            _check_arities(ts, us, eq_tys, p.premises, path)
             concls = _consumed(p, path)
             atom = lambda args: tff.Pred(pn, tys, tuple(args))
-            core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]), path)
-            tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
-            return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]), path)
+            core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]))
+            tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
+            return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]))
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
-            _check_arities(ts, us, eq_tys, premises, path)
+            _check_arities(ts, us, eq_tys, p.premises, path)
             concls = _consumed(p, path)
             atom = lambda args: _neq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
-            core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),), path)
-            tree = _subst_chain(atom, ts, us, eq_tys, premises, core)
-            return LLProof(tree.rule, tree.premises, (concls[0],), path)
+            core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
+            tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
+            return LLProof(tree.rule, tree.premises, (concls[0],))
         case _:
-            return LLProof(p.rule, premises, p.concls, path)
+            return p
 
 
 def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
@@ -480,8 +486,7 @@ def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
 
 
 def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
-    """Right-nested Subst chain rewriting ts into us inside `atom`; its
-    nodes come from the same written node as `core`."""
+    """Right-nested Subst chain rewriting ts into us inside `atom`."""
     if not ts:
         return core
     used: set[str] = set()
@@ -501,7 +506,7 @@ def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
         z = fresh_var()
         mixed = list(us[:i]) + [tff.Var(z)] + list(ts[i + 1 :])
         rule = Subst(eq_tys[i], z, atom(mixed), ts[i], us[i])
-        return LLProof(rule, (premises[i], build(i + 1)), None, core.origin)
+        return LLProof(rule, (premises[i], build(i + 1)))
 
     return build(0)
 
@@ -549,8 +554,8 @@ class _Layout(NamedTuple):
 
 
 class _Translator:
-    def __init__(self, thy: tff.TffTheory, tbl: tff.Table,
-                 sig: Optional[signature.Signature] = None, fuel: Optional[kernel.Fuel] = None):
+    def __init__(self, thy: tff.TffTheory, tbl: tff.Table, sig: signature.Signature,
+                 fuel: Optional[kernel.Fuel] = None):
         self.tbl = tbl
         self.module = thy.name
         self.sig = sig
@@ -600,21 +605,20 @@ class _Translator:
             return Const(embed.qualify(self.module, axiom))
         # a bracketed hypothesis stands for any congruent formula, so a
         # structural miss falls back to conversion against the sequent
-        if self.sig is not None:
-            want = self.formula(phi)
-            for candidate, name, level in reversed(self.env_formulas):
-                have = self.formula(candidate)
-                try:
-                    if kernel.convertible(self.sig, have, want, kernel.Fuel(self.steps)):
-                        return self.var(name, level)
-                except kernel.FuelExhausted:
-                    continue
-            for name, f in self.tbl.axioms.items():
-                try:
-                    if kernel.convertible(self.sig, self.formula(f), want, kernel.Fuel(self.steps)):
-                        return Const(embed.qualify(self.module, name))
-                except kernel.FuelExhausted:
-                    continue
+        want = self.formula(phi)
+        for candidate, name, level in reversed(self.env_formulas):
+            have = self.formula(candidate)
+            try:
+                if kernel.convertible(self.sig, have, want, kernel.Fuel(self.steps)):
+                    return self.var(name, level)
+            except kernel.FuelExhausted:
+                continue
+        for name, f in self.tbl.axioms.items():
+            try:
+                if kernel.convertible(self.sig, self.formula(f), want, kernel.Fuel(self.steps)):
+                    return Const(embed.qualify(self.module, name))
+            except kernel.FuelExhausted:
+                continue
         raise MissingHypothesis(path, f"hypothesis {phi} is not available in the sequent")
 
     # -- formula/term/type translation under the eigenvariable scope --
@@ -623,14 +627,14 @@ class _Translator:
         return {x: self.var(x, level) for x, level in self.kenv.items()}
 
     def formula(self, phi: tff.TffFormula) -> KTerm:
-        return embed.translate_formula(phi, self.module, self.eigen_env(), self.memo)
+        return embed.translate(phi, self.module, self.eigen_env(), self.memo)
 
     def ktype(self, ty: tff.TffType) -> KTerm:
-        return embed.translate_type(ty, self.module, self.eigen_env(), self.memo)
+        return embed.translate(ty, self.module, self.eigen_env(), self.memo)
 
     def abstraction(self, var: str, annot: KTerm, body: tff.TffFormula) -> KTerm:
         """`\\var : annot => body`, with `var` bound in the translated body."""
-        return embed.bind(Lam, var, annot, self.eigen_env(), lambda env: embed.translate_formula(body, self.module, env))
+        return embed.bind(Lam, var, annot, self.eigen_env(), lambda env: embed.translate(body, self.module, env))
 
     # -- freshness and closedness side conditions ----------------------
 
@@ -684,22 +688,19 @@ class _Translator:
             raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
         return Const(embed.qualify(self.module, spec.const)), kargs
 
-    def translate(self, p: LLProof, path: tuple[int, ...] = ()) -> tuple[KTerm, _Layout]:
-        """Compile `p`, found at `path` of the tree being translated.
-
-        Errors and layouts name the node as written: `p.origin` when
-        Pred/Fun elimination recorded one, else `path`.
-        """
-        at = path if p.origin is None else p.origin
+    def translate(self, p: LLProof, path: tuple[int, ...] = (), step: Optional[int] = None) -> tuple[KTerm, _Layout]:
+        """Compile `p`, the written node at `path` or, with `step` set, that
+        step of the Subst chain of the Pred/Fun node at `path`.  Errors and
+        layouts name the node as written."""
+        if isinstance(p.rule, (Pred, Fun)):
+            p, step = _decompose(p, path), 0
         rule = p.rule
-        if isinstance(rule, (Pred, Fun)):
-            raise CertificateError(at, "Pred/Fun nodes must be eliminated before translation")
-        consumed_hyps = _consumed(p, at)
-        head, kargs = self.rule_args(rule, at)
+        consumed_hyps = _consumed(p, path)
+        head, kargs = self.rule_args(rule, path)
         blocks = _SCHEMA[type(rule)].blocks(rule)
         if len(p.premises) != len(blocks):
             raise CertificateError(
-                at, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
+                path, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
         eigen = _eigenvars(rule)
         continuations: list[KTerm] = []
@@ -710,16 +711,22 @@ class _Translator:
             binders: list[tuple[str, KTerm]] = []
             for name, ty in eigen:
                 if ty is None:
-                    self.check_fresh_type(name, at)
+                    self.check_fresh_type(name, path)
                     annot = TYPE_C
                 else:
-                    self.check_fresh_const(name, at)
+                    self.check_fresh_const(name, path)
                     annot = term(self.ktype(ty))
                 self.kenv[name] = self.depth
                 self.depth += 1
                 binders.append((name, annot))
             binders += [self.push_hyp(phi) for phi in block]
-            body, layout = self.translate(premise, path + (i,))
+            # chain step k: premise 0 is the written node's premise k
+            if step is None:
+                body, layout = self.translate(premise, path + (i,))
+            elif i == 0:
+                body, layout = self.translate(premise, path + (step,))
+            else:
+                body, layout = self.translate(premise, path, step + 1)
             for phi in reversed(block):
                 self.pop_hyp(phi)
             for name, _ in eigen:
@@ -730,10 +737,10 @@ class _Translator:
             continuations.append(body)
             layouts.append(layout)
 
-        consumed = [self.lookup(phi, at) for phi in consumed_hyps]
+        consumed = [self.lookup(phi, path) for phi in consumed_hyps]
         args = [*kargs, *continuations, *consumed]
         binders = tuple(len(eigen) + len(block) for block in blocks)
-        return app(head, *args), _Layout(at, len(args), len(kargs), binders, tuple(layouts))
+        return app(head, *args), _Layout(path, len(args), len(kargs), binders, tuple(layouts))
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +758,12 @@ class Verdict(Record):
         return self.accepted
 
 
-def certificate_entries(thy: tff.TffTheory, goal: tff.TffFormula, proof: LLProof,
-                        sig: Optional[signature.Signature] = None,
+def certificate_entries(thy: tff.TffTheory, goal: tff.TffFormula, proof: LLProof, sig: signature.Signature,
                         fuel: Optional[kernel.Fuel] = None) -> tuple[list[Entry], _Translator]:
-    """The `cert` module: the goal constant with its proof definition."""
+    """The `cert` module: the goal constant with its proof definition.  A
+    hypothesis not in the sequent as written is found by conversion in `sig`."""
     tbl = tff.wf_theory(thy)
     tff.wf_formula(tbl, tff.TffContext(), goal)
-    proof = eliminate_pred_fun(proof)
     tr = _Translator(thy, tbl, sig, fuel)
     name, ktype = tr.push_hyp(tff.Not(goal))
     body, tr.layout = tr.translate(proof)

@@ -3,9 +3,9 @@
 A `Record` class lists its fields as annotated names with optional
 defaults, read once, when the class is made, into `__slots__` and
 `__match_args__`.  Records of one class are equal when their fields are,
-less the trailing ones named in `_loose`; `repr` shows `Cls(f=...)` less
-those named in `_hidden`.  A record keeps its compared fields' tuple and
-hash from construction, so hashing never walks a tree; as with `terms`,
+less the trailing ones named in `_loose`; `repr` shows `Cls(f=...)` for
+every field.  A record keeps its compared fields' tuple and hash from
+construction, so hashing never walks a tree; as with `terms`,
 nothing assigns to a record's fields.  A class that sets `__hash__ = None`
 is unhashable and compares by fields alone.
 """
@@ -27,7 +27,7 @@ class _RecordType(type):
 
 class Record(metaclass=_RecordType):
     __slots__ = ("_key", "_hash")
-    _loose = _hidden = ()
+    _loose = ()
 
     def __init__(self, *args: object, **kwargs: object):
         fields = self._fields
@@ -50,7 +50,7 @@ class Record(metaclass=_RecordType):
         return self._hash
 
     def __repr__(self) -> str:
-        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._hidden)
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 

@@ -1,7 +1,8 @@
 """Global context management: declarations and rewrite-rule installation.
 
-A `Signature` is the ordered list of declarations and rewrite rules the
-kernel checks against.  Extension is persistent: `declare` and
+A `Signature` is the global context the kernel checks against: the type
+of each declared constant and the rewrite rules of each head, in the
+order they were installed.  Extension is persistent: `declare` and
 `add_rewrite` verify the well-formedness side conditions and return a new
 signature, leaving the original untouched, so frozen signatures can be
 shared freely.
@@ -61,19 +62,16 @@ class NonPatternLhs(SignatureError):
 
 
 class Signature:
-    """Ordered global context of declarations and rewrite rules, listed in
-    `entries` as the `dkparse.Decl` and `dkparse.Rule` records installed."""
+    """Declared constants' types and each head's rewrite rules, in order."""
 
-    __slots__ = ("entries", "_types", "_rules", "eta")
+    __slots__ = ("_types", "_rules", "eta")
 
     def __init__(
         self,
-        entries: tuple = (),
         types: dict[str, KTerm] | None = None,
         rules: dict[str, tuple[kernel.RewriteRule, ...]] | None = None,
         eta: bool = False,
     ):
-        self.entries = entries
         self._types = types or {}
         self._rules = rules or {}
         self.eta = eta
@@ -87,9 +85,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self._types
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def declare(self, name: str, ty: KTerm, fuel: kernel.Fuel | None = None) -> "Signature":
         """Extend with `name : ty` after checking `ty` lives in a sort."""
         if name in self._types:
@@ -97,7 +92,7 @@ class Signature:
         _check_sort(self, {}, name, ty, fuel)
         types = dict(self._types)
         types[name] = ty
-        return Signature(self.entries + (dkparse.Decl(name, ty),), types, self._rules, self.eta)
+        return Signature(types, self._rules, self.eta)
 
     def add_rewrite(
         self,
@@ -133,10 +128,10 @@ class Signature:
         rule = kernel.RewriteRule(ctx, lhs, rhs)
         rules = dict(self._rules)
         rules[rule.head] = rules.get(rule.head, ()) + (rule,)
-        return Signature(self.entries + (dkparse.Rule(rule.ctx, lhs, rhs),), self._types, rules, self.eta)
+        return Signature(self._types, rules, self.eta)
 
     def with_eta(self, eta: bool = True) -> "Signature":
-        return Signature(self.entries, self._types, self._rules, eta)
+        return Signature(self._types, self._rules, eta)
 
 
 EMPTY = Signature()
@@ -206,11 +201,3 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
                 raise SignatureError(f"cannot install entry {e!r}")
     return sig
 
-
-def replay(sig: Signature, fuel: kernel.Fuel | None = None) -> Signature:
-    """Re-derive every judgment of `sig` from the empty signature.
-
-    Succeeds exactly when the signature was well-formed by construction;
-    the result lists the same entries in the same order.
-    """
-    return install_entries(Signature(eta=sig.eta), sig.entries, fuel)

@@ -30,7 +30,7 @@ terms be shared: the `.dk` parser builds each term of a file once, so
 `==` on parsed terms usually settles by identity.  The walks below use
 the cache to return a subtree they cannot change at once: `shift`,
 `instantiate` and `uses_binder` skip one whose indices do not reach the
-binder, `abstract`, `substitute` and `free_fvars` one without `FVar`.
+binder, `substitute` and `free_fvars` one without `FVar`.
 """
 
 from __future__ import annotations
@@ -291,21 +291,6 @@ def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
             return body
 
 
-def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
-    """Turn free occurrences of `FVar(name)` into the binder index `depth`."""
-    if not t.has_fvar:
-        return t
-    match t:
-        case FVar(name=n) if n == name:
-            return Var(depth, name)
-        case App(fn=f, arg=a):
-            return App(abstract(f, name, depth), abstract(a, name, depth))
-        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
-            return t.__class__(n, abstract(d, name, depth), abstract(b, name, depth + 1))
-        case _:
-            return t
-
-
 def substitute(t: KTerm, bindings: dict[str, KTerm], depth: int = 0) -> KTerm:
     """Simultaneous, capture-avoiding substitution of free variables by
     terms given in the context of `t`, shifted past the `depth` binders passed."""
@@ -355,7 +340,3 @@ def uses_binder(body: KTerm, depth: int = 0) -> bool:
         case _:
             return False
 
-
-def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
-    """True when every de Bruijn index resolves to an enclosing binder."""
-    return t.lbr <= depth

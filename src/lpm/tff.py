@@ -12,8 +12,8 @@ docs/format-tffx.md) and checked by `wf_theory` before translation.
 `CONNECTIVES` is the one place a connective is defined: one row per
 formula class gives its `.tffx` tag, the kind of each field and the
 `logic` constant it embeds to.  Well-formedness, free variables,
-substitution, the `.tffx` reader and writer, and `embed.translate_formula`
-are all derived from the row.  Terms and types have rows in the same
+substitution, the `.tffx` reader and writer, and `embed.translate` are
+all derived from the row.  Terms and types have rows in the same
 lookup (`row_of`), so one free-name walk, one substitution walk and one
 embedding cover every node.  `ITEMS` does the same for theory items: one
 row per item class gives its `.tffx` tag and field kinds, from which the

@@ -1,13 +1,47 @@
-"""Hand-built reference artifacts the generated ones are compared against."""
+"""Hand-built reference artifacts the generated ones are compared against,
+and the term and matching helpers only the tests use."""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
-from lpm import embed, examples, llproof
+from lpm import embed, examples, kernel, llproof
 from lpm.dkparse import Comment, DkSyntaxError
-from lpm.terms import App, Const, FVar, KTerm, Lam, abstract, app
+from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Var, app
+
+
+# Term helpers the kernel does without: it never opens a binder, so it
+# never closes one, and it reads `lbr` and matches argument by argument.
+
+
+def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
+    """Turn free occurrences of `FVar(name)` into the binder index `depth`."""
+    if not t.has_fvar:
+        return t
+    match t:
+        case FVar(name=n) if n == name:
+            return Var(depth, name)
+        case App(fn=f, arg=a):
+            return App(abstract(f, name, depth), abstract(a, name, depth))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return t.__class__(n, abstract(d, name, depth), abstract(b, name, depth + 1))
+        case _:
+            return t
+
+
+def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
+    """True when every de Bruijn index resolves to an enclosing binder."""
+    return t.lbr <= depth
+
+
+def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[kernel.Substitution]:
+    """First-order syntactic matching of a whole rule pattern against a
+    term: the bindings, or None."""
+    bindings: kernel.Substitution = {}
+    if kernel._match(lhs, subject, frozenset(delta), bindings):
+        return bindings
+    return None
 
 
 def _lam(name: str, annot: KTerm, body: KTerm) -> KTerm:
@@ -105,7 +139,7 @@ def corpus_dk_files() -> list[tuple[str, list]]:
     for name, (mk_thy, mk_goal, mk_proof) in sorted(examples.BUILTINS.items()):
         thy = mk_thy()
         out.append((f"{name}-theory.dk", embed.theory_entries(thy)))
-        cert, _ = llproof.certificate_entries(thy, mk_goal(), mk_proof())
+        cert, _ = llproof.certificate_entries(thy, mk_goal(), mk_proof(), llproof.base_signature(thy))
         out.append((f"{name}-cert.dk", cert))
     return out
 

@@ -60,7 +60,7 @@ def test_criterion_4_projection_collapse(base_sigs):
     sig = base_sigs("pair-fst-snd", "shallow")
     thy, goal, proof = examples.pair_theory(), examples.pair_goal(), examples.pair_proof()
     t0 = time.perf_counter()
-    lhs = embed.translate_formula(goal, "pairs")
+    lhs = embed.translate(goal, "pairs")
     rhs = app(Const("logic.eq"), Const("pairs.elem"), Const("pairs.a"), Const("pairs.a"))
     assert kernel.convertible(sig, lhs, rhs)
     v = check_certificate(thy, goal, proof, "shallow", sig=sig)

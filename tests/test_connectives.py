@@ -67,7 +67,7 @@ def _pinned_records():
             seen |= {type(sub) for sub in _subformulas(phi)}
             out["sexp"].append(sexp.dumps(tff.formula_to_sexp(phi, cons)))
             out["vars"].append(f"{sorted(tff.formula_vars(phi))} {sorted(tff.formula_tvars(phi))}")
-            out["translate"].append(dkparse.print_term(embed.translate_formula(phi, thy.name)))
+            out["translate"].append(dkparse.print_term(embed.translate(phi, thy.name)))
             for t, ctx in ((tbl, TffContext()), (tbl, scope), (tbl, retyped), (other, TffContext())):
                 out["wf"].append(_verdict(t, ctx, phi))
     return out, seen
@@ -140,8 +140,8 @@ def test_term_substitution_properties(phi, x, t):
     free = tff.formula_vars(phi)
     assert tff.formula_vars(got) == (free - {x}) | (tff.term_vars(t) if x in free else frozenset())
     assert tff.formula_tvars(got) == tff.formula_tvars(phi) | (tff.term_tvars(t) if x in free else frozenset())
-    translated = substitute(embed.translate_formula(phi), {x: embed.translate_term(t)})
-    assert embed.translate_formula(got) == translated
+    translated = substitute(embed.translate(phi), {x: embed.translate(t)})
+    assert embed.translate(got) == translated
 
 
 @PROPERTY_SETTINGS
@@ -152,8 +152,8 @@ def test_type_substitution_properties(phi, a, ty):
     free = tff.formula_tvars(phi)
     assert tff.formula_tvars(got) == (free - {a}) | (tff.type_tvars(ty) if a in free else frozenset())
     assert tff.formula_vars(got) == tff.formula_vars(phi)
-    translated = substitute(embed.translate_formula(phi), {a: embed.translate_type(ty)})
-    assert embed.translate_formula(got) == translated
+    translated = substitute(embed.translate(phi), {a: embed.translate(ty)})
+    assert embed.translate(got) == translated
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from theory_gen import check_translation_bullets, random_theory
 from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
 from lpm.dkparse import Decl, Rule, parse_term
-from lpm.embed import translate_context, translate_formula, translate_term, translate_type
+from lpm.embed import translate, translate_context
 from lpm.terms import Const, FVar, app
 
 
@@ -60,55 +60,55 @@ def test_prelude_exists_rule_avoids_shadowing(logic_shallow):
 
 
 # ---------------------------------------------------------------------------
-# translate_type / translate_term / translate_formula / translate_context
+# translate / translate_context
 
 
 def test_translate_nullary_constructor():
-    assert translate_type(tff.TCons("bool"), "bool") == Const("bool.bool")
+    assert translate(tff.TCons("bool"), "bool") == Const("bool.bool")
 
 
 def test_translate_applied_constructor():
-    got = translate_type(tff.TCons("set", (tff.TVar("al"),)), "set")
+    got = translate(tff.TCons("set", (tff.TVar("al"),)), "set")
     assert got == app(Const("set.set"), FVar("al"))
 
 
 def test_translate_type_variable():
-    assert translate_type(tff.TVar("al")) == FVar("al")
+    assert translate(tff.TVar("al")) == FVar("al")
 
 
 def test_translate_term_variable():
-    assert translate_term(tff.Var("x")) == FVar("x")
+    assert translate(tff.Var("x")) == FVar("x")
 
 
 def test_translate_term_type_args_first():
     e = tff.Fun("ifte", (tff.TCons("bool"),), (tff.Fun("true"), tff.Var("a"), tff.Var("b")))
-    got = translate_term(e, "bool")
+    got = translate(e, "bool")
     assert got == T("bool.ifte bool.bool bool.true a b", ("a", "b"))
 
 
 def test_translate_term_set_difference():
     e = tff.Fun("minus", (tff.TVar("al"),), (tff.Var("s"), tff.Var("t")))
-    assert translate_term(e, "set") == T("set.minus al s t", ("al", "s", "t"))
+    assert translate(e, "set") == T("set.minus al s t", ("al", "s", "t"))
 
 
 def test_translate_formula_top():
-    assert translate_formula(tff.Top()) == Const("logic.True")
+    assert translate(tff.Top()) == Const("logic.True")
 
 
 def test_translate_formula_type_quantifier():
     phi = tff.ForallType("al", tff.Top())
-    got = translate_formula(phi)
+    got = translate(phi)
     assert got == T("logic.foralltype (al : logic.type => logic.True)")
 
 
 def test_translate_formula_equality_carries_type():
     phi = tff.Eq(tff.TCons("bool"), tff.Var("x"), tff.Var("y"))
-    assert translate_formula(phi, "bool") == T("logic.eq bool.bool x y", ("x", "y"))
+    assert translate(phi, "bool") == T("logic.eq bool.bool x y", ("x", "y"))
 
 
 def test_translate_formula_term_quantifier_binds():
     phi = tff.Forall("x", tff.TCons("bool"), tff.Eq(tff.TCons("bool"), tff.Var("x"), tff.Var("x")))
-    got = translate_formula(phi, "bool")
+    got = translate(phi, "bool")
     assert got == T("logic.forall bool.bool (x : logic.term bool.bool => logic.eq bool.bool x x)")
 
 
@@ -220,6 +220,6 @@ def test_translation_commutes_with_closed_substitution():
     ]
     for closed in closed_terms:
         for psi in open_formulas:
-            lhs = translate_formula(tff.subst_formula(psi, {"v": closed}), "bool")
-            rhs = substitute(translate_formula(psi, "bool"), {"v": translate_term(closed, "bool")})
+            lhs = translate(tff.subst_formula(psi, {"v": closed}), "bool")
+            rhs = substitute(translate(psi, "bool"), {"v": translate(closed, "bool")})
             assert lhs == rhs

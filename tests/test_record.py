@@ -15,9 +15,8 @@ CLASSES = tuple(dict.fromkeys(
     [row.cls for row in tff.CONNECTIVES + tff.ITEMS] + [row.cls for row in llproof.RULES]
     + [llproof.LLProof, *ENTRIES]
     + [tff.TVar, tff.TCons, tff.Var, tff.Fun, tff.TffTheory, tff.TffContext, llproof.AbsArg]))
-# fields that `==` skips, and those of them that `repr` leaves out too
-LOOSE = {llproof.LLProof: ("origin",), **{cls: ("line", "col") for cls in ENTRIES}}
-HIDDEN = {llproof.LLProof: ("origin",)}
+# fields that `==` skips
+LOOSE = {cls: ("line", "col") for cls in ENTRIES}
 
 
 def _values(cls):
@@ -28,8 +27,7 @@ def _values(cls):
 
 def _twin(cls):
     """A frozen dataclass with the fields of `cls`, compared and shown alike."""
-    spec = [(f, object, dataclasses.field(compare=f not in LOOSE.get(cls, ()), repr=f not in HIDDEN.get(cls, ())))
-            for f in cls.__match_args__]
+    spec = [(f, object, dataclasses.field(compare=f not in LOOSE.get(cls, ()))) for f in cls.__match_args__]
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
@@ -76,11 +74,6 @@ def test_loose_fields_are_not_compared():
     assert dkparse.Decl("a", ty, 1, 2) == dkparse.Decl("a", ty, 3, 4)
     assert hash(dkparse.Decl("a", ty, 1, 2)) == hash(dkparse.Decl("a", ty))
     assert repr(dkparse.Comment("c", 3, 4)) == "Comment(text='c', line=3, col=4)"
-    ax = llproof.Ax(tff.Top())
-    assert llproof.LLProof(ax, (), None, (0, 1)) == llproof.LLProof(ax)
-    assert hash(llproof.LLProof(ax, origin=(2,))) == hash(llproof.LLProof(ax))
-    assert repr(llproof.LLProof(ax, origin=(2,))) == "LLProof(rule=Ax(p=Top()), premises=(), concls=None)"
-    assert llproof.LLProof(ax, origin=(2,)).origin == (2,)
 
 
 def test_defaults_and_argument_errors():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from lpm import kernel, signature
-from lpm.dkparse import parse_term
+from lpm import embed, examples, kernel, signature
+from lpm.dkparse import Def, Rule, parse_term
 from lpm.terms import Const, FVar, app
 
 
@@ -12,10 +12,10 @@ def T(text, delta=()):
 
 
 def test_declare_extends_persistently(logic_shallow):
-    before = len(logic_shallow)
+    before = list(logic_shallow._types)
     extended = logic_shallow.declare("bool.bool", Const("logic.type"))
-    assert len(extended) == before + 1
-    assert len(logic_shallow) == before
+    assert list(extended._types) == before + ["bool.bool"]
+    assert list(logic_shallow._types) == before
     assert extended.type_of("bool.bool") == Const("logic.type")
     assert logic_shallow.type_of("bool.bool") is None
 
@@ -89,23 +89,25 @@ def test_add_rewrite_checks_context_types(bool_sig):
 
 
 def test_empty_signature_is_well_formed():
-    assert len(signature.EMPTY) == 0
-    assert signature.replay(signature.EMPTY).entries == ()
+    assert signature.EMPTY._types == {} and signature.EMPTY._rules == {}
+    assert signature.install_entries(signature.EMPTY, [])._types == {}
 
 
-def test_replay_rederives_every_judgment(bool_sig):
-    replayed = signature.replay(bool_sig)
-    assert replayed.entries == bool_sig.entries
-    assert replayed._types == bool_sig._types
-    assert list(replayed._rules) == list(bool_sig._rules)
-
-
-def test_replay_preserves_order(set_sig):
-    replayed = signature.replay(set_sig)
-    assert [type(e).__name__ for e in replayed.entries] == [
-        type(e).__name__ for e in set_sig.entries
-    ]
-    assert replayed.entries == set_sig.entries
+@pytest.mark.parametrize("make", [examples.bool_theory, examples.set_theory], ids=["bool", "set"])
+def test_stepwise_install_matches_one_call(make):
+    # one entry per call, as `lpm check` installs a file, builds the
+    # signature one call over all the entries builds
+    entries = embed.prelude("shallow") + embed.theory_entries(make())
+    whole = signature.install_entries(signature.EMPTY, entries)
+    stepwise = signature.EMPTY
+    for entry in entries:
+        stepwise = signature.install_entries(stepwise, [entry])
+    assert list(stepwise._types.items()) == list(whole._types.items())
+    assert list(stepwise._rules) == list(whole._rules)
+    fields = lambda rules: [(r.head, r.lhs_args, r.delta, r.rhs, r.screens) for r in rules]
+    for head in whole._rules:
+        assert fields(stepwise.rules_for(head)) == fields(whole.rules_for(head)), head
+    assert sum(map(len, whole._rules.values())) == sum(isinstance(e, (Rule, Def)) for e in entries)
 
 
 def test_assert_entry_checks(logic_shallow):

@@ -12,18 +12,17 @@ from lpm.terms import (
     Lam,
     Pi,
     Var,
-    abstract,
     app,
     arrow,
     free_fvars,
     instantiate,
-    is_locally_closed,
     shift,
     spine,
     substitute,
     uses_binder,
 )
 from lpm.dkparse import parse_term, print_term
+from references import abstract, is_locally_closed
 
 
 def test_substitute_single_variable():

@@ -339,7 +339,7 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     and under a type-variable scope.
     """
     from lpm import kernel
-    from lpm.embed import PROP, term, translate_formula, translate_term, translate_type
+    from lpm.embed import PROP, term, translate
     from lpm.terms import Const, FVar
 
     tbl = tff.wf_theory(thy)
@@ -348,12 +348,12 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     type_c = Const("logic.type")
 
     for ty in random_closed_types(rng, tbl, samples):
-        kernel.check(sig, {}, translate_type(ty, module), type_c)
+        kernel.check(sig, {}, translate(ty, module), type_c)
     for e, ty in random_typed_terms(rng, tbl, samples):
-        kernel.check(sig, {}, translate_term(e, module), term(translate_type(ty, module)))
+        kernel.check(sig, {}, translate(e, module), term(translate(ty, module)))
     for phi in random_closed_formulas(rng, tbl, samples):
         tff.wf_formula(tbl, TffContext(), phi)
-        kernel.check(sig, {}, translate_formula(phi, module), PROP)
+        kernel.check(sig, {}, translate(phi, module), PROP)
 
     # scoped variants: one type variable and one term variable over it
     scope = TffContext(("al",))
@@ -363,16 +363,16 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     scoped_types = [t for t in scoped_types if t is not None]
     for ty in scoped_types:
         tff.wf_type(tbl, ("al",), ty)
-        kernel.check(sig, kctx, translate_type(ty, module, env), type_c)
+        kernel.check(sig, kctx, translate(ty, module, env), type_c)
     if scoped_types:
         wty = scoped_types[0]
         scope2 = scope.bind("w", wty)
         kctx2 = dict(kctx)
-        kctx2["w"] = term(translate_type(wty, module, env))
+        kctx2["w"] = term(translate(wty, module, env))
         env2 = dict(env)
         env2["w"] = FVar("w")
         for ty in scoped_types:
             e = random_term(rng, tbl, scope2, ty, depth=2)
             if e is None:
                 continue
-            kernel.check(sig, kctx2, translate_term(e, module, env2), term(translate_type(ty, module, env)))
+            kernel.check(sig, kctx2, translate(e, module, env2), term(translate(ty, module, env)))
