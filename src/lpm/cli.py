@@ -12,6 +12,11 @@ Three commands:
 
 `_check_text` checks every `.dk` text, given or emitted, so `translate`
 reports a rejected file at its own `FILE:LINE:COL`, as `check` does.
+The emitted `logic.dk` and `rules.dk` are fixed per mode, so a process
+checks each in full once: a later `translate` reuses that successful
+check when the text read back, the signature it starts from, `--eta` and
+the fuel budget are all the same, and replays its `-v` lines.  Any
+difference is a full check; `theory.dk` and `cert.dk` always get one.
 
 Exit codes: 0 success, 1 type/checking error, 2 syntax error, unreadable
 input, bad budget or usage error, 3 fuel exhausted or input nested too deeply.
@@ -22,6 +27,7 @@ only the trusted base; the pipeline is imported by the other commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,38 +125,67 @@ def _fail(rep: Reporter, file: str, e: Exception) -> int:
 
 
 def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, sig: signature.Signature,
-                locate: Optional[Callable] = None) -> tuple[int, signature.Signature, int]:
+                locate: Optional[Callable] = None) -> tuple[int, signature.Signature, list]:
     """Parse the `.dk` text of `file` and install its entries in order,
     each with a fresh fuel budget; return the exit code, the extended
-    signature and the number of entries.  A syntax error is reported at
-    its position and a rejected entry at the entry's, with the failing
-    proof node that `locate`, given for a compiled certificate, finds."""
+    signature and the parsed entries.  A syntax error is reported at its
+    position and a rejected entry at the entry's, with the failing proof
+    node that `locate`, given for a compiled certificate, finds."""
     try:
         entries = dkparse.parse_file(text)
     except (dkparse.DkSyntaxError, RecursionError) as e:
-        return _fail(rep, file, e), sig, 0
+        return _fail(rep, file, e), sig, []
     for entry in entries:
         try:
             sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel))
         except (kernel.KernelError, signature.SignatureError, RecursionError) as e:
             rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
-            return _exit_code_for(e), sig, len(entries)
+            return _exit_code_for(e), sig, entries
         if getattr(entry, "name", None):
             rep.detail(f"checked {entry.name}")
-    return EXIT_OK, sig, len(entries)
+    return EXIT_OK, sig, entries
+
+
+# the signature every command starts from, one object per `--eta`, so a
+# prelude check can name its start by identity
+_START = (signature.EMPTY, signature.EMPTY.with_eta())
+# successful checks of an emitted prelude, one slot per (file, mode, eta):
+# (text read back, starting signature, fuel budget, resulting signature,
+# names `-v` prints); a slot is replaced whole, so two calls racing on it
+# at worst both check in full
+_PRELUDE_CHECKS: dict[tuple[str, str, bool], tuple] = {}
+
+
+def _check_prelude(rep: Reporter, args: argparse.Namespace, path: Path, text: str,
+                   sig: signature.Signature) -> tuple[int, signature.Signature]:
+    """`_check_text` for `logic.dk` or `rules.dk`, reusing this process's
+    last successful check of the same text from the same signature under
+    the same eta and budget; the kernel is deterministic, so its verdict
+    and signature are the ones a full check would give."""
+    key = (path.name, args.mode, args.eta)
+    done = _PRELUDE_CHECKS.get(key)
+    if done is not None and done[0] == text and done[1] is sig and done[2] == args.fuel:
+        for name in done[4]:
+            rep.detail(f"checked {name}")
+        return EXIT_OK, done[3]
+    code, out, entries = _check_text(rep, args, str(path), text, sig)
+    if code == EXIT_OK:
+        names = tuple(e.name for e in entries if getattr(e, "name", None))
+        _PRELUDE_CHECKS[key] = (text, sig, args.fuel, out, names)
+    return code, out
 
 
 def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
-    sig = signature.EMPTY.with_eta(args.eta)
+    sig = _START[args.eta]
     for path in args.files:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeError) as e:
             return _fail(rep, path, e)
-        code, sig, n_entries = _check_text(rep, args, path, text, sig)
+        code, sig, entries = _check_text(rep, args, path, text, sig)
         if code != EXIT_OK:
             return code
-        rep.say(f"{path}: ok ({n_entries} entries)")
+        rep.say(f"{path}: ok ({len(entries)} entries)")
     return EXIT_OK
 
 
@@ -163,6 +198,13 @@ def _write(rep: Reporter, out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+@functools.cache
+def _prelude_texts(mode: str) -> tuple[str, str]:
+    """The `logic` and `rules` modules of `mode` as printed, once per process."""
+    from . import embed, llproof
+    return dkparse.print_file(embed.prelude(mode)), dkparse.print_file(llproof.rules_prelude(mode))
+
+
 def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.Signature]:
     """`lpm translate`: read the theory and the proof, if any, and check the
     theory; write `logic.dk`, `rules.dk` and `theory.dk`, re-checking each
@@ -170,7 +212,7 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
     re-checked from them, write it and re-check it.  Returns the exit code
     and the re-checked signature."""
     from . import embed, llproof, tff
-    sig = signature.EMPTY.with_eta(args.eta)
+    sig = _START[args.eta]
     file = args.theory
     try:
         thy = tff.parse_theory(Path(file).read_text(encoding="utf-8"))
@@ -179,11 +221,8 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
             goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
         file = args.theory
         tff.wf_theory(thy)
-        texts = {
-            "logic.dk": dkparse.print_file(embed.prelude(args.mode)),
-            "rules.dk": dkparse.print_file(llproof.rules_prelude(args.mode)),
-            "theory.dk": dkparse.print_file(embed.theory_entries(thy)),
-        }
+        logic, rules = _prelude_texts(args.mode)
+        texts = {"logic.dk": logic, "rules.dk": rules, "theory.dk": dkparse.print_file(embed.theory_entries(thy))}
         if args.proof:
             texts["cert.dk"] = None  # compiled against the modules as re-checked
     except Exception as e:  # noqa: BLE001 - mapped to exit codes
@@ -198,8 +237,12 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
             except Exception as e:  # noqa: BLE001 - mapped to exit codes
                 return _fail(rep, args.proof, e), sig
         path = _write(rep, Path(args.out), name, text)
-        locate = None if tr is None else (lambda e: llproof.failure_path(tr, e))
-        code, sig, _ = _check_text(rep, args, str(path), path.read_text(encoding="utf-8"), sig, locate)
+        text = path.read_text(encoding="utf-8")
+        if name in ("logic.dk", "rules.dk"):
+            code, sig = _check_prelude(rep, args, path, text, sig)
+        else:
+            locate = None if tr is None else (lambda e: llproof.failure_path(tr, e))
+            code, sig, _ = _check_text(rep, args, str(path), text, sig, locate)
         if code != EXIT_OK:
             return code, sig
         rep.detail(f"re-checked {path}")
@@ -253,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def _run(args: argparse.Namespace, rep: Reporter) -> int:
     """Run the command in a thread whose stack is large enough that deep
     input meets the recursion limit (a `RecursionError`, exit 3) before the
@@ -284,7 +330,7 @@ def _run(args: argparse.Namespace, rep: Reporter) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         parser, message = e.args
         if "--json" not in argv:

@@ -21,10 +21,9 @@ only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
 over the result; `certificate_entries` is the one translator entry.  A
 `pred` or `fun` congruence node is compiled as the chain of `Subst`
-steps it stands for, built where the translator reaches the node;
-`eliminate_pred_fun` builds the same chains over a whole tree.  An
-extension rule node takes `(abs X TY F)` arguments only, and its shape
-and constant are registered in `embed.EXT_RULES`.
+steps it stands for, which `_decompose` builds where the translator
+reaches the node.  An extension rule node takes `(abs X TY F)` arguments
+only, and its shape and constant are registered in `embed.EXT_RULES`.
 """
 
 from __future__ import annotations
@@ -436,17 +435,6 @@ def rules_prelude(mode: str = "shallow") -> list[Entry]:
 
 # ---------------------------------------------------------------------------
 # Pred/Fun elimination
-
-
-def eliminate_pred_fun(p: LLProof, path: tuple[int, ...] = ()) -> LLProof:
-    """Decompose every Pred/Fun node of the tree into its Subst chain.
-
-    The translator decomposes each node where it reaches it instead; this
-    whole-tree form is the reference it is checked against.  `path`
-    locates `p` in the whole tree, for error reports.
-    """
-    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
-    return _decompose(LLProof(p.rule, premises, p.concls), path)
 
 
 def _decompose(p: LLProof, path: tuple[int, ...]) -> LLProof:

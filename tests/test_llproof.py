@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
+from references import eliminate_pred_fun
 from lpm import dkparse, embed, examples, kernel, llproof, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
-from lpm.llproof import LLProof, check_certificate, certificate_entries, eliminate_pred_fun
+from lpm.llproof import LLProof, check_certificate, certificate_entries
 from lpm.terms import App, Const, FVar, Lam, app
 
 
@@ -603,7 +604,7 @@ def test_mini_certificates_cover_all_rule_tags():
         walk(tree)
     for name, (_, _, mk_proof) in examples.BUILTINS.items():
         walk(mk_proof())
-    walk(llproof.eliminate_pred_fun(examples.pred_decomp_proof()))
+    walk(eliminate_pred_fun(examples.pred_decomp_proof()))
     all_tags = {
         "Bot", "NotTop", "Ax", "Cut", "Neq", "Sym", "NotNot", "And", "Or", "Imp",
         "Iff", "NotAnd", "NotOr", "NotImp", "NotIff", "Exists", "Forall",
