@@ -19,7 +19,8 @@ the fuel budget are all the same, and replays its `-v` lines.  Any
 difference is a full check; `theory.dk` and `cert.dk` always get one.
 
 Exit codes: 0 success, 1 type/checking error, 2 syntax error, unreadable
-input, bad budget or usage error, 3 fuel exhausted or input nested too deeply.
+input, bad budget or usage error, 3 fuel exhausted, input nested too deeply
+or out of memory.
 ``LPM_FUEL`` overrides the default rewrite-step budget.  `check` loads
 only the trusted base; the pipeline is imported by the other commands.
 """
@@ -100,7 +101,7 @@ def _loaded(*names: str) -> tuple[type, ...]:
 
 
 def _exit_code_for(e: Exception) -> int:
-    if isinstance(e, (kernel.FuelExhausted, RecursionError)):
+    if isinstance(e, (kernel.FuelExhausted, RecursionError, MemoryError)):
         return EXIT_FUEL
     # an input that cannot be read or decoded counts as a syntax error
     syntax = (dkparse.DkSyntaxError, OSError, UnicodeError, *_loaded("lpm.sexp.SexpError", "lpm.tff.FormatError"))
@@ -110,6 +111,8 @@ def _exit_code_for(e: Exception) -> int:
 
 
 def _message(e: Exception) -> str:
+    if isinstance(e, MemoryError):
+        return "out of memory"
     return f"input nested too deeply ({e})" if isinstance(e, RecursionError) else str(e)
 
 
@@ -133,12 +136,12 @@ def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, s
     node that `locate`, given for a compiled certificate, finds."""
     try:
         entries = dkparse.parse_file(text)
-    except (dkparse.DkSyntaxError, RecursionError) as e:
+    except (dkparse.DkSyntaxError, RecursionError, MemoryError) as e:
         return _fail(rep, file, e), sig, []
     for entry in entries:
         try:
             sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel))
-        except (kernel.KernelError, signature.SignatureError, RecursionError) as e:
+        except (kernel.KernelError, signature.SignatureError, RecursionError, MemoryError) as e:
             rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
             return _exit_code_for(e), sig, entries
         if getattr(entry, "name", None):
@@ -312,6 +315,9 @@ def _run(args: argparse.Namespace, rep: Reporter) -> int:
         except OSError as e:  # writing an output file
             rep.diagnose(e.filename or "-", 0, 0, str(e))
             outcome["code"] = EXIT_TYPE
+        except MemoryError as e:  # outside a parse, compile or check
+            rep.diagnose("-", 0, 0, _message(e))
+            outcome["code"] = EXIT_FUEL
         except BaseException as e:  # noqa: BLE001 - raised again in the caller
             outcome["error"] = e
 

@@ -12,7 +12,10 @@ The parser resolves identifiers on the fly: binders become de Bruijn
 indices, rule-context variables become free variables, and everything
 else becomes a constant (optionally module-qualified, `logic.prf`).
 Printing is canonical: `parse(print(e))` is structurally `e`, and
-printing a reparsed entry reproduces the text byte for byte.
+printing a reparsed entry reproduces the text byte for byte.  A compound
+term with no loose index, free variable or bare constant prints the same
+under any binders: a file is emitted as one list of pieces, and a later
+occurrence of such a term copies the span of its first.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate
+from typing import Callable
 
 from .record import Record
 from .terms import (
@@ -342,32 +346,46 @@ _PREC_ATOM = 3
 
 
 def print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PREC_TERM) -> str:
-    match t:
-        case Sort(name=n):
-            return n
-        case Const(name=n):
-            return n
-        case FVar(name=n):
-            return n
-        case Var(index=i):
-            if i < len(scope):
-                return scope[-1 - i]
-            return f"#{i}"
-        case App(fn=f, arg=a):
-            s = f"{print_term(f, scope, _PREC_APP)} {print_term(a, scope, _PREC_ATOM)}"
-            return f"({s})" if prec > _PREC_APP else s
-        case Lam(name=n, annot=ty, body=b):
-            name = _binder_name(n, b, scope)
-            s = f"{name} : {print_term(ty, scope, _PREC_APP)} => {print_term(b, scope + (name,), _PREC_TERM)}"
-            return f"({s})" if prec > _PREC_TERM else s
-        case Pi(name=n, domain=d, codomain=c):
-            if uses_binder(c):
-                name = _binder_name(n, c, scope)
-                s = f"{name} : {print_term(d, scope, _PREC_APP)} -> {print_term(c, scope + (name,), _PREC_TERM)}"
-                return f"({s})" if prec > _PREC_TERM else s
-            s = f"{print_term(d, scope, _PREC_APP)} -> {print_term(c, scope + ('',), _PREC_TERM)}"
-            return f"({s})" if prec > _PREC_ARROW else s
-    raise TypeError(f"not a printable term: {t!r}")
+    out: list[str] = []
+    _emit(t, scope, prec, out, {})
+    return "".join(out)
+
+
+def _emit(t: KTerm, scope: tuple[str, ...], prec: int, out: list[str], spans: dict) -> None:
+    """Append the pieces of `t`'s text to `out`; `spans` keeps where those
+    of each closed compound term lie, by `(id, prec)`."""
+    cls = t.__class__
+    if cls is Const or cls is Sort or cls is FVar:
+        return out.append(t.name)
+    if cls is Var:
+        return out.append(scope[-1 - t.index] if t.index < len(scope) else f"#{t.index}")
+    key = (id(t), prec) if t.lbr == 0 and not (t.has_fvar or t.has_bare_const) else None
+    if key in spans:
+        start, end = spans[key]
+        return out.extend(out[start:end])
+    start = len(out)
+    # every compound term prints as `[name : ]left sep right`
+    if cls is App:
+        bar, head, left, sep, right, inner, right_prec = _PREC_APP, "", t.fn, " ", t.arg, scope, _PREC_ATOM
+    elif cls is Lam or cls is Pi:
+        left, right = (t.annot, t.body) if cls is Lam else (t.domain, t.codomain)
+        if cls is Lam or uses_binder(right):
+            name = _binder_name(t.name, right, scope)
+            bar, head, sep, inner = _PREC_TERM, f"{name} : ", " => " if cls is Lam else " -> ", scope + (name,)
+        else:
+            bar, head, sep, inner = _PREC_ARROW, "", " -> ", scope + ("",)
+        right_prec = _PREC_TERM
+    else:
+        raise TypeError(f"not a printable term: {t!r}")
+    if prec > bar or head:
+        out.append("(" + head if prec > bar else head)
+    _emit(left, scope, _PREC_APP, out, spans)
+    out.append(sep)
+    _emit(right, inner, right_prec, out, spans)
+    if prec > bar:
+        out.append(")")
+    if key:
+        spans[key] = (start, len(out))
 
 
 def _binder_name(hint: str, body: KTerm, scope: tuple[str, ...]) -> str:
@@ -415,17 +433,18 @@ def _captured_names(body: KTerm, scope: tuple[str, ...]) -> set[str]:
     return out
 
 
-def print_entry(e: Entry) -> str:
+def print_entry(e: Entry, show: Callable[..., str] = print_term) -> str:
+    """The text of `e`, each term as `show(term, prec=...)` prints it."""
     match e:
         case Decl(name=n, type=ty):
-            return f"{n} : {print_term(ty)}."
+            return f"{n} : {show(ty)}."
         case Def(name=n, type=ty, body=b):
-            return f"def {n} : {print_term(ty)} := {print_term(b)}."
+            return f"def {n} : {show(ty)} := {show(b)}."
         case Rule(ctx=ctx, lhs=lhs, rhs=rhs):
-            delta = ", ".join(f"{x} : {print_term(ty)}" for x, ty in ctx)
-            return f"[{delta}] {print_term(lhs, prec=_PREC_ARROW)} --> {print_term(rhs)}."
+            delta = ", ".join(f"{x} : {show(ty)}" for x, ty in ctx)
+            return f"[{delta}] {show(lhs, prec=_PREC_ARROW)} --> {show(rhs)}."
         case AssertType(term=t, type=ty):
-            return f"#ASSERT {print_term(t, prec=_PREC_ARROW)} : {print_term(ty)}."
+            return f"#ASSERT {show(t, prec=_PREC_ARROW)} : {show(ty)}."
         case Comment(text=text):
             return f"(; {text} ;)"
     raise TypeError(f"not a printable entry: {e!r}")
@@ -433,4 +452,12 @@ def print_entry(e: Entry) -> str:
 
 def print_file(entries: list[Entry]) -> str:
     """Canonical text of a `.dk` file, one entry per line."""
-    return "".join(print_entry(e) + "\n" for e in entries)
+    out: list[str] = []
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def show(t: KTerm, prec: int = _PREC_TERM) -> str:
+        start = len(out)
+        _emit(t, (), prec, out, spans)
+        return "".join(out[start:])
+
+    return "".join(print_entry(e, show) + "\n" for e in entries)

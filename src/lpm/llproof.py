@@ -864,7 +864,7 @@ def parse_proof(text: str, thy: tff.TffTheory) -> tuple[tff.TffFormula, LLProof]
     goal_sx = sx[2]
     if not (isinstance(goal_sx, list) and len(goal_sx) == 2 and goal_sx[0] == "goal"):
         raise tff.FormatError("expected (goal FORMULA)")
-    cons = {item.name for item in thy.items if isinstance(item, tff.TypeCons)}
+    cons = tff.Constructors(item.name for item in thy.items if isinstance(item, tff.TypeCons))
     goal = tff.formula_from_sexp(goal_sx[1], cons)
     tree = proof_from_sexp(sx[3], cons)
     return goal, tree

@@ -1,4 +1,9 @@
-"""Minimal S-expression reader/writer for the theory and proof formats."""
+"""Minimal S-expression reader/writer for the theory and proof formats.
+
+`loads` hash-conses what it reads within one call: atoms of the same text
+are one object, and so are lists whose children are the same objects.
+The lists it returns are shared, so no consumer may mutate them.
+"""
 
 from __future__ import annotations
 
@@ -24,9 +29,11 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 
 def loads(text: str) -> list:
-    """Read every toplevel S-expression in `text`."""
+    """Read every toplevel S-expression in `text`, hash-consed."""
     items: list = []
     open_lists: list[tuple[list, int]] = []  # enclosing list, index of its "("
+    atoms: dict[str, object] = {}
+    lists: dict[tuple[int, ...], list] = {}  # the ids of a list's children -> the list
     for i, tok in enumerate(_TOKEN_RE.findall(text)):
         if tok == "(":
             open_lists.append((items, i))
@@ -35,10 +42,13 @@ def loads(text: str) -> list:
             if not open_lists:
                 raise _error("unexpected ')'", text, i)
             outer, _ = open_lists.pop()
-            outer.append(items)
+            outer.append(lists.setdefault(tuple(map(id, items)), items))
             items = outer
         elif tok:
-            items.append(int(tok) if _INT_RE.fullmatch(tok) else tok)
+            atom = atoms.get(tok)
+            if atom is None:
+                atom = atoms[tok] = int(tok) if _INT_RE.fullmatch(tok) else tok
+            items.append(atom)
     if open_lists:
         raise _error("unterminated list", text, open_lists[-1][1])
     return items

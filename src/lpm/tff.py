@@ -415,7 +415,33 @@ def tagged_row(sx: object, rows: Mapping[str, _Row], what: str) -> _Row:
     return row
 
 
+class Constructors(set):
+    """The declared type constructors of one `.tffx`/`.llpx` read call, and
+    the call's formula memo: `formula_from_sexp` reads each pair of a
+    hash-consed S-expression (see `sexp.loads`) and type variables in
+    scope once, so equal formulas of one call are one object.  The memo
+    keys by `id` and holds each S-expression it keys, so no id names two
+    lists while it lives; it goes with its read call."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, names: Iterable[str] = ()):
+        super().__init__(names)
+        self.memo: dict[tuple[int, frozenset[str]], tuple[object, TffFormula]] = {}
+
+
 def formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffFormula:
+    memo = getattr(cons, "memo", None)
+    if memo is None:
+        return _formula_from_sexp(sx, cons, tvars)
+    key = (id(sx), tvars)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (sx, _formula_from_sexp(sx, cons, tvars))
+    return hit[1]
+
+
+def _formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> TffFormula:
     row = tagged_row(sx, _CONNECTIVE_BY_TAG, "formula")
     n = len(row.kinds)
     if row.cls in _TRAILING:
@@ -878,12 +904,13 @@ def subst_type_in_formula(phi: TffFormula, mapping: Mapping[str, TffType]) -> Tf
 def theory_from_sexp(sx: object) -> TffTheory:
     if not (isinstance(sx, list) and len(sx) >= 2 and sx[0] == "theory" and isinstance(sx[1], str)):
         raise FormatError("expected (theory NAME item ...)")
-    cons: set[str] = set()
+    cons = Constructors()
     items: list[TheoryItem] = []
     for raw in sx[2:]:
         item = _item_from_sexp(raw, cons)
         if isinstance(item, TypeCons):
             cons.add(item.name)
+            cons.memo.clear()  # a bare `name` now reads as the constructor
         items.append(item)
     return TffTheory(sx[1], tuple(items))
 

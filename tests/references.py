@@ -7,8 +7,10 @@ import re
 from typing import Iterable, NamedTuple, Optional
 
 from lpm import embed, examples, kernel, llproof
-from lpm.dkparse import Comment, DkSyntaxError
-from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Var, app
+from lpm.dkparse import (
+    _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, print_entry,
+)
+from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, uses_binder
 
 
 # Term helpers the kernel does without: it never opens a binder, so it
@@ -223,3 +225,43 @@ def reference_tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]
             raise DkSyntaxError(f"unknown command {word}", line, col)
         else:  # a symbol, a keyword or `#ASSERT` is its own kind
             tokens.append(Token(word, word, line, col))
+
+
+# The `.dk` printer as it was before it emitted pieces: one string per
+# subterm, built by recursion.  It is the oracle the differential printer
+# test compares `dkparse.print_file` against.
+
+
+def reference_print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PREC_TERM) -> str:
+    match t:
+        case Sort(name=n):
+            return n
+        case Const(name=n):
+            return n
+        case FVar(name=n):
+            return n
+        case Var(index=i):
+            if i < len(scope):
+                return scope[-1 - i]
+            return f"#{i}"
+        case App(fn=f, arg=a):
+            s = f"{reference_print_term(f, scope, _PREC_APP)} {reference_print_term(a, scope, _PREC_ATOM)}"
+            return f"({s})" if prec > _PREC_APP else s
+        case Lam(name=n, annot=ty, body=b):
+            name = _binder_name(n, b, scope)
+            s = (f"{name} : {reference_print_term(ty, scope, _PREC_APP)} => "
+                 f"{reference_print_term(b, scope + (name,), _PREC_TERM)}")
+            return f"({s})" if prec > _PREC_TERM else s
+        case Pi(name=n, domain=d, codomain=c):
+            if uses_binder(c):
+                name = _binder_name(n, c, scope)
+                s = (f"{name} : {reference_print_term(d, scope, _PREC_APP)} -> "
+                     f"{reference_print_term(c, scope + (name,), _PREC_TERM)}")
+                return f"({s})" if prec > _PREC_TERM else s
+            s = f"{reference_print_term(d, scope, _PREC_APP)} -> {reference_print_term(c, scope + ('',), _PREC_TERM)}"
+            return f"({s})" if prec > _PREC_ARROW else s
+    raise TypeError(f"not a printable term: {t!r}")
+
+
+def reference_print_file(entries: list) -> str:
+    return "".join(print_entry(e, reference_print_term) + "\n" for e in entries)

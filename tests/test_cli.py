@@ -290,6 +290,22 @@ def test_proof_syntax_error_is_reported_against_the_proof_file(tmp_path, capsys)
     assert json.loads(stdout)["diagnostics"] == [{"file": str(bad), "line": 3, "col": 10, "message": "unexpected ')'"}]
 
 
+@pytest.mark.parametrize("body, line, col, message", [
+    ("(goal (and (not) (not)))\n  (nottop (concl (not (not))))", 0, 0, "not expects 1 fields: (not)"),
+    ("(goal (and (not (top)) (not (top))))\n  (nottop (concl (not (not (top)) (not (top))))) )", 3, 51, "unexpected ')'"),
+], ids=["format", "syntax"])
+def test_malformed_repeated_subexpression_diagnostic_pinned(tmp_path, capsys, body, line, col, message):
+    # the reader shares equal lists and reads each formula once, yet an
+    # error is reported as it was when every occurrence was read afresh
+    theory_file = tmp_path / "t.tffx"
+    theory_file.write_text("(theory t (pred P () ()))\n")
+    bad = tmp_path / "bad.llpx"
+    bad.write_text(f"(proof (theory t)\n  {body})\n")
+    code, stdout, _ = run(["--json", "translate", str(theory_file), str(bad), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert json.loads(stdout)["diagnostics"] == [{"file": str(bad), "line": line, "col": col, "message": message}]
+
+
 def test_theory_syntax_error_has_its_position(tmp_path, capsys):
     bad = tmp_path / "bad.tffx"
     bad.write_text("(theory t\n  (type i 0)\n")
@@ -537,6 +553,43 @@ def test_deeply_nested_formula_exits_3_in_translate(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["exit_code"] == 3
     assert "nested too deeply" in payload["diagnostics"][0]["message"]
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# where the allocation fails: the function made to raise, the command and
+# the file the diagnostic names, and its line and column
+_OUT_OF_MEMORY = {
+    "check-parse": ((dkparse, "parse_file"), "check", "a.dk", 0, 0),
+    "check-install": ((signature, "install_entries"), "check", "a.dk", 1, 1),
+    "translate-read": ((tff, "parse_theory"), "translate", "t.tffx", 0, 0),
+    "translate-compile": ((llproof, "certificate_entries"), "translate", "p.llpx", 0, 0),
+    "translate-write": ((Path, "write_text"), "translate", "-", 0, 0),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("case", sorted(_OUT_OF_MEMORY))
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, fresh_preludes, case, as_json):
+    # a `MemoryError` is a typed outcome, never a traceback or an empty message
+    (owner, name), command, file, line, col = _OUT_OF_MEMORY[case]
+    thy, goal, proof = (make() for make in examples.BUILTINS["bool-commute"])
+    (tmp_path / "a.dk").write_text("A : Type.\n")
+    (tmp_path / "t.tffx").write_text(tff.print_theory(thy))
+    (tmp_path / "p.llpx").write_text(llproof.print_proof(thy, goal, proof))
+    argv = ["check", "a.dk"] if command == "check" else ["translate", "t.tffx", "p.llpx", "--out", "o"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(owner, name, _out_of_memory)
+    code, stdout, stderr = run(["--json"] * as_json + argv, capsys)
+    assert code == 3
+    if as_json:
+        payload = json.loads(stdout)
+        assert payload["exit_code"] == 3
+        assert payload["diagnostics"] == [{"file": file, "line": line, "col": col, "message": "out of memory"}]
+    else:
+        assert stderr == f"{file}:{line}:{col}: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["examples", "translate"])

@@ -1,6 +1,7 @@
 """Surface syntax: lexing, parsing, printing, round trips."""
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,21 @@ def test_parse_shares_equal_subterms_with_equal_names():
     assert args[0] is args[3] and args[1] is args[4]
     assert args[1] == args[2] and args[1] is not args[2]  # the display names differ
     assert print_file([e]) == text
+
+
+def test_printing_a_shared_deep_formula_takes_linear_memory():
+    # a closed subterm's later occurrence copies the span of pieces its
+    # first one emitted; remembering each subterm's string instead would
+    # hold about 55 MB here, the sum of 3,000 nested texts
+    phi = Const("m.p")
+    for _ in range(3000):
+        phi = App(Const("logic.not"), phi)
+    entries = [Decl("d", app(Const("m.f"), phi, phi))]
+    tracemalloc.start()
+    try:
+        text = print_file(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"d : m.f {print_term(phi, prec=dkparse._PREC_ATOM)} {print_term(phi, prec=dkparse._PREC_ATOM)}.\n"
+    assert peak < 8 << 20

@@ -1,12 +1,13 @@
-"""Properties of the `.dk` front end: the lexer against its reference,
-printing and parsing as inverses, and sharing in parsed terms."""
+"""Properties of the `.dk` front end: the lexer and the printer against
+their references, printing and parsing as inverses, and sharing in parsed
+terms."""
 
 from hypothesis import given, settings, strategies as st
 
-from references import reference_tokenize
+from references import reference_print_file, reference_tokenize
 from lpm import dkparse
 from lpm.dkparse import Decl, Def, DkSyntaxError, Rule, parse_file, parse_term, print_file, print_term
-from lpm.terms import KIND, TYPE, App, Const, FVar, KTerm, Lam, Pi, Var
+from lpm.terms import KIND, TYPE, App, Const, FVar, KTerm, Lam, Pi, Var, app
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -64,9 +65,12 @@ CONSTS = ("c", "x", "f", "m.c", "m.f")
 BINDER_NAMES = ("", "x", "y", "x'", "c", "a", "h0", "def", "m.q")
 
 
-def _term(data, depth: int, budget: int) -> KTerm:
-    leaves = ["sort", "const", "fvar"] + ["var"] * (depth > 0)
+def _term(data, depth: int, budget: int, shared: tuple[KTerm, ...] = ()) -> KTerm:
+    """A random term; a leaf may be one of the terms in `shared`."""
+    leaves = ["sort", "const", "fvar"] + ["var"] * (depth > 0) + ["shared"] * bool(shared)
     kind = data.draw(st.sampled_from(leaves + ["app", "lam", "pi"] * (budget > 0)))
+    if kind == "shared":
+        return data.draw(st.sampled_from(shared))
     if kind == "sort":
         return data.draw(st.sampled_from((TYPE, KIND)))
     if kind == "const":
@@ -75,11 +79,11 @@ def _term(data, depth: int, budget: int) -> KTerm:
         return FVar(data.draw(st.sampled_from(DELTA)))
     if kind == "var":
         return Var(data.draw(st.integers(0, depth - 1)))
-    left = _term(data, depth, budget - 1)
+    left = _term(data, depth, budget - 1, shared)
     if kind == "app":
-        return App(left, _term(data, depth, budget - 1))
+        return App(left, _term(data, depth, budget - 1, shared))
     former = Lam if kind == "lam" else Pi
-    return former(data.draw(st.sampled_from(BINDER_NAMES)), left, _term(data, depth + 1, budget - 1))
+    return former(data.draw(st.sampled_from(BINDER_NAMES)), left, _term(data, depth + 1, budget - 1, shared))
 
 
 @PROPERTY_SETTINGS
@@ -90,6 +94,33 @@ def test_print_parse_round_trip(data):
     parsed = parse_term(text, DELTA)
     assert parsed == t
     assert print_term(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# The printer, which copies the text of a closed subterm's first occurrence,
+# prints what the reference printer prints
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_print_file_matches_reference(data):
+    name = data.draw(st.sampled_from(BINDER_NAMES[1:]))
+    # closed: printed once, then copied, also under binders named as its own
+    closed = App(Const("m.f"), Lam(name, Const("m.c"), App(Var(0), Const("m.c"))))
+    # a bare constant and a free variable, which the binders around them must
+    # not capture: their text is never copied
+    opened = App(Const(data.draw(st.sampled_from(CONSTS))), FVar(data.draw(st.sampled_from(DELTA))))
+    # an index: its text is the name of the binder it is under
+    loose = App(Const("m.f"), Var(0))
+    shared = (closed, opened, _term(data, 0, 3))
+    # `closed` at application and at argument precedence, both under a
+    # binder named as its own; `opened` under binders and outside them
+    body = app(closed, opened, loose, Pi(name, closed, app(opened, closed)), Lam("y", closed, App(Const("m.f"), loose)))
+    skeleton = Lam(name, Const("m.c"), body)
+    terms = [_term(data, 0, 5, shared) for _ in range(3)]
+    ctx = tuple((x, Const("m.c")) for x in DELTA)
+    entries = [Decl("d0", skeleton), Def("d1", terms[0], opened), Rule(ctx, terms[1], terms[2]), Decl("d2", closed)]
+    assert print_file(entries) == reference_print_file(entries)
 
 
 def _entry_terms(e) -> list[KTerm]:

@@ -9,9 +9,10 @@ import pytest
 
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
 from references import eliminate_pred_fun
-from lpm import dkparse, embed, examples, kernel, llproof, signature, terms, tff
+from lpm import dkparse, embed, examples, kernel, llproof, sexp, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.llproof import LLProof, check_certificate, certificate_entries
+from lpm.record import Record, values
 from lpm.terms import App, Const, FVar, Lam, app
 
 
@@ -648,6 +649,45 @@ def test_parse_proof_validates_structure():
         llproof.parse_proof("(proof (theory bool) (goal (top)) (frob))", thy)
     with pytest.raises(tff.FormatError):
         llproof.parse_proof("(proof (theory bool) (goal (top)) (ext bool-case-exists ((abs x)) () ()))", thy)
+
+
+def _formulas(x):
+    """Every formula reachable from `x` through record fields and tuples."""
+    connectives = {row.cls for row in tff.CONNECTIVES}
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Record):
+            if type(x) in connectives:
+                yield x
+            stack.extend(values(x))
+
+
+def test_equal_formulas_read_from_one_proof_are_one_object():
+    # the reader builds each distinct formula once per read, so the
+    # translator's hypothesis table and embedding memo hit by identity
+    thy, goal, proof = chain_certificate(16)
+    goal2, proof2 = llproof.parse_proof(llproof.print_proof(thy, goal, proof), thy)
+    assert (goal2, proof2) == (goal, proof)
+    seen = {}
+    formulas = list(_formulas((goal2, proof2)))
+    for phi in formulas:
+        assert seen.setdefault(phi, phi) is phi
+    assert len(formulas) > 10 * len(seen)
+
+
+def test_reads_after_a_proof_read_are_their_own():
+    # the reader's memo keys by `id` and goes with its read: lists read
+    # later, at the addresses of freed ones, are read afresh
+    thy, goal, proof = chain_certificate(16)
+    text = llproof.print_proof(thy, goal, proof)
+    for _ in range(3):
+        llproof.parse_proof(text, thy)
+        assert tff.formula_from_sexp(sexp.loads_one("(and (pred P1 ()) (not (pred P0 ())))"), set()) == tff.And(
+            tff.Pred("P1"), tff.Not(tff.Pred("P0")))
+        assert tff.parse_theory(tff.print_theory(examples.set_theory())) == examples.set_theory()
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_integers_are_ascii_digits_only():
     assert sexp.loads("--5 ² -5-") == ["--5", "²", "-5-"]
 
 
+def test_equal_lists_and_atoms_are_one_object():
+    x, y, z = sexp.loads("(a (b 1000) (b 1000)) (a (b 1000) (b 1000)) (a (b 01000) (b 1000))")
+    assert x is y and x[1] is x[2] and x[0] is z[0]
+    assert z == x and z[1] is not z[2]  # `01000` is the integer 1000, not the same text
+
+
 def test_deep_nesting_reads_at_default_recursion_limit():
     depth = 50_000
     limit = sys.getrecursionlimit()

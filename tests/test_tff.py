@@ -275,6 +275,13 @@ def test_type_variables_named_like_constructors_round_trip():
     assert tff.formula_from_sexp(sexp.loads_one("(foralltype a (forall x a (pred P (a) x)))"), cons) == bound
 
 
+def test_a_formula_read_before_and_after_a_type_declaration():
+    # one S-expression, two readings: `a` is a type variable until `(type a 0)`
+    thy = tff.parse_theory("(theory t (pred r (x) ()) (axiom h1 (pred r (a))) (type a 0) (axiom h2 (pred r (a))))")
+    h1, h2 = thy.items[1].formula, thy.items[3].formula
+    assert (h1.ty_args, h2.ty_args) == ((TVar("a"),), (TCons("a"),))
+
+
 def test_formula_sexp_round_trip():
     thy = examples.set_theory()
     cons = {"set"}
