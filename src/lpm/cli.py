@@ -120,7 +120,7 @@ def _fail(rep: Reporter, file: str, e: Exception) -> int:
     """Report an error reading, writing or compiling `file` and return its
     exit code.  A syntax error is placed at its line and column; a
     certificate the translator rejects names its proof node."""
-    if isinstance(e, (dkparse.DkSyntaxError, *_loaded("lpm.sexp.SexpError"))):
+    if isinstance(e, (dkparse.DkSyntaxError, *_loaded("lpm.sexp.SexpError", "lpm.tff.FormatError"))):
         rep.diagnose(file, e.line, e.col, e.message)
     else:
         rep.diagnose(file, 0, 0, _message(e), e.path if isinstance(e, _loaded("lpm.llproof.CertificateError")) else None)

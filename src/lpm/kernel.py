@@ -10,7 +10,9 @@ loudly instead of hanging.
 so typing reads products and sorts off it, and conversion compares final
 heads before the parts below them.  No binder is opened (see `terms`):
 typing carries the enclosing binders' types as a de Bruijn context, and
-conversion and `normalize` work on binder bodies in place.
+conversion and `normalize` work on binder bodies in place.  An application
+spine is typed in one frame, and the arguments passed are put into its
+type at once (`terms.instantiate_many`), only where the type is read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .terms import (
     Var,
     app,
     instantiate,
+    instantiate_many,
     shift,
     spine,
     substitute,
@@ -316,10 +319,12 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
     """The type of `t` under `bound`, the (name, type) of each enclosing
     binder, innermost last, grown and shrunk in place.  `memo`, one per
     `infer`, maps the local context's variables and each locally closed
-    term typed so far to its type; `child` is `t`'s index in its parent."""
+    term typed so far to its type (a spine's, not its prefixes'); `child`
+    is `t`'s index in its parent."""
     closed = t.lbr == 0
     if closed and (ty := memo.get(t)) is not None:
         return ty
+    k = 0  # applications of t's spine above the one being typed: a child 0 each
     try:
         match t:
             case Sort(name="Type"):
@@ -335,14 +340,25 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                 if i >= len(bound):
                     raise UnboundIdentifier(f"#{i}")
                 return shift(bound[-1 - i][1], i + 1)
-            case App(fn=f, arg=a):
-                fn_ty = whnf(sig, _infer(sig, bound, f, fuel, memo, 0), fuel)
-                if not isinstance(fn_ty, Pi):
-                    raise NotAFunction(f, fn_ty, _names(bound))
-                arg_ty = _infer(sig, bound, a, fuel, memo, 1)
-                if not _conv(sig, arg_ty, fn_ty.domain, fuel):
-                    raise TypeMismatch(_safe_nf(sig, fn_ty.domain, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
-                ty = instantiate(fn_ty.codomain, a)
+            case App():
+                f, args = spine(t)
+                k = len(args)  # f is child 0 of each application
+                ty = _infer(sig, bound, f, fuel, memo)
+                pending: list[KTerm] = []  # arguments passed, outermost first, not yet put into `ty`
+                for j, a in enumerate(args):
+                    k -= 1
+                    if type(ty) is not Pi:
+                        ty = whnf(sig, instantiate_many(ty, pending), fuel)
+                        pending = []
+                        if type(ty) is not Pi:
+                            raise NotAFunction(app(f, *args[:j]), ty, _names(bound))
+                    arg_ty = _infer(sig, bound, a, fuel, memo, 1)
+                    dom = instantiate_many(ty.domain, pending)
+                    if not _conv(sig, arg_ty, dom, fuel):
+                        raise TypeMismatch(_safe_nf(sig, dom, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
+                    pending.append(a)
+                    ty = ty.codomain
+                ty = instantiate_many(ty, pending)
             case Lam(name=n, annot=d, body=b):
                 _check_domain(sig, bound, d, fuel, memo)
                 bound.append((n, d))
@@ -366,6 +382,7 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
             case _:
                 raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
+        e.trail += [0] * k
         if child is not None:
             e.trail.append(child)
         raise

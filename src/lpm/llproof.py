@@ -270,7 +270,7 @@ _ABS_KINDS = {"abs": (SYMBOL, TY, FORMULA)}
 def _abs_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> AbsArg:
     kinds = tff.tagged_row(sx, _ABS_KINDS, "extension argument")
     if len(sx) != 1 + len(kinds):
-        raise tff.FormatError(f"extension argument {sx[0]} expects {len(kinds)} fields")
+        raise tff.FormatError(f"extension argument {sx[0]} expects {len(kinds)} fields", sx)
     return AbsArg(*tff.read_fields(kinds, sx[1:], cons, tvars))
 
 
@@ -830,7 +830,7 @@ def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
     row = tff.tagged_row(sx, _SCHEMA_BY_TAG, "proof node")
     count = len(row.kinds)
     if len(sx) < 1 + count:
-        raise tff.FormatError(f"rule {row.tag} expects {count} fields")
+        raise tff.FormatError(f"rule {row.tag} expects {count} fields", sx)
     # `(TAG field ... [(concl F ...)] premise ...)`
     rest = sx[1 + count :]
     concls = None
@@ -853,17 +853,20 @@ def proof_to_sexp(p: LLProof, cons: set[str]) -> list:
 
 def parse_proof(text: str, thy: tff.TffTheory) -> tuple[tff.TffFormula, LLProof]:
     """Read a `.llpx` file: (proof (theory NAME) (goal F) TREE)."""
-    sx = sexp.loads_one(text)
+    return tff.read_text(text, lambda sx: _proof_file_from_sexp(sx, thy))
+
+
+def _proof_file_from_sexp(sx: object, thy: tff.TffTheory) -> tuple[tff.TffFormula, LLProof]:
     if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == "proof"):
-        raise tff.FormatError("expected (proof (theory NAME) (goal F) TREE)")
+        raise tff.FormatError("expected (proof (theory NAME) (goal F) TREE)", sx)
     theory_ref = sx[1]
     if not (isinstance(theory_ref, list) and len(theory_ref) == 2 and theory_ref[0] == "theory"):
-        raise tff.FormatError("expected (theory NAME)")
+        raise tff.FormatError("expected (theory NAME)", theory_ref)
     if theory_ref[1] != thy.name:
-        raise tff.FormatError(f"proof references theory {theory_ref[1]!r}, got {thy.name!r}")
+        raise tff.FormatError(f"proof references theory {theory_ref[1]!r}, got {thy.name!r}", theory_ref)
     goal_sx = sx[2]
     if not (isinstance(goal_sx, list) and len(goal_sx) == 2 and goal_sx[0] == "goal"):
-        raise tff.FormatError("expected (goal FORMULA)")
+        raise tff.FormatError("expected (goal FORMULA)", goal_sx)
     cons = tff.Constructors(item.name for item in thy.items if isinstance(item, tff.TypeCons))
     goal = tff.formula_from_sexp(goal_sx[1], cons)
     tree = proof_from_sexp(sx[3], cons)

@@ -62,10 +62,34 @@ def loads_one(text: str) -> object:
 
 
 def _error(message: str, text: str, index: int) -> SexpError:
-    """The error at the `index`-th match of `_TOKEN_RE`; every character
-    counts as one column, tab and CR included."""
-    offset = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
-    return SexpError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+    """The error at the `index`-th match of `_TOKEN_RE`."""
+    return SexpError(message, *_line_col(text, next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)))
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """Every character counts as one column, tab and CR included."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def position_of(text: str, target: object) -> tuple[int, int]:
+    """The line and column of the first occurrence of `target`, a part of
+    what `loads(text)` read, by reading `text` again; (0, 0) if none."""
+    items: list = []
+    open_lists: list[tuple[list, int]] = []  # enclosing list, offset of its "("
+    for m in _TOKEN_RE.finditer(text):
+        tok, offset = m.group(1), m.start(1)
+        if tok == "(":
+            open_lists.append((items, offset))
+            items = []
+            continue
+        if tok == ")":
+            (items, offset), x = open_lists.pop(), items
+        else:  # an atom, or "" at the end of the text, which is no atom
+            x = int(tok) if _INT_RE.fullmatch(tok) else tok
+        if type(x) is type(target) and x == target:
+            return _line_col(text, offset)
+        items.append(x)
+    return 0, 0
 
 
 def dumps(x: object) -> str:

@@ -8,8 +8,10 @@ alpha-equivalence.
 
 Binders are never opened: the kernel works on a binder's body in place,
 where `Var(i)` is the i-th enclosing binder.  A term moved under `k` more
-binders is `shift`ed by `k`, as `instantiate` and `substitute` do to a
-value and `arrow` to each component; a locally closed term needs none.
+binders is `shift`ed by `k`, as `instantiate_many` (which puts several
+binders' values into a body in one walk; `instantiate` is its one-value
+case) and `substitute` do to a value and `arrow` to each component; a
+locally closed term needs none.
 
 Every node caches four values, derived from its children once, at
 construction (the Lean 4 kernel keeps `looseBVarRange` the same way):
@@ -29,7 +31,7 @@ in `lpm` assigns to a term's fields after construction.  It also lets
 terms be shared: the `.dk` parser builds each term of a file once, so
 `==` on parsed terms usually settles by identity.  The walks below use
 the cache to return a subtree they cannot change at once: `shift`,
-`instantiate` and `uses_binder` skip one whose indices do not reach the
+`instantiate_many` and `uses_binder` skip one whose indices do not reach the
 binder, `substitute` and `free_fvars` one without `FVar`.
 """
 
@@ -276,17 +278,24 @@ def shift(t: KTerm, by: int, cutoff: int = 0) -> KTerm:
 
 def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
     """Replace index `depth` in `body` by `value`, given at that binder, and lower the indices past it."""
-    if body.lbr <= depth:
+    return instantiate_many(body, (value,), depth)
+
+
+def instantiate_many(body: KTerm, values: tuple[KTerm, ...] | list[KTerm], depth: int = 0) -> KTerm:
+    """Replace indices `depth` to `depth + m - 1` in `body` by the m `values`, given outside
+    those binders, outermost first, and lower the indices past them by m, all in one walk."""
+    if body.lbr <= depth or not values:
         return body
     match body:
         case Var(index=i, name=n):
-            if i > depth:
-                return Var(i - 1, n)
+            if i >= depth + len(values):
+                return Var(i - len(values), n)
+            value = values[depth - 1 - i]
             return shift(value, depth) if depth and value.lbr else value
         case App(fn=f, arg=a):
-            return App(instantiate(f, value, depth), instantiate(a, value, depth))
+            return App(instantiate_many(f, values, depth), instantiate_many(a, values, depth))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
-            return body.__class__(n, instantiate(d, value, depth), instantiate(b, value, depth + 1))
+            return body.__class__(n, instantiate_many(d, values, depth), instantiate_many(b, values, depth + 1))
         case _:
             return body
 

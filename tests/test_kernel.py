@@ -434,6 +434,52 @@ def test_error_position_locates_failing_subterm(bool_sig):
     assert position(Const("bool.true"), Const("logic.Prop")) == (kernel.TypeMismatch, ())
 
 
+SPINE_SIG = """A : Type. B : Type. C : Type. a : A. a2 : A. b : B. P : A -> Type. p : P a.
+f : x : A -> P x -> B -> C.
+T : A -> Type.
+[] T a --> B -> C.
+k : x : A -> T x.
+"""
+
+# (term, position, message): a bad argument at each position of f, too many
+# arguments at each level, domains that depend on earlier arguments, and a
+# type that is a product only after the arguments are put in and reduced (k)
+SPINE_FAILURES = [
+    ("f b p b", (0, 0), "type mismatch: expected A, found B"),
+    ("f a2 p b", (0,), "type mismatch: expected P a2, found P a"),
+    ("f a p a", (), "type mismatch: expected B, found A"),
+    ("f a b", (), "type mismatch: expected P a, found B"),
+    ("a b", (), "term a of type A is applied but is not a function"),
+    ("P a b", (), "term P a of type Type is applied but is not a function"),
+    ("k a2 b", (), "term k a2 of type T a2 is applied but is not a function"),
+    ("k a a", (), "type mismatch: expected B, found A"),
+    ("k a b b", (), "term k a b of type C is applied but is not a function"),
+    ("f a p b b", (), "term f a p b of type C is applied but is not a function"),
+    ("f a p b b b", (0,), "term f a p b of type C is applied but is not a function"),
+    ("f a (P b) b", (0, 1), "type mismatch: expected A, found B"),
+    ("f (a b) p", (0, 1), "term a of type A is applied but is not a function"),
+    ("y : A => f y p b", (1, 0), "type mismatch: expected P y, found P a"),
+    ("y : A => z : P y => f y z y", (1, 1), "type mismatch: expected B, found A"),
+    ("y : A => z : P y => f a z b", (1, 1, 0), "type mismatch: expected P a, found P y"),
+    ("y : A => z : P y => k y b", (1, 1), "term k y of type T y is applied but is not a function"),
+    ("y : A => z : P y => f y z b (k a b)", (1, 1), "term f y z b of type C is applied but is not a function"),
+    ("q : (B -> B) => f a p (q a)", (1, 1), "type mismatch: expected B, found A"),
+    ("(x : A => f x) a p b b", (), "term (x : A => f x) a p b of type C is applied but is not a function"),
+    ("(x : A => f x) a2 p", (), "type mismatch: expected P a2, found P a"),
+]
+
+
+def test_spine_failures_pinned():
+    sig = signature.install_entries(signature.EMPTY, parse_file(SPINE_SIG))
+    assert kernel.infer(sig, {}, T("f a p b")) == Const("C")
+    assert kernel.infer(sig, {}, T("k a b")) == Const("C")
+    assert kernel.infer(sig, {}, T("y : A => z : P y => f y z b")) == T("y : A -> z : P y -> C")
+    for text, position, message in SPINE_FAILURES:
+        with pytest.raises(kernel.KernelError) as e:
+            kernel.infer(sig, {}, T(text))
+        assert (e.value.position, str(e.value)) == (position, message), text
+
+
 # ---------------------------------------------------------------------------
 # reduction and conversion under binders: loose indices are rigid variables
 

@@ -695,11 +695,12 @@ def test_reads_after_a_proof_read_are_their_own():
 
 
 def _kernel_calls(monkeypatch, n: int) -> dict[str, int]:
-    """Calls of the kernel's typing, reduction and conversion workers while
-    `check_certificate` accepts chain-n; fails on any call of `abstract`."""
+    """Calls of the kernel's typing, reduction and conversion workers, and
+    of each node the instantiation walk visits, while `check_certificate`
+    accepts chain-n; fails on any call of `abstract`."""
     thy, goal, proof = chain_certificate(n)
     sig = llproof.base_signature(thy)
-    counts = dict.fromkeys(("_infer", "whnf", "_conv"), 0)
+    counts = dict.fromkeys(("_infer", "whnf", "_conv", "instantiate_many"), 0)
     with monkeypatch.context() as m:
         for name in counts:
             def counted(*args, _fn=getattr(kernel, name), _name=name, **kwargs):
@@ -707,6 +708,8 @@ def _kernel_calls(monkeypatch, n: int) -> dict[str, int]:
                 return _fn(*args, **kwargs)
 
             m.setattr(kernel, name, counted)
+            if hasattr(terms, name):  # the walk recurses through its own module's name
+                m.setattr(terms, name, counted)
 
         def no_abstract(*args, **kwargs):
             raise AssertionError("terms.abstract called while checking a certificate")
@@ -724,15 +727,24 @@ def test_chain_checking_work_grows_linearly(monkeypatch):
         assert large[name] <= 2.1 * small[name], (name, small[name], large[name])
 
 
-def test_chain_64_checks_at_the_default_recursion_limit():
+def _check_chain_at_the_default_recursion_limit(n: int) -> None:
     # a fresh interpreter keeps the default limit of 1000 frames
     here = Path(__file__).resolve().parent
     code = (
         "import sys; from lpm import llproof; from mutations import chain_certificate; "
         "assert sys.getrecursionlimit() == 1000; "
-        "v = llproof.check_certificate(*chain_certificate(64)); print(v.accepted, v.error)"
+        f"v = llproof.check_certificate(*chain_certificate({n})); print(v.accepted, v.error)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "True None"
+
+
+def test_chain_64_checks_at_the_default_recursion_limit():
+    _check_chain_at_the_default_recursion_limit(64)
+
+
+def test_chain_160_checks_at_the_default_recursion_limit():
+    # an application spine is typed in one `_infer` frame, whatever its length
+    _check_chain_at_the_default_recursion_limit(160)

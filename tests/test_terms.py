@@ -16,13 +16,14 @@ from lpm.terms import (
     arrow,
     free_fvars,
     instantiate,
+    instantiate_many,
     shift,
     spine,
     substitute,
     uses_binder,
 )
 from lpm.dkparse import parse_term, print_term
-from references import abstract, is_locally_closed
+from references import abstract, is_locally_closed, reference_instantiate
 
 
 def test_substitute_single_variable():
@@ -203,6 +204,30 @@ def test_unaffected_subtrees_are_returned_as_is():
     opened = instantiate(body, Const("c"))
     assert opened.annot is body.annot
     assert abstract(opened, "u") is opened
+
+
+def test_instantiate_many_is_a_fold_of_single_instantiations_random():
+    # m values, outermost binder first, given outside the m binders, which
+    # sit `depth` binders up from the body; the values have loose indices
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(600):
+        m, depth = rng.randrange(5), rng.randrange(3)
+        body = _random_term(rng, 4, depth + m + 2)
+        values = [_random_term(rng, 2, 3) for _ in range(m)]
+        expected = body
+        for j, v in enumerate(values):
+            expected = reference_instantiate(expected, v, depth + m - 1 - j)
+        got = instantiate_many(body, values, depth)
+        assert got == expected, (body, values, depth)
+        assert _cached_data(got) == _reference_data(got)
+        assert repr(got) == repr(expected)  # display names too
+        if m == 1:
+            assert instantiate(body, values[0], depth) == expected
+        if body.lbr <= depth or not m:
+            assert got is body
+        checked += any(v.lbr for v in values) and body.lbr > depth + 1
+    assert checked > 100
 
 
 def test_deep_terms_without_recursion():

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from lpm import examples, sexp, tff
+from lpm import examples, llproof, sexp, tff
 from lpm.tff import (
     And,
     Bottom,
@@ -251,6 +251,31 @@ def test_theory_format_errors():
         tff.parse_theory("(theory t (frobnicate x))")
     with pytest.raises(sexp.SexpError):
         tff.parse_theory("(theory t")
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("(theory t\n  (type i 0)\n  (axiom a (and (top) (not)))\n  (axiom b (not)))\n", 3, 23,
+     "not expects 1 fields: (not)"),  # the first of two occurrences of one shared list
+    ("(theory t\n  (type i x)\n  (fun x () () i))\n", 2, 11, "expected an integer, found x"),
+    ("(theory t\n  (pred p () ())\n\t(frob x))\n", 3, 2, "unknown theory item tag 'frob'"),
+    ("(theory t (type i 0)\n  (term-rule () ((x (1))) x x))\n", 2, 21, "bad type (1)"),
+    ("(not-a-theory)", 1, 1, "expected (theory NAME item ...)"),
+])
+def test_format_error_is_placed_at_its_subexpression(text, line, col, message):
+    with pytest.raises(tff.FormatError) as e:
+        tff.parse_theory(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+def test_successful_read_looks_up_no_position(monkeypatch):
+    def no_lookup(*args):
+        raise AssertionError("a position was looked up on a successful read")
+
+    monkeypatch.setattr(sexp, "position_of", no_lookup)
+    thy = examples.bool_theory()
+    assert tff.parse_theory(tff.print_theory(thy)) == thy
+    goal, proof = examples.bool_commute_goal(), examples.bool_commute_proof()
+    assert llproof.parse_proof(llproof.print_proof(thy, goal, proof), thy) == (goal, proof)
 
 
 def test_type_variables_named_like_constructors_round_trip():
