@@ -7,10 +7,11 @@ The module is the packaged text `prelude/logic.dk`, parsed once per
 process; deep mode keeps only its declarations.
 `translate` maps logic-level types, terms and formulas onto kernel terms,
 `translate_context` contexts, and `theory_entries` a whole theory onto
-kernel entries.  `translate` follows `tff.CONNECTIVES`, the one place a
-connective and its `logic` constant are defined.  `EXT_RULES` is
-the one registry of extension deduction rules: one row per rule gives
-its constant, its kernel type and its shape.
+kernel entries; an `Env` gives each bound name its binder's level.
+`translate` follows `tff.CONNECTIVES`, the one place a connective and
+its `logic` constant are defined.  `EXT_RULES` is the one registry of
+extension deduction rules: one row per rule gives its constant, its
+kernel type and its shape.
 
 Symbol naming is ASCII and module-qualified: logic constants live under
 `logic.`, theory symbols under the theory's own name, so generated
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import tff
 from .dkparse import Comment, Decl, Entry, Rule, parse_file
-from .terms import App, Const, FVar, KTerm, Lam, Pi, Var, app, arrow, shift
+from .terms import App, Const, FVar, KTerm, Lam, Pi, Var, app, arrow
 
 PROP = Const("logic.Prop")
 PRF = Const("logic.prf")
@@ -83,20 +84,25 @@ def prelude(mode: str = "shallow") -> list[Entry]:
 # ---------------------------------------------------------------------------
 # Translation functions
 
-Env = Mapping[str, KTerm]
+# bound names -> the levels of their binders, outermost 0: under `depth`
+# binders a name bound at `level` is the index `depth - level - 1`
+Env = Mapping[str, int]
 # the translations of the nodes one caller translates under an empty `Env`
 Memo = dict[object, KTerm]
 
 
-def translate(x: object, module: str = "", env: Optional[Env] = None, memo: Optional[Memo] = None) -> KTerm:
+def translate(
+    x: object, module: str = "", env: Optional[Env] = None, depth: int = 0, memo: Optional[Memo] = None
+) -> KTerm:
     """A formula, term or type, following its `tff` row: the row's `logic`
     constant applied to the translated fields.  A row without a constant
     has its head symbol, or its variable, as first field: a predicate,
     function or type constructor becomes its symbol, qualified by `module`,
-    applied to its type arguments, then its terms; a variable is looked up
-    in `env`, and unbound ones map to themselves.  A bound variable and
-    the body after it become one abstraction.  With `memo` and an empty
-    `env`, equal nodes translate to one shared term."""
+    applied to its type arguments, then its terms; a variable bound in
+    `env` becomes its index under `depth` binders, and unbound ones map to
+    themselves.  A bound variable and the body after it become one
+    abstraction.  With `memo` and an empty `env`, equal nodes translate to
+    one shared term."""
     if env is None:
         env = {}
     if memo is not None and not env and (t := memo.get(x)) is not None:
@@ -107,16 +113,18 @@ def translate(x: object, module: str = "", env: Optional[Env] = None, memo: Opti
         name, kind = row.fields[0]
         v = getattr(x, name)
         if kind is not tff.SYMBOL:
-            return env.get(v, FVar(v))
+            level = env.get(v)
+            return FVar(v) if level is None else Var(depth - level - 1, v)
         head = Const(qualify(module, v)) if module else Const(v)
-    t = app(head, *translate_fields(row.fields, x, module, env, memo))
+    t = app(head, *translate_fields(row.fields, x, module, env, depth, memo))
     if memo is not None and not env:
         memo[x] = t
     return t
 
 
 def translate_fields(
-    fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env, memo: Optional[Memo] = None
+    fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env, depth: int,
+    memo: Optional[Memo] = None,
 ) -> list[KTerm]:
     """The kernel arguments of the named fields of `x`, given with their
     kinds, in order: one per formula, type or term and per item of a list.
@@ -129,35 +137,21 @@ def translate_fields(
         v = getattr(x, name)
         if kind is tff.FORMULA:
             if bound is None:
-                args.append(translate(v, module, env, memo))
+                args.append(translate(v, module, env, depth, memo))
             else:
                 annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
-                args.append(bind(Lam, bound, annot, env, lambda env: translate(v, module, env)))
+                args.append(Lam(bound, annot, translate(v, module, {**env, bound: depth}, depth + 1)))
         elif kind is tff.TY:
-            kty = translate(v, module, env, memo)
+            kty = translate(v, module, env, depth, memo)
             args.append(kty)
         elif kind is tff.TERM:
-            args.append(translate(v, module, env, memo))
+            args.append(translate(v, module, env, depth, memo))
         elif kind is tff.TYS or kind is tff.ARGS or kind is tff.TERMS:
             for y in v:
-                args.append(translate(y, module, env, memo))
+                args.append(translate(y, module, env, depth, memo))
         elif kind is tff.BOUND or kind is tff.BOUND_TY:
             bound, bound_kind = v, kind
     return args
-
-
-def bind(
-    former: Callable[[str, KTerm, KTerm], KTerm],
-    name: str,
-    annot: KTerm,
-    env: Env,
-    body: Callable[[Env], KTerm],
-) -> KTerm:
-    """`former` (`Lam` or `Pi`) binding `name : annot` over `body(env)`,
-    which sees `name` as the binder's index and `env` shifted under it."""
-    inner = {x: shift(t, 1) for x, t in env.items()}
-    inner[name] = Var(0, name)
-    return former(name, annot, body(inner))
 
 
 def translate_context(ctx: tff.TffContext, module: str = "") -> list[tuple[str, KTerm]]:
@@ -167,19 +161,15 @@ def translate_context(ctx: tff.TffContext, module: str = "") -> list[tuple[str, 
 
 
 def _scheme(
-    module: str,
-    tvars: tuple[str, ...],
-    arg_types: tuple[tff.TffType, ...],
-    result: Callable[[Env], KTerm],
+    module: str, tvars: tuple[str, ...], arg_types: tuple[tff.TffType, ...], result: Optional[tff.TffType]
 ) -> KTerm:
-    """`forall tvars. term t1 -> ... -> term tn -> result` as a kernel type."""
-
-    def under(i: int, env: Env) -> KTerm:
-        if i < len(tvars):
-            return bind(Pi, tvars[i], TYPE_C, env, lambda env: under(i + 1, env))
-        return arrow(*(term(translate(t, module, env)) for t in arg_types), result(env))
-
-    return under(0, {})
+    """`forall tvars. term t1 -> ... -> term tn -> term result` as a kernel type, `Prop` for no `result`."""
+    env, depth = {a: level for level, a in enumerate(tvars)}, len(tvars)
+    ty = arrow(*(term(translate(t, module, env, depth)) for t in arg_types),
+               PROP if result is None else term(translate(result, module, env, depth)))
+    for a in reversed(tvars):
+        ty = Pi(a, TYPE_C, ty)
+    return ty
 
 
 def theory_entries(thy: tff.TffTheory) -> list[Entry]:
@@ -191,11 +181,9 @@ def theory_entries(thy: tff.TffTheory) -> list[Entry]:
             case tff.TypeCons(name=n, arity=m):
                 entries.append(Decl(qualify(module, n), arrow(*([TYPE_C] * m), TYPE_C)))
             case tff.FunDecl(name=n, tvars=tvs, arg_types=args, result=res):
-                ty = _scheme(module, tvs, args, lambda env: term(translate(res, module, env)))
-                entries.append(Decl(qualify(module, n), ty))
+                entries.append(Decl(qualify(module, n), _scheme(module, tvs, args, res)))
             case tff.PredDecl(name=n, tvars=tvs, arg_types=args):
-                ty = _scheme(module, tvs, args, lambda env: PROP)
-                entries.append(Decl(qualify(module, n), ty))
+                entries.append(Decl(qualify(module, n), _scheme(module, tvs, args, None)))
             case tff.Axiom(name=n, formula=phi):
                 entries.append(Decl(qualify(module, n), prf(translate(phi, module))))
             case tff.TermRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r) | tff.PropRule(tvars=tvs, ctx=ctx, lhs=l, rhs=r):
@@ -217,24 +205,15 @@ class UnknownExtension(Exception):
 
 
 def _bool_case_type(module: str, on_notforall: bool) -> KTerm:
-    boolc = Const(qualify(module, "bool"))
-    true_c = Const(qualify(module, "true"))
-    false_c = Const(qualify(module, "false"))
-
-    def branch(p: KTerm, value: KTerm) -> KTerm:
-        hyp = neg(App(p, value)) if on_notforall else App(p, value)
-        return arrow(prf(hyp), prf(FALSE))
-
-    def concl(p: KTerm) -> KTerm:
-        if on_notforall:
-            return neg(app(FORALL, boolc, p))
-        return app(EXISTS, boolc, p)
-
-    def cases(env: Env) -> KTerm:
-        p = env["P"]
-        return arrow(branch(p, true_c), branch(p, false_c), prf(concl(p)), prf(FALSE))
-
-    return bind(Pi, "P", arrow(term(boolc), PROP), {}, cases)
+    """Refuting `P true` and `P false` refutes `exists bool P`; with `not`s, `not (forall bool P)`."""
+    boolc, p = Const(qualify(module, "bool")), Var(0, "P")
+    hyps = [App(p, Const(qualify(module, b))) for b in ("true", "false")]
+    if on_notforall:
+        hyps, concl = [neg(h) for h in hyps], neg(app(FORALL, boolc, p))
+    else:
+        concl = app(EXISTS, boolc, p)
+    refutations = [arrow(prf(h), prf(FALSE)) for h in hyps]
+    return Pi("P", arrow(term(boolc), PROP), arrow(*refutations, prf(concl), prf(FALSE)))
 
 
 class ExtRule(NamedTuple):

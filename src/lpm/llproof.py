@@ -19,7 +19,9 @@ in deep mode (the file's `R_` declarations) and given rewrite
 definitions in shallow mode, where the law of excluded middle is the
 only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
-over the result; `certificate_entries` is the one translator entry.  A
+over the result; `certificate_entries` is the one translator entry.  As
+in the kernel, names are bound by level and no frame holds a node path:
+a `CertificateError` collects its path as it leaves each frame.  A
 `pred` or `fun` congruence node is compiled as the chain of `Subst`
 steps it stands for, which `_decompose` builds where the translator
 reaches the node.  An extension rule node takes `(abs X TY F)` arguments
@@ -220,12 +222,20 @@ class LLProof(Record):
 
 
 class CertificateError(Exception):
-    """Rejection of a certificate, localized to a proof-tree node."""
+    """Rejection of a certificate, localized to a proof-tree node: as in
+    `kernel.KernelError`, each translator frame the error leaves through
+    appends to `trail` the written index of the premise it came from."""
 
-    def __init__(self, path: tuple[int, ...], message: str):
-        super().__init__(f"at node {list(path)}: {message}")
-        self.path = path
-        self.reason = message
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.trail: list[int] = []
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        return tuple(reversed(self.trail))
+
+    def __str__(self) -> str:
+        return f"at node {list(self.path)}: {self.args[0]}"
 
 
 class MissingHypothesis(CertificateError):
@@ -267,11 +277,11 @@ FORMULAS = tff.list_kind("formulas", FORMULA)
 _ABS_KINDS = {"abs": (SYMBOL, TY, FORMULA)}
 
 
-def _abs_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> AbsArg:
+def _abs_from_sexp(sx: object, cons: tff.Constructors, tvars: frozenset[str]) -> AbsArg:
     kinds = tff.tagged_row(sx, _ABS_KINDS, "extension argument")
     if len(sx) != 1 + len(kinds):
         raise tff.FormatError(f"extension argument {sx[0]} expects {len(kinds)} fields", sx)
-    return AbsArg(*tff.read_fields(kinds, sx[1:], cons, tvars))
+    return AbsArg(*tff.read_fields(kinds, sx[1:], cons, tvars, sx))
 
 
 def _abs_to_sexp(arg: AbsArg, cons: set[str], tvars: frozenset[str]) -> list:
@@ -404,7 +414,7 @@ def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
     return out
 
 
-def _consumed(p: LLProof, path: tuple[int, ...]) -> tuple[tff.TffFormula, ...]:
+def _consumed(p: LLProof) -> tuple[tff.TffFormula, ...]:
     """A node's consumed hypotheses, checking that a `(concl ...)` override
     lists as many formulas as the rule consumes."""
     default = tuple(_SCHEMA[type(p.rule)].consumes(p.rule))
@@ -412,8 +422,8 @@ def _consumed(p: LLProof, path: tuple[int, ...]) -> tuple[tff.TffFormula, ...]:
         return default
     if len(p.concls) != len(default):
         raise CertificateError(
-            path, f"rule {type(p.rule).__name__} consumes {len(default)} hypotheses, "
-                  f"but its conclusion override lists {len(p.concls)}")
+            f"rule {type(p.rule).__name__} consumes {len(default)} hypotheses, "
+            f"but its conclusion override lists {len(p.concls)}")
     return p.concls
 
 
@@ -437,9 +447,9 @@ def rules_prelude(mode: str = "shallow") -> list[Entry]:
 # Pred/Fun elimination
 
 
-def _decompose(p: LLProof, path: tuple[int, ...]) -> LLProof:
-    """The Subst chain a Pred/Fun node at `path` stands for; other nodes
-    are returned as they are.
+def _decompose(p: LLProof) -> LLProof:
+    """The Subst chain a Pred/Fun node stands for; other nodes are
+    returned as they are.
 
     An n-ary predicate node becomes n Subst steps closed by an axiom
     step on the fully rewritten atom; an n-ary function node becomes n
@@ -449,15 +459,15 @@ def _decompose(p: LLProof, path: tuple[int, ...]) -> LLProof:
     """
     match p.rule:
         case Pred(name=pn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys):
-            _check_arities(ts, us, eq_tys, p.premises, path)
-            concls = _consumed(p, path)
+            _check_arities(ts, us, eq_tys, p.premises)
+            concls = _consumed(p)
             atom = lambda args: tff.Pred(pn, tys, tuple(args))
             core = LLProof(Ax(atom(us)), (), (atom(us), concls[1]))
             tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
             return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]))
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
-            _check_arities(ts, us, eq_tys, p.premises, path)
-            concls = _consumed(p, path)
+            _check_arities(ts, us, eq_tys, p.premises)
+            concls = _consumed(p)
             atom = lambda args: _neq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
             core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
             tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
@@ -466,11 +476,11 @@ def _decompose(p: LLProof, path: tuple[int, ...]) -> LLProof:
             return p
 
 
-def _check_arities(ts, us, eq_tys, premises, path: tuple[int, ...]) -> None:
+def _check_arities(ts, us, eq_tys, premises) -> None:
     if not (len(ts) == len(us) == len(eq_tys)):
-        raise CertificateError(path, f"term lists of lengths {len(ts)}/{len(us)}/{len(eq_tys)} disagree")
+        raise CertificateError(f"term lists of lengths {len(ts)}/{len(us)}/{len(eq_tys)} disagree")
     if len(premises) != len(ts):
-        raise CertificateError(path, f"{len(ts)} argument pairs need {len(ts)} premises, got {len(premises)}")
+        raise CertificateError(f"{len(ts)} argument pairs need {len(ts)} premises, got {len(premises)}")
 
 
 def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
@@ -509,35 +519,37 @@ class _Layout(NamedTuple):
     The term is the rule constant applied to `nargs` arguments; argument
     `first + i` is the continuation for premise `i`, a nest of
     `binders[i]` lambdas around the term that `premises[i]` lays out.
+    `written[i]` is what premise `i` adds to a path: its written index, or
+    nothing for the next step of a Subst chain, the same written node.
     """
 
-    at: tuple[int, ...]
     nargs: int
     first: int
     binders: tuple[int, ...]
+    written: tuple[tuple[int, ...], ...]
     premises: tuple["_Layout", ...]
 
     def node_at(self, position: tuple[int, ...]) -> tuple[int, ...]:
-        """The node whose own application holds `position` of the term.
+        """The path of the written node whose own application holds
+        `position` of the term, relative to this layout's node.
 
         `position` lists child indices (0: function or binder domain,
         1: argument or binder body), as `kernel.KernelError.position`.
         """
-        node, i = self, 0
+        node, i, path = self, 0, []
         while True:
             # k function steps down the spine, then an argument step,
             # select argument nargs - 1 - k
             k = 0
             while i < len(position) and position[i] == 0 and k < node.nargs:
                 i, k = i + 1, k + 1
-            if i == len(position) or k == node.nargs:
-                return node.at
             j = node.nargs - 1 - k - node.first
-            if not 0 <= j < len(node.binders):
-                return node.at
+            if i == len(position) or not 0 <= j < len(node.binders):
+                return tuple(path)
             n = node.binders[j]
             if position[i + 1 : i + 1 + n] != (1,) * n:
-                return node.at
+                return tuple(path)
+            path += node.written[j]
             node, i = node.premises[j], i + 1 + n
 
 
@@ -570,7 +582,7 @@ class _Translator:
         """Bind a hypothesis `phi` at the current depth: its name and type."""
         name = f"h{self.counter}"
         self.counter += 1
-        ktype = prf(self.formula(phi))
+        ktype = prf(self.kterm(phi))
         self.env.setdefault(phi, []).append((name, self.depth))
         self.env_formulas.append((phi, name, self.depth))
         self.depth += 1
@@ -584,7 +596,11 @@ class _Translator:
     def var(self, name: str, level: int) -> Var:
         return Var(self.depth - level - 1, name)
 
-    def lookup(self, phi: tff.TffFormula, path: tuple[int, ...]) -> KTerm:
+    def kterm(self, x: object) -> KTerm:
+        """A formula, term or type, with the eigenvariables in scope bound."""
+        return embed.translate(x, self.module, self.kenv, self.depth, self.memo)
+
+    def lookup(self, phi: tff.TffFormula) -> KTerm:
         stack = self.env.get(phi)
         if stack:
             return self.var(*stack[-1])
@@ -593,9 +609,9 @@ class _Translator:
             return Const(embed.qualify(self.module, axiom))
         # a bracketed hypothesis stands for any congruent formula, so a
         # structural miss falls back to conversion against the sequent
-        want = self.formula(phi)
+        want = self.kterm(phi)
         for candidate, name, level in reversed(self.env_formulas):
-            have = self.formula(candidate)
+            have = self.kterm(candidate)
             try:
                 if kernel.convertible(self.sig, have, want, kernel.Fuel(self.steps)):
                     return self.var(name, level)
@@ -603,118 +619,98 @@ class _Translator:
                 continue
         for name, f in self.tbl.axioms.items():
             try:
-                if kernel.convertible(self.sig, self.formula(f), want, kernel.Fuel(self.steps)):
+                if kernel.convertible(self.sig, self.kterm(f), want, kernel.Fuel(self.steps)):
                     return Const(embed.qualify(self.module, name))
             except kernel.FuelExhausted:
                 continue
-        raise MissingHypothesis(path, f"hypothesis {phi} is not available in the sequent")
-
-    # -- formula/term/type translation under the eigenvariable scope --
-
-    def eigen_env(self) -> embed.Env:
-        return {x: self.var(x, level) for x, level in self.kenv.items()}
-
-    def formula(self, phi: tff.TffFormula) -> KTerm:
-        return embed.translate(phi, self.module, self.eigen_env(), self.memo)
-
-    def ktype(self, ty: tff.TffType) -> KTerm:
-        return embed.translate(ty, self.module, self.eigen_env(), self.memo)
-
-    def abstraction(self, var: str, annot: KTerm, body: tff.TffFormula) -> KTerm:
-        """`\\var : annot => body`, with `var` bound in the translated body."""
-        return embed.bind(Lam, var, annot, self.eigen_env(), lambda env: embed.translate(body, self.module, env))
+        raise MissingHypothesis(f"hypothesis {phi} is not available in the sequent")
 
     # -- freshness and closedness side conditions ----------------------
 
-    def check_fresh_const(self, name: str, path: tuple[int, ...]) -> None:
+    def check_fresh(self, name: str, ty: Optional[tff.TffType]) -> None:
+        """An eigenvariable is new: a constant of type `ty`, or a type if None."""
+        if ty is None:
+            what, clash, occurs = "type", "constructor", tff.formula_tvars
+            taken = name in self.tbl.type_cons
+        else:
+            what, clash, occurs = "constant", "symbol", tff.formula_vars
+            taken = name in self.tbl.funs or name in self.tbl.preds or name in self.tbl.type_cons
         if name in self.kenv:
-            raise FreshnessViolation(path, f"constant {name} was already introduced")
-        if name in self.tbl.funs or name in self.tbl.preds or name in self.tbl.type_cons:
-            raise FreshnessViolation(path, f"constant {name} collides with a theory symbol")
-        for phi, *_ in self.env_formulas:
-            if name in tff.formula_vars(phi):
-                raise FreshnessViolation(path, f"constant {name} occurs in the conclusion sequent")
+            raise FreshnessViolation(f"{what} {name} was already introduced")
+        if taken:
+            raise FreshnessViolation(f"{what} {name} collides with a theory {clash}")
+        if any(name in occurs(phi) for phi, *_ in self.env_formulas):
+            raise FreshnessViolation(f"{what} {name} occurs in the conclusion sequent")
 
-    def check_fresh_type(self, name: str, path: tuple[int, ...]) -> None:
-        if name in self.kenv:
-            raise FreshnessViolation(path, f"type {name} was already introduced")
-        if name in self.tbl.type_cons:
-            raise FreshnessViolation(path, f"type {name} collides with a theory constructor")
-        for phi, *_ in self.env_formulas:
-            if name in tff.formula_tvars(phi):
-                raise FreshnessViolation(path, f"type {name} occurs in the conclusion sequent")
-
-    def check_witnesses(self, rule: LLRule, path: tuple[int, ...]) -> None:
+    def check_witnesses(self, rule: LLRule) -> None:
         """Witness fields may mention only eigenvariables in scope."""
         for kind, v in zip(_SCHEMA[type(rule)].kinds, field_values(rule)):
             if kind is WITNESS:
                 stray = tff.term_vars(v) - set(self.kenv)
                 if stray:
-                    raise CertificateError(path, f"witness term mentions unbound variables {sorted(stray)}")
+                    raise CertificateError(f"witness term mentions unbound variables {sorted(stray)}")
             elif kind is WITNESS_TY:
                 stray = tff.type_tvars(v) - set(self.kenv)
                 if stray:
-                    raise CertificateError(path, f"witness type mentions unbound type variables {sorted(stray)}")
+                    raise CertificateError(f"witness type mentions unbound type variables {sorted(stray)}")
 
     # -- the Fig-style node compilation --------------------------------
 
-    def rule_args(self, rule: LLRule, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
+    def rule_args(self, rule: LLRule) -> tuple[Const, list[KTerm]]:
         if isinstance(rule, Ext):
-            return self.ext_args(rule, path)
-        self.check_witnesses(rule, path)
-        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.eigen_env(), self.memo)
+            return self.ext_args(rule)
+        self.check_witnesses(rule)
+        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.kenv, self.depth, self.memo)
         return Const(f"rules.{_SCHEMA[type(rule)].const}"), kargs
 
-    def ext_args(self, rule: Ext, path: tuple[int, ...]) -> tuple[Const, list[KTerm]]:
+    def ext_args(self, rule: Ext) -> tuple[Const, list[KTerm]]:
         spec = embed.EXT_RULES.get(rule.name)
         if spec is None or rule.name not in self.tbl.exts:
-            raise UnregisteredExtRule(path, f"extension rule {rule.name!r} is not registered for this theory")
+            raise UnregisteredExtRule(f"extension rule {rule.name!r} is not registered for this theory")
         if len(rule.args) != spec.n_abs:
-            raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_abs} arguments")
-        kargs = [self.abstraction(a.var, term(self.ktype(a.ty)), a.body) for a in rule.args]
+            raise CertificateError(f"extension rule {rule.name} expects {spec.n_abs} arguments")
+        kargs = [Lam(a.var, term(self.kterm(a.ty)),
+                     embed.translate(a.body, self.module, {**self.kenv, a.var: self.depth}, self.depth + 1))
+                 for a in rule.args]
         if len(rule.hyp_blocks) != spec.n_premises:
-            raise CertificateError(path, f"extension rule {rule.name} expects {spec.n_premises} premises")
+            raise CertificateError(f"extension rule {rule.name} expects {spec.n_premises} premises")
         return Const(embed.qualify(self.module, spec.const)), kargs
 
-    def translate(self, p: LLProof, path: tuple[int, ...] = (), step: Optional[int] = None) -> tuple[KTerm, _Layout]:
-        """Compile `p`, the written node at `path` or, with `step` set, that
-        step of the Subst chain of the Pred/Fun node at `path`.  Errors and
-        layouts name the node as written."""
+    def translate(self, p: LLProof, step: Optional[int] = None) -> tuple[KTerm, _Layout]:
+        """Compile `p`, a written node or, with `step` set, that step of the
+        Subst chain of a Pred/Fun node.  Errors and layouts name the node
+        as written."""
         if isinstance(p.rule, (Pred, Fun)):
-            p, step = _decompose(p, path), 0
+            p, step = _decompose(p), 0
         rule = p.rule
-        consumed_hyps = _consumed(p, path)
-        head, kargs = self.rule_args(rule, path)
+        consumed_hyps = _consumed(p)
+        head, kargs = self.rule_args(rule)
         blocks = _SCHEMA[type(rule)].blocks(rule)
         if len(p.premises) != len(blocks):
-            raise CertificateError(
-                path, f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
+            raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
         eigen = _eigenvars(rule)
+        # chain step k: premise 0 is the written node's premise k, and
+        # premise 1 the next step of the same written node
+        written = tuple((i,) for i in range(len(blocks))) if step is None else ((step,), ())[: len(blocks)]
         continuations: list[KTerm] = []
         layouts: list[_Layout] = []
-        for i, (premise, block) in enumerate(zip(p.premises, blocks)):
+        for premise, block, at in zip(p.premises, blocks, written):
             # the continuation binds the eigenvariables, then the block's
             # hypotheses, each typed at the depth of its own binder
             binders: list[tuple[str, KTerm]] = []
             for name, ty in eigen:
-                if ty is None:
-                    self.check_fresh_type(name, path)
-                    annot = TYPE_C
-                else:
-                    self.check_fresh_const(name, path)
-                    annot = term(self.ktype(ty))
+                self.check_fresh(name, ty)
+                annot = TYPE_C if ty is None else term(self.kterm(ty))
                 self.kenv[name] = self.depth
                 self.depth += 1
                 binders.append((name, annot))
             binders += [self.push_hyp(phi) for phi in block]
-            # chain step k: premise 0 is the written node's premise k
-            if step is None:
-                body, layout = self.translate(premise, path + (i,))
-            elif i == 0:
-                body, layout = self.translate(premise, path + (step,))
-            else:
-                body, layout = self.translate(premise, path, step + 1)
+            try:
+                body, layout = self.translate(premise, None if at else step + 1)
+            except CertificateError as e:
+                e.trail += at
+                raise
             for phi in reversed(block):
                 self.pop_hyp(phi)
             for name, _ in eigen:
@@ -725,10 +721,10 @@ class _Translator:
             continuations.append(body)
             layouts.append(layout)
 
-        consumed = [self.lookup(phi, path) for phi in consumed_hyps]
+        consumed = [self.lookup(phi) for phi in consumed_hyps]
         args = [*kargs, *continuations, *consumed]
         binders = tuple(len(eigen) + len(block) for block in blocks)
-        return app(head, *args), _Layout(path, len(args), len(kargs), binders, tuple(layouts))
+        return app(head, *args), _Layout(len(args), len(kargs), binders, written, tuple(layouts))
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +822,7 @@ def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
 # Proof interchange format (.llpx)
 
 
-def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
+def proof_from_sexp(sx: object, cons: tff.Constructors) -> LLProof:
     row = tff.tagged_row(sx, _SCHEMA_BY_TAG, "proof node")
     count = len(row.kinds)
     if len(sx) < 1 + count:
@@ -835,10 +831,13 @@ def proof_from_sexp(sx: object, cons: set[str]) -> LLProof:
     rest = sx[1 + count :]
     concls = None
     if rest and isinstance(rest[0], list) and rest[0] and rest[0][0] == "concl":
-        concls = FORMULAS.read(rest[0][1:], cons, frozenset())
+        concls = tuple(tff.read_fields([FORMULA] * (len(rest[0]) - 1), rest[0][1:], cons, frozenset(), rest[0]))
         rest = rest[1:]
-    rule = row.cls(*tff.read_fields(row.kinds, sx[1 : 1 + count], cons, frozenset()))
-    premises = tuple(proof_from_sexp(p, cons) for p in rest)
+    rule = row.cls(*tff.read_fields(row.kinds, sx[1 : 1 + count], cons, frozenset(), sx))
+    try:
+        premises = tuple(proof_from_sexp(p, cons) for p in rest)
+    except tff.FormatError as e:
+        raise e.within(sx)
     return LLProof(rule, premises, concls)
 
 
@@ -868,7 +867,7 @@ def _proof_file_from_sexp(sx: object, thy: tff.TffTheory) -> tuple[tff.TffFormul
     if not (isinstance(goal_sx, list) and len(goal_sx) == 2 and goal_sx[0] == "goal"):
         raise tff.FormatError("expected (goal FORMULA)", goal_sx)
     cons = tff.Constructors(item.name for item in thy.items if isinstance(item, tff.TypeCons))
-    goal = tff.formula_from_sexp(goal_sx[1], cons)
+    goal, = tff.read_fields((FORMULA,), goal_sx[1:], cons, frozenset(), goal_sx)
     tree = proof_from_sexp(sx[3], cons)
     return goal, tree
 

@@ -284,6 +284,12 @@ class FormatError(TffError):
         super().__init__(message)
         self.message, self.sx, self.line, self.col = message, sx, 0, 0
 
+    def within(self, form: list) -> FormatError:
+        """This error, moved to `form` if it is about an atom: `loads` shares an atom's occurrences."""
+        if not isinstance(self.sx, list):
+            self.sx = form
+        return self
+
 
 _Read = TypeVar("_Read")
 
@@ -400,17 +406,22 @@ def list_kind(name: str, item: FieldKind) -> FieldKind:
     )
 
 
-def read_fields(kinds: Iterable[FieldKind], sxs: list, cons: set[str], tvars: frozenset[str]) -> list:
-    """One value per kind; a bound type variable is in scope in the field
-    after it, the names of a `TVARS` field in every later field."""
+def read_fields(kinds: Iterable[FieldKind], sxs: list, cons: Constructors, tvars: frozenset[str], form: list) -> list:
+    """One value per kind from `sxs`, the fields of `form`; a bound type
+    variable is in scope in the field after it, the names of a `TVARS`
+    field in every later field.  An error about an atom in a field is
+    placed at `form`."""
     out = []
     scope = tvars
-    for kind, sx in zip(kinds, sxs):
-        v = kind.read(sx, cons, scope)
-        if kind is TVARS:
-            tvars = tvars | frozenset(v)
-        scope = tvars | {v} if kind is BOUND_TY else tvars
-        out.append(v)
+    try:
+        for kind, sx in zip(kinds, sxs):
+            v = kind.read(sx, cons, scope)
+            if kind is TVARS:
+                tvars = tvars | frozenset(v)
+            scope = tvars | {v} if kind is BOUND_TY else tvars
+            out.append(v)
+    except FormatError as e:
+        raise e.within(form)
     return out
 
 
@@ -451,18 +462,15 @@ class Constructors(set):
         self.memo: dict[tuple[int, frozenset[str]], tuple[object, TffFormula]] = {}
 
 
-def formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffFormula:
-    memo = getattr(cons, "memo", None)
-    if memo is None:
-        return _formula_from_sexp(sx, cons, tvars)
+def formula_from_sexp(sx: object, cons: Constructors, tvars: frozenset[str] = frozenset()) -> TffFormula:
     key = (id(sx), tvars)
-    hit = memo.get(key)
+    hit = cons.memo.get(key)
     if hit is None:
-        hit = memo[key] = (sx, _formula_from_sexp(sx, cons, tvars))
+        hit = cons.memo[key] = (sx, _formula_from_sexp(sx, cons, tvars))
     return hit[1]
 
 
-def _formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> TffFormula:
+def _formula_from_sexp(sx: object, cons: Constructors, tvars: frozenset[str]) -> TffFormula:
     row = tagged_row(sx, _CONNECTIVE_BY_TAG, "formula")
     n = len(row.kinds)
     if row.cls in _TRAILING:
@@ -472,7 +480,7 @@ def _formula_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> Tff
     else:
         _expect_len(sx, n + 1)
         fields = sx[1:]
-    return row.cls(*read_fields(row.kinds, fields, cons, tvars))
+    return row.cls(*read_fields(row.kinds, fields, cons, tvars, sx))
 
 
 def formula_to_sexp(phi: TffFormula, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
@@ -927,12 +935,15 @@ def theory_from_sexp(sx: object) -> TffTheory:
         raise FormatError("expected (theory NAME item ...)", sx)
     cons = Constructors()
     items: list[TheoryItem] = []
-    for raw in sx[2:]:
-        item = _item_from_sexp(raw, cons)
-        if isinstance(item, TypeCons):
-            cons.add(item.name)
-            cons.memo.clear()  # a bare `name` now reads as the constructor
-        items.append(item)
+    try:
+        for raw in sx[2:]:
+            item = _item_from_sexp(raw, cons)
+            if isinstance(item, TypeCons):
+                cons.add(item.name)
+                cons.memo.clear()  # a bare `name` now reads as the constructor
+            items.append(item)
+    except FormatError as e:
+        raise e.within(sx)
     return TffTheory(sx[1], tuple(items))
 
 
@@ -941,10 +952,10 @@ def parse_theory(text: str) -> TffTheory:
     return read_text(text, theory_from_sexp)
 
 
-def _item_from_sexp(sx: object, cons: set[str]) -> TheoryItem:
+def _item_from_sexp(sx: object, cons: Constructors) -> TheoryItem:
     row = tagged_row(sx, _ITEM_BY_TAG, "theory item")
     _expect_len(sx, len(row.kinds) + 1)
-    return row.cls(*read_fields(row.kinds, sx[1:], cons, frozenset()))
+    return row.cls(*read_fields(row.kinds, sx[1:], cons, frozenset(), sx))
 
 
 def theory_to_sexp(thy: TffTheory) -> list:

@@ -64,15 +64,21 @@ def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[
     return None
 
 
-def eliminate_pred_fun(p: llproof.LLProof, path: tuple[int, ...] = ()) -> llproof.LLProof:
+def eliminate_pred_fun(p: llproof.LLProof) -> llproof.LLProof:
     """Decompose every Pred/Fun node of the tree into its Subst chain.
 
     The translator decomposes each node where it reaches it instead; this
-    whole-tree form is the reference it is checked against.  `path`
-    locates `p` in the whole tree, for error reports.
+    whole-tree form is the reference it is checked against.  An error
+    collects its node's path in its trail, as the translator's do.
     """
-    premises = tuple(eliminate_pred_fun(q, path + (i,)) for i, q in enumerate(p.premises))
-    return llproof._decompose(llproof.LLProof(p.rule, premises, p.concls), path)
+    premises = []
+    for i, q in enumerate(p.premises):
+        try:
+            premises.append(eliminate_pred_fun(q))
+        except llproof.CertificateError as e:
+            e.trail.append(i)
+            raise
+    return llproof._decompose(llproof.LLProof(p.rule, tuple(premises), p.concls))
 
 
 def _lam(name: str, annot: KTerm, body: KTerm) -> KTerm:

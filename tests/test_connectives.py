@@ -128,7 +128,7 @@ def _check_round_trip(phi):
     # `.tffx` cannot express a free type variable named like a constructor
     if "i" not in tff.formula_tvars(phi):
         text = sexp.dumps(tff.formula_to_sexp(phi, CONS))
-        assert tff.formula_from_sexp(sexp.loads_one(text), CONS) == phi
+        assert tff.formula_from_sexp(sexp.loads_one(text), tff.Constructors(CONS)) == phi
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,8 +130,8 @@ def test_eliminate_binary_pred_shape():
     ax = inner.premises[1]
     assert ax.rule == llproof.Ax(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
     # consumed hypotheses thread the original conclusions through
-    assert llproof._consumed(out, ()) == (tff.Pred("P", (), (tff.Fun("c1"), tff.Fun("c2"))),)
-    assert llproof._consumed(ax, ())[1] == tff.Not(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
+    assert llproof._consumed(out) == (tff.Pred("P", (), (tff.Fun("c1"), tff.Fun("c2"))),)
+    assert llproof._consumed(ax)[1] == tff.Not(tff.Pred("P", (), (tff.Fun("d1"), tff.Fun("d2"))))
 
 
 def test_eliminate_nullary_pred_is_single_axiom():
@@ -312,7 +313,7 @@ def test_short_conclusion_override_rejected_at_node(base_sigs):
 
     mutated = _replace_at(
         examples.pred_decomp_proof(), (0,),
-        lambda n: LLProof(n.rule, n.premises, llproof._consumed(n, ())[:1]),
+        lambda n: LLProof(n.rule, n.premises, llproof._consumed(n)[:1]),
     )
     v = check_certificate(examples.pred_decomp_theory(), examples.pred_decomp_goal(), mutated,
                           sig=base_sigs("pred-decomp", "shallow"))
@@ -368,6 +369,24 @@ def test_rejection_below_pred_reported_at_written_node(base_sigs):
             v = check_certificate(thy3, goal3, tree(leaves[:2] + (leaf,)), sig=sig3)
             assert not v.accepted and bool(v.entries) == (leaf is wrong_witness)
             assert v.path == bad, v.error
+
+
+def test_translator_rejection_in_a_pred_chain_names_the_written_node(base_sigs):
+    # the Pred node at (0,) is compiled as Subst, Subst, Ax: an error from
+    # the closing Ax step, or from below the node's premise 1, which chain
+    # step 1 compiles, names nodes of the tree as written
+    from mutations import _replace_at
+
+    thy, goal, proof = examples.pred_decomp_theory(), examples.pred_decomp_goal(), examples.pred_decomp_proof()
+    sig = base_sigs("pred-decomp", "shallow")
+    lhs, c1, c2 = goal.lhs, tff.Fun("c1"), tff.Fun("c2")
+    absent = tff.Not(tff.Pred("P", (), (c2, c1)))
+    last_step = _replace_at(proof, (0,), lambda n: LLProof(n.rule, n.premises, (lhs, absent)))
+    v = check_certificate(thy, goal, last_step, sig=sig)
+    assert not v.entries and v.path == (0,) and str(absent) in v.error, v.error
+    below = _replace_at(proof, (0, 1), lambda n: LLProof(llproof.Cut(tff.Top()), (n, LLProof(llproof.Bot()))))
+    v = check_certificate(thy, goal, below, sig=sig)
+    assert not v.entries and v.path == (0, 1, 1) and "Bottom() is not available" in v.error, v.error
 
 
 def test_malformed_pred_reported_in_translator_order(base_sigs):
@@ -685,7 +704,8 @@ def test_reads_after_a_proof_read_are_their_own():
     text = llproof.print_proof(thy, goal, proof)
     for _ in range(3):
         llproof.parse_proof(text, thy)
-        assert tff.formula_from_sexp(sexp.loads_one("(and (pred P1 ()) (not (pred P0 ())))"), set()) == tff.And(
+        small = "(and (pred P1 ()) (not (pred P0 ())))"
+        assert tff.formula_from_sexp(sexp.loads_one(small), tff.Constructors()) == tff.And(
             tff.Pred("P1"), tff.Not(tff.Pred("P0")))
         assert tff.parse_theory(tff.print_theory(examples.set_theory())) == examples.set_theory()
 
@@ -725,6 +745,30 @@ def test_chain_checking_work_grows_linearly(monkeypatch):
     small, large = _kernel_calls(monkeypatch, 32), _kernel_calls(monkeypatch, 64)
     for name in small:
         assert large[name] <= 2.1 * small[name], (name, small[name], large[name])
+
+
+def _compile_peak(depth: int) -> int:
+    """The traced peak of `certificate_entries` on a refutation of `depth`
+    NotNot nodes, one below the other, closed by a Bot leaf."""
+    thy, phi, proof = tff.TffTheory("t", ()), tff.Bottom(), LLProof(llproof.Bot())
+    for _ in range(depth):
+        proof = LLProof(llproof.NotNot(phi), (proof,))
+        phi = tff.Not(tff.Not(phi))
+    sig = llproof.base_signature(thy)
+    tracemalloc.start()
+    try:
+        certificate_entries(thy, phi.body, proof, sig)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compiling_a_deep_proof_takes_linear_memory():
+    # a node's path is built only when an error leaves through it or the
+    # kernel's position is mapped; a path tuple kept per frame and per
+    # layout would hold about depth^2/2 entries, 8 times the peak here
+    small, large = _compile_peak(250), _compile_peak(1000)
+    assert large < 5.5 * small, (small, large)
 
 
 def _check_chain_at_the_default_recursion_limit(n: int) -> None:

@@ -256,7 +256,11 @@ def test_theory_format_errors():
 @pytest.mark.parametrize("text, line, col, message", [
     ("(theory t\n  (type i 0)\n  (axiom a (and (top) (not)))\n  (axiom b (not)))\n", 3, 23,
      "not expects 1 fields: (not)"),  # the first of two occurrences of one shared list
-    ("(theory t\n  (type i x)\n  (fun x () () i))\n", 2, 11, "expected an integer, found x"),
+    # an atom is placed at its form: `loads` shares its every occurrence
+    ("(theory t\n  (type i x)\n  (fun x () () i))\n", 2, 3, "expected an integer, found x"),
+    ("(theory t\n  (type i 3)\n  (type 3 0))", 3, 3, "expected a symbol, found 3"),
+    ("(theory t\n  (type i 0)\n  (axiom a (and (top)\n    i)))", 3, 12, "bad formula i"),
+    ("(theory t (type i 0)\n  i)", 1, 1, "bad theory item i"),
     ("(theory t\n  (pred p () ())\n\t(frob x))\n", 3, 2, "unknown theory item tag 'frob'"),
     ("(theory t (type i 0)\n  (term-rule () ((x (1))) x x))\n", 2, 21, "bad type (1)"),
     ("(not-a-theory)", 1, 1, "expected (theory NAME item ...)"),
@@ -264,6 +268,21 @@ def test_theory_format_errors():
 def test_format_error_is_placed_at_its_subexpression(text, line, col, message):
     with pytest.raises(tff.FormatError) as e:
         tff.parse_theory(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+_PROOF_THEORY = tff.TffTheory("t", (tff.PredDecl("P", (), ()),))
+
+
+@pytest.mark.parametrize("tree, line, col, message", [
+    ("(notnot (pred P ())\n    (ax P))", 4, 5, "bad formula P"),
+    ("(notnot (pred P ())\n    P)", 3, 3, "bad proof node P"),
+    ("(ax (pred P ()) (concl (top) P))", 3, 19, "bad formula P"),
+])
+def test_proof_format_error_about_an_atom_is_placed_at_its_node(tree, line, col, message):
+    # `P` first occurs in the goal, a line above the node that misreads it
+    with pytest.raises(tff.FormatError) as e:
+        llproof.parse_proof(f"(proof (theory t)\n  (goal (not (pred P ())))\n  {tree})\n", _PROOF_THEORY)
     assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
 
 
@@ -296,8 +315,9 @@ def test_type_variables_named_like_constructors_round_trip():
     bound = ForallType("a", Forall("x", a, Pred("P", (a,), (Var("x"),))))
     shadowed = ForallType("a", Pred("P", (TCons("a"),), (Fun("c", (TCons("a"),)),)))
     for phi in (bound, shadowed):
-        assert tff.formula_from_sexp(tff.formula_to_sexp(phi, cons), cons) == phi
-    assert tff.formula_from_sexp(sexp.loads_one("(foralltype a (forall x a (pred P (a) x)))"), cons) == bound
+        assert tff.formula_from_sexp(tff.formula_to_sexp(phi, cons), tff.Constructors(cons)) == phi
+    text = "(foralltype a (forall x a (pred P (a) x)))"
+    assert tff.formula_from_sexp(sexp.loads_one(text), tff.Constructors(cons)) == bound
 
 
 def test_a_formula_read_before_and_after_a_type_declaration():
@@ -311,7 +331,7 @@ def test_formula_sexp_round_trip():
     thy = examples.set_theory()
     cons = {"set"}
     goal = examples.set_diff_goal()
-    assert tff.formula_from_sexp(tff.formula_to_sexp(goal, cons), cons) == goal
+    assert tff.formula_from_sexp(tff.formula_to_sexp(goal, cons), tff.Constructors(cons)) == goal
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     """
     from lpm import kernel
     from lpm.embed import PROP, term, translate
-    from lpm.terms import Const, FVar
+    from lpm.terms import Const
 
     tbl = tff.wf_theory(thy)
     rng = random.Random(seed)
@@ -358,21 +358,18 @@ def check_translation_bullets(thy: TffTheory, sig, seed: int, samples: int = 8) 
     # scoped variants: one type variable and one term variable over it
     scope = TffContext(("al",))
     kctx = {"al": type_c}
-    env = {"al": FVar("al")}
     scoped_types = [random_type(rng, tbl, ("al",), depth=2) for _ in range(samples)]
     scoped_types = [t for t in scoped_types if t is not None]
     for ty in scoped_types:
         tff.wf_type(tbl, ("al",), ty)
-        kernel.check(sig, kctx, translate(ty, module, env), type_c)
+        kernel.check(sig, kctx, translate(ty, module), type_c)
     if scoped_types:
         wty = scoped_types[0]
         scope2 = scope.bind("w", wty)
         kctx2 = dict(kctx)
-        kctx2["w"] = term(translate(wty, module, env))
-        env2 = dict(env)
-        env2["w"] = FVar("w")
+        kctx2["w"] = term(translate(wty, module))
         for ty in scoped_types:
             e = random_term(rng, tbl, scope2, ty, depth=2)
             if e is None:
                 continue
-            kernel.check(sig, kctx2, translate(e, module, env2), term(translate(ty, module, env)))
+            kernel.check(sig, kctx2, translate(e, module), term(translate(ty, module)))
