@@ -15,7 +15,9 @@ Printing is canonical: `parse(print(e))` is structurally `e`, and
 printing a reparsed entry reproduces the text byte for byte.  A compound
 term with no loose index, free variable or bare constant prints the same
 under any binders: a file is emitted as one list of pieces, and a later
-occurrence of such a term copies the span of its first.
+occurrence of such a term copies the span of its first.  The reader
+mirrors this: it remembers a parenthesised such term by its text, and
+reads a later `(` whose text starts with that text as the same term.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Sequence
 
 from .record import Record
 from .terms import (
@@ -106,15 +108,18 @@ _SYMBOLS = frozenset(_KEYWORDS + ("#ASSERT", "-->", "->", "=>", ":=", ":", ".", 
 # a token not in `_FIXED` is an identifier; "" ends the input
 _FIXED = _SYMBOLS | {""}
 
-# One token and the whitespace after it.  A keyword is never qualified, so
-# `Type.x` is `Type`, `.`, `x`; any other identifier may carry one module
-# prefix, `mod.id`.  A one-character symbol is matched as a character,
-# like a stray one; a command as `#` and an identifier, like an unknown one.
+# One token and the whitespace after it.  A parenthesis, the commonest, is
+# tried first; no longer token starts with one once comments are cut out.
+# A keyword is never qualified, so `Type.x` is `Type`, `.`, `x`; any other
+# identifier may carry one module prefix, `mod.id`.  A one-character symbol
+# is matched as a character, like a stray one; a command as `#` and an
+# identifier, like an unknown one.
 _TOKEN_RE = re.compile(
-    rf"(?:(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_'])|{_IDENT}(?:\.{_IDENT})?|#(?:{_IDENT})?|-->|->|=>|:=|[^ \t\r\n])"
+    rf"(?:[()]|(?:{'|'.join(_KEYWORDS)})(?![A-Za-z0-9_'])|{_IDENT}(?:\.{_IDENT})?|#(?:{_IDENT})?|-->|->|=>|:=|[^ \t\r\n])"
     r"[ \t\r\n]*"
 )
 _SPACE_RE = re.compile(r"[ \t\r\n]*")
+_SPAN_KEY = 32  # a shorter parenthesised term is not worth remembering
 _COMMENT_DELIM_RE = re.compile(r"\(;|;\)")
 
 
@@ -129,11 +134,14 @@ class _Parser:
     so equal subterms with equal names are one object."""
 
     def __init__(self, text: str):
+        self.text = text
         self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.tokens, self.offsets, self.comments = self.lex(text)
         self.pos = 0
         self.scope: list[str] = []  # the binder names, innermost last
         self.table: dict[tuple, KTerm] = {}
+        # closed parenthesised terms by text prefix: start, end, token count, term
+        self.spans: dict[str, tuple[int, int, int, KTerm]] = {}
 
     def where(self, offset: int) -> tuple[int, int]:
         k = bisect_left(self.newlines, offset)
@@ -308,8 +316,17 @@ class _Parser:
         if tok == "Kind":
             return KIND
         if tok == "(":
+            # equal text through `)` is equal tokens, and a closed term reads alike anywhere
+            text, start = self.text, self.offsets[i]
+            seen = self.spans.get(key := text[start : start + _SPAN_KEY])
+            if seen and text.startswith(text[seen[0] : seen[1]], start):
+                self.pos = i + seen[2]
+                return seen[3]
             t = self.term(delta)
             self.expect(")")
+            end = self.offsets[self.pos - 1] + 1
+            if t.lbr == 0 and not (t.has_fvar or t.has_bare_const) and end - start >= _SPAN_KEY:
+                self.spans[key] = (start, end, self.pos - i, t)
             return t
         raise self.unexpected(i, "term")
 
@@ -347,13 +364,13 @@ _PREC_ATOM = 3
 
 def print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PREC_TERM) -> str:
     out: list[str] = []
-    _emit(t, scope, prec, out, {})
+    _emit(t, list(scope), prec, out, {})
     return "".join(out)
 
 
-def _emit(t: KTerm, scope: tuple[str, ...], prec: int, out: list[str], spans: dict) -> None:
-    """Append the pieces of `t`'s text to `out`; `spans` keeps where those
-    of each closed compound term lie, by `(id, prec)`."""
+def _emit(t: KTerm, scope: list[str], prec: int, out: list[str], spans: dict) -> None:
+    """Append the pieces of `t`'s text under the binder names `scope` to
+    `out`; `spans` keeps where those of each closed compound term lie, by `(id, prec)`."""
     cls = t.__class__
     if cls is Const or cls is Sort or cls is FVar:
         return out.append(t.name)
@@ -366,14 +383,14 @@ def _emit(t: KTerm, scope: tuple[str, ...], prec: int, out: list[str], spans: di
     start = len(out)
     # every compound term prints as `[name : ]left sep right`
     if cls is App:
-        bar, head, left, sep, right, inner, right_prec = _PREC_APP, "", t.fn, " ", t.arg, scope, _PREC_ATOM
+        bar, head, left, sep, right, bound, right_prec = _PREC_APP, "", t.fn, " ", t.arg, (), _PREC_ATOM
     elif cls is Lam or cls is Pi:
         left, right = (t.annot, t.body) if cls is Lam else (t.domain, t.codomain)
         if cls is Lam or uses_binder(right):
             name = _binder_name(t.name, right, scope)
-            bar, head, sep, inner = _PREC_TERM, f"{name} : ", " => " if cls is Lam else " -> ", scope + (name,)
+            bar, head, sep, bound = _PREC_TERM, f"{name} : ", " => " if cls is Lam else " -> ", (name,)
         else:
-            bar, head, sep, inner = _PREC_ARROW, "", " -> ", scope + ("",)
+            bar, head, sep, bound = _PREC_ARROW, "", " -> ", ("",)
         right_prec = _PREC_TERM
     else:
         raise TypeError(f"not a printable term: {t!r}")
@@ -381,14 +398,16 @@ def _emit(t: KTerm, scope: tuple[str, ...], prec: int, out: list[str], spans: di
         out.append("(" + head if prec > bar else head)
     _emit(left, scope, _PREC_APP, out, spans)
     out.append(sep)
-    _emit(right, inner, right_prec, out, spans)
+    scope += bound
+    _emit(right, scope, right_prec, out, spans)
+    del scope[len(scope) - len(bound) :]
     if prec > bar:
         out.append(")")
     if key:
         spans[key] = (start, len(out))
 
 
-def _binder_name(hint: str, body: KTerm, scope: tuple[str, ...]) -> str:
+def _binder_name(hint: str, body: KTerm, scope: Sequence[str]) -> str:
     """Pick a display name that reparses to the same structure.
 
     The name must not capture a free variable, an unqualified constant,
@@ -403,7 +422,7 @@ def _binder_name(hint: str, body: KTerm, scope: tuple[str, ...]) -> str:
     return name
 
 
-def _captured_names(body: KTerm, scope: tuple[str, ...]) -> set[str]:
+def _captured_names(body: KTerm, scope: Sequence[str]) -> set[str]:
     out: set[str] = set()
 
     def walk(t: KTerm, depth: int) -> None:
@@ -457,7 +476,7 @@ def print_file(entries: list[Entry]) -> str:
 
     def show(t: KTerm, prec: int = _PREC_TERM) -> str:
         start = len(out)
-        _emit(t, (), prec, out, spans)
+        _emit(t, [], prec, out, spans)
         return "".join(out[start:])
 
     return "".join(print_entry(e, show) + "\n" for e in entries)

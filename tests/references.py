@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from lpm import embed, examples, kernel, llproof
 from lpm.dkparse import (
-    _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, print_entry,
+    _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, _Parser, print_entry,
 )
 from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, uses_binder
 
@@ -289,3 +289,22 @@ def reference_print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PRE
 
 def reference_print_file(entries: list) -> str:
     return "".join(print_entry(e, reference_print_term) + "\n" for e in entries)
+
+
+# The `.dk` reader as it was before it reused the term of a repeated span:
+# every parenthesised term is read token by token.  It is the oracle the
+# differential reader test compares `dkparse.parse_file` against.
+
+
+class _ReferenceParser(_Parser):
+    def atom(self, delta: tuple[str, ...]) -> KTerm:
+        if self.tokens[self.pos] != "(":
+            return super().atom(delta)
+        self.pos += 1
+        t = self.term(delta)
+        self.expect(")")
+        return t
+
+
+def reference_parse_file(text: str) -> list:
+    return _ReferenceParser(text).entries()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lpm import cli, dkparse, examples
+from lpm import cli, dkparse, examples, llproof
 from lpm.dkparse import (
     AssertType,
     Comment,
@@ -268,3 +268,112 @@ def test_printing_a_shared_deep_formula_takes_linear_memory():
         tracemalloc.stop()
     assert text == f"d : m.f {print_term(phi, prec=dkparse._PREC_ATOM)} {print_term(phi, prec=dkparse._PREC_ATOM)}.\n"
     assert peak < 8 << 20
+
+
+def _lam_chain_print_peak(depth: int) -> int:
+    t = Var(0)
+    for _ in range(depth):
+        t = Lam("x", Const("m.c"), t)
+    tracemalloc.start()
+    try:
+        print_term(t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_printing_a_deep_binder_chain_takes_linear_memory():
+    # the binder names in scope are one list, pushed and popped around a
+    # body; with a scope tuple built per binder, which holds depth^2/2
+    # entries in all, the peak at depth 4,000 was 15 times that at 1,000
+    small, large = _lam_chain_print_peak(1000), _lam_chain_print_peak(4000)
+    assert large < 6 * small, (small, large)
+
+
+# The reader reads a later occurrence of a closed parenthesised term's text
+# as its first one; the same text that is not closed is read afresh
+
+
+def _parsed_as_the_reference(text: str) -> list:
+    from references import reference_parse_file
+
+    entries = parse_file(text)
+    assert [repr(e) for e in entries] == [repr(e) for e in reference_parse_file(text)]
+    return entries
+
+
+def test_reader_rereads_a_span_under_other_binders_of_its_names():
+    span = "(logic.prf (logic.imp x (logic.not x)))"
+    assert len(span) >= dkparse._SPAN_KEY
+    (e,) = _parsed_as_the_reference(f"c : x : logic.prop -> {span} -> x : logic.prop -> y : logic.prop -> {span}.\n")
+    first, second = e.type.codomain.domain, e.type.codomain.codomain.codomain.codomain
+    assert first.arg.fn.arg == Var(0) and second.arg.fn.arg == Var(1)
+
+
+@pytest.mark.parametrize("bound_first", [True, False])
+def test_reader_rereads_a_span_whose_name_is_bound_in_one_place_only(bound_first):
+    span = "(m.a_rather_long_function_name a a)"
+    assert len(span) >= dkparse._SPAN_KEY
+    bound, free = f"(a : m.c => {span})", span
+    args = (bound, free) if bound_first else (free, bound)
+    (e,) = _parsed_as_the_reference(f"c : m.f {args[0]} {args[1]}.\n")
+    _, (x, y) = spine(e.type)
+    lam, const = (x, y) if bound_first else (y, x)
+    assert lam.body == App(App(Const("m.a_rather_long_function_name"), Var(0)), Var(0))
+    assert const == App(App(Const("m.a_rather_long_function_name"), Const("a")), Const("a"))
+
+
+def test_reader_does_not_reuse_a_span_for_a_longer_name():
+    first, second = "(m.a_rather_long_function_name m.a)", "(m.a_rather_long_function_name m.ab)"
+    assert first[: dkparse._SPAN_KEY] == second[: dkparse._SPAN_KEY] and len(first) >= dkparse._SPAN_KEY
+    (e,) = _parsed_as_the_reference(f"c : m.f {first} {second} {first}.\n")
+    _, (x, y, z) = spine(e.type)
+    assert (x.arg, y.arg) == (Const("m.a"), Const("m.ab")) and x is z
+
+
+def test_reader_reuses_a_span_with_a_comment_only_for_the_same_text():
+    span = "(m.g (; note ) ;) m.a_long_argument m.b_long_argument)"
+    other = span.replace("note", "other")
+    (e,) = _parsed_as_the_reference(f"c : m.f {span} {span} {other} (; between ;) {span}.\n")
+    _, args = spine(e.type)
+    assert all(a is args[0] for a in args)
+    assert args[0] == app(Const("m.g"), Const("m.a_long_argument"), Const("m.b_long_argument"))
+
+
+def test_syntax_error_after_a_reused_span_keeps_its_position():
+    from references import reference_parse_file
+
+    span = "(m.a_rather_long_function_name m.a m.b)"
+    text = f"c : m.f {span}.\nd :\n  m.f {span}\n  {span} ].\n"
+    for parse in (parse_file, reference_parse_file):
+        with pytest.raises(DkSyntaxError) as e:
+            parse(text)
+        assert str(e.value) == f"4:{len(span) + 4}: unexpected ']' (expected .)"
+
+
+def _chain_parse_terms(monkeypatch, n: int) -> int:
+    """Calls of the reader's `term` while it parses chain-n's `cert.dk`."""
+    from mutations import chain_certificate
+
+    thy, goal, proof = chain_certificate(n)
+    entries, _ = llproof.certificate_entries(thy, goal, proof, llproof.base_signature(thy))
+    text = print_file(entries)
+    calls = 0
+
+    def counted(self, delta, _term=dkparse._Parser.term):
+        nonlocal calls
+        calls += 1
+        return _term(self, delta)
+
+    with monkeypatch.context() as m:
+        m.setattr(dkparse._Parser, "term", counted)
+        assert parse_file(text) == entries
+    return calls
+
+
+def test_chain_parse_work_grows_with_distinct_text(monkeypatch):
+    # `cert.dk` repeats its closed formulas, so its text grows as n^2; the
+    # reader reads each repeated span once, so its work grows about as n
+    calls = [_chain_parse_terms(monkeypatch, n) for n in (16, 32, 64)]
+    for small, large in zip(calls, calls[1:]):
+        assert large <= 2.5 * small, calls

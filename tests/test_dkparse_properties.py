@@ -4,7 +4,7 @@ terms."""
 
 from hypothesis import given, settings, strategies as st
 
-from references import reference_print_file, reference_tokenize
+from references import reference_parse_file, reference_print_file, reference_tokenize
 from lpm import dkparse
 from lpm.dkparse import Decl, Def, DkSyntaxError, Rule, parse_file, parse_term, print_file, print_term
 from lpm.terms import KIND, TYPE, App, Const, FVar, KTerm, Lam, Pi, Var, app
@@ -156,3 +156,50 @@ def test_parsed_equal_subterms_are_one_object(data):
             for sub in _subterms(t):
                 # `repr` shows every display name, so equal ones are equal terms with equal names
                 assert seen.setdefault(repr(sub), sub) is sub
+
+
+# ---------------------------------------------------------------------------
+# The reader, which reads a later occurrence of a closed parenthesised
+# term's text as its first one, reads what the reference reader reads, for
+# files in which one text recurs under binders of its names, inside rule
+# contexts that name them and where a name is a bare constant
+
+SPAN_NAMES = ("x", "y", "a", "m.c", "m.a_rather_long_name")
+
+
+def _span(data, budget: int) -> str:
+    """The text of a random term, every compound one in parentheses."""
+    kind = data.draw(st.sampled_from(("name",) + ("app", "lam", "pi", "arrow") * (budget > 0)))
+    if kind == "name":
+        return data.draw(st.sampled_from(SPAN_NAMES))
+    left, right = _span(data, budget - 1), _span(data, budget - 1)
+    if kind == "app":
+        return f"({left}{data.draw(st.sampled_from((' ', ' (; ) ;) ')))}{right})"
+    if kind == "arrow":
+        return f"({left} -> {right})"
+    return f"({data.draw(st.sampled_from(SPAN_NAMES[:3]))} : {left} {'=>' if kind == 'lam' else '->'} {right})"
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_parse_file_matches_reference(data):
+    # long enough to be remembered, and closed unless its drawn part names
+    # `a`; the other spans are drawn whole, closed or not
+    closed = f"(x : m.c => (y : m.c -> m.a_rather_long_name {_span(data, 1)} x y))"
+    spans = [closed] + [_span(data, 3) for _ in range(3)]
+
+    def body() -> str:
+        return " ".join(data.draw(st.lists(st.sampled_from(spans), min_size=1, max_size=3)))
+
+    def binders() -> str:
+        return "".join(f"{x} : m.c -> " for x in data.draw(st.lists(st.sampled_from(SPAN_NAMES[:3]), max_size=3)))
+
+    forms = [
+        lambda k: f"d{k} : {binders()}m.f {body()}.",
+        lambda k: f"def d{k} : m.c := {binders()}m.f {body()}.",
+        lambda k: f"[a : m.c, x : {body()}] m.f {body()} --> m.f {body()}.",
+        lambda k: f"#ASSERT m.f {body()} : {binders()}m.f {body()}.",
+    ]
+    layout = data.draw(st.lists(st.sampled_from(forms), min_size=2, max_size=5))
+    text = "".join(form(k) + "\n" for k, form in enumerate(layout))
+    assert [repr(e) for e in parse_file(text)] == [repr(e) for e in reference_parse_file(text)]
