@@ -127,6 +127,28 @@ _COMMENT_DELIM_RE = re.compile(r"\(;|;\)")
 # Parser
 
 
+class _Scope(list):
+    """Binder names, innermost last, beside the levels of each name's
+    binders (outermost 0), so that neither `in` nor finding a name's
+    innermost binder scans the list."""
+
+    def __init__(self, names: Sequence[str] = ()):
+        super().__init__()
+        self.levels: dict[str, list[int]] = {}
+        for name in names:
+            self.push(name)
+
+    def __contains__(self, name: object) -> bool:
+        return bool(self.levels.get(name))
+
+    def push(self, name: str) -> None:
+        self.levels.setdefault(name, []).append(len(self))
+        self.append(name)
+
+    def drop(self) -> None:
+        self.levels[self.pop()].pop()
+
+
 class _Parser:
     """One parse.  Tokens are strings and a token that is not in `_FIXED`
     is an identifier.  The terms built are hash-consed in `table`, keyed
@@ -138,7 +160,7 @@ class _Parser:
         self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.tokens, self.offsets, self.comments = self.lex(text)
         self.pos = 0
-        self.scope: list[str] = []  # the binder names, innermost last
+        self.scope = _Scope()
         self.table: dict[tuple, KTerm] = {}
         # closed parenthesised terms by text prefix: start, end, token count, term
         self.spans: dict[str, tuple[int, int, int, KTerm]] = {}
@@ -282,9 +304,9 @@ class _Parser:
         return self.arrow(delta)
 
     def binder(self, former: type, name: str, dom: KTerm, delta: tuple[str, ...]) -> KTerm:
-        self.scope.append(name)
+        self.scope.push(name)
         body = self.term(delta)
-        self.scope.pop()
+        self.scope.drop()
         key = (former, name, id(dom), id(body))
         return self.table.get(key) or self.table.setdefault(key, former(name, dom, body))
 
@@ -333,8 +355,8 @@ class _Parser:
     def leaf(self, name: str, delta: tuple[str, ...]) -> tuple:
         """The class and the fields of what `name` stands for."""
         if "." not in name:
-            if name in self.scope:
-                return (Var, self.scope[::-1].index(name), name)
+            if levels := self.scope.levels.get(name):
+                return (Var, len(self.scope) - 1 - levels[-1], name)
             if name in delta:
                 return (FVar, name)
         return (Const, name)
@@ -364,11 +386,11 @@ _PREC_ATOM = 3
 
 def print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PREC_TERM) -> str:
     out: list[str] = []
-    _emit(t, list(scope), prec, out, {})
+    _emit(t, _Scope(scope), prec, out, {})
     return "".join(out)
 
 
-def _emit(t: KTerm, scope: list[str], prec: int, out: list[str], spans: dict) -> None:
+def _emit(t: KTerm, scope: _Scope, prec: int, out: list[str], spans: dict) -> None:
     """Append the pieces of `t`'s text under the binder names `scope` to
     `out`; `spans` keeps where those of each closed compound term lie, by `(id, prec)`."""
     cls = t.__class__
@@ -383,14 +405,14 @@ def _emit(t: KTerm, scope: list[str], prec: int, out: list[str], spans: dict) ->
     start = len(out)
     # every compound term prints as `[name : ]left sep right`
     if cls is App:
-        bar, head, left, sep, right, bound, right_prec = _PREC_APP, "", t.fn, " ", t.arg, (), _PREC_ATOM
+        bar, head, left, sep, right, bound, right_prec = _PREC_APP, "", t.fn, " ", t.arg, None, _PREC_ATOM
     elif cls is Lam or cls is Pi:
         left, right = (t.annot, t.body) if cls is Lam else (t.domain, t.codomain)
         if cls is Lam or uses_binder(right):
             name = _binder_name(t.name, right, scope)
-            bar, head, sep, bound = _PREC_TERM, f"{name} : ", " => " if cls is Lam else " -> ", (name,)
+            bar, head, sep, bound = _PREC_TERM, f"{name} : ", " => " if cls is Lam else " -> ", name
         else:
-            bar, head, sep, bound = _PREC_ARROW, "", " -> ", ("",)
+            bar, head, sep, bound = _PREC_ARROW, "", " -> ", ""
         right_prec = _PREC_TERM
     else:
         raise TypeError(f"not a printable term: {t!r}")
@@ -398,9 +420,11 @@ def _emit(t: KTerm, scope: list[str], prec: int, out: list[str], spans: dict) ->
         out.append("(" + head if prec > bar else head)
     _emit(left, scope, _PREC_APP, out, spans)
     out.append(sep)
-    scope += bound
+    if bound is not None:
+        scope.push(bound)
     _emit(right, scope, right_prec, out, spans)
-    del scope[len(scope) - len(bound) :]
+    if bound is not None:
+        scope.drop()
     if prec > bar:
         out.append(")")
     if key:
@@ -476,7 +500,7 @@ def print_file(entries: list[Entry]) -> str:
 
     def show(t: KTerm, prec: int = _PREC_TERM) -> str:
         start = len(out)
-        _emit(t, [], prec, out, spans)
+        _emit(t, _Scope(), prec, out, spans)
         return "".join(out[start:])
 
     return "".join(print_entry(e, show) + "\n" for e in entries)

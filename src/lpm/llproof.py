@@ -30,6 +30,7 @@ only, and its shape and constant are registered in `embed.EXT_RULES`.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
@@ -573,6 +574,8 @@ class _Translator:
         # the embedding of each formula, term and type met with no
         # eigenvariable in scope: equal formulas share one kernel term
         self.memo: embed.Memo = {}
+        # each axiom formula -> the name of its first declaration
+        self.axioms = {f: n for n, f in reversed(tbl.axioms.items())}
         # set by `certificate_entries`: the layout of the refutation
         self.layout: Optional[_Layout] = None
 
@@ -604,8 +607,7 @@ class _Translator:
         stack = self.env.get(phi)
         if stack:
             return self.var(*stack[-1])
-        axiom = next((n for n, f in self.tbl.axioms.items() if f == phi), None)
-        if axiom is not None:
+        if (axiom := self.axioms.get(phi)) is not None:
             return Const(embed.qualify(self.module, axiom))
         # a bracketed hypothesis stands for any congruent formula, so a
         # structural miss falls back to conversion against the sequent
@@ -792,9 +794,25 @@ def check_certificate(
 def base_signature(
     thy: tff.TffTheory, mode: str = "shallow", fuel: Optional[kernel.Fuel] = None
 ) -> signature.Signature:
-    """logic + rules + theory, ready for certificate checking."""
-    entries = embed.prelude(mode) + rules_prelude(mode) + embed.theory_entries(thy)
-    return signature.install_entries(signature.EMPTY, entries, fuel)
+    """logic + rules + theory, ready for certificate checking.
+
+    The preludes of each mode are checked once per process (`_preludes`);
+    `fuel` is charged the rewrite steps that check spent, and a budget
+    holding fewer runs it again, so as to run out where it would."""
+    sig, steps = _preludes(mode)
+    if fuel is not None and fuel.steps_left < steps:
+        sig = signature.install_entries(signature.EMPTY, embed.prelude(mode) + rules_prelude(mode), fuel)
+    elif fuel is not None:
+        fuel.steps_left -= steps
+    return signature.install_entries(sig, embed.theory_entries(thy), fuel)
+
+
+@functools.cache
+def _preludes(mode: str) -> tuple[signature.Signature, int]:
+    """logic + rules of `mode`, checked, and the rewrite steps checking them took."""
+    fuel = kernel.Fuel()
+    sig = signature.install_entries(signature.EMPTY, embed.prelude(mode) + rules_prelude(mode), fuel)
+    return sig, fuel.max_rewrite_steps - fuel.steps_left
 
 
 def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:

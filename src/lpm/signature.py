@@ -2,10 +2,11 @@
 
 A `Signature` is the global context the kernel checks against: the type
 of each declared constant and the rewrite rules of each head, in the
-order they were installed.  Extension is persistent: `declare` and
-`add_rewrite` verify the well-formedness side conditions and return a new
-signature, leaving the original untouched, so frozen signatures can be
-shared freely.
+order they were installed.  Extension is persistent: `install_entries`
+copies the tables once, checks each entry's well-formedness side
+conditions and extends the copy in place, so an install is linear in its
+entries and returns a new signature, leaving the original untouched.
+`declare` and `add_rewrite` are its one-entry cases.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class NonPatternLhs(SignatureError):
 
 
 class Signature:
-    """Declared constants' types and each head's rewrite rules, in order."""
+    """Declared constants' types and each head's rewrite rules, in order;
+    never changed once returned, so callers may share one freely."""
 
     __slots__ = ("_types", "_rules", "eta")
 
@@ -87,48 +89,17 @@ class Signature:
 
     def declare(self, name: str, ty: KTerm, fuel: kernel.Fuel | None = None) -> "Signature":
         """Extend with `name : ty` after checking `ty` lives in a sort."""
-        if name in self._types:
-            raise DuplicateName(name)
-        _check_sort(self, {}, name, ty, fuel)
-        types = dict(self._types)
-        types[name] = ty
-        return Signature(types, self._rules, self.eta)
+        return install_entries(self, [dkparse.Decl(name, ty)], fuel)
 
-    def add_rewrite(
-        self,
-        ctx: Sequence[tuple[str, KTerm]],
-        lhs: KTerm,
-        rhs: KTerm,
-        fuel: kernel.Fuel | None = None,
-    ) -> "Signature":
+    def add_rewrite(self, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm,
+                    fuel: kernel.Fuel | None = None) -> "Signature":
         """Install `lhs --> rhs` over the typed pattern context `ctx`.
 
         Checks that the left-hand side is a constant-headed first-order
         pattern, that both sides share one type under the context, and
         that FV(rhs) <= FV(lhs) <= ctx.
         """
-        delta = _check_context(self, ctx, fuel)
-        _check_pattern(lhs, set(delta))
-        lhs_vars = free_fvars(lhs)
-        rhs_vars = free_fvars(rhs)
-        if not rhs_vars <= lhs_vars:
-            raise FVViolation(rhs_vars - lhs_vars, "right-hand side not covered by the left")
-        try:
-            rule_type = kernel.infer(self, delta, lhs, fuel)
-        except kernel.FuelExhausted:
-            raise
-        except kernel.KernelError as e:
-            raise IllTypedSide("left", e) from e
-        try:
-            kernel.check(self, delta, rhs, rule_type, fuel)
-        except kernel.FuelExhausted:
-            raise
-        except kernel.KernelError as e:
-            raise IllTypedSide("right", e) from e
-        rule = kernel.RewriteRule(ctx, lhs, rhs)
-        rules = dict(self._rules)
-        rules[rule.head] = rules.get(rule.head, ()) + (rule,)
-        return Signature(self._types, rules, self.eta)
+        return install_entries(self, [dkparse.Rule(tuple(ctx), lhs, rhs)], fuel)
 
     def with_eta(self, eta: bool = True) -> "Signature":
         return Signature(self._types, self._rules, eta)
@@ -137,16 +108,30 @@ class Signature:
 EMPTY = Signature()
 
 
-def _check_context(
-    sig: Signature, ctx: Sequence[tuple[str, KTerm]], fuel: kernel.Fuel | None
-) -> dict[str, KTerm]:
+def _add_rewrite(sig: Signature, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm,
+                 fuel: kernel.Fuel | None) -> None:
     delta: dict[str, KTerm] = {}
     for name, ty in ctx:
         if name in delta:
             raise DuplicateName(name)
         _check_sort(sig, delta, name, ty, fuel)
         delta[name] = ty
-    return delta
+    _check_pattern(lhs, set(delta))
+    lhs_vars = free_fvars(lhs)
+    rhs_vars = free_fvars(rhs)
+    if not rhs_vars <= lhs_vars:
+        raise FVViolation(rhs_vars - lhs_vars, "right-hand side not covered by the left")
+    side = "left"
+    try:
+        rule_type = kernel.infer(sig, delta, lhs, fuel)
+        side = "right"
+        kernel.check(sig, delta, rhs, rule_type, fuel)
+    except kernel.FuelExhausted:
+        raise
+    except kernel.KernelError as e:
+        raise IllTypedSide(side, e) from e
+    rule = kernel.RewriteRule(ctx, lhs, rhs)
+    sig._rules[rule.head] = sig.rules_for(rule.head) + (rule,)
 
 
 def _check_sort(sig: Signature, ctx: dict[str, KTerm], name: str, ty: KTerm, fuel: kernel.Fuel | None) -> None:
@@ -175,23 +160,29 @@ def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
 
 
 def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None) -> Signature:
-    """Install parsed or generated entries in order, checking each one.
+    """Install parsed or generated entries in order, checking each one, and
+    return the extended signature.  The tables of `sig` are copied once and
+    the copy is extended in place, so the time is linear in the entries
+    and `sig` is left unchanged, also when an entry is rejected.
 
     Definitions desugar to a declaration plus an empty-context rewrite
     rule; `#ASSERT` entries run a check without extending the signature.
     """
+    sig = Signature(dict(sig._types), dict(sig._rules), sig.eta)
     for e in entries:
         match e:
-            case dkparse.Decl(name=n, type=ty):
-                sig = sig.declare(n, ty, fuel)
-            case dkparse.Def(name=n, type=ty, body=b):
-                sig = sig.declare(n, ty, fuel)
-                try:
-                    sig = sig.add_rewrite((), Const(n), b, fuel)
-                except IllTypedSide as e:
-                    raise IllTypedBody(n, e.cause) from e.cause
+            case dkparse.Decl(name=n, type=ty) | dkparse.Def(name=n, type=ty):
+                if n in sig._types:
+                    raise DuplicateName(n)
+                _check_sort(sig, {}, n, ty, fuel)
+                sig._types[n] = ty
+                if e.__class__ is dkparse.Def:
+                    try:
+                        _add_rewrite(sig, (), Const(n), e.body, fuel)
+                    except IllTypedSide as err:
+                        raise IllTypedBody(n, err.cause) from err.cause
             case dkparse.Rule(ctx=ctx, lhs=lhs, rhs=rhs):
-                sig = sig.add_rewrite(ctx, lhs, rhs, fuel)
+                _add_rewrite(sig, ctx, lhs, rhs, fuel)
             case dkparse.AssertType(term=t, type=ty):
                 _check_sort(sig, {}, "#ASSERT", ty, fuel)
                 kernel.check(sig, {}, t, ty, fuel)
@@ -200,4 +191,3 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
             case _:
                 raise SignatureError(f"cannot install entry {e!r}")
     return sig
-

@@ -64,6 +64,15 @@ def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[
     return None
 
 
+def signature_fields(sig) -> tuple[list, list]:
+    """The types of a signature in order, and each head's rules, in order,
+    as the fields matching reads: head, pattern arguments, pattern
+    variables, right-hand side and screens."""
+    rules = [(head, [(r.head, r.lhs_args, r.delta, r.rhs, r.screens) for r in sig.rules_for(head)])
+             for head in sig._rules]
+    return list(sig._types.items()), rules
+
+
 def eliminate_pred_fun(p: llproof.LLProof) -> llproof.LLProof:
     """Decompose every Pred/Fun node of the tree into its Subst chain.
 

@@ -1,12 +1,14 @@
 """Surface syntax: lexing, parsing, printing, round trips."""
 
+import gc
 import hashlib
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from lpm import cli, dkparse, examples, llproof
+from lpm import cli, dkparse, examples, llproof, tff
 from lpm.dkparse import (
     AssertType,
     Comment,
@@ -288,6 +290,37 @@ def test_printing_a_deep_binder_chain_takes_linear_memory():
     # entries in all, the peak at depth 4,000 was 15 times that at 1,000
     small, large = _lam_chain_print_peak(1000), _lam_chain_print_peak(4000)
     assert large < 6 * small, (small, large)
+
+
+def _binder_chain_seconds(depth: int) -> float:
+    """Best-of-3 seconds to print and to parse the `cert.dk` of `depth`
+    NotNot nodes, one below the other, each consuming the hypothesis
+    bound outermost, the negated goal; the cyclic garbage collector is
+    off, as `timeit` runs."""
+    p = tff.Pred("P")
+    thy = tff.TffTheory("t", (tff.PredDecl("P", (), ()), tff.Axiom("n", tff.Not(p))))
+    proof = llproof.LLProof(llproof.Ax(p))
+    for _ in range(depth):
+        proof = llproof.LLProof(llproof.NotNot(p), (proof,))
+    entries, _ = llproof.certificate_entries(thy, tff.Not(p), proof, llproof.base_signature(thy))
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(3):
+            start = time.perf_counter()
+            assert parse_file(print_file(entries)) == entries
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+def test_reading_and_printing_take_linear_time_in_binder_depth():
+    # a name's innermost binder is found in a name -> levels map; scanning
+    # the binder names for it, per identifier in the reader and per binder
+    # in the printer, made depth 4,000 about 9 times slower than 1,000
+    small, large = _binder_chain_seconds(1000), _binder_chain_seconds(4000)
+    assert large < 2.5**2 * small, (small, large)
 
 
 # The reader reads a later occurrence of a closed parenthesised term's text

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
-from references import eliminate_pred_fun
+from references import eliminate_pred_fun, signature_fields
 from lpm import dkparse, embed, examples, kernel, llproof, sexp, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.llproof import LLProof, check_certificate, certificate_entries
@@ -239,6 +239,13 @@ def test_translate_proof_uses_theory_axioms():
     tree = LLProof(llproof.Bot())  # consumes [bot], provided by the axiom
     got = _refutation(thy, tree)
     assert got == App(Const("rules.R_bot"), Const("t.bad"))
+
+
+def test_translate_proof_names_the_first_of_equal_axioms():
+    # the axiom index keeps the first declared name of each formula, as a
+    # scan of the axioms in order finds it
+    thy = tff.TffTheory("t", (tff.Axiom("first", tff.Bottom()), tff.Axiom("second", tff.Bottom())))
+    assert _refutation(thy, LLProof(llproof.Bot())) == App(Const("rules.R_bot"), Const("t.first"))
 
 
 def test_fig11_certificate_term_matches_reference():
@@ -708,6 +715,37 @@ def test_reads_after_a_proof_read_are_their_own():
         assert tff.formula_from_sexp(sexp.loads_one(small), tff.Constructors()) == tff.And(
             tff.Pred("P1"), tff.Not(tff.Pred("P0")))
         assert tff.parse_theory(tff.print_theory(examples.set_theory())) == examples.set_theory()
+
+
+# ---------------------------------------------------------------------------
+# base signatures: each mode's preludes are checked once per process
+
+
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+@pytest.mark.parametrize("name", sorted(examples.BUILTINS))
+def test_reused_base_signature_equals_a_full_install(name, mode):
+    thy = examples.BUILTINS[name][0]()
+    entries = embed.prelude(mode) + llproof.rules_prelude(mode) + embed.theory_entries(thy)
+    fresh = signature.install_entries(signature.EMPTY, entries)
+    llproof.base_signature(thy, mode)
+    assert signature_fields(llproof.base_signature(thy, mode)) == signature_fields(fresh)
+
+
+@pytest.mark.parametrize("mode, steps", [("shallow", 82), ("deep", 0)])
+def test_base_signature_charges_the_prelude_check(mode, steps):
+    # a caller's budget pays for the preludes' check whether this process
+    # has run it already or not, so the steps left are those of a full
+    # check; the bool theory's own entries take no rewrite step
+    thy = examples.bool_theory()
+    llproof._preludes.cache_clear()
+    for _ in range(2):
+        fuel = kernel.Fuel()
+        llproof.base_signature(thy, mode, fuel)
+        assert fuel.max_rewrite_steps - fuel.steps_left == steps
+    if steps:
+        with pytest.raises(kernel.FuelExhausted):
+            llproof.base_signature(thy, mode, kernel.Fuel(steps - 1))
+    assert llproof.base_signature(thy, mode, kernel.Fuel()) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Global context construction and its well-formedness side conditions."""
 
+import gc
+import time
+
 import pytest
 
+from references import signature_fields
 from lpm import embed, examples, kernel, signature
-from lpm.dkparse import Def, Rule, parse_term
+from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.terms import Const, FVar, app
 
 
@@ -18,6 +22,34 @@ def test_declare_extends_persistently(logic_shallow):
     assert list(logic_shallow._types) == before
     assert extended.type_of("bool.bool") == Const("logic.type")
     assert logic_shallow.type_of("bool.bool") is None
+
+
+def test_add_rewrite_extends_persistently(bool_sig):
+    before = signature_fields(bool_sig)
+    sig = bool_sig.declare("b3", T("logic.term bool.bool"))
+    extended = sig.add_rewrite((), T("b3"), T("bool.true"))
+    assert kernel.whnf(extended, T("b3")) == Const("bool.true")
+    assert signature_fields(bool_sig) == before and sig.rules_for("b3") == ()
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 2, 4])
+def test_install_leaves_its_input_unchanged(bool_sig, bad_at):
+    # an install extends a private copy of the tables in place; the
+    # signature it was given stays as it was, whether an entry is rejected
+    # or not, and so does what an earlier install returned
+    entries = [Decl(f"c{i}", T("logic.term bool.bool")) for i in range(5)]
+    if bad_at is not None:
+        entries[bad_at] = Decl(f"c{bad_at}", T("bool.true"))  # not a sort
+    before = signature_fields(bool_sig)
+    if bad_at is None:
+        sig = signature.install_entries(bool_sig, entries)
+        assert [n for n, _ in signature_fields(sig)[0][-5:]] == [f"c{i}" for i in range(5)]
+        again = signature.install_entries(sig, [Decl("d", T("logic.term bool.bool"))])
+        assert "d" in again and "d" not in sig
+    else:
+        with pytest.raises(signature.NotASort):
+            signature.install_entries(bool_sig, entries)
+    assert signature_fields(bool_sig) == before
 
 
 def test_declare_rejects_duplicates(logic_shallow):
@@ -102,11 +134,7 @@ def test_stepwise_install_matches_one_call(make):
     stepwise = signature.EMPTY
     for entry in entries:
         stepwise = signature.install_entries(stepwise, [entry])
-    assert list(stepwise._types.items()) == list(whole._types.items())
-    assert list(stepwise._rules) == list(whole._rules)
-    fields = lambda rules: [(r.head, r.lhs_args, r.delta, r.rhs, r.screens) for r in rules]
-    for head in whole._rules:
-        assert fields(stepwise.rules_for(head)) == fields(whole.rules_for(head)), head
+    assert signature_fields(stepwise) == signature_fields(whole)
     assert sum(map(len, whole._rules.values())) == sum(isinstance(e, (Rule, Def)) for e in entries)
 
 
@@ -138,3 +166,28 @@ def test_ill_typed_definition_body_names_the_definition(logic_shallow):
     assert isinstance(err, signature.IllTypedSide) and err.side == "right"
     assert isinstance(err.cause, kernel.KernelError)
     assert str(err).startswith("ill-typed body of definition myid: ")
+
+
+def _install_seconds(logic, n: int) -> float:
+    """Best-of-3 seconds to install n nullary predicates `t.Pi` and n
+    axioms `t.axi : logic.prf t.Pi` in one call, with the cyclic garbage
+    collector off, as `timeit` runs."""
+    entries = [Decl(f"t.P{i}", Const("logic.Prop")) for i in range(n)]
+    entries += [Decl(f"t.ax{i}", app(Const("logic.prf"), Const(f"t.P{i}"))) for i in range(n)]
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(3):
+            start = time.perf_counter()
+            signature.install_entries(logic, entries)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+def test_install_time_grows_linearly_in_its_entries(logic_shallow):
+    # one copy of the tables per call: 8 times the entries take about 8
+    # times as long; a copy per entry made it about 80 times
+    small, large = _install_seconds(logic_shallow, 1000), _install_seconds(logic_shallow, 8000)
+    assert large < 12 * small, (small, large)
