@@ -797,13 +797,12 @@ def base_signature(
     """logic + rules + theory, ready for certificate checking.
 
     The preludes of each mode are checked once per process (`_preludes`);
-    `fuel` is charged the rewrite steps that check spent, and a budget
-    holding fewer runs it again, so as to run out where it would."""
+    `fuel` is charged the rewrite steps that check spent, one step at a
+    time, so a smaller budget runs out where the check would."""
     sig, steps = _preludes(mode)
-    if fuel is not None and fuel.steps_left < steps:
-        sig = signature.install_entries(signature.EMPTY, embed.prelude(mode) + rules_prelude(mode), fuel)
-    elif fuel is not None:
-        fuel.steps_left -= steps
+    if fuel is not None:
+        for _ in range(steps):
+            fuel.step()
     return signature.install_entries(sig, embed.theory_entries(thy), fuel)
 
 

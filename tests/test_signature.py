@@ -1,8 +1,5 @@
 """Global context construction and its well-formedness side conditions."""
 
-import gc
-import time
-
 import pytest
 
 from references import signature_fields
@@ -168,26 +165,30 @@ def test_ill_typed_definition_body_names_the_definition(logic_shallow):
     assert str(err).startswith("ill-typed body of definition myid: ")
 
 
-def _install_seconds(logic, n: int) -> float:
-    """Best-of-3 seconds to install n nullary predicates `t.Pi` and n
-    axioms `t.axi : logic.prf t.Pi` in one call, with the cyclic garbage
-    collector off, as `timeit` runs."""
+def _table_entries_copied(monkeypatch, logic, n: int) -> int:
+    """Type and rule table entries handed to new signatures while n
+    nullary predicates `t.Pi` and n axioms `t.axi : logic.prf t.Pi` are
+    installed in one call."""
     entries = [Decl(f"t.P{i}", Const("logic.Prop")) for i in range(n)]
     entries += [Decl(f"t.ax{i}", app(Const("logic.prf"), Const(f"t.P{i}"))) for i in range(n)]
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            signature.install_entries(logic, entries)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return best
+    copied = []
+    init = signature.Signature.__init__
+
+    def counting_init(self, types=None, rules=None, eta=False):
+        copied.append(len(types or ()) + len(rules or ()))
+        init(self, types, rules, eta)
+
+    with monkeypatch.context() as m:
+        m.setattr(signature.Signature, "__init__", counting_init)
+        signature.install_entries(logic, entries)
+    return sum(copied)
 
 
-def test_install_time_grows_linearly_in_its_entries(logic_shallow):
-    # one copy of the tables per call: 8 times the entries take about 8
-    # times as long; a copy per entry made it about 80 times
-    small, large = _install_seconds(logic_shallow, 1000), _install_seconds(logic_shallow, 8000)
-    assert large < 12 * small, (small, large)
+def test_install_copies_the_tables_once_whatever_its_entries(monkeypatch, logic_shallow):
+    # one copy of the input's tables per call, extended in place, so the
+    # time is linear in the entries; a copy per entry handed about N^2
+    # table entries to new signatures
+    tables = len(logic_shallow._types) + len(logic_shallow._rules)
+    small = _table_entries_copied(monkeypatch, logic_shallow, 1000)
+    large = _table_entries_copied(monkeypatch, logic_shallow, 8000)
+    assert small == large == tables, (small, large, tables)
