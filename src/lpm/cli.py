@@ -129,24 +129,42 @@ def _fail(rep: Reporter, file: str, e: Exception) -> int:
 
 def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, sig: signature.Signature,
                 locate: Optional[Callable] = None) -> tuple[int, signature.Signature, list]:
-    """Parse the `.dk` text of `file` and install its entries in order,
-    each with a fresh fuel budget; return the exit code, the extended
-    signature and the parsed entries.  A syntax error is reported at its
+    """Parse the `.dk` text of `file` and install its entries in order in
+    one copy of the signature's tables, each with a fresh fuel budget;
+    return the exit code, the extended signature (`sig` itself on a
+    rejection) and the parsed entries.  A syntax error is reported at its
     position and a rejected entry at the entry's, with the failing proof
     node that `locate`, given for a compiled certificate, finds."""
     try:
         entries = dkparse.parse_file(text)
     except (dkparse.DkSyntaxError, RecursionError, MemoryError) as e:
         return _fail(rep, file, e), sig, []
-    for entry in entries:
-        try:
-            sig = signature.install_entries(sig, [entry], kernel.Fuel(args.fuel))
-        except (kernel.KernelError, signature.SignatureError, RecursionError, MemoryError) as e:
-            rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
-            return _exit_code_for(e), sig, entries
-        if getattr(entry, "name", None):
-            rep.detail(f"checked {entry.name}")
-    return EXIT_OK, sig, entries
+    todo = _Installing(entries, rep)
+    try:
+        out = signature.install_entries(sig, todo, budget=args.fuel)
+    except (kernel.KernelError, signature.SignatureError, RecursionError, MemoryError) as e:
+        entry = entries[todo.done]
+        rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
+        return _exit_code_for(e), sig, entries
+    return EXIT_OK, out, entries
+
+
+class _Installing(list):
+    """A file's entries as `signature.install_entries` takes them.  It asks
+    for the next entry only once it has installed the last, so iterating
+    counts the entries installed in `done` and prints each one's `-v` line."""
+
+    def __init__(self, entries: list, rep: Reporter):
+        super().__init__(entries)
+        self.rep = rep
+        self.done = 0
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            yield entry
+            self.done += 1
+            if getattr(entry, "name", None):
+                self.rep.detail(f"checked {entry.name}")
 
 
 # the signature every command starts from, one object per `--eta`, so a

@@ -13,6 +13,11 @@ typing carries the enclosing binders' types as a de Bruijn context, and
 conversion and `normalize` work on binder bodies in place.  An application
 spine is typed in one frame, and the arguments passed are put into its
 type at once (`terms.instantiate_many`), only where the type is read.
+
+A head's rules are compiled on first use into one decision tree per
+argument count, which fires the first matching rule in install order.  A
+pattern is a variable or a constant applied to patterns, so the tree tests
+only head constants, spine lengths and a repeated variable's occurrences.
 """
 
 from __future__ import annotations
@@ -123,12 +128,12 @@ class Fuel:
 
 
 class RewriteRule:
-    """The matching index of an installed rule `lhs --> rhs`: `lhs` is the
-    constant `head` applied to the first-order patterns `lhs_args`, whose
-    variables `delta` are those of the pattern context `ctx`, as
-    `Signature.add_rewrite` checks before it builds one."""
+    """An installed rule `lhs --> rhs`: `lhs` is the constant `head` applied
+    to the first-order patterns `lhs_args`, whose variables `delta` are those
+    of the pattern context `ctx`, as `Signature.add_rewrite` checks before
+    it builds one."""
 
-    __slots__ = ("rhs", "head", "lhs_args", "arity", "delta", "screens")
+    __slots__ = ("rhs", "head", "lhs_args", "arity", "delta")
 
     def __init__(self, ctx: Iterable[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm):
         head, args = spine(lhs)
@@ -137,58 +142,101 @@ class RewriteRule:
         self.lhs_args = tuple(args)
         self.arity = len(args)
         self.delta = frozenset(name for name, _ in ctx)
-        # (position, head constant, spine length) of each constant-headed
-        # pattern argument, used to skip definite non-matches cheaply
-        self.screens = tuple(
-            (j, h.name, len(sub)) for j, (h, sub) in enumerate(map(spine, args)) if isinstance(h, Const)
-        )
 
 
-Substitution = dict[str, KTerm]
+class Rules:
+    """A head's rules in install order, and the decision tree that matches
+    them against n arguments, built for each n on first use.  A signature
+    that gains a rule for the head gets a new `Rules`, so no tree goes stale."""
+
+    __slots__ = ("rules", "arity", "trees")
+
+    def __init__(self, rules: tuple[RewriteRule, ...]):
+        self.rules = rules
+        self.arity = max(r.arity for r in rules)
+        self.trees: list[object] = [None] * (self.arity + 1)
 
 
-def _match(pat: KTerm, subj: KTerm, delta: frozenset[str], out: Substitution) -> bool:
-    """First-order matching of a rule pattern against a term, binding in
-    `out`: a variable of `delta` matches any subterm, equal ones at each
-    of its occurrences; anything else matches only itself."""
-    stack = [(pat, subj)]
-    while stack:
-        p, s = stack.pop()
-        tp = type(p)
-        if tp is FVar:
-            n = p.name
-            if n in delta:
-                prev = out.get(n)
-                if prev is None:
-                    out[n] = s
-                elif prev != s:
-                    return False
+class _Switch:
+    """A decision-tree node: the subject at position `pos` selects a child
+    from `cases` by its head constant and spine length, else `default`.  A
+    leaf is (), for no match, or a rule with the position of each of its
+    variables, the pairs of positions that must hold equal terms, and the
+    node to go on with when they do not."""
+
+    __slots__ = ("pos", "cases", "default")
+
+    def __init__(self, pos: int):
+        self.pos = pos
+        self.cases: dict[tuple[str, int], object] = {}
+
+
+def _compile(rules: tuple[RewriteRule, ...], n: int) -> object:
+    """The decision tree of the rules of arity at most n against n arguments
+    (Maranget, "Compiling pattern matching to good decision trees", 2008).
+    Argument j is at position n - 1 - j, as on the spine, innermost last;
+    a switch that selects `c a1 ... am` puts `ai` at position P + m - i,
+    P being the number of positions so far."""
+    rows = (_row(rule, (), (), [(n - 1 - j, p, (j,)) for j, p in enumerate(rule.lhs_args)])
+            for rule in rules if rule.arity <= n)
+    return _tree(tuple(rows), n, {})
+
+
+def _row(rule: RewriteRule, tests: tuple, occs: tuple, placed: list) -> tuple:
+    """A row of the matrix: a rule, its patterns still to test as (position,
+    pattern, scan key) and its variables' occurrences as (scan key, name,
+    position), extended by the `placed` patterns.  Scan keys order
+    occurrences left to right by argument and right to left in a spine: a
+    variable is bound at its first, as a walk of the pattern that stacks an
+    application's function below its argument binds it."""
+    for pos, pat, key in placed:
+        if type(pat) is FVar:
+            occs += ((key, pat.name, pos),)
+        else:
+            tests += ((pos, pat, key),)
+    return rule, tests, occs
+
+
+def _tree(rows: tuple, npos: int, memo: dict) -> object:
+    """The tree for `rows`, in install order.  Equal rows over as many
+    positions share one subtree, so the rows after a rule whose repeated
+    variables may differ are compiled once, not once per branch."""
+    if not rows:
+        return ()
+    if (rows, npos) in memo:
+        return memo[rows, npos]
+    rule, tests, occs = rows[0]
+    if not tests:  # the first row fires unless its repeated variables differ
+        first: dict[str, int] = {}
+        equal = []
+        for _, name, pos in sorted(occs):
+            if name in first:
+                equal.append((first[name], pos))
+            else:
+                first[name] = pos
+        node = rule, tuple(first.items()), tuple(equal), _tree(rows[1:], npos, memo) if equal else ()
+    else:
+        node = _Switch(tests[0][0])  # settle the first row's first pattern
+        at = [next((t for t in tests if t[0] == node.pos), None) for _, tests, _ in rows]
+        cases: dict[tuple[str, int], list] = {}
+        for test in filter(None, at):
+            head, args = spine(test[1])
+            cases.setdefault((head.name, len(args)), [])
+        for (rule, tests, occs), test in zip(rows, at):
+            if test is None:  # a variable there: the row goes every way
+                for sub in cases.values():
+                    sub.append((rule, tests, occs))
                 continue
-            if type(s) is not FVar or s.name != n:
-                return False
-        elif tp is App:
-            if type(s) is not App:
-                return False
-            stack.append((p.fn, s.fn))
-            stack.append((p.arg, s.arg))
-        elif tp is Const:
-            if type(s) is not Const or s.name != p.name:
-                return False
-        elif p != s:
-            return False
-    return True
-
-
-def _screens_fail(rule: RewriteRule, rev: list[KTerm]) -> bool:
-    for j, name, arity in rule.screens:
-        subj = rev[-1 - j]
-        n = 0
-        while type(subj) is App:
-            n += 1
-            subj = subj.fn
-        if n != arity or type(subj) is not Const or subj.name != name:
-            return True
-    return False
+            _, pat, key = test
+            head, args = spine(pat)
+            m = len(args)
+            placed = [(npos + m - i, a, key + (-i,)) for i, a in enumerate(args, 1)]
+            cases[head.name, m].append(_row(rule, tuple(t for t in tests if t is not test), occs, placed))
+        for (name, m), sub in cases.items():
+            node.cases[name, m] = _tree(tuple(sub), npos + m, memo)
+        node.default = _tree(tuple(row for row, test in zip(rows, at) if test is None), npos, memo)
+    memo[rows, npos] = node
+    return node
 
 
 def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
@@ -210,7 +258,7 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
             fuel.step()
             head = instantiate(head.body, rev.pop())
             continue
-        if type(head) is Const and (rules := sig.rules_for(head.name)):
+        if type(head) is Const and (rules := sig.matcher(head.name)):
             fired = _fire(rules, rev, fuel)
             if fired is None and rev:
                 rev = [normalize(sig, a, fuel) for a in rev]
@@ -224,21 +272,38 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     return head
 
 
-def _fire(rules: tuple[RewriteRule, ...], rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
+def _fire(rules: Rules, rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
     """The first matching rule's instantiated right-hand side, its
     arguments popped from `rev`; None when no rule matches."""
     nargs = len(rev)
-    for rule in rules:
-        k = rule.arity
-        if k > nargs or _screens_fail(rule, rev):
+    n = nargs if nargs < rules.arity else rules.arity
+    node = rules.trees[n]
+    if node is None:
+        node = rules.trees[n] = _compile(rules.rules, n)
+    terms = rev[nargs - n :]  # the subject at each position
+    while node:
+        if type(node) is _Switch:
+            s = terms[node.pos]
+            base = len(terms)
+            while type(s) is App:
+                terms.append(s.arg)
+                s = s.fn
+            if type(s) is Const and (child := node.cases.get((s.name, len(terms) - base))) is not None:
+                node = child
+            else:
+                del terms[base:]
+                node = node.default
             continue
-        bindings: Substitution = {}
-        for j, pat in enumerate(rule.lhs_args):
-            if not _match(pat, rev[-1 - j], rule.delta, bindings):
+        rule, binds, equal, node = node
+        for a, b in equal:
+            if terms[a] != terms[b]:
                 break
         else:
             fuel.step()
-            del rev[nargs - k :]
+            del rev[nargs - rule.arity :]
+            bindings = {}
+            for name, pos in binds:
+                bindings[name] = terms[pos]
             return substitute(rule.rhs, bindings)
     return None
 
@@ -255,7 +320,7 @@ def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     match t:
         case App():
             head, args = spine(t)
-            if type(head) is Const and sig.rules_for(head.name):
+            if type(head) is Const and sig.matcher(head.name):
                 return t
             return app(head, *[normalize(sig, a, fuel) for a in args])
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import dkparse, kernel
-from .terms import Const, FVar, KTerm, Sort, Var, App, Lam, Pi, free_fvars, spine
+from .terms import Const, FVar, KTerm, Sort, free_fvars, spine
 
 
 class SignatureError(Exception):
@@ -71,7 +71,7 @@ class Signature:
     def __init__(
         self,
         types: dict[str, KTerm] | None = None,
-        rules: dict[str, tuple[kernel.RewriteRule, ...]] | None = None,
+        rules: dict[str, kernel.Rules] | None = None,
         eta: bool = False,
     ):
         self._types = types or {}
@@ -82,7 +82,11 @@ class Signature:
         return self._types.get(name)
 
     def rules_for(self, head: str) -> tuple[kernel.RewriteRule, ...]:
-        return self._rules.get(head, ())
+        rules = self._rules.get(head)
+        return rules.rules if rules else ()
+
+    def matcher(self, head: str) -> Optional[kernel.Rules]:
+        return self._rules.get(head)
 
     def __contains__(self, name: str) -> bool:
         return name in self._types
@@ -131,7 +135,7 @@ def _add_rewrite(sig: Signature, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, r
     except kernel.KernelError as e:
         raise IllTypedSide(side, e) from e
     rule = kernel.RewriteRule(ctx, lhs, rhs)
-    sig._rules[rule.head] = sig.rules_for(rule.head) + (rule,)
+    sig._rules[rule.head] = kernel.Rules(sig.rules_for(rule.head) + (rule,))
 
 
 def _check_sort(sig: Signature, ctx: dict[str, KTerm], name: str, ty: KTerm, fuel: kernel.Fuel | None) -> None:
@@ -142,34 +146,39 @@ def _check_sort(sig: Signature, ctx: dict[str, KTerm], name: str, ty: KTerm, fue
 
 
 def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
-    head, args = spine(lhs)
-    if not isinstance(head, Const):
-        raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {dkparse.print_term(head)}")
-    stack = list(args)
+    """`lhs` must be a constant applied to patterns: each one a variable of
+    `delta` or, again, a constant applied to patterns."""
+    stack = [lhs]
     while stack:
-        match stack.pop():
-            case App(fn=f, arg=a):
-                stack += (f, a)
-            case FVar(name=n):
+        sub = stack.pop()
+        head, args = spine(sub)
+        match head:
+            case FVar(name=n) if sub is not lhs and not args:
                 if n not in delta:
                     raise FVViolation({n}, "left-hand side outside the pattern context")
-            case Const() | Sort():
-                pass
-            case Lam() | Pi() | Var() as sub:
+            case Const():
+                stack += args
+            case _ if sub is lhs:
+                raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {dkparse.print_term(head)}")
+            case _:
                 raise NonPatternLhs(f"subterm {dkparse.print_term(sub)} is not first-order pattern syntax")
 
 
-def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None) -> Signature:
+def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None,
+                    budget: int | None = None) -> Signature:
     """Install parsed or generated entries in order, checking each one, and
     return the extended signature.  The tables of `sig` are copied once and
     the copy is extended in place, so the time is linear in the entries
-    and `sig` is left unchanged, also when an entry is rejected.
+    and `sig` is left unchanged, also when an entry is rejected.  The
+    entries share `fuel`, or each gets a fresh `Fuel(budget)` if given.
 
     Definitions desugar to a declaration plus an empty-context rewrite
     rule; `#ASSERT` entries run a check without extending the signature.
     """
     sig = Signature(dict(sig._types), dict(sig._rules), sig.eta)
     for e in entries:
+        if budget is not None:
+            fuel = kernel.Fuel(budget)
         match e:
             case dkparse.Decl(name=n, type=ty) | dkparse.Def(name=n, type=ty):
                 if n in sig._types:

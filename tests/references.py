@@ -10,7 +10,7 @@ from lpm import embed, examples, kernel, llproof
 from lpm.dkparse import (
     _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, _Parser, print_entry,
 )
-from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, uses_binder
+from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, spine, substitute, uses_binder
 
 
 # Term helpers the kernel does without: it never opens a binder, so it
@@ -55,11 +55,90 @@ def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
     return t.lbr <= depth
 
 
-def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[kernel.Substitution]:
+# Rule matching as the kernel did it before it compiled each head's rules
+# into a decision tree: the rules are tried one by one, each screened by
+# its constant-headed arguments' heads and spine lengths and then matched
+# argument by argument.  It is the oracle the differential matching tests
+# compare `kernel._fire` against.
+
+Substitution = dict[str, KTerm]
+
+
+def _match(pat: KTerm, subj: KTerm, delta: frozenset[str], out: Substitution) -> bool:
+    """First-order matching of a rule pattern against a term, binding in
+    `out`: a variable of `delta` matches any subterm, equal ones at each
+    of its occurrences; anything else matches only itself."""
+    stack = [(pat, subj)]
+    while stack:
+        p, s = stack.pop()
+        tp = type(p)
+        if tp is FVar:
+            n = p.name
+            if n in delta:
+                prev = out.get(n)
+                if prev is None:
+                    out[n] = s
+                elif prev != s:
+                    return False
+                continue
+            if type(s) is not FVar or s.name != n:
+                return False
+        elif tp is App:
+            if type(s) is not App:
+                return False
+            stack.append((p.fn, s.fn))
+            stack.append((p.arg, s.arg))
+        elif tp is Const:
+            if type(s) is not Const or s.name != p.name:
+                return False
+        elif p != s:
+            return False
+    return True
+
+
+def _screens(rule: kernel.RewriteRule) -> tuple[tuple[int, str, int], ...]:
+    """(position, head constant, spine length) of each constant-headed
+    pattern argument, used to skip definite non-matches cheaply."""
+    return tuple((j, h.name, len(sub)) for j, (h, sub) in enumerate(map(spine, rule.lhs_args)) if isinstance(h, Const))
+
+
+def _screens_fail(rule: kernel.RewriteRule, rev: list[KTerm]) -> bool:
+    for j, name, arity in _screens(rule):
+        subj = rev[-1 - j]
+        n = 0
+        while type(subj) is App:
+            n += 1
+            subj = subj.fn
+        if n != arity or type(subj) is not Const or subj.name != name:
+            return True
+    return False
+
+
+def reference_fire(rules: kernel.Rules, rev: list[KTerm], fuel: kernel.Fuel) -> Optional[KTerm]:
+    """`kernel._fire` by trying the rules in install order: the first
+    matching rule's instantiated right-hand side, its arguments popped from
+    `rev`; None when no rule matches."""
+    nargs = len(rev)
+    for rule in rules.rules:
+        k = rule.arity
+        if k > nargs or _screens_fail(rule, rev):
+            continue
+        bindings: Substitution = {}
+        for j, pat in enumerate(rule.lhs_args):
+            if not _match(pat, rev[-1 - j], rule.delta, bindings):
+                break
+        else:
+            fuel.step()
+            del rev[nargs - k :]
+            return substitute(rule.rhs, bindings)
+    return None
+
+
+def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[Substitution]:
     """First-order syntactic matching of a whole rule pattern against a
     term: the bindings, or None."""
-    bindings: kernel.Substitution = {}
-    if kernel._match(lhs, subject, frozenset(delta), bindings):
+    bindings: Substitution = {}
+    if _match(lhs, subject, frozenset(delta), bindings):
         return bindings
     return None
 
@@ -67,8 +146,8 @@ def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[
 def signature_fields(sig) -> tuple[list, list]:
     """The types of a signature in order, and each head's rules, in order,
     as the fields matching reads: head, pattern arguments, pattern
-    variables, right-hand side and screens."""
-    rules = [(head, [(r.head, r.lhs_args, r.delta, r.rhs, r.screens) for r in sig.rules_for(head)])
+    variables and right-hand side."""
+    rules = [(head, [(r.head, r.lhs_args, r.delta, r.rhs) for r in sig.rules_for(head)])
              for head in sig._rules]
     return list(sig._types.items()), rules
 

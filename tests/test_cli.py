@@ -49,6 +49,53 @@ def test_check_reports_type_error(tmp_path, capsys):
     assert "3:1" in err
 
 
+def test_check_gives_each_entry_its_own_budget(tmp_path, capsys):
+    # each #ASSERT unfolds c once: one step each under `--fuel 1`; the
+    # rejected entry is named at its line, after the -v lines of those before
+    text = "A : Type.\na : A.\nb : A.\ndef c : A := a.\nP : A -> Type.\np : P a.\n#ASSERT p : P c.\n#ASSERT p : P c.\n"
+    good = tmp_path / "good.dk"
+    good.write_text(text)
+    assert run(["-v", "--fuel", "1", "check", str(good)], capsys) == (
+        0, "checked A\nchecked a\nchecked b\nchecked c\nchecked P\nchecked p\n" + f"{good}: ok (8 entries)\n", "")
+    bad = tmp_path / "bad.dk"
+    bad.write_text(text.replace("#ASSERT p : P c.\n#", "#ASSERT p : P b.\nq : P b.\n#"))
+    code, out, err = run(["-v", "--fuel", "1", "check", str(bad)], capsys)
+    assert code == 1 and out == "checked A\nchecked a\nchecked b\nchecked c\nchecked P\nchecked p\n"
+    assert err.startswith(f"{bad}:7:1: type mismatch")
+
+
+def _table_entries_copied_by_check(tmp_path, capsys, monkeypatch, n: int) -> int:
+    """Type and rule table entries handed to new signatures while `lpm check`
+    reads the shallow `logic` module and then a file of n nullary
+    predicates `t.Pi` and n axioms `t.axi : logic.prf t.Pi`."""
+    from lpm import embed
+
+    logic, theory = tmp_path / "logic.dk", tmp_path / f"th{n}.dk"
+    logic.write_text(dkparse.print_file(embed.prelude("shallow")))
+    theory.write_text("".join(f"t.P{i} : logic.Prop.\n" for i in range(n))
+                      + "".join(f"t.ax{i} : logic.prf t.P{i}.\n" for i in range(n)))
+    copied = []
+    init = signature.Signature.__init__
+
+    def counting_init(self, types=None, rules=None, eta=False):
+        copied.append(len(types or ()) + len(rules or ()))
+        init(self, types, rules, eta)
+
+    with monkeypatch.context() as m:
+        m.setattr(signature.Signature, "__init__", counting_init)
+        assert run(["check", str(logic), str(theory)], capsys)[0] == 0
+    return sum(copied)
+
+
+def test_check_copies_the_tables_once_per_file(tmp_path, capsys, monkeypatch):
+    # `lpm check` installs a file in one copy of the tables, so reading a
+    # theory is linear in its entries; a copy per entry handed about N^2
+    # table entries to new signatures
+    small = _table_entries_copied_by_check(tmp_path, capsys, monkeypatch, 1000)
+    large = _table_entries_copied_by_check(tmp_path, capsys, monkeypatch, 8000)
+    assert small == large, (small, large)
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, _ = run(["check", str(tmp_path / "absent.dk")], capsys)
     assert code == 2
@@ -188,10 +235,13 @@ def installed(monkeypatch):
     seen = []
     install = signature.install_entries
 
-    def counting(sig, entries, fuel=None):
-        entries = list(entries)
-        seen.extend(entries)
-        return install(sig, entries, fuel)
+    def counting(sig, entries, fuel=None, budget=None):
+        def each():
+            for entry in entries:
+                seen.append(entry)
+                yield entry
+
+        return install(sig, each(), fuel, budget)
 
     monkeypatch.setattr(signature, "install_entries", counting)
     return seen

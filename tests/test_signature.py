@@ -90,6 +90,17 @@ def test_add_rewrite_rejects_binder_in_pattern(logic_shallow):
         )
 
 
+@pytest.mark.parametrize("lhs", ["f (x y)", "f (g (x y) y)", "f (x (g y y))"])
+def test_rule_rejects_an_applied_pattern_variable(lhs):
+    # with `f (x y) --> y` installed, `f ((z : A => c) d)` rewrote to d while
+    # its beta-reduct `f c` was stuck: beta-equal terms were not convertible
+    from lpm.dkparse import parse_file
+
+    text = f"A : Type. c : A. d : A. f : A -> A. g : A -> A -> A.\n[x : A -> A, y : A] {lhs} --> y."
+    with pytest.raises(signature.NonPatternLhs, match="is not first-order pattern syntax"):
+        signature.install_entries(signature.EMPTY, parse_file(text))
+
+
 def test_add_rewrite_rejects_free_rhs_variable(pair_sig):
     with pytest.raises(signature.FVViolation):
         pair_sig.add_rewrite(
@@ -124,15 +135,15 @@ def test_empty_signature_is_well_formed():
 
 @pytest.mark.parametrize("make", [examples.bool_theory, examples.set_theory], ids=["bool", "set"])
 def test_stepwise_install_matches_one_call(make):
-    # one entry per call, as `lpm check` installs a file, builds the
-    # signature one call over all the entries builds
+    # one entry per call builds the signature one call over all the
+    # entries builds
     entries = embed.prelude("shallow") + embed.theory_entries(make())
     whole = signature.install_entries(signature.EMPTY, entries)
     stepwise = signature.EMPTY
     for entry in entries:
         stepwise = signature.install_entries(stepwise, [entry])
     assert signature_fields(stepwise) == signature_fields(whole)
-    assert sum(map(len, whole._rules.values())) == sum(isinstance(e, (Rule, Def)) for e in entries)
+    assert sum(len(whole.rules_for(head)) for head in whole._rules) == sum(isinstance(e, (Rule, Def)) for e in entries)
 
 
 def test_assert_entry_checks(logic_shallow):
