@@ -7,7 +7,7 @@ one on first use, so `lpm check` loads only the trusted base."""
 
 import importlib
 
-__all__ = ["dkparse", "embed", "examples", "kernel", "llproof", "record", "sexp", "signature", "terms", "tff"]
+__all__ = ["dkparse", "dkprint", "embed", "examples", "kernel", "llproof", "record", "sexp", "signature", "terms", "tff"]
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,8 @@ Three commands:
   files, then run ``lpm translate`` on them.
 
 `_check_text` checks every `.dk` text, given or emitted, so `translate`
-reports a rejected file at its own `FILE:LINE:COL`, as `check` does.
+reports a rejected file at its own `FILE:LINE:COL`, as `check` does; an
+emitted text the kernel accepts must also state the entries it was printed from.
 The emitted `logic.dk` and `rules.dk` are fixed per mode, so a process
 checks each in full once: a later `translate` reuses that successful
 check when the text read back, the signature it starts from, `--eta` and
@@ -33,6 +34,7 @@ import json
 import os
 import sys
 import threading
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -128,13 +130,15 @@ def _fail(rep: Reporter, file: str, e: Exception) -> int:
 
 
 def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, sig: signature.Signature,
-                locate: Optional[Callable] = None) -> tuple[int, signature.Signature, list]:
+                locate: Optional[Callable] = None,
+                compiled: Optional[list] = None) -> tuple[int, signature.Signature, list]:
     """Parse the `.dk` text of `file` and install its entries in order in
     one copy of the signature's tables, each with a fresh fuel budget;
     return the exit code, the extended signature (`sig` itself on a
     rejection) and the parsed entries.  A syntax error is reported at its
     position and a rejected entry at the entry's, with the failing proof
-    node that `locate`, given for a compiled certificate, finds."""
+    node that `locate`, given for a compiled certificate, finds.  Entries
+    printed from `compiled` ones must also state them (`_misstated`)."""
     try:
         entries = dkparse.parse_file(text)
     except (dkparse.DkSyntaxError, RecursionError, MemoryError) as e:
@@ -146,7 +150,20 @@ def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, s
         entry = entries[todo.done]
         rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
         return _exit_code_for(e), sig, entries
+    if compiled is not None and (at := _misstated(text, entries, compiled)):
+        rep.diagnose(file, *at, "the text read back does not state the entries compiled")
+        return EXIT_TYPE, sig, entries
     return EXIT_OK, out, entries
+
+
+def _misstated(text: str, read: list, compiled: list) -> Optional[tuple[int, int]]:
+    """Where the first entry read back differs from the compiled one (`==` skips positions), if any: the end of
+    `text` if it is missing.  Of `cert.goal`, only the name and type count; the kernel checks its proof."""
+    def stated(e):
+        return (e.name, e.type) if e.__class__ is dkparse.Def and e.name == "cert.goal" else e
+    for r, c in zip_longest(read, compiled):
+        if r is None or stated(r) != stated(c):
+            return (r.line, r.col) if r else (text.count("\n") + 1, 1)
 
 
 class _Installing(list):
@@ -178,7 +195,7 @@ _PRELUDE_CHECKS: dict[tuple[str, str, bool], tuple] = {}
 
 
 def _check_prelude(rep: Reporter, args: argparse.Namespace, path: Path, text: str,
-                   sig: signature.Signature) -> tuple[int, signature.Signature]:
+                   sig: signature.Signature, compiled: list) -> tuple[int, signature.Signature]:
     """`_check_text` for `logic.dk` or `rules.dk`, reusing this process's
     last successful check of the same text from the same signature under
     the same eta and budget; the kernel is deterministic, so its verdict
@@ -189,7 +206,7 @@ def _check_prelude(rep: Reporter, args: argparse.Namespace, path: Path, text: st
         for name in done[4]:
             rep.detail(f"checked {name}")
         return EXIT_OK, done[3]
-    code, out, entries = _check_text(rep, args, str(path), text, sig)
+    code, out, entries = _check_text(rep, args, str(path), text, sig, compiled=compiled)
     if code == EXIT_OK:
         names = tuple(e.name for e in entries if getattr(e, "name", None))
         _PRELUDE_CHECKS[key] = (text, sig, args.fuel, out, names)
@@ -220,10 +237,11 @@ def _write(rep: Reporter, out_dir: Path, name: str, text: str) -> Path:
 
 
 @functools.cache
-def _prelude_texts(mode: str) -> tuple[str, str]:
-    """The `logic` and `rules` modules of `mode` as printed, once per process."""
-    from . import embed, llproof
-    return dkparse.print_file(embed.prelude(mode)), dkparse.print_file(llproof.rules_prelude(mode))
+def _preludes(mode: str) -> dict[str, tuple[list, str]]:
+    """The files `logic.dk` and `rules.dk` of `mode`, entries and text, once per process."""
+    from . import dkprint, embed, llproof
+    modules = {"logic.dk": embed.prelude(mode), "rules.dk": llproof.rules_prelude(mode)}
+    return {name: (entries, dkprint.print_file(entries)) for name, entries in modules.items()}
 
 
 def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.Signature]:
@@ -232,7 +250,7 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
     as read back; then compile the certificate against the signature
     re-checked from them, write it and re-check it.  Returns the exit code
     and the re-checked signature."""
-    from . import embed, llproof, tff
+    from . import dkprint, embed, llproof, tff
     sig = _START[args.eta]
     file = args.theory
     try:
@@ -242,28 +260,28 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
             goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
         file = args.theory
         tff.wf_theory(thy)
-        logic, rules = _prelude_texts(args.mode)
-        texts = {"logic.dk": logic, "rules.dk": rules, "theory.dk": dkparse.print_file(embed.theory_entries(thy))}
+        theory = embed.theory_entries(thy)
+        files = {**_preludes(args.mode), "theory.dk": (theory, dkprint.print_file(theory))}
         if args.proof:
-            texts["cert.dk"] = None  # compiled against the modules as re-checked
+            files["cert.dk"] = None  # compiled against the modules as re-checked
     except Exception as e:  # noqa: BLE001 - mapped to exit codes
         return _fail(rep, file, e), sig
     tr = None
-    for name, text in texts.items():
-        if text is None:
+    for name, printed in files.items():
+        if printed is None:
             try:
-                fuel = kernel.Fuel(args.fuel)
-                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=fuel)
-                text = dkparse.print_file(entries)
+                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=kernel.Fuel(args.fuel))
+                printed = entries, dkprint.print_file(entries)
             except Exception as e:  # noqa: BLE001 - mapped to exit codes
                 return _fail(rep, args.proof, e), sig
+        compiled, text = printed
         path = _write(rep, Path(args.out), name, text)
         text = path.read_text(encoding="utf-8")
         if name in ("logic.dk", "rules.dk"):
-            code, sig = _check_prelude(rep, args, path, text, sig)
+            code, sig = _check_prelude(rep, args, path, text, sig, compiled)
         else:
             locate = None if tr is None else (lambda e: llproof.failure_path(tr, e))
-            code, sig, _ = _check_text(rep, args, str(path), text, sig, locate)
+            code, sig, _ = _check_text(rep, args, str(path), text, sig, locate, compiled)
         if code != EXIT_OK:
             return code, sig
         rep.detail(f"re-checked {path}")
@@ -275,14 +293,14 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
 
 def cmd_examples(args: argparse.Namespace, rep: Reporter) -> int:
     """Write the example's `.tffx` and `.llpx` files, then translate them."""
-    from . import embed, examples, llproof, tff
+    from . import dkprint, embed, examples, llproof, tff
     thy, goal, proof = (make() for make in examples.BUILTINS[args.name])
     args.theory = str(_write(rep, Path(args.out), f"{args.name}.tffx", tff.print_theory(thy)))
     args.proof = str(_write(rep, Path(args.out), f"{args.name}.llpx", llproof.print_proof(thy, goal, proof)))
     code, sig = translate(args, rep)
     if code == EXIT_OK and args.name == "pair-fst-snd":
         nf = kernel.normalize(sig, embed.translate(goal, thy.name), kernel.Fuel(args.fuel))
-        rep.say(f"normalized goal: {dkparse.print_term(nf)}")
+        rep.say(f"normalized goal: {dkprint.print_term(nf)}")
     return code
 
 

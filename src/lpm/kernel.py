@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .dkparse import print_term
 from .terms import (
     KIND,
     TYPE,
@@ -49,6 +48,12 @@ if TYPE_CHECKING:
 
 
 DEFAULT_REWRITE_STEPS = 100_000
+
+
+def _show(t: KTerm, scope: tuple[str, ...] = ()) -> str:
+    """`t` as `.dk` text for a message: a check that raises nothing never loads the printer."""
+    from .dkprint import print_term
+    return print_term(t, scope)
 
 
 class KernelError(Exception):
@@ -83,7 +88,7 @@ class UnboundIdentifier(KernelError):
 class NotAFunction(KernelError):
     def __init__(self, fn: KTerm, fn_type: KTerm, scope: tuple[str, ...] = ()):
         super().__init__(
-            f"term {print_term(fn, scope)} of type {print_term(fn_type, scope)} is applied but is not a function")
+            f"term {_show(fn, scope)} of type {_show(fn_type, scope)} is applied but is not a function")
         self.fn = fn
         self.fn_type = fn_type
 
@@ -101,7 +106,7 @@ class TypeMismatch(KernelError):
     """Failed conversion check, carrying both sides in normal form."""
 
     def __init__(self, expected: KTerm, actual: KTerm, scope: tuple[str, ...] = ()):
-        super().__init__(f"type mismatch: expected {print_term(expected, scope)}, found {print_term(actual, scope)}")
+        super().__init__(f"type mismatch: expected {_show(expected, scope)}, found {_show(actual, scope)}")
         self.expected = expected
         self.actual = actual
 
@@ -434,7 +439,7 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                     e.trail.clear()  # body_ty is not a subterm: the failure is here
                     raise
                 if not isinstance(s, Sort):
-                    raise SortError(f"lambda body type {print_term(body_ty, _names(bound))} does not live in a sort")
+                    raise SortError(f"lambda body type {_show(body_ty, _names(bound))} does not live in a sort")
                 bound.pop()
                 ty = Pi(n, d, body_ty)
             case Pi(name=n, domain=d, codomain=c):
@@ -443,7 +448,7 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                 ty = whnf(sig, _infer(sig, bound, c, fuel, memo, 1), fuel)
                 bound.pop()
                 if not isinstance(ty, Sort):
-                    raise SortError(f"product codomain in {print_term(t, _names(bound))} is not a sort")
+                    raise SortError(f"product codomain in {_show(t, _names(bound))} is not a sort")
             case _:
                 raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
@@ -461,7 +466,7 @@ def _check_domain(sig: Signature, bound: Binders, ty: KTerm, fuel: Fuel, memo: M
     s = whnf(sig, _infer(sig, bound, ty, fuel, memo, 0), fuel)
     if s != TYPE:
         names = _names(bound)
-        raise SortError(f"binder domain {print_term(ty, names)} must have sort Type, has {print_term(s, names)}")
+        raise SortError(f"binder domain {_show(ty, names)} must have sort Type, has {_show(s, names)}")
 
 
 def _names(bound: Binders) -> tuple[str, ...]:

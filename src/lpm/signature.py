@@ -6,7 +6,7 @@ order they were installed.  Extension is persistent: `install_entries`
 copies the tables once, checks each entry's well-formedness side
 conditions and extends the copy in place, so an install is linear in its
 entries and returns a new signature, leaving the original untouched.
-`declare` and `add_rewrite` are its one-entry cases.
+A rule's left side is a constant-headed pattern, and FV(rhs) <= FV(lhs) <= ctx.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class DuplicateName(SignatureError):
 
 class NotASort(SignatureError):
     def __init__(self, name: str, ty: KTerm):
-        super().__init__(f"type of {name} must be a sort, found {dkparse.print_term(ty)}")
+        super().__init__(f"type of {name} must be a sort, found {kernel._show(ty)}")
         self.name = name
 
 
@@ -91,20 +91,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self._types
 
-    def declare(self, name: str, ty: KTerm, fuel: kernel.Fuel | None = None) -> "Signature":
-        """Extend with `name : ty` after checking `ty` lives in a sort."""
-        return install_entries(self, [dkparse.Decl(name, ty)], fuel)
-
-    def add_rewrite(self, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm,
-                    fuel: kernel.Fuel | None = None) -> "Signature":
-        """Install `lhs --> rhs` over the typed pattern context `ctx`.
-
-        Checks that the left-hand side is a constant-headed first-order
-        pattern, that both sides share one type under the context, and
-        that FV(rhs) <= FV(lhs) <= ctx.
-        """
-        return install_entries(self, [dkparse.Rule(tuple(ctx), lhs, rhs)], fuel)
-
     def with_eta(self, eta: bool = True) -> "Signature":
         return Signature(self._types, self._rules, eta)
 
@@ -159,9 +145,9 @@ def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
             case Const():
                 stack += args
             case _ if sub is lhs:
-                raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {dkparse.print_term(head)}")
+                raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {kernel._show(head)}")
             case _:
-                raise NonPatternLhs(f"subterm {dkparse.print_term(sub)} is not first-order pattern syntax")
+                raise NonPatternLhs(f"subterm {kernel._show(sub)} is not first-order pattern syntax")
 
 
 def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None,

@@ -30,9 +30,9 @@ Terms are immutable, which is what keeps the cached data valid: nothing
 in `lpm` assigns to a term's fields after construction.  It also lets
 terms be shared: the `.dk` parser builds each term of a file once, so
 `==` on parsed terms usually settles by identity.  The walks below use
-the cache to return a subtree they cannot change at once: `shift`,
-`instantiate_many` and `uses_binder` skip one whose indices do not reach the
-binder, `substitute` and `free_fvars` one without `FVar`.
+the cache to return a subtree they cannot change at once: `shift` and
+`instantiate_many` skip one whose indices do not reach the binder,
+`substitute` and `free_fvars` one without `FVar`.
 """
 
 from __future__ import annotations
@@ -333,19 +333,3 @@ def free_fvars(t: KTerm) -> frozenset[str]:
             case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
                 stack += (ty, b)
     return frozenset(out)
-
-
-def uses_binder(body: KTerm, depth: int = 0) -> bool:
-    """True when `body` references the binder at index `depth`."""
-    if body.lbr <= depth:
-        return False
-    match body:
-        case Var(index=i):
-            return i == depth
-        case App(fn=f, arg=a):
-            return uses_binder(f, depth) or uses_binder(a, depth)
-        case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
-            return uses_binder(ty, depth) or uses_binder(b, depth + 1)
-        case _:
-            return False
-

@@ -710,6 +710,8 @@ def wf_theory(thy: TffTheory) -> Table:
     kernel embedding stays injective.
     """
     _check_ident("theory name", thy.name)
+    if thy.name in ("cert", "logic", "rules"):
+        raise TffError(f"theory name {thy.name!r} is reserved: lpm's own modules are cert, logic and rules")
     tbl = Table()
     for index, item in enumerate(thy.items):
         try:

@@ -146,6 +146,22 @@ def chain_certificate(n: int, bad=()) -> tuple[tff.TffTheory, tff.TffFormula, ll
     return thy, tff.Implies(conj[0], conj[0]), tree
 
 
+# an item that collides, under the theory name, with one of lpm's own modules:
+# `cert.goal` with the certificate, `logic.Prop` and `rules.R_Ax` with the preludes
+_RESERVED = {
+    "cert": tff.Axiom("goal", tff.Pred("P0")),
+    "logic": tff.PredDecl("Prop", (), ()),
+    "rules": tff.PredDecl("R_Ax", (), ()),
+}
+
+
+def reserved_name_certificate(name: str, rename: str = "") -> tuple[tff.TffTheory, tff.TffFormula, llproof.LLProof]:
+    """The valid chain-2 certificate against its theory, named `rename or
+    name` and extended by the item that collides with lpm's module `name`."""
+    thy, goal, proof = chain_certificate(2)
+    return tff.TffTheory(rename or name, thy.items + (_RESERVED[name],)), goal, proof
+
+
 def chain_leaf_path(n: int, i: int) -> tuple[int, ...]:
     # NotImp, n - 1 And nodes, then leaf i is premise 0 of the i-th NotAnd
     return (0,) * n + (1,) * i + (0,)

@@ -7,10 +7,9 @@ import re
 from typing import Iterable, NamedTuple, Optional
 
 from lpm import embed, examples, kernel, llproof
-from lpm.dkparse import (
-    _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, Comment, DkSyntaxError, _binder_name, _Parser, print_entry,
-)
-from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, spine, substitute, uses_binder
+from lpm.dkparse import Comment, DkSyntaxError, _Parser
+from lpm.dkprint import _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, _binder_name, print_entry, uses_binder
+from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, spine, substitute
 
 
 # Term helpers the kernel does without: it never opens a binder, so it
@@ -341,7 +340,7 @@ def reference_tokenize(text: str) -> tuple[list[Token], dict[int, list[Comment]]
 
 # The `.dk` printer as it was before it emitted pieces: one string per
 # subterm, built by recursion.  It is the oracle the differential printer
-# test compares `dkparse.print_file` against.
+# test compares `dkprint.print_file` against.
 
 
 def reference_print_term(t: KTerm, scope: tuple[str, ...] = (), prec: int = _PREC_TERM) -> str:

@@ -13,7 +13,7 @@ import bool_oracle
 from mutations import enumerate_mutations
 from references import SET_DIFF_TREE_SHAPE, bool_commute_reference_body, corpus_dk_files, eliminate_pred_fun, tree_shape
 from theory_gen import check_translation_bullets, random_theory
-from lpm import dkparse, embed, examples, kernel, llproof, signature, tff
+from lpm import dkparse, dkprint, embed, examples, kernel, llproof, signature, tff
 from lpm.llproof import LLProof, check_certificate
 from lpm.terms import Const, app
 
@@ -224,7 +224,7 @@ def test_criterion_8_mutation_rejection(base_sigs):
 def test_criterion_9_round_trip():
     files = corpus_dk_files()
     for label, entries in files:
-        text = dkparse.print_file(entries)
+        text = dkprint.print_file(entries)
         assert dkparse.parse_file(text) == list(entries), label
-        assert dkparse.print_file(dkparse.parse_file(text)) == text, label
+        assert dkprint.print_file(dkparse.parse_file(text)) == text, label
     report(9, f"parse/print identity and printer fixed point on {len(files)} emitted files")

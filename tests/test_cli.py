@@ -1,5 +1,6 @@
 """Command-line front end: commands, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from lpm import cli, dkparse, examples, llproof, signature, tff
+from lpm import cli, dkparse, dkprint, examples, llproof, signature, tff
+from lpm.dkparse import Decl, Def, Rule
+from lpm.terms import App, Const, Pi, app, arrow, spine
 
 
 def run(argv, capsys):
@@ -71,7 +74,7 @@ def _table_entries_copied_by_check(tmp_path, capsys, monkeypatch, n: int) -> int
     from lpm import embed
 
     logic, theory = tmp_path / "logic.dk", tmp_path / f"th{n}.dk"
-    logic.write_text(dkparse.print_file(embed.prelude("shallow")))
+    logic.write_text(dkprint.print_file(embed.prelude("shallow")))
     theory.write_text("".join(f"t.P{i} : logic.Prop.\n" for i in range(n))
                       + "".join(f"t.ax{i} : logic.prf t.P{i}.\n" for i in range(n)))
     copied = []
@@ -581,6 +584,88 @@ def test_names_that_are_not_dk_identifiers_are_rejected_before_writing(tmp_path,
     assert diagnostic["message"] == f"{where} is not a .dk identifier"
 
 
+@pytest.mark.parametrize("name", ["cert", "logic", "rules"])
+def test_theory_named_like_an_lpm_module_is_rejected_before_writing(tmp_path, capsys, name):
+    # `translate` accepted the theory and then rejected the valid
+    # certificate: "duplicate declaration: cert.goal" at cert.dk:1:1, or
+    # logic.Prop / rules.R_Ax in theory.dk
+    from mutations import reserved_name_certificate
+
+    files = _write_inputs(tmp_path, *reserved_name_certificate(name))
+    out = tmp_path / "o"
+    code, stdout, _ = run(["--json", "translate", *files, "--out", str(out)], capsys)
+    payload = json.loads(stdout)
+    assert code == 1 and payload["outputs"] == [] and not out.exists()
+    message = f"theory name {name!r} is reserved: lpm's own modules are cert, logic and rules"
+    assert payload["diagnostics"] == [{"file": files[0], "line": 0, "col": 0, "message": message}]
+
+
+# Printer faults the kernel cannot see: each misprinted file is well-typed,
+# and a printer patched in the same way made `translate` exit 0.  Only the
+# comparison of the entries read back with those compiled catches them.
+
+_MISSTATED = "the text read back does not state the entries compiled"
+
+
+def _extra_axiom(entries):
+    # set-diff's theory.dk states an axiom that was not compiled
+    if getattr(entries[0], "name", None) == "set.set":
+        return entries + [Decl("set.extra", app(Const("logic.prf"), Const("logic.False")))]
+    return entries
+
+
+def _lost_rules(entries):
+    # bool-commute's theory.dk loses its two `ifte` rules, which the proof does not use
+    return [e for e in entries if not (isinstance(e, Rule) and spine(e.lhs)[0] == Const("bool.ifte"))]
+
+
+def _unfolded_goal(entries):
+    # `cert.goal : prf (not G) -> prf False` printed as `(prf G -> prf False) -> prf False`,
+    # which the shallow rule `prf (not A) --> prf A -> prf False` makes convertible
+    match entries:
+        case [Def(name="cert.goal", type=Pi(domain=App(fn=prf, arg=App(arg=g)), codomain=false)) as e]:
+            return [Def(e.name, arrow(arrow(App(prf, g), false), false), e.body)]
+    return entries
+
+
+def _no_certificate(entries):
+    # cert.dk left empty: its one entry is missing at the end of the file
+    return [] if getattr(entries[0], "name", None) == "cert.goal" else entries
+
+
+def _extra_logic_decl(entries):
+    # logic.dk states a declaration that was not compiled
+    if getattr(entries[0], "name", None) == "logic.Prop":
+        return entries + [Decl("logic.extra", Const("logic.Prop"))]
+    return entries
+
+
+@pytest.mark.parametrize(
+    "example, misprint, name, line",
+    [
+        ("set-diff", _extra_axiom, "theory.dk", 9),
+        ("bool-commute", _lost_rules, "theory.dk", 27),
+        ("set-diff", _unfolded_goal, "cert.dk", 1),
+        ("pred-decomp", _no_certificate, "cert.dk", 1),
+        ("pair-fst-snd", _extra_logic_decl, "logic.dk", 29),
+    ],
+    ids=["extra-axiom", "lost-rules", "goal-type", "no-certificate", "prelude"],
+)
+def test_translate_rejects_text_that_does_not_state_what_was_compiled(
+        tmp_path, capsys, monkeypatch, fresh_preludes, example, misprint, name, line):
+    print_file = dkprint.print_file
+    monkeypatch.setattr(dkprint, "print_file", lambda entries: print_file(misprint(entries)))
+    # the printed preludes are kept per process: start from none and drop the misprinted ones after
+    monkeypatch.setattr(cli, "_preludes", functools.cache(cli._preludes.__wrapped__))
+    for out in ("o", "again"):  # a misprinted prelude's failed comparison is not stored for reuse
+        path = str(tmp_path / out / name)
+        code, stdout, _ = run(["--json", "examples", example, "--out", str(tmp_path / out)], capsys)
+        assert code == 1
+        assert json.loads(stdout)["diagnostics"] == [{"file": path, "line": line, "col": 1, "message": _MISSTATED}]
+    code, _, err = run(["examples", example, "--out", str(tmp_path / "plain")], capsys)
+    assert (code, err) == (1, f"{tmp_path / 'plain' / name}:{line}:1: {_MISSTATED}\n")
+
+
 def test_deeply_nested_dk_input_exits_3(tmp_path, capsys):
     deep = tmp_path / "deep.dk"
     deep.write_text("A : Type. a : A. def x : A := " + "(" * 40_000 + "a" + ")" * 40_000 + ".\n")
@@ -754,21 +839,39 @@ print(json.dumps({"code": code, "import": loaded_by_import, "loaded": sorted(loa
 """
 
 
-def test_check_loads_only_the_trusted_base(tmp_path, capsys):
-    assert cli.main(["examples", "set-diff", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    files = [str(tmp_path / n) for n in ("logic.dk", "rules.dk", "theory.dk", "cert.dk")]
+def _trust_probe(out):
+    """`lpm check` of the four files in `out` in a fresh process: the probe's result and stderr."""
+    files = [str(out / n) for n in ("logic.dk", "rules.dk", "theory.dk", "cert.dk")]
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", _TRUST_PROBE, *files], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_check_loads_only_the_trusted_base(tmp_path, capsys):
+    assert cli.main(["examples", "set-diff", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    result, _ = _trust_probe(tmp_path)
     assert result["code"] == 0
     assert result["import"] == []
-    untrusted = {"lpm.tff", "lpm.embed", "lpm.llproof", "lpm.examples", "lpm.sexp", "dataclasses"}
+    untrusted = {"lpm.tff", "lpm.embed", "lpm.llproof", "lpm.examples", "lpm.sexp", "lpm.dkprint", "dataclasses"}
     assert untrusted.isdisjoint(result["loaded"])
     assert {"lpm.terms", "lpm.kernel", "lpm.signature", "lpm.dkparse"} <= set(result["loaded"])
     assert (result["tff"], result["and"]) == ("lpm.tff", "And(lhs=Top(), rhs=Bottom())")
+
+
+def test_check_loads_the_printer_only_to_word_a_rejection(tmp_path, capsys):
+    # the message is built when the kernel raises, byte for byte as when the printer was trusted
+    from mutations import chain_certificate
+
+    out = tmp_path / "out"
+    assert run(["translate", *_write_inputs(tmp_path, *chain_certificate(6, {2})), "--out", str(out)], capsys)[0] == 1
+    result, err = _trust_probe(out)
+    assert result["code"] == 1 and "lpm.dkprint" in result["loaded"]
+    assert {"lpm.tff", "lpm.embed", "lpm.llproof", "lpm.sexp"}.isdisjoint(result["loaded"])
+    assert err == (f"{out / 'cert.dk'}:1:1: ill-typed body of definition cert.goal: "
+                   "type mismatch: expected logic.prf chain6.P2, found logic.prf chain6.P3\n")
 
 
 _DEPTH = 20_000  # each input below crashed the C stack of an 8 MiB main thread

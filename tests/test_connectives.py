@@ -7,7 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from theory_gen import random_closed_formulas, random_formula, random_theory
-from lpm import dkparse, embed, sexp, tff
+from lpm import dkprint, embed, sexp, tff
 from lpm.terms import substitute
 from lpm.tff import PropRule, TffContext, TVar
 
@@ -67,7 +67,7 @@ def _pinned_records():
             seen |= {type(sub) for sub in _subformulas(phi)}
             out["sexp"].append(sexp.dumps(tff.formula_to_sexp(phi, cons)))
             out["vars"].append(f"{sorted(tff.formula_vars(phi))} {sorted(tff.formula_tvars(phi))}")
-            out["translate"].append(dkparse.print_term(embed.translate(phi, thy.name)))
+            out["translate"].append(dkprint.print_term(embed.translate(phi, thy.name)))
             for t, ctx in ((tbl, TffContext()), (tbl, scope), (tbl, retyped), (other, TffContext())):
                 out["wf"].append(_verdict(t, ctx, phi))
     return out, seen

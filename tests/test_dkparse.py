@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lpm import cli, dkparse, examples, llproof, tff
+from lpm import cli, dkparse, dkprint, examples, llproof, tff
 from lpm.dkparse import (
     AssertType,
     Comment,
@@ -18,10 +18,8 @@ from lpm.dkparse import (
     Rule,
     parse_file,
     parse_term,
-    print_entry,
-    print_file,
-    print_term,
 )
+from lpm.dkprint import print_entry, print_file, print_term
 from lpm.terms import TYPE, App, Const, FVar, Lam, Pi, Var, app, arrow, spine
 
 
@@ -268,7 +266,7 @@ def test_printing_a_shared_deep_formula_takes_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text == f"d : m.f {print_term(phi, prec=dkparse._PREC_ATOM)} {print_term(phi, prec=dkparse._PREC_ATOM)}.\n"
+    assert text == f"d : m.f {print_term(phi, prec=dkprint._PREC_ATOM)} {print_term(phi, prec=dkprint._PREC_ATOM)}.\n"
     assert peak < 8 << 20
 
 

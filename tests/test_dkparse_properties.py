@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from references import reference_parse_file, reference_print_file, reference_tokenize
 from lpm import dkparse
-from lpm.dkparse import Decl, Def, DkSyntaxError, Rule, parse_file, parse_term, print_file, print_term
+from lpm.dkparse import Decl, Def, DkSyntaxError, Rule, parse_file, parse_term
+from lpm.dkprint import print_file, print_term
 from lpm.terms import KIND, TYPE, App, Const, FVar, KTerm, Lam, Pi, Var, app
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)

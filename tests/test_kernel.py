@@ -8,7 +8,7 @@ import pytest
 from bool_oracle import ANDB, NOTB, ORB, enumerate_terms, exhaustive_nf, from_kterm, to_kterm
 from references import match_pattern
 from lpm import embed, examples, kernel, signature
-from lpm.dkparse import Rule, parse_file, parse_term
+from lpm.dkparse import Decl, Rule, parse_file, parse_term
 from lpm.kernel import Fuel
 from lpm.terms import (
     KIND,
@@ -104,8 +104,8 @@ def test_whnf_stops_at_stuck_head(bool_sig):
 
 
 def test_whnf_fuel_exhaustion():
-    sig = signature.EMPTY.declare("b", TYPE).declare("c", Const("b"))
-    sig = sig.add_rewrite((), Const("c"), Const("c"))
+    sig = signature.install_entries(signature.EMPTY, [Decl("b", TYPE), Decl("c", Const("b"))])
+    sig = signature.install_entries(sig, [Rule((), Const("c"), Const("c"))])
     with pytest.raises(kernel.FuelExhausted):
         kernel.whnf(sig, Const("c"), Fuel(max_rewrite_steps=50))
 

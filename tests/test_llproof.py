@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mutations import chain_certificate, chain_leaf_path, enumerate_mutations
+from mutations import chain_certificate, chain_leaf_path, enumerate_mutations, reserved_name_certificate
 from references import eliminate_pred_fun, signature_fields
 from lpm import dkparse, embed, examples, kernel, llproof, sexp, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
@@ -830,3 +830,20 @@ def test_chain_64_checks_at_the_default_recursion_limit():
 def test_chain_160_checks_at_the_default_recursion_limit():
     # an application spine is typed in one `_infer` frame, whatever its length
     _check_chain_at_the_default_recursion_limit(160)
+
+
+@pytest.mark.parametrize("name", ["cert", "logic", "rules"])
+def test_theory_named_like_an_lpm_module_is_rejected(name):
+    # the valid certificate was rejected for "duplicate declaration:
+    # cert.goal"; under another theory name it is accepted.  A theory
+    # `logic` or `rules` whose names collide fails installing (as before),
+    # before the compiler checks the theory and its name
+    thy, goal, proof = reserved_name_certificate(name)
+    message = f"theory name {name!r} is reserved: lpm's own modules are cert, logic and rules"
+    with pytest.raises(tff.TffError) as caught:
+        tff.wf_theory(thy)
+    assert str(caught.value) == message
+    verdict = check_certificate(thy, goal, proof)
+    collision = {"cert": message, "logic": "duplicate declaration: logic.Prop", "rules": "duplicate declaration: rules.R_Ax"}
+    assert (verdict.accepted, verdict.error, verdict.path) == (False, collision[name], None)
+    assert check_certificate(*reserved_name_certificate(name, rename=f"{name}2")).accepted

@@ -14,7 +14,7 @@ def T(text, delta=()):
 
 def test_declare_extends_persistently(logic_shallow):
     before = list(logic_shallow._types)
-    extended = logic_shallow.declare("bool.bool", Const("logic.type"))
+    extended = signature.install_entries(logic_shallow, [Decl("bool.bool", Const("logic.type"))])
     assert list(extended._types) == before + ["bool.bool"]
     assert list(logic_shallow._types) == before
     assert extended.type_of("bool.bool") == Const("logic.type")
@@ -23,8 +23,8 @@ def test_declare_extends_persistently(logic_shallow):
 
 def test_add_rewrite_extends_persistently(bool_sig):
     before = signature_fields(bool_sig)
-    sig = bool_sig.declare("b3", T("logic.term bool.bool"))
-    extended = sig.add_rewrite((), T("b3"), T("bool.true"))
+    sig = signature.install_entries(bool_sig, [Decl("b3", T("logic.term bool.bool"))])
+    extended = signature.install_entries(sig, [Rule((), T("b3"), T("bool.true"))])
     assert kernel.whnf(extended, T("b3")) == Const("bool.true")
     assert signature_fields(bool_sig) == before and sig.rules_for("b3") == ()
 
@@ -50,44 +50,44 @@ def test_install_leaves_its_input_unchanged(bool_sig, bad_at):
 
 
 def test_declare_rejects_duplicates(logic_shallow):
-    sig = logic_shallow.declare("c", Const("logic.Prop"))
+    sig = signature.install_entries(logic_shallow, [Decl("c", Const("logic.Prop"))])
     with pytest.raises(signature.DuplicateName):
-        sig.declare("c", Const("logic.Prop"))
+        signature.install_entries(sig, [Decl("c", Const("logic.Prop"))])
 
 
 def test_declare_rejects_non_sort_type(bool_sig):
     # true : term bool, and term bool is a Type, so x : true is fine-sorted
     # only if true itself were a sort
     with pytest.raises(signature.NotASort):
-        bool_sig.declare("x", Const("bool.true"))
+        signature.install_entries(bool_sig, [Decl("x", Const("bool.true"))])
 
 
 def test_add_rewrite_accepts_boolean_rule(bool_sig):
-    sig = bool_sig.declare("b3", T("logic.term bool.bool"))
-    extended = sig.add_rewrite(
+    sig = signature.install_entries(bool_sig, [Decl("b3", T("logic.term bool.bool"))])
+    extended = signature.install_entries(sig, [Rule(
         (("a", T("logic.term bool.bool")),),
         T("bool.andb b3 a", ("a",)),
         FVar("a"),
-    )
+    )])
     assert kernel.whnf(extended, T("bool.andb b3 bool.false")) == Const("bool.false")
 
 
 def test_add_rewrite_rejects_variable_head(pair_sig):
     with pytest.raises(signature.NonPatternLhs):
-        pair_sig.add_rewrite(
+        signature.install_entries(pair_sig, [Rule(
             (("x", T("logic.term pairs.elem")),),
             FVar("x"),
             T("pairs.fst (pairs.pair x x)", ("x",)),
-        )
+        )])
 
 
 def test_add_rewrite_rejects_binder_in_pattern(logic_shallow):
     with pytest.raises(signature.NonPatternLhs):
-        logic_shallow.add_rewrite(
+        signature.install_entries(logic_shallow, [Rule(
             (("A", Const("logic.Prop")),),
             app(Const("logic.prf"), T("x : logic.Prop => x")),
             FVar("A"),
-        )
+        )])
 
 
 @pytest.mark.parametrize("lhs", ["f (x y)", "f (g (x y) y)", "f (x (g y y))"])
@@ -103,29 +103,29 @@ def test_rule_rejects_an_applied_pattern_variable(lhs):
 
 def test_add_rewrite_rejects_free_rhs_variable(pair_sig):
     with pytest.raises(signature.FVViolation):
-        pair_sig.add_rewrite(
+        signature.install_entries(pair_sig, [Rule(
             (("x", T("logic.term pairs.elem")),),
             T("pairs.fst (pairs.pair x x)", ("x",)),
             FVar("y"),
-        )
+        )])
 
 
 def test_add_rewrite_rejects_ill_typed_rhs(bool_sig):
     with pytest.raises(signature.IllTypedSide):
-        bool_sig.add_rewrite(
+        signature.install_entries(bool_sig, [Rule(
             (("a", T("logic.term bool.bool")),),
             T("bool.notb a", ("a",)),
             Const("logic.True"),
-        )
+        )])
 
 
 def test_add_rewrite_checks_context_types(bool_sig):
     with pytest.raises(signature.NotASort):
-        bool_sig.add_rewrite(
+        signature.install_entries(bool_sig, [Rule(
             (("a", Const("bool.true")),),
             T("bool.notb a", ("a",)),
             FVar("a"),
-        )
+        )])
 
 
 def test_empty_signature_is_well_formed():

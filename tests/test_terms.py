@@ -20,9 +20,9 @@ from lpm.terms import (
     shift,
     spine,
     substitute,
-    uses_binder,
 )
-from lpm.dkparse import parse_term, print_term
+from lpm.dkparse import parse_term
+from lpm.dkprint import print_term, uses_binder
 from references import abstract, is_locally_closed, reference_instantiate
 
 
