@@ -13,6 +13,8 @@ typing carries the enclosing binders' types as a de Bruijn context, and
 conversion and `normalize` work on binder bodies in place.  An application
 spine is typed in one frame, and the arguments passed are put into its
 type at once (`terms.instantiate_many`), only where the type is read.
+That frame's loop types a constant head or argument, and a locally closed
+one already in the memo, itself; any other opens a frame.
 
 A head's rules are compiled on first use into one decision tree per
 argument count, which fires the first matching rule in install order.  A
@@ -394,63 +396,69 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
     closed = t.lbr == 0
     if closed and (ty := memo.get(t)) is not None:
         return ty
+    cls = t.__class__
     k = 0  # applications of t's spine above the one being typed: a child 0 each
     try:
-        match t:
-            case Sort(name="Type"):
-                return KIND
-            case Sort():
-                raise UntypableKind()
-            case Const(name=n) | FVar(name=n):
-                ty = sig.type_of(n) if t.__class__ is Const else None  # the context's are in `memo`
-                if ty is None:
-                    raise UnboundIdentifier(n)
-                return ty
-            case Var(index=i):
-                if i >= len(bound):
-                    raise UnboundIdentifier(f"#{i}")
-                return shift(bound[-1 - i][1], i + 1)
-            case App():
-                f, args = spine(t)
-                k = len(args)  # f is child 0 of each application
+        if cls is App:
+            f, args = spine(t)
+            k = len(args)  # f is child 0 of each application
+            # a constant, or a locally closed term typed before, needs no frame
+            ty = sig.type_of(f.name) if f.__class__ is Const else memo.get(f) if f.lbr == 0 else None
+            if ty is None:
                 ty = _infer(sig, bound, f, fuel, memo)
-                pending: list[KTerm] = []  # arguments passed, outermost first, not yet put into `ty`
-                for j, a in enumerate(args):
-                    k -= 1
+            pending: list[KTerm] = []  # arguments passed, outermost first, not yet put into `ty`
+            for j, a in enumerate(args):
+                k -= 1
+                if type(ty) is not Pi:
+                    ty = whnf(sig, instantiate_many(ty, pending), fuel)
+                    pending = []
                     if type(ty) is not Pi:
-                        ty = whnf(sig, instantiate_many(ty, pending), fuel)
-                        pending = []
-                        if type(ty) is not Pi:
-                            raise NotAFunction(app(f, *args[:j]), ty, _names(bound))
+                        raise NotAFunction(app(f, *args[:j]), ty, _names(bound))
+                arg_ty = sig.type_of(a.name) if a.__class__ is Const else memo.get(a) if a.lbr == 0 else None
+                if arg_ty is None:
                     arg_ty = _infer(sig, bound, a, fuel, memo, 1)
-                    dom = instantiate_many(ty.domain, pending)
-                    if not _conv(sig, arg_ty, dom, fuel):
-                        raise TypeMismatch(_safe_nf(sig, dom, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
-                    pending.append(a)
-                    ty = ty.codomain
-                ty = instantiate_many(ty, pending)
-            case Lam(name=n, annot=d, body=b):
-                _check_domain(sig, bound, d, fuel, memo)
-                bound.append((n, d))
-                body_ty = _infer(sig, bound, b, fuel, memo, 1)
-                try:
-                    s = whnf(sig, _infer(sig, bound, body_ty, fuel, memo), fuel)
-                except KernelError as e:
-                    e.trail.clear()  # body_ty is not a subterm: the failure is here
-                    raise
-                if not isinstance(s, Sort):
-                    raise SortError(f"lambda body type {_show(body_ty, _names(bound))} does not live in a sort")
-                bound.pop()
-                ty = Pi(n, d, body_ty)
-            case Pi(name=n, domain=d, codomain=c):
-                _check_domain(sig, bound, d, fuel, memo)
-                bound.append((n, d))
-                ty = whnf(sig, _infer(sig, bound, c, fuel, memo, 1), fuel)
-                bound.pop()
-                if not isinstance(ty, Sort):
-                    raise SortError(f"product codomain in {_show(t, _names(bound))} is not a sort")
-            case _:
-                raise KernelError(f"cannot type {t!r}")
+                dom = instantiate_many(ty.domain, pending)
+                if not _conv(sig, arg_ty, dom, fuel):
+                    raise TypeMismatch(_safe_nf(sig, dom, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
+                pending.append(a)
+                ty = ty.codomain
+            ty = instantiate_many(ty, pending)
+        elif cls is Const or cls is FVar:
+            ty = sig.type_of(t.name) if cls is Const else None  # the context's are in `memo`
+            if ty is None:
+                raise UnboundIdentifier(t.name)
+            return ty
+        elif cls is Var:
+            i = t.index
+            if i >= len(bound):
+                raise UnboundIdentifier(f"#{i}")
+            return shift(bound[-1 - i][1], i + 1)
+        elif cls is Lam:
+            _check_domain(sig, bound, t.annot, fuel, memo)
+            bound.append((t.name, t.annot))
+            body_ty = _infer(sig, bound, t.body, fuel, memo, 1)
+            try:
+                s = whnf(sig, _infer(sig, bound, body_ty, fuel, memo), fuel)
+            except KernelError as e:
+                e.trail.clear()  # body_ty is not a subterm: the failure is here
+                raise
+            if not isinstance(s, Sort):
+                raise SortError(f"lambda body type {_show(body_ty, _names(bound))} does not live in a sort")
+            bound.pop()
+            ty = Pi(t.name, t.annot, body_ty)
+        elif cls is Pi:
+            _check_domain(sig, bound, t.domain, fuel, memo)
+            bound.append((t.name, t.domain))
+            ty = whnf(sig, _infer(sig, bound, t.codomain, fuel, memo, 1), fuel)
+            bound.pop()
+            if not isinstance(ty, Sort):
+                raise SortError(f"product codomain in {_show(t, _names(bound))} is not a sort")
+        elif cls is Sort:
+            if t.name == "Type":
+                return KIND
+            raise UntypableKind()
+        else:
+            raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
         e.trail += [0] * k
         if child is not None:

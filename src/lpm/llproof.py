@@ -11,7 +11,10 @@ existential-style rules introduce fresh eigenvariables.
 gives its `.llpx` tag, its kernel constant, the kind of each field, and
 the hypotheses it consumes and introduces.  The `.llpx` reader and
 writer, the eigenvariables, the witness-closedness checks and the kernel
-arguments are all derived from the row.
+arguments are all derived from the row.  At import each row becomes a
+compile plan (`_PLANS`): its `rules` constant, its kernel fields and
+whether it has witness or fresh fields, so compiling a node reads them
+instead of deriving them again.
 
 `rules_prelude` produces the `rules` module, the packaged text
 `prelude/rules.dk`: one constant per inference rule, declared abstractly
@@ -37,7 +40,7 @@ from . import embed, kernel, sexp, signature, tff
 from .dkparse import Def, Entry
 from .embed import FALSE, TYPE_C, prf, term
 from .record import Record, values as field_values
-from .terms import Const, KTerm, Lam, Var, app, arrow
+from .terms import App, Const, KTerm, Lam, Var, arrow
 from .tff import BOUND, BOUND_TY, FORMULA, SYMBOL, TERM, TERMS, TY, TYS
 
 # ---------------------------------------------------------------------------
@@ -389,12 +392,27 @@ RULES: tuple[RuleSchema, ...] = (
 )
 _SCHEMA = {row.cls: row for row in RULES}
 _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
-# each rule's fields, named, with the kinds they are translated as: a
-# witness as the term or type it holds
+
+
+class _Plan(NamedTuple):
+    """A `RULES` row as `_Translator.translate` compiles it: its `rules`
+    constant, if it has one, its fields, named, with the kinds they are
+    translated as (a witness as the term or type it holds), whether it has
+    witness or fresh fields, and its `consumes` and `blocks`."""
+
+    head: Optional[Const]
+    fields: tuple[tuple[str, tff.FieldKind], ...]
+    witnessed: bool
+    fresh: bool
+    consumes: Callable[[LLRule], Sequence[tff.TffFormula]]
+    blocks: Callable[[LLRule], Sequence[Sequence[tff.TffFormula]]]
+
+
 _WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
-_KERNEL_FIELDS = {
-    row.cls: tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)) for row in RULES
-}
+_PLANS = {row.cls: _Plan(row.const and Const(f"rules.{row.const}"),
+                         tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)),
+                         any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
+                         row.consumes, row.blocks) for row in RULES}
 
 
 def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
@@ -418,7 +436,7 @@ def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
 def _consumed(p: LLProof) -> tuple[tff.TffFormula, ...]:
     """A node's consumed hypotheses, checking that a `(concl ...)` override
     lists as many formulas as the rule consumes."""
-    default = tuple(_SCHEMA[type(p.rule)].consumes(p.rule))
+    default = tuple(_PLANS[p.rule.__class__].consumes(p.rule))
     if p.concls is None:
         return default
     if len(p.concls) != len(default):
@@ -591,11 +609,6 @@ class _Translator:
         self.depth += 1
         return name, ktype
 
-    def pop_hyp(self, phi: tff.TffFormula) -> None:
-        self.env[phi].pop()
-        self.env_formulas.pop()
-        self.depth -= 1
-
     def var(self, name: str, level: int) -> Var:
         return Var(self.depth - level - 1, name)
 
@@ -658,13 +671,6 @@ class _Translator:
 
     # -- the Fig-style node compilation --------------------------------
 
-    def rule_args(self, rule: LLRule) -> tuple[Const, list[KTerm]]:
-        if isinstance(rule, Ext):
-            return self.ext_args(rule)
-        self.check_witnesses(rule)
-        kargs = embed.translate_fields(_KERNEL_FIELDS[type(rule)], rule, self.module, self.kenv, self.depth, self.memo)
-        return Const(f"rules.{_SCHEMA[type(rule)].const}"), kargs
-
     def ext_args(self, rule: Ext) -> tuple[Const, list[KTerm]]:
         spec = embed.EXT_RULES.get(rule.name)
         if spec is None or rule.name not in self.tbl.exts:
@@ -680,22 +686,31 @@ class _Translator:
 
     def translate(self, p: LLProof, step: Optional[int] = None) -> tuple[KTerm, _Layout]:
         """Compile `p`, a written node or, with `step` set, that step of the
-        Subst chain of a Pred/Fun node.  Errors and layouts name the node
-        as written."""
-        if isinstance(p.rule, (Pred, Fun)):
+        Subst chain of a Pred/Fun node, from its row's plan.  Errors and
+        layouts name the node as written."""
+        if p.rule.__class__ is Pred or p.rule.__class__ is Fun:
             p, step = _decompose(p), 0
         rule = p.rule
-        consumed_hyps = _consumed(p)
-        head, kargs = self.rule_args(rule)
-        blocks = _SCHEMA[type(rule)].blocks(rule)
+        plan = _PLANS[rule.__class__]
+        consumed = plan.consumes(rule) if p.concls is None else _consumed(p)
+        if plan.head is None:
+            t, kargs = self.ext_args(rule)
+        else:
+            if plan.witnessed:
+                self.check_witnesses(rule)
+            t = plan.head
+            kargs = embed.translate_fields(plan.fields, rule, self.module, self.kenv, self.depth, self.memo)
+        for a in kargs:
+            t = App(t, a)
+        blocks = plan.blocks(rule)
         if len(p.premises) != len(blocks):
             raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
-        eigen = _eigenvars(rule)
+        eigen = _eigenvars(rule) if plan.fresh else ()
         # chain step k: premise 0 is the written node's premise k, and
         # premise 1 the next step of the same written node
         written = tuple((i,) for i in range(len(blocks))) if step is None else ((step,), ())[: len(blocks)]
-        continuations: list[KTerm] = []
+        env, hyps = self.env, self.env_formulas
         layouts: list[_Layout] = []
         for premise, block, at in zip(p.premises, blocks, written):
             # the continuation binds the eigenvariables, then the block's
@@ -713,20 +728,22 @@ class _Translator:
             except CertificateError as e:
                 e.trail += at
                 raise
-            for phi in reversed(block):
-                self.pop_hyp(phi)
+            for phi in block:
+                env[phi].pop()
+            del hyps[len(hyps) - len(block) :]
             for name, _ in eigen:
                 del self.kenv[name]
-            self.depth -= len(eigen)
+            self.depth -= len(binders)
             for name, annot in reversed(binders):
                 body = Lam(name, annot, body)
-            continuations.append(body)
+            t = App(t, body)
             layouts.append(layout)
 
-        consumed = [self.lookup(phi) for phi in consumed_hyps]
-        args = [*kargs, *continuations, *consumed]
+        for phi in consumed:
+            stack = env.get(phi)
+            t = App(t, Var(self.depth - stack[-1][1] - 1, stack[-1][0]) if stack else self.lookup(phi))
         binders = tuple(len(eigen) + len(block) for block in blocks)
-        return app(head, *args), _Layout(len(args), len(kargs), binders, written, tuple(layouts))
+        return t, _Layout(len(kargs) + len(blocks) + len(consumed), len(kargs), binders, written, tuple(layouts))
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +813,12 @@ def base_signature(
 ) -> signature.Signature:
     """logic + rules + theory, ready for certificate checking.
 
+    The theory's name is checked first, so a theory named like one of
+    lpm's modules is rejected for its name, not for a name it collides on.
     The preludes of each mode are checked once per process (`_preludes`);
     `fuel` is charged the rewrite steps that check spent, one step at a
     time, so a smaller budget runs out where the check would."""
+    tff.wf_theory_name(thy.name)
     sig, steps = _preludes(mode)
     if fuel is not None:
         for _ in range(steps):

@@ -709,9 +709,7 @@ def wf_theory(thy: TffTheory) -> Table:
     failing item.  Symbol names are unique across all namespaces so the
     kernel embedding stays injective.
     """
-    _check_ident("theory name", thy.name)
-    if thy.name in ("cert", "logic", "rules"):
-        raise TffError(f"theory name {thy.name!r} is reserved: lpm's own modules are cert, logic and rules")
+    wf_theory_name(thy.name)
     tbl = Table()
     for index, item in enumerate(thy.items):
         try:
@@ -719,6 +717,13 @@ def wf_theory(thy: TffTheory) -> Table:
         except TffError as e:
             raise TheoryItemError(index, item, e) from e
     return tbl
+
+
+def wf_theory_name(name: str) -> None:
+    """A theory name is a `.dk` identifier that is not one of lpm's own modules."""
+    _check_ident("theory name", name)
+    if name in ("cert", "logic", "rules"):
+        raise TffError(f"theory name {name!r} is reserved: lpm's own modules are cert, logic and rules")
 
 
 def _wf_item(tbl: Table, item: TheoryItem) -> None:

@@ -480,6 +480,52 @@ def test_spine_failures_pinned():
         assert (e.value.position, str(e.value)) == (position, message), text
 
 
+# a spine's constant arguments, and its locally closed arguments already
+# typed in this `infer`, are typed in the spine's own frame
+FRAME_SIG = "A : Type. a : A. b : A. g : A -> A -> A. f : A -> A -> A -> A -> A."
+
+
+def _frames(monkeypatch, t):
+    """The type of `t` in FRAME_SIG and the number of `_infer` frames typing it opens."""
+    sig = signature.install_entries(signature.EMPTY, parse_file(FRAME_SIG))
+    frames = []
+    real = kernel._infer
+
+    def counted(*args, **kwargs):
+        frames.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_infer", counted)
+    return kernel.infer(sig, {}, t), len(frames)
+
+
+def test_a_spine_of_constants_opens_one_frame(monkeypatch):
+    a, b = Const("a"), Const("b")
+    assert _frames(monkeypatch, app(Const("f"), a, b, a, b)) == (Const("A"), 1)
+
+
+def test_a_repeated_closed_argument_opens_one_frame(monkeypatch):
+    # each argument is its own object: the memo finds it by equality
+    g = lambda x, y: app(Const("g"), Const(x), Const(y))
+    assert _frames(monkeypatch, app(Const("f"), g("a", "b"), g("a", "b"), g("a", "b"), g("a", "b"))) == (Const("A"), 2)
+    assert _frames(monkeypatch, app(Const("f"), g("a", "b"), g("b", "a"), g("a", "b"), Const("a"))) == (Const("A"), 3)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("f a nope b a", (0, 0, 1)),
+    ("f a b a nope", (1,)),
+    ("nope a", (0,)),
+    ("f (g a nope) a a a", (0, 0, 0, 1, 1)),
+    ("x : A => f x a x nope", (1, 1)),
+])
+def test_an_unbound_constant_in_a_spine_is_located(monkeypatch, text, position):
+    # typed in the spine's frame when bound, so an unbound one takes the
+    # frame's own path and is reported where it occurs
+    with pytest.raises(kernel.UnboundIdentifier) as e:
+        _frames(monkeypatch, T(text))
+    assert (str(e.value), e.value.position) == ("unbound identifier: nope", position)
+
+
 # ---------------------------------------------------------------------------
 # reduction and conversion under binders: loose indices are rigid variables
 

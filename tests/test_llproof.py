@@ -1,5 +1,6 @@
 """Proof trees: rule preludes, elimination, compilation, certificates."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations, reserved_name_certificate
 from references import eliminate_pred_fun, signature_fields
-from lpm import dkparse, embed, examples, kernel, llproof, sexp, signature, terms, tff
+from lpm import dkparse, dkprint, embed, examples, kernel, llproof, sexp, signature, terms, tff
 from lpm.dkparse import Decl, Def, Rule, parse_term
 from lpm.llproof import LLProof, check_certificate, certificate_entries
 from lpm.record import Record, values
@@ -619,6 +620,40 @@ def test_every_rule_tag_end_to_end(base_sigs, mode):
         assert v.accepted, (label, mode, v.error, v.path)
 
 
+def _compiled_outputs(mode: str):
+    """What compiling and checking each pinned certificate gives in `mode`:
+    chain-8/16/32, valid and with a bad first, middle or last leaf, every
+    built-in, the mini certificates and the built-ins' mutations."""
+    cases = [(f"chain-{n}-{bad}", *chain_certificate(n, bad))
+             for n in (8, 16, 32) for bad in ((), (0,), (n // 2,), (n - 2,))]
+    for name, (mk_thy, mk_goal, mk_proof) in sorted(examples.BUILTINS.items()):
+        cases.append((name, mk_thy(), mk_goal(), mk_proof()))
+        cases += [(f"{name}/{label}", mk_thy(), mk_goal(), m) for label, m in enumerate_mutations(mk_proof())]
+    cases += [(label, examples.bool_theory(), goal, tree) for label, goal, tree in _mini_certificates()]
+    for label, thy, goal, proof in cases:
+        sig = llproof.base_signature(thy, mode)
+        v = check_certificate(thy, goal, proof, mode, sig=sig)
+        try:
+            entries, tr = certificate_entries(thy, goal, proof, sig)
+            compiled = dkprint.print_file(entries), tr.layout
+        except llproof.CertificateError as e:
+            compiled = str(e)
+        yield label, compiled, v.accepted, v.path, v.error
+
+
+# recorded before certificates were compiled from per-rule plans and the
+# kernel typed a spine's constant and memoized arguments in its loop
+_COMPILED_DIGEST = "40d86ac487196f1582cd88f18fcbe297a0035a335771e87d23062e902dee6289"
+
+
+def test_compiled_certificates_are_pinned():
+    h = hashlib.sha256()
+    for mode in ("shallow", "deep"):
+        for out in _compiled_outputs(mode):
+            h.update(repr((mode, *out)).encode())
+    assert h.hexdigest() == _COMPILED_DIGEST
+
+
 def test_mini_certificates_cover_all_rule_tags():
     covered = set()
 
@@ -835,15 +870,15 @@ def test_chain_160_checks_at_the_default_recursion_limit():
 @pytest.mark.parametrize("name", ["cert", "logic", "rules"])
 def test_theory_named_like_an_lpm_module_is_rejected(name):
     # the valid certificate was rejected for "duplicate declaration:
-    # cert.goal"; under another theory name it is accepted.  A theory
-    # `logic` or `rules` whose names collide fails installing (as before),
-    # before the compiler checks the theory and its name
+    # cert.goal", and a theory `logic` or `rules` for the name it collides
+    # on in the prelude (logic.Prop, rules.R_Ax); under another theory name
+    # it is accepted.  `base_signature` checks the name before installing
     thy, goal, proof = reserved_name_certificate(name)
     message = f"theory name {name!r} is reserved: lpm's own modules are cert, logic and rules"
-    with pytest.raises(tff.TffError) as caught:
-        tff.wf_theory(thy)
-    assert str(caught.value) == message
+    for check in (tff.wf_theory, llproof.base_signature):
+        with pytest.raises(tff.TffError) as caught:
+            check(thy)
+        assert str(caught.value) == message
     verdict = check_certificate(thy, goal, proof)
-    collision = {"cert": message, "logic": "duplicate declaration: logic.Prop", "rules": "duplicate declaration: rules.R_Ax"}
-    assert (verdict.accepted, verdict.error, verdict.path) == (False, collision[name], None)
+    assert (verdict.accepted, verdict.error, verdict.path) == (False, message, None)
     assert check_certificate(*reserved_name_certificate(name, rename=f"{name}2")).accepted
