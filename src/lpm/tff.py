@@ -309,24 +309,24 @@ def read_text(text: str, read: Callable[[object], _Read]) -> _Read:
 
 def _expect_len(sx: list, n: int) -> None:
     if len(sx) != n:
-        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps(sx)}", sx)
+        raise FormatError(f"{sx[0]} expects {n - 1} fields: {sexp.dumps_prefix(sx)}", sx)
 
 
 def _symbol(x: object) -> str:
     if not isinstance(x, str):
-        raise FormatError(f"expected a symbol, found {sexp.dumps(x)}", x)
+        raise FormatError(f"expected a symbol, found {sexp.dumps_prefix(x)}", x)
     return x
 
 
 def _int(x: object) -> int:
     if not isinstance(x, int):
-        raise FormatError(f"expected an integer, found {sexp.dumps(x)}", x)
+        raise FormatError(f"expected an integer, found {sexp.dumps_prefix(x)}", x)
     return x
 
 
 def _list(x: object) -> list:
     if not isinstance(x, list):
-        raise FormatError(f"expected a list, found {sexp.dumps(x)}", x)
+        raise FormatError(f"expected a list, found {sexp.dumps_prefix(x)}", x)
     return x
 
 
@@ -340,7 +340,7 @@ def type_from_sexp(sx: object, tvars: AbstractSet[str], cons: set[str]) -> TffTy
         return TCons(sx, ())
     if isinstance(sx, list) and sx and isinstance(sx[0], str):
         return TCons(sx[0], tuple(type_from_sexp(a, tvars, cons) for a in sx[1:]))
-    raise FormatError(f"bad type {sexp.dumps(sx)}", sx)
+    raise FormatError(f"bad type {sexp.dumps_prefix(sx)}", sx)
 
 
 def term_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset()) -> TffTerm:
@@ -350,7 +350,7 @@ def term_from_sexp(sx: object, cons: set[str], tvars: frozenset[str] = frozenset
         ty_args = tuple(type_from_sexp(t, tvars, cons) for t in sx[1])
         args = tuple(term_from_sexp(a, cons, tvars) for a in sx[2:])
         return Fun(sx[0], ty_args, args)
-    raise FormatError(f"bad term {sexp.dumps(sx)}", sx)
+    raise FormatError(f"bad term {sexp.dumps_prefix(sx)}", sx)
 
 
 def type_to_sexp(ty: TffType, cons: set[str], tvars: frozenset[str] = frozenset()) -> object:
@@ -440,7 +440,7 @@ def write_fields(kinds: Iterable[FieldKind], values: Iterable, cons: set[str], t
 def tagged_row(sx: object, rows: Mapping[str, _Row], what: str) -> _Row:
     """The row of the tag of a `(TAG field ...)` form of a `what`."""
     if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
-        raise FormatError(f"bad {what} {sexp.dumps(sx)}", sx)
+        raise FormatError(f"bad {what} {sexp.dumps_prefix(sx)}", sx)
     row = rows.get(sx[0])
     if row is None:
         raise FormatError(f"unknown {what} tag {sx[0]!r}", sx)
@@ -475,7 +475,7 @@ def _formula_from_sexp(sx: object, cons: Constructors, tvars: frozenset[str]) ->
     n = len(row.kinds)
     if row.cls in _TRAILING:
         if len(sx) < n:
-            raise FormatError(f"{row.tag} expects at least {n - 1} fields: {sexp.dumps(sx)}", sx)
+            raise FormatError(f"{row.tag} expects at least {n - 1} fields: {sexp.dumps_prefix(sx)}", sx)
         fields = [*sx[1:n], sx[n:]]
     else:
         _expect_len(sx, n + 1)
@@ -509,7 +509,7 @@ TVARS = list_kind("type variables", SYMBOL)  # in scope in every later field
 def _binding_from_sexp(sx: object, cons: set[str], tvars: frozenset[str]) -> tuple[str, TffType]:
     b = _list(sx)
     if len(b) != 2:
-        raise FormatError(f"bad context binding {sexp.dumps(sx)}, expected (NAME TYPE)", sx)
+        raise FormatError(f"bad context binding {sexp.dumps_prefix(sx)}, expected (NAME TYPE)", sx)
     return _symbol(b[0]), TY.read(b[1], cons, tvars)
 
 

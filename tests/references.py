@@ -4,9 +4,10 @@ and the term, matching and proof-tree helpers only the tests use."""
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
-from lpm import embed, examples, kernel, llproof
+from lpm import embed, examples, kernel, llproof, sexp
 from lpm.dkparse import Comment, DkSyntaxError, _Parser
 from lpm.dkprint import _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_TERM, _binder_name, print_entry, uses_binder
 from lpm.terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var, app, shift, spine, substitute
@@ -395,3 +396,63 @@ class _ReferenceParser(_Parser):
 
 def reference_parse_file(text: str) -> list:
     return _ReferenceParser(text).entries()
+
+
+# The S-expression reader and pretty-printer as they were before the reader
+# replayed repeated lines and the printer computed each list's flat width
+# once.  The reader reads token by token; the printer writes each level's
+# flat text again (Θ(n³) on chain-n).  They are the oracles the
+# differential tests compare `sexp.loads` and `sexp.dumps_pretty` against.
+
+
+_SEXP_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
+_SEXP_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def reference_loads(text: str) -> list:
+    items: list = []
+    open_lists: list[tuple[list, int]] = []  # enclosing list, index of its "("
+    atoms: dict[str, object] = {}
+    lists: dict[tuple[int, ...], list] = {}
+    for i, tok in enumerate(_SEXP_TOKEN_RE.findall(text)):
+        if tok == "(":
+            open_lists.append((items, i))
+            items = []
+        elif tok == ")":
+            if not open_lists:
+                raise _reference_sexp_error("unexpected ')'", text, i)
+            outer, _ = open_lists.pop()
+            outer.append(lists.setdefault(tuple(map(id, items)), items))
+            items = outer
+        elif tok:
+            atom = atoms.get(tok)
+            if atom is None:
+                atom = atoms[tok] = int(tok) if _SEXP_INT_RE.fullmatch(tok) else tok
+            items.append(atom)
+    if open_lists:
+        raise _reference_sexp_error("unterminated list", text, open_lists[-1][1])
+    return items
+
+
+def _reference_sexp_error(message: str, text: str, index: int) -> sexp.SexpError:
+    """The error at the `index`-th match of the token pattern."""
+    offset = next(islice(_SEXP_TOKEN_RE.finditer(text), index, None)).start(1)
+    return sexp.SexpError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+def reference_dumps_pretty(x: object, indent: int = 0) -> str:
+    if not isinstance(x, list):
+        return str(x)
+    flat = _reference_dumps(x)
+    if len(flat) <= 76 - indent:
+        return flat
+    pad = " " * (indent + 2)
+    head = _reference_dumps(x[0]) if x else ""
+    lines = [reference_dumps_pretty(e, indent + 2) for e in x[1:]]
+    return "(" + head + "\n" + "\n".join(pad + s for s in lines) + ")"
+
+
+def _reference_dumps(x: object) -> str:
+    if isinstance(x, list):
+        return "(" + " ".join(_reference_dumps(e) for e in x) + ")"
+    return str(x)

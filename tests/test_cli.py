@@ -1,14 +1,18 @@
 """Command-line front end: commands, exit codes, determinism."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpm import cli, dkparse, dkprint, examples, llproof, signature, tff
 from lpm.dkparse import Decl, Def, Rule
@@ -918,3 +922,60 @@ def test_deep_input_ends_in_a_verdict_in_a_subprocess(tmp_path, case):
     assert payload["exit_code"] == proc.returncode
     if case == "conversion":  # the two sides differ at the leaf
         assert proc.returncode == 1 and "type mismatch" in payload["diagnostics"][0]["message"]
+
+
+# ---------------------------------------------------------------------------
+# Edited certificate files (ROADMAP item 6): a line edit of a chain-8
+# `.llpx` or `.tffx` ends in an exit code and a JSON payload, never in a
+# traceback, whichever lines the reader replays
+
+
+_ATOM_RE = re.compile(r"[^ \t\r\n();]+")
+_ATOM_EDITS = ("P0", "P7", "and", "not", "ax", "pred", "x", "0", "-1", "()", "(top)", "")
+
+
+@functools.cache
+def _chain_8_texts() -> dict[str, str]:
+    from mutations import chain_certificate
+
+    thy, goal, proof = chain_certificate(8)
+    return {"t.tffx": tff.print_theory(thy), "p.llpx": llproof.print_proof(thy, goal, proof)}
+
+
+def _edit(data, text: str) -> str:
+    lines = text.split("\n")
+    i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    kind = data.draw(st.sampled_from(("duplicate", "delete", "swap", "add paren", "drop paren", "atom")))
+    if kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "add paren":
+        col = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:col] + data.draw(st.sampled_from("()")) + lines[i][col:]
+    else:
+        text = "\n".join(lines)
+        spans = [m.span() for m in (re.finditer(r"[()]", text) if kind == "drop paren" else _ATOM_RE.finditer(text))]
+        start, end = data.draw(st.sampled_from(spans))
+        return text[:start] + ("" if kind == "drop paren" else data.draw(st.sampled_from(_ATOM_EDITS))) + text[end:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_translate_of_edited_files_ends_in_a_verdict(tmp_path_factory, data):
+    texts = dict(_chain_8_texts())
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(texts)))
+        texts[name] = _edit(data, texts[name])
+    d = tmp_path_factory.mktemp("edited")
+    for name, text in texts.items():
+        (d / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--json", "translate", str(d / "t.tffx"), str(d / "p.llpx"), "--out", str(d / "out")])
+    assert code in (0, 1, 2, 3)
+    assert json.loads(out.getvalue())["exit_code"] == code
+    assert "Traceback" not in err.getvalue()

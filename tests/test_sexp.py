@@ -61,6 +61,13 @@ def test_loads_one_count_message_pinned(text, count):
     assert str(e.value) == f"1:1: expected one expression, found {count}"
 
 
+def test_dumps_prefix_cuts_after_the_limit():
+    for x in (["a" * 78], ["a", ["b" * 74]], [[], [], ["x"] * 20], "x" * 80):
+        assert sexp.dumps_prefix(x) == sexp.dumps(x) and len(sexp.dumps(x)) <= 80
+    for x in (["a" * 79], ["a", ["b" * 74, "c"]], [[]] * 50, "x" * 81):
+        assert sexp.dumps_prefix(x) == sexp.dumps(x)[:80] + "…"
+
+
 # ---------------------------------------------------------------------------
 # Malformed and deep input
 

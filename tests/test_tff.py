@@ -286,6 +286,23 @@ def test_proof_format_error_about_an_atom_is_placed_at_its_node(tree, line, col,
     assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
 
 
+def test_format_error_quotes_a_bounded_prefix():
+    # the chain-32 root wrapped in one more pair of parentheses: the message
+    # quoted the whole form, and it grew with the proof
+    from mutations import chain_certificate
+
+    thy, goal, proof = chain_certificate(32)
+    text = llproof.print_proof(thy, goal, proof)
+    at = text.index("\n  (notimp") + 3
+    wrapped = text[:at] + "(" + text[at:].rstrip("\n") + ")\n"
+    with pytest.raises(tff.FormatError) as e:
+        llproof.parse_proof(wrapped, thy)
+    form = sexp.dumps(sexp.loads_one(wrapped)[3])
+    assert len(form) > 20_000
+    assert e.value.message == f"bad proof node {form[:80]}…"
+    assert (e.value.line, e.value.col) == (text.count("\n", 0, at) + 1, 3)
+
+
 def test_successful_read_looks_up_no_position(monkeypatch):
     def no_lookup(*args):
         raise AssertionError("a position was looked up on a successful read")
