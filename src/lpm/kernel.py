@@ -17,14 +17,15 @@ That frame's loop types a constant head or argument, and a locally closed
 one already in the memo, itself; any other opens a frame.
 
 A head's rules are compiled on first use into one decision tree per
-argument count, which fires the first matching rule in install order.  A
-pattern is a variable or a constant applied to patterns, so the tree tests
-only head constants, spine lengths and a repeated variable's occurrences.
+argument count, which fires the first matching rule in install order.  It
+tests head constants and spine lengths, of subjects made final by whnf
+first (so an argument is reduced only as far as a pattern needed), and a
+repeated variable's occurrences.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .terms import (
     KIND,
@@ -136,19 +137,17 @@ class Fuel:
 
 class RewriteRule:
     """An installed rule `lhs --> rhs`: `lhs` is the constant `head` applied
-    to the first-order patterns `lhs_args`, whose variables `delta` are those
-    of the pattern context `ctx`, as `Signature.add_rewrite` checks before
-    it builds one."""
+    to the first-order patterns `lhs_args`, as `Signature.add_rewrite`
+    checks before it builds one."""
 
-    __slots__ = ("rhs", "head", "lhs_args", "arity", "delta")
+    __slots__ = ("rhs", "head", "lhs_args", "arity")
 
-    def __init__(self, ctx: Iterable[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm):
+    def __init__(self, lhs: KTerm, rhs: KTerm):
         head, args = spine(lhs)
         self.rhs = rhs
         self.head = head.name
         self.lhs_args = tuple(args)
         self.arity = len(args)
-        self.delta = frozenset(name for name, _ in ctx)
 
 
 class Rules:
@@ -191,17 +190,17 @@ def _compile(rules: tuple[RewriteRule, ...], n: int) -> object:
 
 def _row(rule: RewriteRule, tests: tuple, occs: tuple, placed: list) -> tuple:
     """A row of the matrix: a rule, its patterns still to test as (position,
-    pattern, scan key) and its variables' occurrences as (scan key, name,
-    position), extended by the `placed` patterns.  Scan keys order
-    occurrences left to right by argument and right to left in a spine: a
-    variable is bound at its first, as a walk of the pattern that stacks an
-    application's function below its argument binds it."""
+    pattern, scan key), in key order, and its variables' occurrences as (scan
+    key, name, position), extended by the `placed` patterns.  Scan keys order
+    patterns left to right by argument, right to left in a spine and each
+    after the one it is an argument of: a variable is bound at its first,
+    and a subject tested, so reduced, as a walk of the patterns reaches it."""
     for pos, pat, key in placed:
         if type(pat) is FVar:
             occs += ((key, pat.name, pos),)
         else:
             tests += ((pos, pat, key),)
-    return rule, tests, occs
+    return rule, tuple(sorted(tests, key=lambda test: test[2])), occs
 
 
 def _tree(rows: tuple, npos: int, memo: dict) -> object:
@@ -223,7 +222,7 @@ def _tree(rows: tuple, npos: int, memo: dict) -> object:
                 first[name] = pos
         node = rule, tuple(first.items()), tuple(equal), _tree(rows[1:], npos, memo) if equal else ()
     else:
-        node = _Switch(tests[0][0])  # settle the first row's first pattern
+        node = _Switch(tests[0][0])  # settle the first row's first pattern, as a scan of the rows would
         at = [next((t for t in tests if t[0] == node.pos), None) for _, tests, _ in rows]
         cases: dict[tuple[str, int], list] = {}
         for test in filter(None, at):
@@ -246,13 +245,13 @@ def _tree(rows: tuple, npos: int, memo: dict) -> object:
     return node
 
 
-def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
+def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None, memo: dict | None = None) -> KTerm:
     """Weak-head normal form under beta plus the signature's rules.
 
     The head of the result is final: a binder, sort, variable, or a
-    constant at which no rule fires.  When no rule matches the spine as
-    given, the rules are tried once more on the normalized arguments, so
-    a constant with rules comes back applied to normal arguments.
+    constant at which no rule fires, however far its arguments reduce; they
+    are reduced only as far as a pattern needed.  `memo`, one per top-level
+    call, maps the id of each subject matching reduced, and of its whnf, to both.
     """
     fuel = fuel or Fuel()
     head = t
@@ -266,11 +265,8 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
             head = instantiate(head.body, rev.pop())
             continue
         if type(head) is Const and (rules := sig.matcher(head.name)):
-            fired = _fire(rules, rev, fuel)
-            if fired is None and rev:
-                rev = [normalize(sig, a, fuel) for a in rev]
-                fired = _fire(rules, rev, fuel)
-            if fired is not None:
+            memo = {} if memo is None else memo
+            if (fired := _fire(sig, rules, rev, fuel, memo)) is not None:
                 head = fired
                 continue
         break
@@ -279,9 +275,9 @@ def whnf(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
     return head
 
 
-def _fire(rules: Rules, rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
-    """The first matching rule's instantiated right-hand side, its
-    arguments popped from `rev`; None when no rule matches."""
+def _fire(sig: Signature, rules: Rules, rev: list[KTerm], fuel: Fuel, memo: dict) -> Optional[KTerm]:
+    """The first matching rule's instantiated right-hand side, its arguments
+    popped from `rev`, else None; an argument it reduces is replaced in `rev`."""
     nargs = len(rev)
     n = nargs if nargs < rules.arity else rules.arity
     node = rules.trees[n]
@@ -290,7 +286,15 @@ def _fire(rules: Rules, rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
     terms = rev[nargs - n :]  # the subject at each position
     while node:
         if type(node) is _Switch:
-            s = terms[node.pos]
+            s = h = terms[pos := node.pos]
+            while type(h) is App:
+                h = h.fn
+            if type(h) is Const and sig.matcher(h.name) or type(h) is Lam and h is not s:  # not final
+                w = hit[1] if (hit := memo.get(id(s))) else whnf(sig, s, fuel, memo)
+                memo[id(s)] = memo[id(w)] = s, w
+                s = terms[pos] = w
+                if pos < n:
+                    rev[nargs - n + pos] = s
             base = len(terms)
             while type(s) is App:
                 terms.append(s.arg)
@@ -302,10 +306,8 @@ def _fire(rules: Rules, rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
                 node = node.default
             continue
         rule, binds, equal, node = node
-        for a, b in equal:
-            if terms[a] != terms[b]:
-                break
-        else:
+        if not equal or all(terms[a] == terms[b] or normalize(sig, terms[a], fuel, memo)
+                            == normalize(sig, terms[b], fuel, memo) for a, b in equal):
             fuel.step()
             del rev[nargs - rule.arity :]
             bindings = {}
@@ -315,25 +317,25 @@ def _fire(rules: Rules, rev: list[KTerm], fuel: Fuel) -> Optional[KTerm]:
     return None
 
 
-def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None) -> KTerm:
+def normalize(sig: Signature, t: KTerm, fuel: Fuel | None = None, memo: dict | None = None) -> KTerm:
     """Full beta/rewrite normal form, reducing under binders and in arguments.
 
-    After `whnf`, binder parts are normalized, and so are the arguments of
-    any head but a constant with rules: `whnf` has done those, and doing
-    them again would cost time exponential in the depth of a stuck spine.
+    After `whnf`, binder parts and arguments are normalized.  `memo` is
+    `whnf`'s, and maps ~id(t) to `t` and its normal form too.
     """
     fuel = fuel or Fuel()
-    t = whnf(sig, t, fuel)
-    match t:
+    memo = {} if memo is None else memo
+    if hit := memo.get(~id(t)):
+        return hit[1]
+    nf = w = hit[1] if (hit := memo.get(id(t))) else whnf(sig, t, fuel, memo)
+    match w:
         case App():
-            head, args = spine(t)
-            if type(head) is Const and sig.matcher(head.name):
-                return t
-            return app(head, *[normalize(sig, a, fuel) for a in args])
+            head, args = spine(w)
+            nf = app(head, *[normalize(sig, a, fuel, memo) for a in args])
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
-            return t.__class__(n, normalize(sig, d, fuel), normalize(sig, b, fuel))
-        case _:
-            return t
+            nf = w.__class__(n, normalize(sig, d, fuel, memo), normalize(sig, b, fuel, memo))
+    memo[~id(t)] = t, nf
+    return nf
 
 
 def convertible(sig: Signature, a: KTerm, b: KTerm, fuel: Fuel | None = None) -> bool:

@@ -11,7 +11,7 @@ A rule's left side is a constant-headed pattern, and FV(rhs) <= FV(lhs) <= ctx.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import dkparse, kernel
 from .terms import Const, FVar, KTerm, Sort, free_fvars, spine
@@ -66,7 +66,7 @@ class Signature:
     """Declared constants' types and each head's rewrite rules, in order;
     never changed once returned, so callers may share one freely."""
 
-    __slots__ = ("_types", "_rules", "eta")
+    __slots__ = ("_types", "_rules", "eta", "type_of", "matcher")
 
     def __init__(
         self,
@@ -77,16 +77,13 @@ class Signature:
         self._types = types or {}
         self._rules = rules or {}
         self.eta = eta
-
-    def type_of(self, name: str) -> Optional[KTerm]:
-        return self._types.get(name)
+        # the kernel's lookups, bound once: a constant's type and a head's `kernel.Rules`, or None
+        self.type_of = self._types.get
+        self.matcher = self._rules.get
 
     def rules_for(self, head: str) -> tuple[kernel.RewriteRule, ...]:
         rules = self._rules.get(head)
         return rules.rules if rules else ()
-
-    def matcher(self, head: str) -> Optional[kernel.Rules]:
-        return self._rules.get(head)
 
     def __contains__(self, name: str) -> bool:
         return name in self._types
@@ -120,7 +117,7 @@ def _add_rewrite(sig: Signature, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, r
         raise
     except kernel.KernelError as e:
         raise IllTypedSide(side, e) from e
-    rule = kernel.RewriteRule(ctx, lhs, rhs)
+    rule = kernel.RewriteRule(lhs, rhs)
     sig._rules[rule.head] = kernel.Rules(sig.rules_for(rule.head) + (rule,))
 
 

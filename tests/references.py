@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from lpm import embed, examples, kernel, llproof, sexp
 from lpm.dkparse import Comment, DkSyntaxError, _Parser
@@ -55,11 +55,10 @@ def is_locally_closed(t: KTerm, depth: int = 0) -> bool:
     return t.lbr <= depth
 
 
-# Rule matching as the kernel did it before it compiled each head's rules
-# into a decision tree: the rules are tried one by one, each screened by
-# its constant-headed arguments' heads and spine lengths and then matched
-# argument by argument.  It is the oracle the differential matching tests
-# compare `kernel._fire` against.
+# Rule matching without decision trees: the rules are tried one by one.
+# `_match` is first-order syntactic matching; `reference_fire`, a scan
+# modulo whnf, is the oracle the differential matching tests compare
+# `kernel._fire` against.
 
 Substitution = dict[str, KTerm]
 
@@ -96,41 +95,81 @@ def _match(pat: KTerm, subj: KTerm, delta: frozenset[str], out: Substitution) ->
     return True
 
 
-def _screens(rule: kernel.RewriteRule) -> tuple[tuple[int, str, int], ...]:
-    """(position, head constant, spine length) of each constant-headed
-    pattern argument, used to skip definite non-matches cheaply."""
-    return tuple((j, h.name, len(sub)) for j, (h, sub) in enumerate(map(spine, rule.lhs_args)) if isinstance(h, Const))
+def _walk(rule: kernel.RewriteRule) -> Iterator[tuple[tuple[int, ...], KTerm]]:
+    """Each pattern of the rule with its scan key: argument j has key (j,)
+    and the i-th argument of a pattern with key k has key k + (-i,), so
+    they come left to right by argument, right to left in a spine."""
+    stack = [((j,), p) for j, p in reversed(tuple(enumerate(rule.lhs_args)))]
+    while stack:
+        key, p = stack.pop()
+        yield key, p
+        if type(p) is not FVar:
+            stack += [(key + (-i,), a) for i, a in enumerate(spine(p)[1], 1)]
 
 
-def _screens_fail(rule: kernel.RewriteRule, rev: list[KTerm]) -> bool:
-    for j, name, arity in _screens(rule):
-        subj = rev[-1 - j]
-        n = 0
-        while type(subj) is App:
-            n += 1
-            subj = subj.fn
-        if n != arity or type(subj) is not Const or subj.name != name:
-            return True
-    return False
+def _shape(t: KTerm) -> tuple[object, int]:
+    """A term's head constant's name, or None, and its spine length."""
+    head, args = spine(t)
+    return (head.name if type(head) is Const else None), len(args)
 
 
-def reference_fire(rules: kernel.Rules, rev: list[KTerm], fuel: kernel.Fuel) -> Optional[KTerm]:
+def reference_fire(sig, rules: kernel.Rules, rev: list[KTerm], fuel: kernel.Fuel,
+                   memo: dict) -> Optional[KTerm]:
     """`kernel._fire` by trying the rules in install order: the first
     matching rule's instantiated right-hand side, its arguments popped from
-    `rev`; None when no rule matches."""
+    `rev`; None when no rule matches.
+
+    Each rule's patterns are walked in scan-key order.  A subject that a
+    constant pattern meets first is put in whnf, unless its head is final,
+    through `memo` as the kernel keeps it, and kept by key: an argument's
+    in `rev` too.  A rule that a subject
+    already reduced refutes is skipped unwalked.  A repeated variable's
+    occurrences, once every pattern matched, must be equal or have equal
+    normal forms; each is compared with the first."""
     nargs = len(rev)
+    known: dict[tuple[int, ...], KTerm] = {}
+
+    def subject(key: tuple[int, ...]) -> KTerm:
+        if key in known:
+            return known[key]
+        if len(key) == 1:
+            return rev[-1 - key[0]]
+        return spine(known[key[:-1]])[1][-key[-1] - 1]
+
     for rule in rules.rules:
-        k = rule.arity
-        if k > nargs or _screens_fail(rule, rev):
+        if rule.arity > nargs or any(key in known and _shape(known[key]) != _shape(p)
+                                     for key, p in _walk(rule) if type(p) is not FVar):
             continue
-        bindings: Substitution = {}
-        for j, pat in enumerate(rule.lhs_args):
-            if not _match(pat, rev[-1 - j], rule.delta, bindings):
+        occurrences = []
+        for key, p in _walk(rule):
+            if type(p) is FVar:
+                occurrences.append((p.name, subject(key)))
+                continue
+            if key not in known:
+                s = subject(key)
+                head, args = spine(s)
+                if type(head) is Const and sig.matcher(head.name) or type(head) is Lam and args:
+                    hit = memo.get(id(s))
+                    w = hit[1] if hit else kernel.whnf(sig, s, fuel, memo)
+                    memo[id(s)] = memo[id(w)] = s, w
+                    s = w
+                known[key] = s
+                if len(key) == 1:
+                    rev[-1 - key[0]] = s
+            if _shape(known[key]) != _shape(p):
                 break
         else:
-            fuel.step()
-            del rev[nargs - k :]
-            return substitute(rule.rhs, bindings)
+            bindings: Substitution = {}
+            for name, s in occurrences:
+                if name not in bindings:
+                    bindings[name] = s
+                elif bindings[name] != s and (kernel.normalize(sig, bindings[name], fuel, memo)
+                                              != kernel.normalize(sig, s, fuel, memo)):
+                    break
+            else:
+                fuel.step()
+                del rev[nargs - rule.arity :]
+                return substitute(rule.rhs, bindings)
     return None
 
 
@@ -145,9 +184,9 @@ def match_pattern(lhs: KTerm, delta: Iterable[str], subject: KTerm) -> Optional[
 
 def signature_fields(sig) -> tuple[list, list]:
     """The types of a signature in order, and each head's rules, in order,
-    as the fields matching reads: head, pattern arguments, pattern
-    variables and right-hand side."""
-    rules = [(head, [(r.head, r.lhs_args, r.delta, r.rhs) for r in sig.rules_for(head)])
+    as the fields matching reads: head, pattern arguments and right-hand
+    side."""
+    rules = [(head, [(r.head, r.lhs_args, r.rhs) for r in sig.rules_for(head)])
              for head in sig._rules]
     return list(sig._types.items()), rules
 

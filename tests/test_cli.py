@@ -128,12 +128,24 @@ _DIVERGENT_ARGUMENT = (
     "last", ["#ASSERT x : P ((z : T => f z) loop).", "#ASSERT x : P (f ((z : T => z) loop))."], ids=["div", "div2"]
 )
 def test_divergent_argument_under_stuck_rule_head(tmp_path, capsys, last):
-    # no rule of f matches `f loop`, so whnf normalizes `loop`, which
-    # diverges wherever the beta-redex sits
+    # the pattern c of f's rule reads the head of `f loop`'s argument, so
+    # whnf reduces `loop`, which diverges wherever the beta-redex sits
     f = tmp_path / "div.dk"
     f.write_text(_DIVERGENT_ARGUMENT + last + "\n")
     code, _, _ = run(["--fuel", "1000", "check", str(f)], capsys)
     assert code == 3
+
+
+def test_divergent_argument_no_pattern_reads_is_left_alone(tmp_path, capsys):
+    # g's rule reads only its second argument, so comparing the two sides
+    # puts `g omega b` in whnf without reducing `omega`: a verdict, where
+    # normalizing every argument of a stuck spine ran out of fuel
+    f = tmp_path / "lazy.dk"
+    f.write_text("A : Type. a : A. b : A. omega : A. [] omega --> omega.\n"
+                 "g : A -> A -> A. [x : A] g x a --> x. P : A -> Type. p : P (g omega b).\n"
+                 "#ASSERT p : P ((z : A => g omega z) b).\n")
+    code, out, err = run(["--json", "check", str(f)], capsys)
+    assert (code, json.loads(out)["exit_code"], err) == (0, 0, "")
 
 
 def test_fuel_env_override(tmp_path, capsys, monkeypatch):
@@ -885,6 +897,10 @@ def _tower(head, leaf):
     return f"({head} " * _DEPTH + leaf + ")" * _DEPTH
 
 
+_BOOL_NOTB = ("bool.bool : Type. bool.true : bool.bool. bool.false : bool.bool. bool.notb : bool.bool -> bool.bool. "
+              "[] bool.notb bool.true --> bool.false. [] bool.notb bool.false --> bool.true. "
+              "[a : bool.bool] bool.notb (bool.notb a) --> a. P : bool.bool -> Type. p : P bool.true. ")
+
 _DEEP_INPUTS = {
     # conversion and normalize under a stuck `g`
     "conversion": (
@@ -897,6 +913,11 @@ _DEEP_INPUTS = {
         {"t.tffx": "(theory t (pred P () ()))",
          "deep.llpx": "(proof (theory t) (goal {0}) (nottop (concl (not {0}))))".format(_tower("not", "(top)"))},
         ["translate", "t.tffx", "deep.llpx", "--out", "o"],
+    ),
+    # matching reduces each argument a pattern reads: whnf calls whnf once per level
+    "rewriting": (
+        {"notb.dk": _BOOL_NOTB + f"#ASSERT p : P {_tower('bool.notb', 'bool.true')}."},
+        ["check", "notb.dk"],
     ),
     # a term read from the theory file
     "term": (

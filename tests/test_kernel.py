@@ -110,6 +110,18 @@ def test_whnf_fuel_exhaustion():
         kernel.whnf(sig, Const("c"), Fuel(max_rewrite_steps=50))
 
 
+def test_an_argument_no_pattern_reads_is_never_reduced():
+    # g's rule reads only its second argument: whnf of `g omega b` leaves
+    # the diverging omega as it is and spends no fuel
+    sig = signature.install_entries(signature.EMPTY, parse_file(
+        "A : Type. a : A. b : A. omega : A. [] omega --> omega. g : A -> A -> A. [x : A] g x a --> x."))
+    t = T("g omega b")
+    fuel = Fuel(1000)
+    assert kernel.whnf(sig, t, fuel) == t and fuel.steps_left == 1000
+    with pytest.raises(kernel.FuelExhausted):  # normalizing it still reduces omega
+        kernel.normalize(sig, t, fuel)
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

@@ -1,11 +1,12 @@
 """Decision-tree matching against the rule-by-rule oracle.
 
 `kernel._fire` walks one decision tree per head and argument count;
-`references.reference_fire` tries the rules one by one, as the kernel did
-before.  On any rule set and subject they must pick the same rule, bind
-each variable to the same occurrence (told apart by `repr`: equal terms
-may differ in display names), leave the same arguments and charge the
-same fuel.
+`references.reference_fire` tries the rules one by one.  Both match
+modulo whnf, reducing a subject only when a constant pattern meets it.
+On any rule set and subject they must pick the same rule, bind each
+variable to the same occurrence (told apart by `repr`: equal terms may
+differ in display names), leave the same arguments, reduced as far as
+matching reduced them, and charge the same fuel.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,12 @@ from lpm.terms import App, Const, FVar, KTerm, Lam, Var, app, free_fvars
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
-F, G, H, A, B = (Const(c) for c in ("f", "g", "h", "a", "b"))
+F, G, H, A, B, E, O = (Const(c) for c in ("f", "g", "h", "a", "b", "e", "o"))
+# the rules a subject may hold redexes of: `e x --> x`, and `o --> o`, which diverges
+SIG = signature.Signature(rules={
+    "e": kernel.Rules((kernel.RewriteRule(App(E, FVar("x")), FVar("x")),)),
+    "o": kernel.Rules((kernel.RewriteRule(O, O),)),
+})
 
 # patterns over the nullary a and b and the partially applicable g and h
 patterns = st.recursive(
@@ -36,11 +42,15 @@ FAMILIES = (
     tuple(Var(0, n) for n in ("u", "v", "w")),
     tuple(App(Lam(n, A, Var(0, n)), B) for n in ("u", "v", "w")),  # a redex: its head is a binder
     tuple(app(F, Lam(n, A, Var(0, n)), H) for n in ("u", "v", "w")),
+    tuple(App(E, Lam(n, A, Var(0, n))) for n in ("u", "v", "w")),  # rule redexes: a binder once reduced
+    tuple(App(E, App(G, Lam(n, A, Var(0, n)))) for n in ("u", "v", "w")),  # `g` applied, once reduced
     (A,),
     (App(G, B),),
+    (App(E, App(E, B)),),
     (FVar("x"),),  # a free variable of the subject named like a pattern variable
 )
-NOISE = (A, B, G, H, App(G, A), app(G, A, B), App(H, App(G, A)), app(G, A, B, A), Var(1), FVar("y"))
+NOISE = (A, B, G, H, App(G, A), app(G, A, B), App(H, App(G, A)), app(G, A, B, A), Var(1), FVar("y"),
+         App(E, A), App(E, app(H, B, A)), O)
 
 
 def _rules(lhs_args: list[list[KTerm]]) -> kernel.Rules:
@@ -49,14 +59,15 @@ def _rules(lhs_args: list[list[KTerm]]) -> kernel.Rules:
     out = []
     for i, args in enumerate(lhs_args):
         names = sorted(set().union(*map(free_fvars, args)))
-        out.append(kernel.RewriteRule([(n, A) for n in names], app(F, *args), app(Const(f"r{i}"), *map(FVar, names))))
+        out.append(kernel.RewriteRule(app(F, *args), app(Const(f"r{i}"), *map(FVar, names))))
     return kernel.Rules(tuple(out))
 
 
 def _instance(pats: list[KTerm], data) -> list[KTerm]:
     """The patterns with each variable occurrence replaced by a value of the
-    family drawn for that variable, or now and then of another, and maybe
-    one subterm replaced by noise."""
+    family drawn for that variable, or now and then of another, some
+    subterms wrapped in an `e` redex, which reduces to them, and maybe one
+    subterm replaced by noise."""
     family: dict[str, int] = {}
     target = data.draw(st.sampled_from((-1, -1, *range(12))), label="perturbed node")
     seen = 0
@@ -71,8 +82,8 @@ def _instance(pats: list[KTerm], data) -> list[KTerm]:
                 family[p.name] = data.draw(st.sampled_from(range(len(FAMILIES))))
             return data.draw(st.sampled_from(FAMILIES[family[p.name]]))
         if type(p) is App:
-            return App(walk(p.fn), walk(p.arg))
-        return p
+            p = App(walk(p.fn), walk(p.arg))
+        return App(E, p) if data.draw(st.sampled_from((False,) * 5 + (True,)), label="wrapped") else p
 
     return [walk(p) for p in pats]
 
@@ -81,7 +92,7 @@ def _outcome(fire, rules: kernel.Rules, rev: list[KTerm], budget: int):
     rev = list(rev)
     fuel = kernel.Fuel(budget)
     try:
-        result = repr(fire(rules, rev, fuel))
+        result = repr(fire(SIG, rules, rev, fuel, {}))
     except kernel.FuelExhausted:
         result = "fuel exhausted"
     return result, [repr(a) for a in rev], fuel.steps_left
@@ -112,6 +123,29 @@ def test_tree_binds_the_occurrence_the_scan_binds_first():
         assert expected[0] == repr(App(Const("r0"), args[0]))
     rules = _rules([[app(G, FVar("x"), FVar("x"))]])
     assert _outcome(kernel._fire, rules, [app(G, v, w)], 1)[0] == repr(App(Const("r0"), w))
+
+
+def test_a_subject_is_reduced_only_when_a_live_rule_tests_it_next():
+    # f x a, then f a b: c at argument 1 refutes both, so the diverging o
+    # at argument 0 is never reduced, though the second rule has a there
+    rules = _rules([[FVar("x"), A], [A, B]])
+    for fire in (kernel._fire, reference_fire):
+        assert _outcome(fire, rules, [Const("c"), O], 0) == ("None", [repr(Const("c")), repr(O)], 0)
+    # f (g a) b: the argument of g comes before argument 1 in scan order,
+    # and its reduct c refutes the rule, so o is never reduced; the reduct
+    # stays in no argument, since it is not one
+    rules = _rules([[App(G, A), B]])
+    rev = [O, App(G, App(E, Const("c")))]
+    for fire in (kernel._fire, reference_fire):
+        assert _outcome(fire, rules, rev, 1) == ("None", list(map(repr, rev)), 0)
+    # an argument reduced to be tested is left reduced when no rule fires
+    for fire in (kernel._fire, reference_fire):
+        assert _outcome(fire, rules, [O, App(E, App(H, A))], 1) == ("None", [repr(O), repr(App(H, A))], 0)
+    # f a b: one redex object in both arguments is reduced once, for one step
+    rules = _rules([[A, B]])
+    ea = App(E, A)
+    for fire in (kernel._fire, reference_fire):
+        assert _outcome(fire, rules, [ea, ea], 3) == ("None", [repr(A), repr(A)], 2)
 
 
 def test_normal_forms_match_the_scan_on_small_boolean_terms(bool_sig, monkeypatch):
