@@ -147,8 +147,12 @@ def _check_text(rep: Reporter, args: argparse.Namespace, file: str, text: str, s
     try:
         out = signature.install_entries(sig, todo, budget=args.fuel)
     except (kernel.KernelError, signature.SignatureError, RecursionError, MemoryError) as e:
+        try:  # an error is worded here, and showing deep terms can run out of stack or memory too
+            message = _message(e)
+        except (RecursionError, MemoryError) as err:
+            e, message = err, _message(err)
         entry = entries[todo.done]
-        rep.diagnose(file, entry.line, entry.col, _message(e), locate(e) if locate else None)
+        rep.diagnose(file, entry.line, entry.col, message, locate(e) if locate else None)
         return _exit_code_for(e), sig, entries
     if compiled is not None and (at := _misstated(text, entries, compiled)):
         rep.diagnose(file, *at, "the text read back does not state the entries compiled")

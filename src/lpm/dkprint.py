@@ -1,6 +1,7 @@
 """Printer for the `.dk` surface syntax, outside the trusted base: `lpm check`
-loads it only to word a rejection, and `lpm translate` compares each file it
-prints, read back, with the entries printed.
+loads it only to word a rejection (`describe`, when the error is read), and
+`lpm translate` compares each file it prints, read back, with the entries
+printed.
 
 Printing is canonical: `parse(print(e))` is structurally `e`, and
 printing a reparsed entry reproduces the text byte for byte.  A compound
@@ -11,8 +12,10 @@ occurrence of such a term copies the span of its first.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable, Sequence
 
+from . import kernel
 from .dkparse import _IDENT_RE, _KEYWORDS, AssertType, Comment, Decl, Def, Entry, Rule, _Scope
 from .terms import App, Const, FVar, KTerm, Lam, Pi, Sort, Var
 
@@ -28,8 +31,7 @@ def uses_binder(body: KTerm, depth: int = 0) -> bool:
             return uses_binder(f, depth) or uses_binder(a, depth)
         case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
             return uses_binder(ty, depth) or uses_binder(b, depth + 1)
-        case _:
-            return False
+    return False
 
 
 _PREC_TERM = 0
@@ -123,11 +125,27 @@ def _captured_names(body: KTerm, scope: Sequence[str]) -> set[str]:
             case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
                 walk(ty, depth)
                 walk(b, depth + 1)
-            case _:
-                pass
 
     walk(body, 0)
     return out
+
+
+def describe(e: Exception) -> str:
+    """A kernel or signature error's message, worded when read: each term in a `{}` slot printed under
+    the enclosing binders' names primed apart, a type mismatch's sides normalized within 10,000 of its steps."""
+    if len(e.args) < 2:
+        return Exception.__str__(e)
+    text, *parts, binders = e.args
+    names: dict[str, None] = {}  # ordered, with constant-time lookups
+    for n, _ in binders:
+        n = n or "x"
+        while n in names:
+            n += "'"
+        names[n] = None
+    for i, t in enumerate(parts if isinstance(e, kernel.TypeMismatch) and e.sig is not None else ()):
+        with suppress(kernel.FuelExhausted):  # a side whose normal form is out of reach shows as compared
+            parts[i] = kernel.normalize(e.sig, t, kernel.Fuel(min(e.steps, 10_000)))
+    return text.format(*(print_term(p, tuple(names)) if isinstance(p, KTerm) else p for p in parts))
 
 
 def print_entry(e: Entry, show: Callable[..., str] = print_term) -> str:

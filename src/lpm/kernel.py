@@ -4,7 +4,8 @@ The trusted core: weak-head and full normalization under beta plus the
 signature's rewrite rules, the conversion test, and the bidirectional
 typing judgment.  All operations are pure functions of a signature and a
 term; a shared fuel budget makes divergent user rewrite systems fail
-loudly instead of hanging.
+loudly instead of hanging.  An error keeps the terms it names, and the
+untrusted `lpm.dkprint` words it only when it is read.
 
 `whnf` is the one reduction entry point and the head it returns is final,
 so typing reads products and sorts off it, and conversion compares final
@@ -53,14 +54,10 @@ if TYPE_CHECKING:
 DEFAULT_REWRITE_STEPS = 100_000
 
 
-def _show(t: KTerm, scope: tuple[str, ...] = ()) -> str:
-    """`t` as `.dk` text for a message: a check that raises nothing never loads the printer."""
-    from .dkprint import print_term
-    return print_term(t, scope)
-
-
 class KernelError(Exception):
-    """Base class for kernel failures.
+    """Base class for kernel failures.  One that names terms holds its text,
+    the terms that fill its `{}` slots and last the enclosing binders, for
+    `lpm.dkprint.describe` to word.
 
     `trail` locates the failure in the term handed to `infer` or `check`:
     each `_infer` frame the error leaves through appends the child it came
@@ -71,6 +68,10 @@ class KernelError(Exception):
     def __init__(self, *args: object):
         super().__init__(*args)
         self.trail: list[int] = []
+
+    def __str__(self) -> str:
+        from .dkprint import describe
+        return describe(self)
 
     @property
     def position(self) -> tuple[int, ...]:
@@ -83,17 +84,11 @@ class FuelExhausted(KernelError):
 
 
 class UnboundIdentifier(KernelError):
-    def __init__(self, name: str):
-        super().__init__(f"unbound identifier: {name}")
-        self.name = name
+    pass
 
 
 class NotAFunction(KernelError):
-    def __init__(self, fn: KTerm, fn_type: KTerm, scope: tuple[str, ...] = ()):
-        super().__init__(
-            f"term {_show(fn, scope)} of type {_show(fn_type, scope)} is applied but is not a function")
-        self.fn = fn
-        self.fn_type = fn_type
+    pass
 
 
 class SortError(KernelError):
@@ -101,17 +96,18 @@ class SortError(KernelError):
 
 
 class UntypableKind(KernelError):
-    def __init__(self) -> None:
-        super().__init__("Kind has no type")
+    pass
 
 
 class TypeMismatch(KernelError):
-    """Failed conversion check, carrying both sides in normal form."""
+    """Failed conversion check: `expected` and `actual` are the types as compared, not their
+    normal forms, which the message shows as far as `sig` and the `steps` then left reach."""
 
-    def __init__(self, expected: KTerm, actual: KTerm, scope: tuple[str, ...] = ()):
-        super().__init__(f"type mismatch: expected {_show(expected, scope)}, found {_show(actual, scope)}")
+    def __init__(self, expected: KTerm, actual: KTerm, binders: Binders = (), sig: Signature | None = None, steps=0):
+        super().__init__("type mismatch: expected {}, found {}", expected, actual, binders)
         self.expected = expected
         self.actual = actual
+        self.sig, self.steps = sig, steps
 
 
 class Fuel:
@@ -415,25 +411,26 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                     ty = whnf(sig, instantiate_many(ty, pending), fuel)
                     pending = []
                     if type(ty) is not Pi:
-                        raise NotAFunction(app(f, *args[:j]), ty, _names(bound))
+                        raise NotAFunction("term {} of type {} is applied but is not a function",
+                                           app(f, *args[:j]), ty, bound[:])
                 arg_ty = sig.type_of(a.name) if a.__class__ is Const else memo.get(a) if a.lbr == 0 else None
                 if arg_ty is None:
                     arg_ty = _infer(sig, bound, a, fuel, memo, 1)
                 dom = instantiate_many(ty.domain, pending)
                 if not _conv(sig, arg_ty, dom, fuel):
-                    raise TypeMismatch(_safe_nf(sig, dom, fuel), _safe_nf(sig, arg_ty, fuel), _names(bound))
+                    raise TypeMismatch(dom, arg_ty, bound[:], sig, fuel.steps_left)
                 pending.append(a)
                 ty = ty.codomain
             ty = instantiate_many(ty, pending)
         elif cls is Const or cls is FVar:
             ty = sig.type_of(t.name) if cls is Const else None  # the context's are in `memo`
             if ty is None:
-                raise UnboundIdentifier(t.name)
+                raise UnboundIdentifier(f"unbound identifier: {t.name}")
             return ty
         elif cls is Var:
             i = t.index
             if i >= len(bound):
-                raise UnboundIdentifier(f"#{i}")
+                raise UnboundIdentifier(f"unbound identifier: #{i}")
             return shift(bound[-1 - i][1], i + 1)
         elif cls is Lam:
             _check_domain(sig, bound, t.annot, fuel, memo)
@@ -445,7 +442,7 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
                 e.trail.clear()  # body_ty is not a subterm: the failure is here
                 raise
             if not isinstance(s, Sort):
-                raise SortError(f"lambda body type {_show(body_ty, _names(bound))} does not live in a sort")
+                raise SortError("lambda body type {} does not live in a sort", body_ty, bound[:])
             bound.pop()
             ty = Pi(t.name, t.annot, body_ty)
         elif cls is Pi:
@@ -454,11 +451,11 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
             ty = whnf(sig, _infer(sig, bound, t.codomain, fuel, memo, 1), fuel)
             bound.pop()
             if not isinstance(ty, Sort):
-                raise SortError(f"product codomain in {_show(t, _names(bound))} is not a sort")
+                raise SortError("product codomain in {} is not a sort", t, bound[:])
         elif cls is Sort:
             if t.name == "Type":
                 return KIND
-            raise UntypableKind()
+            raise UntypableKind("Kind has no type")
         else:
             raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
@@ -475,19 +472,7 @@ def _check_domain(sig: Signature, bound: Binders, ty: KTerm, fuel: Fuel, memo: M
     """`ty`, child 0 of a binder, must have sort Type."""
     s = whnf(sig, _infer(sig, bound, ty, fuel, memo, 0), fuel)
     if s != TYPE:
-        names = _names(bound)
-        raise SortError(f"binder domain {_show(ty, names)} must have sort Type, has {_show(s, names)}")
-
-
-def _names(bound: Binders) -> tuple[str, ...]:
-    """The binders' names for messages, outermost first, primed apart."""
-    names: dict[str, None] = {}  # ordered, with constant-time lookups
-    for n, _ in bound:
-        n = n or "x"
-        while n in names:
-            n += "'"
-        names[n] = None
-    return tuple(names)
+        raise SortError("binder domain {} must have sort Type, has {}", ty, s, bound[:])
 
 
 def check(sig: Signature, ctx: Context, t: KTerm, expected: KTerm, fuel: Fuel | None = None) -> None:
@@ -495,12 +480,4 @@ def check(sig: Signature, ctx: Context, t: KTerm, expected: KTerm, fuel: Fuel | 
     fuel = fuel or Fuel()
     actual = infer(sig, ctx, t, fuel)
     if not _conv(sig, actual, expected, fuel):
-        raise TypeMismatch(_safe_nf(sig, expected, fuel), _safe_nf(sig, actual, fuel))
-
-
-def _safe_nf(sig: Signature, t: KTerm, fuel: Fuel) -> KTerm:
-    """Best-effort normal form for error messages."""
-    try:
-        return normalize(sig, t, Fuel(min(fuel.steps_left, 10_000)))
-    except FuelExhausted:
-        return t
+        raise TypeMismatch(expected, actual, (), sig, fuel.steps_left)

@@ -7,6 +7,7 @@ copies the tables once, checks each entry's well-formedness side
 conditions and extends the copy in place, so an install is linear in its
 entries and returns a new signature, leaving the original untouched.
 A rule's left side is a constant-headed pattern, and FV(rhs) <= FV(lhs) <= ctx.
+An error keeps the terms it names; `lpm.dkprint` words it when it is read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .terms import Const, FVar, KTerm, Sort, free_fvars, spine
 
 
 class SignatureError(Exception):
-    """Base class for signature construction failures."""
+    """Base class for signature construction failures, worded as a `kernel.KernelError`."""
+
+    __str__ = kernel.KernelError.__str__
 
 
 class DuplicateName(SignatureError):
@@ -28,14 +31,12 @@ class DuplicateName(SignatureError):
 
 
 class NotASort(SignatureError):
-    def __init__(self, name: str, ty: KTerm):
-        super().__init__(f"type of {name} must be a sort, found {kernel._show(ty)}")
-        self.name = name
+    pass
 
 
 class IllTypedSide(SignatureError):
     def __init__(self, side: str, cause: Exception):
-        super().__init__(f"ill-typed rewrite rule {side}-hand side: {cause}")
+        super().__init__(f"ill-typed rewrite rule {side}-hand side: {{}}", cause, ())
         self.side = side
         self.cause = cause
 
@@ -45,7 +46,7 @@ class IllTypedBody(IllTypedSide):
     right-hand side of the rule a `def` installs, named as the definition."""
 
     def __init__(self, name: str, cause: Exception):
-        SignatureError.__init__(self, f"ill-typed body of definition {name}: {cause}")
+        SignatureError.__init__(self, "ill-typed body of definition {}: {}", name, cause, ())
         self.side = "right"
         self.cause = cause
         self.name = name
@@ -96,7 +97,7 @@ EMPTY = Signature()
 
 
 def _add_rewrite(sig: Signature, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, rhs: KTerm,
-                 fuel: kernel.Fuel | None) -> None:
+                 fuel: kernel.Fuel | None, rule_type: KTerm | None = None) -> None:
     delta: dict[str, KTerm] = {}
     for name, ty in ctx:
         if name in delta:
@@ -110,7 +111,7 @@ def _add_rewrite(sig: Signature, ctx: Sequence[tuple[str, KTerm]], lhs: KTerm, r
         raise FVViolation(rhs_vars - lhs_vars, "right-hand side not covered by the left")
     side = "left"
     try:
-        rule_type = kernel.infer(sig, delta, lhs, fuel)
+        rule_type = kernel.infer(sig, delta, lhs, fuel) if rule_type is None else rule_type
         side = "right"
         kernel.check(sig, delta, rhs, rule_type, fuel)
     except kernel.FuelExhausted:
@@ -125,7 +126,7 @@ def _check_sort(sig: Signature, ctx: dict[str, KTerm], name: str, ty: KTerm, fue
     """The type `ty` given to `name` must have a sort."""
     sort = kernel.whnf(sig, kernel.infer(sig, ctx, ty, fuel), fuel)
     if not isinstance(sort, Sort):
-        raise NotASort(name, sort)
+        raise NotASort("type of {} must be a sort, found {}", name, sort, ())
 
 
 def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
@@ -142,9 +143,9 @@ def _check_pattern(lhs: KTerm, delta: set[str]) -> None:
             case Const():
                 stack += args
             case _ if sub is lhs:
-                raise NonPatternLhs(f"rule left-hand side must be headed by a constant, found {kernel._show(head)}")
+                raise NonPatternLhs("rule left-hand side must be headed by a constant, found {}", head, ())
             case _:
-                raise NonPatternLhs(f"subterm {kernel._show(sub)} is not first-order pattern syntax")
+                raise NonPatternLhs("subterm {} is not first-order pattern syntax", sub, ())
 
 
 def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None = None,
@@ -155,8 +156,8 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
     and `sig` is left unchanged, also when an entry is rejected.  The
     entries share `fuel`, or each gets a fresh `Fuel(budget)` if given.
 
-    Definitions desugar to a declaration plus an empty-context rewrite
-    rule; `#ASSERT` entries run a check without extending the signature.
+    A definition's body is checked before its name is declared, with a
+    rule to the body; `#ASSERT` entries run a check and extend nothing.
     """
     sig = Signature(dict(sig._types), dict(sig._rules), sig.eta)
     for e in entries:
@@ -167,12 +168,12 @@ def install_entries(sig: Signature, entries: Iterable, fuel: kernel.Fuel | None 
                 if n in sig._types:
                     raise DuplicateName(n)
                 _check_sort(sig, {}, n, ty, fuel)
-                sig._types[n] = ty
-                if e.__class__ is dkparse.Def:
+                if e.__class__ is dkparse.Def:  # the body is checked before `n` exists, so it cannot name `n`
                     try:
-                        _add_rewrite(sig, (), Const(n), e.body, fuel)
+                        _add_rewrite(sig, (), Const(n), e.body, fuel, ty)
                     except IllTypedSide as err:
                         raise IllTypedBody(n, err.cause) from err.cause
+                sig._types[n] = ty
             case dkparse.Rule(ctx=ctx, lhs=lhs, rhs=rhs):
                 _add_rewrite(sig, ctx, lhs, rhs, fuel)
             case dkparse.AssertType(term=t, type=ty):

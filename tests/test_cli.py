@@ -148,6 +148,25 @@ def test_divergent_argument_no_pattern_reads_is_left_alone(tmp_path, capsys):
     assert (code, json.loads(out)["exit_code"], err) == (0, 0, "")
 
 
+@pytest.mark.parametrize("certificate", [False, True], ids=["plain", "certificate"])
+def test_a_definition_cannot_name_itself(tmp_path, capsys, certificate):
+    # a body is checked before its name is declared, so `def p : F := p.`
+    # is unbound, not a proof of F; after the emitted modules and a theory
+    # of one proposition, the same trick "proved" an unprovable goal
+    files, name, line = {"p.dk": "F : Type.\ndef p : F := p.\n"}, "p", 2
+    if certificate:
+        files = {n: text for n, (_, text) in cli._preludes("shallow").items()}
+        files["theory.dk"] = "t.P : logic.Prop.\n"
+        files["cert.dk"] = "def cert.goal : logic.prf (logic.not t.P) -> logic.prf logic.False := cert.goal.\n"
+        name, line = "cert.goal", 1
+    for n, text in files.items():
+        (tmp_path / n).write_text(text)
+    code, out, _ = run(["--json", "check", *(str(tmp_path / n) for n in files)], capsys)
+    message = f"ill-typed body of definition {name}: unbound identifier: {name}"
+    assert (code, json.loads(out)["diagnostics"]) == (1, [{"file": str(tmp_path / n), "line": line, "col": 1,
+                                                             "message": message}])
+
+
 def test_fuel_env_override(tmp_path, capsys, monkeypatch):
     f = tmp_path / "loop.dk"
     f.write_text("b : Type.\nc : b.\nd : b.\n[] c --> c.\nP : b -> Type.\nx : P c.\n#ASSERT x : P d.\n")
@@ -878,7 +897,7 @@ def test_check_loads_only_the_trusted_base(tmp_path, capsys):
 
 
 def test_check_loads_the_printer_only_to_word_a_rejection(tmp_path, capsys):
-    # the message is built when the kernel raises, byte for byte as when the printer was trusted
+    # the message is worded when the rejection is read, byte for byte as when the printer was trusted
     from mutations import chain_certificate
 
     out = tmp_path / "out"
@@ -999,4 +1018,66 @@ def test_translate_of_edited_files_ends_in_a_verdict(tmp_path_factory, data):
         code = cli.main(["--json", "translate", str(d / "t.tffx"), str(d / "p.llpx"), "--out", str(d / "out")])
     assert code in (0, 1, 2, 3)
     assert json.loads(out.getvalue())["exit_code"] == code
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Edited emitted `.dk` files (ROADMAP item 6): a token or entry edit of the
+# `theory.dk` or `cert.dk` that `lpm examples` writes ends in a verdict when
+# checked after its preludes, with a message for every diagnostic
+
+
+_DK_TOKEN_RE = re.compile(r"[()\[\],]|[^\s()\[\],]+")
+
+
+@pytest.fixture(scope="module")
+def emitted_dk(tmp_path_factory) -> dict[str, dict[str, str]]:
+    """The four files `lpm examples` writes for each built-in, by file name."""
+    texts = {}
+    for name in sorted(examples.BUILTINS):
+        out = tmp_path_factory.mktemp(name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["examples", name, "--out", str(out)]) == 0
+        texts[name] = {f: (out / f).read_text() for f in ("logic.dk", "rules.dk", "theory.dk", "cert.dk")}
+    return texts
+
+
+def _edit_dk(data, text: str) -> str:
+    if not text.strip():
+        return text
+    kind = data.draw(st.sampled_from(("delete", "duplicate", "swap", "drop entry")))
+    if kind == "drop entry":  # one entry per line
+        lines = text.splitlines(keepends=True)
+        del lines[data.draw(st.integers(0, len(lines) - 1))]
+        return "".join(lines)
+    spans = [m.span() for m in _DK_TOKEN_RE.finditer(text)]
+    (i, j), (k, m) = (data.draw(st.sampled_from(spans)) for _ in range(2))
+    if kind == "delete":
+        return text[:i] + text[j:]
+    if kind == "duplicate":
+        return text[:j] + " " + text[i:j] + text[j:]
+    if i > k:
+        (i, j), (k, m) = (k, m), (i, j)
+    return text[:i] + text[k:m] + text[j:k] + text[i:j] + text[m:] if j <= k else text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_check_of_edited_emitted_files_ends_in_a_verdict(tmp_path_factory, emitted_dk, data):
+    texts = dict(emitted_dk[data.draw(st.sampled_from(sorted(emitted_dk)))])
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(("theory.dk", "cert.dk")))
+        texts[name] = _edit_dk(data, texts[name])
+    d = tmp_path_factory.mktemp("edited-dk")
+    for name, text in texts.items():
+        (d / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--json", "check", *(str(d / name) for name in texts)])
+    assert code in (0, 1, 2, 3)
+    payload = json.loads(out.getvalue())
+    assert payload["exit_code"] == code and (code == 0) == (payload["diagnostics"] == [])
+    for diagnostic in payload["diagnostics"]:
+        assert isinstance(diagnostic["message"], str) and diagnostic["message"]
+        assert "Traceback" not in diagnostic["message"]
     assert "Traceback" not in err.getvalue()
