@@ -263,7 +263,7 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
             file = args.proof
             goal, proof = llproof.parse_proof(Path(file).read_text(encoding="utf-8"), thy)
         file = args.theory
-        tff.wf_theory(thy)
+        llproof.checked_theory(thy)
         theory = embed.theory_entries(thy)
         files = {**_preludes(args.mode), "theory.dk": (theory, dkprint.print_file(theory))}
         if args.proof:

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import tff
 from .dkparse import Comment, Decl, Entry, Rule, parse_file
+from .record import values as field_values
 from .terms import App, Const, FVar, KTerm, Lam, Pi, Var, app, arrow
 
 PROP = Const("logic.Prop")
@@ -40,6 +41,14 @@ NOT = Const("logic.not")
 FORALL = Const("logic.forall")
 EXISTS = Const("logic.exists")
 _HEADS = {row.cls: Const(row.const) for row in tff.CONNECTIVES if row.const is not None}
+# the connectives whose every field is one formula, term or type: their
+# constant applied to each field's translation
+_DIRECT = frozenset(row.cls for row in tff.CONNECTIVES
+                    if row.const is not None and all(k in (tff.FORMULA, tff.TY, tff.TERM) for k in row.kinds))
+# predicates, functions and type constructors: their symbol applied to the
+# translation of each item of their lists
+_APPLIED = frozenset(cls for cls, row in tff.ROWS.items()
+                     if row.kinds[:1] == (tff.SYMBOL,) and all(k in (tff.TYS, tff.ARGS) for k in row.kinds[1:]))
 
 
 def prf(t: KTerm) -> KTerm:
@@ -87,8 +96,25 @@ def prelude(mode: str = "shallow") -> list[Entry]:
 # bound names -> the levels of their binders, outermost 0: under `depth`
 # binders a name bound at `level` is the index `depth - level - 1`
 Env = Mapping[str, int]
-# the translations of the nodes one caller translates under an empty `Env`
-Memo = dict[object, KTerm]
+
+
+class Memo(dict):
+    """The translations of the nodes one caller translates, each entry
+    holding its node, so no id names two nodes while the memo lives.
+
+    Under no binder a node is keyed by its id.  Under binders its
+    translation depends on the indices its free names take, so it is
+    keyed by its id and those indices; `free` gives the names free in a
+    node."""
+
+    def __init__(self, free: Callable[[object], Iterable[str]]):
+        super().__init__()
+        self.free = free
+
+    def key(self, x: object, env: Env, depth: int) -> object:
+        """The key of `x` under the binders of a non-empty `env`."""
+        indices = tuple(-1 if (level := env.get(v)) is None else depth - level - 1 for v in self.free(x))
+        return (id(x), indices) if any(i >= 0 for i in indices) else id(x)
 
 
 def translate(
@@ -101,24 +127,33 @@ def translate(
     applied to its type arguments, then its terms; a variable bound in
     `env` becomes its index under `depth` binders, and unbound ones map to
     themselves.  A bound variable and the body after it become one
-    abstraction.  With `memo` and an empty `env`, equal nodes translate to
-    one shared term."""
+    abstraction.  With `memo`, a node translates to one shared term however
+    often it is met where its free names have the same indices."""
     if env is None:
         env = {}
-    if memo is not None and not env and (t := memo.get(x)) is not None:
-        return t
-    row = tff.row_of(x)
-    head = _HEADS.get(row.cls)
-    if head is None:
-        name, kind = row.fields[0]
-        v = getattr(x, name)
-        if kind is not tff.SYMBOL:
+    key = None if memo is None else id(x) if not env else memo.key(x, env, depth)
+    if key is not None and (hit := memo.get(key)) is not None:
+        return hit[1]
+    if x.__class__ in _DIRECT:
+        t, args = _HEADS[x.__class__], field_values(x)
+    elif x.__class__ in _APPLIED:
+        name, *lists = field_values(x)
+        t, args = Const(qualify(module, name) if module else name), [y for items in lists for y in items]
+    else:  # a variable or a binder
+        row = tff.row_of(x)
+        head = _HEADS.get(row.cls)
+        if head is None:
+            v = getattr(x, row.fields[0][0])
             level = env.get(v)
             return FVar(v) if level is None else Var(depth - level - 1, v)
-        head = Const(qualify(module, v)) if module else Const(v)
-    t = app(head, *translate_fields(row.fields, x, module, env, depth, memo))
-    if memo is not None and not env:
-        memo[x] = t
+        t, args = head, ()
+        for a in translate_fields(row.fields, x, module, env, depth, memo):
+            t = App(t, a)
+    for v in args:
+        hit = memo.get(id(v)) if memo is not None and not env else None
+        t = App(t, translate(v, module, env, depth, memo) if hit is None else hit[1])
+    if key is not None:
+        memo[key] = (x, t)
     return t
 
 
@@ -140,7 +175,7 @@ def translate_fields(
                 args.append(translate(v, module, env, depth, memo))
             else:
                 annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
-                args.append(Lam(bound, annot, translate(v, module, {**env, bound: depth}, depth + 1)))
+                args.append(Lam(bound, annot, translate(v, module, {**env, bound: depth}, depth + 1, memo)))
         elif kind is tff.TY:
             kty = translate(v, module, env, depth, memo)
             args.append(kty)

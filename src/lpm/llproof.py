@@ -29,12 +29,25 @@ a `CertificateError` collects its path as it leaves each frame.  A
 steps it stands for, which `_decompose` builds where the translator
 reaches the node.  An extension rule node takes `(abs X TY F)` arguments
 only, and its shape and constant are registered in `embed.EXT_RULES`.
+
+A certificate costs what its own nodes cost.  The theory is checked once
+per theory value (`checked_theory`).  Each translator interns the
+formulas it meets and builds (`_Interner`): the rows build their
+formulas through it, so equal formulas are one object and a node's
+consumed hypothesis is the very object its parent bound.  Its tables are
+then keyed by id, each holding the objects it keys, and go with the
+translator: the hypotheses in scope, the kernel term of each formula
+(keyed also by the indices of the eigenvariables it mentions, so a
+formula is embedded once per binder depth), each hypothesis type, and
+each formula's free variables.  Freshness reads counts of the free
+variables of the hypotheses in scope, kept as they are bound and
+unbound, instead of rescanning the sequent.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
 from .dkparse import Def, Entry
@@ -258,16 +271,16 @@ class UnregisteredExtRule(CertificateError):
 # Rule schemas: one row per rule
 
 
-def _neq(ty: tff.TffType, t: tff.TffTerm, u: tff.TffTerm) -> tff.TffFormula:
-    return tff.Not(tff.Eq(ty, t, u))
+def _neq(f: _Interner, ty: tff.TffType, t: tff.TffTerm, u: tff.TffTerm) -> tff.TffFormula:
+    return f.Not(f.Eq(ty, t, u))
 
 
-def _inst(body: tff.TffFormula, var: str, value: tff.TffTerm) -> tff.TffFormula:
-    return tff.subst_formula(body, {var: value})
+def _inst(f: _Interner, body: tff.TffFormula, var: str, value: tff.TffTerm) -> tff.TffFormula:
+    return f.canon(tff.subst_formula(body, {var: value}, f.vars))
 
 
-def _inst_ty(body: tff.TffFormula, tvar: str, value: tff.TffType) -> tff.TffFormula:
-    return tff.subst_type_in_formula(body, {tvar: value})
+def _inst_ty(f: _Interner, body: tff.TffFormula, tvar: str, value: tff.TffType) -> tff.TffFormula:
+    return f.canon(tff.subst_type_in_formula(body, {tvar: value}, f.tvars))
 
 
 WITNESS = tff.FieldKind("closed witness term", tff.TERM.read, tff.TERM.write)
@@ -305,114 +318,181 @@ class RuleSchema(NamedTuple):
     translates them, a witness as the term or type it holds.
     `consumes` maps a rule to the hypotheses its node consumes by default,
     and `blocks` to the hypotheses each premise introduces, in binding
-    order.  `const` names the rule's constant in the `rules` module; `Pred`
-    and `Fun` have none (they are compiled as their `Subst` chains), nor
-    has `Ext` (its constant belongs to the theory).
+    order; both build their formulas through the `_Interner` they are
+    given.  `const` names the rule's constant in the `rules`
+    module; `Pred` and `Fun` have none (they are compiled as their `Subst`
+    chains), nor has `Ext` (its constant belongs to the theory).
     """
 
     cls: type
     tag: str
     const: Optional[str]
     kinds: tuple[tff.FieldKind, ...]
-    consumes: Callable[[LLRule], Sequence[tff.TffFormula]]
-    blocks: Callable[[LLRule], Sequence[Sequence[tff.TffFormula]]]
+    consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
+    blocks: Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]
 
 
-def _closes(rule: LLRule) -> list:
+def _closes(rule: LLRule, f: _Interner) -> list:
     return []
 
 
-def _eq_blocks(rule: Union[Pred, Fun]) -> list[list[tff.TffFormula]]:
-    return [[_neq(ty, t, u)] for ty, t, u in zip(rule.eq_types, rule.lhs_args, rule.rhs_args)]
+def _eq_blocks(rule: Union[Pred, Fun], f: _Interner) -> list[list[tff.TffFormula]]:
+    return [[_neq(f, ty, t, u)] for ty, t, u in zip(rule.eq_types, rule.lhs_args, rule.rhs_args)]
 
 
 RULES: tuple[RuleSchema, ...] = (
-    RuleSchema(Bot, "bot", "R_bot", (), lambda r: [tff.Bottom()], _closes),
-    RuleSchema(NotTop, "nottop", "R_nottop", (), lambda r: [tff.Not(tff.Top())], _closes),
-    RuleSchema(Ax, "ax", "R_Ax", (FORMULA,), lambda r: [r.p, tff.Not(r.p)], _closes),
-    RuleSchema(Cut, "cut", "R_Cut", (FORMULA,), lambda r: [],
-               lambda r: [[r.p], [tff.Not(r.p)]]),
-    RuleSchema(Neq, "neq", "R_neq", (TY, TERM), lambda r: [_neq(r.ty, r.t, r.t)], _closes),
+    RuleSchema(Bot, "bot", "R_bot", (), lambda r, f: [f.Bottom()], _closes),
+    RuleSchema(NotTop, "nottop", "R_nottop", (), lambda r, f: [f.Not(f.Top())], _closes),
+    RuleSchema(Ax, "ax", "R_Ax", (FORMULA,), lambda r, f: [r.p, f.Not(r.p)], _closes),
+    RuleSchema(Cut, "cut", "R_Cut", (FORMULA,), lambda r, f: [],
+               lambda r, f: [[r.p], [f.Not(r.p)]]),
+    RuleSchema(Neq, "neq", "R_neq", (TY, TERM), lambda r, f: [_neq(f, r.ty, r.t, r.t)], _closes),
     RuleSchema(Sym, "sym", "R_Sym", (TY, TERM, TERM),
-               lambda r: [tff.Eq(r.ty, r.t, r.u), _neq(r.ty, r.u, r.t)], _closes),
-    RuleSchema(NotNot, "notnot", "R_notnot", (FORMULA,), lambda r: [tff.Not(tff.Not(r.p))],
-               lambda r: [[r.p]]),
-    RuleSchema(And, "and", "R_and", (FORMULA, FORMULA), lambda r: [tff.And(r.p, r.q)],
-               lambda r: [[r.p, r.q]]),
-    RuleSchema(Or, "or", "R_or", (FORMULA, FORMULA), lambda r: [tff.Or(r.p, r.q)],
-               lambda r: [[r.p], [r.q]]),
-    RuleSchema(Imp, "imp", "R_imp", (FORMULA, FORMULA), lambda r: [tff.Implies(r.p, r.q)],
-               lambda r: [[tff.Not(r.p)], [r.q]]),
-    RuleSchema(Iff, "iff", "R_eqv", (FORMULA, FORMULA), lambda r: [tff.Iff(r.p, r.q)],
-               lambda r: [[tff.Not(r.p), tff.Not(r.q)], [r.p, r.q]]),
-    RuleSchema(NotAnd, "notand", "R_notand", (FORMULA, FORMULA), lambda r: [tff.Not(tff.And(r.p, r.q))],
-               lambda r: [[tff.Not(r.p)], [tff.Not(r.q)]]),
-    RuleSchema(NotOr, "notor", "R_notor", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Or(r.p, r.q))],
-               lambda r: [[tff.Not(r.p), tff.Not(r.q)]]),
-    RuleSchema(NotImp, "notimp", "R_notimp", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Implies(r.p, r.q))],
-               lambda r: [[r.p, tff.Not(r.q)]]),
-    RuleSchema(NotIff, "notiff", "R_noteqv", (FORMULA, FORMULA), lambda r: [tff.Not(tff.Iff(r.p, r.q))],
-               lambda r: [[tff.Not(r.p), r.q], [r.p, tff.Not(r.q)]]),
+               lambda r, f: [f.Eq(r.ty, r.t, r.u), _neq(f, r.ty, r.u, r.t)], _closes),
+    RuleSchema(NotNot, "notnot", "R_notnot", (FORMULA,), lambda r, f: [f.Not(f.Not(r.p))],
+               lambda r, f: [[r.p]]),
+    RuleSchema(And, "and", "R_and", (FORMULA, FORMULA), lambda r, f: [f.And(r.p, r.q)],
+               lambda r, f: [[r.p, r.q]]),
+    RuleSchema(Or, "or", "R_or", (FORMULA, FORMULA), lambda r, f: [f.Or(r.p, r.q)],
+               lambda r, f: [[r.p], [r.q]]),
+    RuleSchema(Imp, "imp", "R_imp", (FORMULA, FORMULA), lambda r, f: [f.Implies(r.p, r.q)],
+               lambda r, f: [[f.Not(r.p)], [r.q]]),
+    RuleSchema(Iff, "iff", "R_eqv", (FORMULA, FORMULA), lambda r, f: [f.Iff(r.p, r.q)],
+               lambda r, f: [[f.Not(r.p), f.Not(r.q)], [r.p, r.q]]),
+    RuleSchema(NotAnd, "notand", "R_notand", (FORMULA, FORMULA), lambda r, f: [f.Not(f.And(r.p, r.q))],
+               lambda r, f: [[f.Not(r.p)], [f.Not(r.q)]]),
+    RuleSchema(NotOr, "notor", "R_notor", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Or(r.p, r.q))],
+               lambda r, f: [[f.Not(r.p), f.Not(r.q)]]),
+    RuleSchema(NotImp, "notimp", "R_notimp", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Implies(r.p, r.q))],
+               lambda r, f: [[r.p, f.Not(r.q)]]),
+    RuleSchema(NotIff, "notiff", "R_noteqv", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Iff(r.p, r.q))],
+               lambda r, f: [[f.Not(r.p), r.q], [r.p, f.Not(r.q)]]),
     RuleSchema(Exists, "exists", "R_exists", (TY, BOUND, FORMULA, FRESH),
-               lambda r: [tff.Exists(r.var, r.ty, r.body)],
-               lambda r: [[_inst(r.body, r.var, tff.Var(r.const))]]),
+               lambda r, f: [f.Exists(r.var, r.ty, r.body)],
+               lambda r, f: [[_inst(f, r.body, r.var, f.Var(r.const))]]),
     RuleSchema(Forall, "forall", "R_forall", (TY, BOUND, FORMULA, WITNESS),
-               lambda r: [tff.Forall(r.var, r.ty, r.body)],
-               lambda r: [[_inst(r.body, r.var, r.witness)]]),
+               lambda r, f: [f.Forall(r.var, r.ty, r.body)],
+               lambda r, f: [[_inst(f, r.body, r.var, r.witness)]]),
     RuleSchema(NotExists, "notexists", "R_notexists", (TY, BOUND, FORMULA, WITNESS),
-               lambda r: [tff.Not(tff.Exists(r.var, r.ty, r.body))],
-               lambda r: [[tff.Not(_inst(r.body, r.var, r.witness))]]),
+               lambda r, f: [f.Not(f.Exists(r.var, r.ty, r.body))],
+               lambda r, f: [[f.Not(_inst(f, r.body, r.var, r.witness))]]),
     RuleSchema(NotForall, "notforall", "R_notforall", (TY, BOUND, FORMULA, FRESH),
-               lambda r: [tff.Not(tff.Forall(r.var, r.ty, r.body))],
-               lambda r: [[tff.Not(_inst(r.body, r.var, tff.Var(r.const)))]]),
+               lambda r, f: [f.Not(f.Forall(r.var, r.ty, r.body))],
+               lambda r, f: [[f.Not(_inst(f, r.body, r.var, f.Var(r.const)))]]),
     RuleSchema(ExistsType, "existstype", "R_existstype", (BOUND_TY, FORMULA, FRESH_TY),
-               lambda r: [tff.ExistsType(r.tvar, r.body)],
-               lambda r: [[_inst_ty(r.body, r.tvar, tff.TVar(r.fresh_type))]]),
+               lambda r, f: [f.ExistsType(r.tvar, r.body)],
+               lambda r, f: [[_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type))]]),
     RuleSchema(ForallType, "foralltype", "R_foralltype", (BOUND_TY, FORMULA, WITNESS_TY),
-               lambda r: [tff.ForallType(r.tvar, r.body)],
-               lambda r: [[_inst_ty(r.body, r.tvar, r.witness)]]),
+               lambda r, f: [f.ForallType(r.tvar, r.body)],
+               lambda r, f: [[_inst_ty(f, r.body, r.tvar, r.witness)]]),
     RuleSchema(NotExistsType, "notexiststype", "R_notexiststype", (BOUND_TY, FORMULA, WITNESS_TY),
-               lambda r: [tff.Not(tff.ExistsType(r.tvar, r.body))],
-               lambda r: [[tff.Not(_inst_ty(r.body, r.tvar, r.witness))]]),
+               lambda r, f: [f.Not(f.ExistsType(r.tvar, r.body))],
+               lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, r.witness))]]),
     RuleSchema(NotForallType, "notforalltype", "R_notforalltype", (BOUND_TY, FORMULA, FRESH_TY),
-               lambda r: [tff.Not(tff.ForallType(r.tvar, r.body))],
-               lambda r: [[tff.Not(_inst_ty(r.body, r.tvar, tff.TVar(r.fresh_type)))]]),
+               lambda r, f: [f.Not(f.ForallType(r.tvar, r.body))],
+               lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type)))]]),
     RuleSchema(Pred, "pred", None, (SYMBOL, TYS, TERMS, TERMS, TYS),
-               lambda r: [tff.Pred(r.name, r.ty_args, r.lhs_args), tff.Not(tff.Pred(r.name, r.ty_args, r.rhs_args))],
+               lambda r, f: [f.Pred(r.name, r.ty_args, r.lhs_args), f.Not(f.Pred(r.name, r.ty_args, r.rhs_args))],
                _eq_blocks),
     RuleSchema(Fun, "fun", None, (SYMBOL, TYS, TERMS, TERMS, TYS, TY),
-               lambda r: [_neq(r.result_ty, tff.Fun(r.name, r.ty_args, r.lhs_args),
-                               tff.Fun(r.name, r.ty_args, r.rhs_args))],
+               lambda r, f: [_neq(f, r.result_ty, f.Fun(r.name, r.ty_args, r.lhs_args),
+                                  f.Fun(r.name, r.ty_args, r.rhs_args))],
                _eq_blocks),
     RuleSchema(Subst, "subst", "R_Subst", (TY, BOUND, FORMULA, TERM, TERM),
-               lambda r: [_inst(r.body, r.var, r.t)],
-               lambda r: [[_neq(r.ty, r.t, r.u)], [_inst(r.body, r.var, r.u)]]),
+               lambda r, f: [_inst(f, r.body, r.var, r.t)],
+               lambda r, f: [[_neq(f, r.ty, r.t, r.u)], [_inst(f, r.body, r.var, r.u)]]),
     RuleSchema(Ext, "ext", None, (SYMBOL, EXT_ARGS, FORMULAS, BLOCKS),
-               lambda r: r.conclusions, lambda r: r.hyp_blocks),
+               lambda r, f: r.conclusions, lambda r, f: r.hyp_blocks),
 )
 _SCHEMA = {row.cls: row for row in RULES}
 _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
 
 
+# ---------------------------------------------------------------------------
+# Formula builders: one object per formula
+
+
+class _Interner:
+    """Builds each formula once per translator: one method per `tff` row,
+    named after its class, and `canon`, which a row applies to a formula
+    it did not build (a substitution's result).  Structurally equal
+    formulas are one object, so the translator's tables key them by id.
+
+    `shared` maps each formula met to the first one equal to it; a record
+    is hashed once, when it is built, so finding it walks no tree.
+    `built` maps a negation or binary connective and the ids of its
+    operands to the shared formula made of them, with the operands, so a
+    formula built at many proof nodes is constructed once.  `vars`,
+    `tvars` and `names` keep the free term variables, type variables and
+    both of each formula, term and type met, by id."""
+
+    def __init__(self) -> None:
+        self.shared: dict[object, object] = {}
+        self.built: dict[tuple, tuple] = {}
+        self.vars: tff.FreeMemo = {}
+        self.tvars: tff.FreeMemo = {}
+        self.names: tff.FreeMemo = {}
+
+    def canon(self, x: object) -> object:
+        return self.shared.setdefault(x, x)
+
+
+def _interned(cls: type) -> Callable:
+    """The `_Interner` method that builds a `cls` node: a negation or a
+    binary connective is found by the ids of its operands, others by value."""
+    kinds = tff.ROWS[cls].kinds
+    if kinds == (FORMULA,):
+        def build(self: _Interner, a: object) -> object:
+            hit = self.built.get((cls, id(a)))
+            if hit is None:
+                node = cls(a)
+                hit = self.built[cls, id(a)] = (self.shared.setdefault(node, node), a)
+            return hit[0]
+    elif kinds == (FORMULA, FORMULA):
+        def build(self: _Interner, a: object, b: object) -> object:
+            hit = self.built.get((cls, id(a), id(b)))
+            if hit is None:
+                node = cls(a, b)
+                hit = self.built[cls, id(a), id(b)] = (self.shared.setdefault(node, node), a, b)
+            return hit[0]
+    else:
+        def build(self: _Interner, *values: object) -> object:
+            node = cls(*values)
+            return self.shared.setdefault(node, node)
+    return build
+
+
+for _cls in tff.ROWS:
+    setattr(_Interner, _cls.__name__, _interned(_cls))
+
+
 class _Plan(NamedTuple):
     """A `RULES` row as `_Translator.translate` compiles it: its `rules`
     constant, if it has one, its fields, named, with the kinds they are
-    translated as (a witness as the term or type it holds), whether it has
-    witness or fresh fields, and its `consumes` and `blocks`."""
+    translated as (a witness as the term or type it holds), whether each
+    of those is one formula, term or type, whether it has witness or fresh
+    fields, and its `consumes` and `blocks`."""
 
     head: Optional[Const]
     fields: tuple[tuple[str, tff.FieldKind], ...]
+    direct: bool
     witnessed: bool
     fresh: bool
-    consumes: Callable[[LLRule], Sequence[tff.TffFormula]]
-    blocks: Callable[[LLRule], Sequence[Sequence[tff.TffFormula]]]
+    consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
+    blocks: Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]
 
 
 _WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
-_PLANS = {row.cls: _Plan(row.const and Const(f"rules.{row.const}"),
-                         tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)),
-                         any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
-                         row.consumes, row.blocks) for row in RULES}
+
+
+def _plan(row: RuleSchema) -> _Plan:
+    fields = tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds))
+    return _Plan(row.const and Const(f"rules.{row.const}"), fields, all(k in (FORMULA, TY, TERM) for _, k in fields),
+                 any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
+                 row.consumes, row.blocks)
+
+
+_PLANS = {row.cls: _plan(row) for row in RULES}
 
 
 def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
@@ -433,10 +513,11 @@ def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
     return out
 
 
-def _consumed(p: LLProof) -> tuple[tff.TffFormula, ...]:
-    """A node's consumed hypotheses, checking that a `(concl ...)` override
-    lists as many formulas as the rule consumes."""
-    default = tuple(_PLANS[p.rule.__class__].consumes(p.rule))
+def _consumed(p: LLProof, f: Optional[_Interner] = None) -> tuple[tff.TffFormula, ...]:
+    """A node's consumed hypotheses, built by `f` or a new `_Interner`,
+    checking that a `(concl ...)` override lists as many formulas as the
+    rule consumes."""
+    default = tuple(_PLANS[p.rule.__class__].consumes(p.rule, f or _Interner()))
     if p.concls is None:
         return default
     if len(p.concls) != len(default):
@@ -487,7 +568,7 @@ def _decompose(p: LLProof) -> LLProof:
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
             _check_arities(ts, us, eq_tys, p.premises)
             concls = _consumed(p)
-            atom = lambda args: _neq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
+            atom = lambda args: tff.Not(tff.Eq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us)))
             core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
             tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
             return LLProof(tree.rule, tree.premises, (concls[0],))
@@ -573,10 +654,10 @@ class _Layout(NamedTuple):
 
 
 class _Translator:
-    def __init__(self, thy: tff.TffTheory, tbl: tff.Table, sig: signature.Signature,
+    def __init__(self, module: str, tbl: tff.Table, axioms: Mapping[tff.TffFormula, str], sig: signature.Signature,
                  fuel: Optional[kernel.Fuel] = None):
         self.tbl = tbl
-        self.module = thy.name
+        self.module = module
         self.sig = sig
         self.steps = fuel.max_rewrite_steps if fuel else kernel.DEFAULT_REWRITE_STEPS  # per conversion
         self.counter = 0
@@ -584,16 +665,24 @@ class _Translator:
         # eigenvariable records the level of its binder, so a use at this
         # depth is the index `depth - level - 1`
         self.depth = 0
-        # formula -> stack of (hypothesis name, level), innermost last
-        self.env: dict[tff.TffFormula, list[tuple[str, int]]] = {}
+        # one object per structure: the tables below key a formula by id
+        self.formulas = _Interner()
+        # the hypotheses in scope, each bound as (formula, name, level),
+        # and by formula id: the formula, then its bindings, innermost last
         self.env_formulas: list[tuple[tff.TffFormula, str, int]] = []
+        self.env: dict[int, list] = {}
         # eigenvariables in scope -> their levels
         self.kenv: dict[str, int] = {}
-        # the embedding of each formula, term and type met with no
-        # eigenvariable in scope: equal formulas share one kernel term
-        self.memo: embed.Memo = {}
+        # the embedding of each formula, term and type met, keyed by id and
+        # by the indices of the eigenvariables it mentions
+        self.memo = embed.Memo(functools.partial(tff.free_names, memo=self.formulas.names))
+        # the id of an embedded formula -> its hypothesis type, which holds it
+        self.htypes: dict[int, KTerm] = {}
+        # from the first freshness check on: how many hypotheses in scope
+        # each free term and type variable occurs in
+        self.occurs: Optional[tuple[dict[str, int], dict[str, int]]] = None
         # each axiom formula -> the name of its first declaration
-        self.axioms = {f: n for n, f in reversed(tbl.axioms.items())}
+        self.axioms = axioms
         # set by `certificate_entries`: the layout of the refutation
         self.layout: Optional[_Layout] = None
 
@@ -603,23 +692,40 @@ class _Translator:
         """Bind a hypothesis `phi` at the current depth: its name and type."""
         name = f"h{self.counter}"
         self.counter += 1
-        ktype = prf(self.kterm(phi))
-        self.env.setdefault(phi, []).append((name, self.depth))
-        self.env_formulas.append((phi, name, self.depth))
+        phi = self.formulas.canon(phi)
+        kphi = self.kterm(phi)
+        ktype = self.htypes.get(id(kphi))
+        if ktype is None:
+            ktype = self.htypes[id(kphi)] = prf(kphi)
+        binding = (phi, name, self.depth)
+        stack = self.env.get(id(phi))
+        if stack is None:
+            stack = self.env[id(phi)] = [phi]
+        stack.append(binding)
+        self.env_formulas.append(binding)
+        if self.occurs is not None:
+            self.count(phi, 1)
         self.depth += 1
         return name, ktype
+
+    def count(self, phi: tff.TffFormula, step: int) -> None:
+        """Count the free variables of `phi` as occurring in `step` more hypotheses."""
+        f = self.formulas
+        for names, free in zip(self.occurs, (tff.formula_vars(phi, f.vars), tff.formula_tvars(phi, f.tvars))):
+            for v in free:
+                names[v] = names.get(v, 0) + step
 
     def var(self, name: str, level: int) -> Var:
         return Var(self.depth - level - 1, name)
 
     def kterm(self, x: object) -> KTerm:
         """A formula, term or type, with the eigenvariables in scope bound."""
+        if not self.kenv and (hit := self.memo.get(id(x))) is not None:
+            return hit[1]
         return embed.translate(x, self.module, self.kenv, self.depth, self.memo)
 
     def lookup(self, phi: tff.TffFormula) -> KTerm:
-        stack = self.env.get(phi)
-        if stack:
-            return self.var(*stack[-1])
+        """A consumed hypothesis `phi` that no hypothesis in scope is."""
         if (axiom := self.axioms.get(phi)) is not None:
             return Const(embed.qualify(self.module, axiom))
         # a bracketed hypothesis stands for any congruent formula, so a
@@ -644,17 +750,21 @@ class _Translator:
 
     def check_fresh(self, name: str, ty: Optional[tff.TffType]) -> None:
         """An eigenvariable is new: a constant of type `ty`, or a type if None."""
+        if self.occurs is None:
+            self.occurs = ({}, {})
+            for phi, *_ in self.env_formulas:
+                self.count(phi, 1)
         if ty is None:
-            what, clash, occurs = "type", "constructor", tff.formula_tvars
+            what, clash, occurs = "type", "constructor", self.occurs[1]
             taken = name in self.tbl.type_cons
         else:
-            what, clash, occurs = "constant", "symbol", tff.formula_vars
+            what, clash, occurs = "constant", "symbol", self.occurs[0]
             taken = name in self.tbl.funs or name in self.tbl.preds or name in self.tbl.type_cons
         if name in self.kenv:
             raise FreshnessViolation(f"{what} {name} was already introduced")
         if taken:
             raise FreshnessViolation(f"{what} {name} collides with a theory {clash}")
-        if any(name in occurs(phi) for phi, *_ in self.env_formulas):
+        if occurs.get(name):
             raise FreshnessViolation(f"{what} {name} occurs in the conclusion sequent")
 
     def check_witnesses(self, rule: LLRule) -> None:
@@ -692,26 +802,32 @@ class _Translator:
             p, step = _decompose(p), 0
         rule = p.rule
         plan = _PLANS[rule.__class__]
-        consumed = plan.consumes(rule) if p.concls is None else _consumed(p)
+        f = self.formulas
+        consumed = plan.consumes(rule, f) if p.concls is None else _consumed(p, f)
         if plan.head is None:
             t, kargs = self.ext_args(rule)
         else:
             if plan.witnessed:
                 self.check_witnesses(rule)
             t = plan.head
-            kargs = embed.translate_fields(plan.fields, rule, self.module, self.kenv, self.depth, self.memo)
+            if plan.direct:  # each field is one argument, most often embedded already
+                memo = self.memo
+                kargs = [hit[1] if not self.kenv and (hit := memo.get(id(v))) is not None else self.kterm(v)
+                         for v in field_values(rule)]
+            else:
+                kargs = embed.translate_fields(plan.fields, rule, self.module, self.kenv, self.depth, self.memo)
         for a in kargs:
             t = App(t, a)
-        blocks = plan.blocks(rule)
+        blocks = plan.blocks(rule, f)
         if len(p.premises) != len(blocks):
             raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
         eigen = _eigenvars(rule) if plan.fresh else ()
         # chain step k: premise 0 is the written node's premise k, and
         # premise 1 the next step of the same written node
-        written = tuple((i,) for i in range(len(blocks))) if step is None else ((step,), ())[: len(blocks)]
-        env, hyps = self.env, self.env_formulas
+        written = _written(len(blocks)) if step is None else ((step,), ())[: len(blocks)]
         layouts: list[_Layout] = []
+        env, hyps, shared = self.env, self.env_formulas, f.shared
         for premise, block, at in zip(p.premises, blocks, written):
             # the continuation binds the eigenvariables, then the block's
             # hypotheses, each typed at the depth of its own binder
@@ -728,9 +844,12 @@ class _Translator:
             except CertificateError as e:
                 e.trail += at
                 raise
-            for phi in block:
-                env[phi].pop()
-            del hyps[len(hyps) - len(block) :]
+            popped = len(hyps) - len(block)
+            for phi, _, _ in hyps[popped:]:
+                env[id(phi)].pop()
+                if self.occurs is not None:
+                    self.count(phi, -1)
+            del hyps[popped:]
             for name, _ in eigen:
                 del self.kenv[name]
             self.depth -= len(binders)
@@ -739,11 +858,25 @@ class _Translator:
             t = App(t, body)
             layouts.append(layout)
 
+        # a consumed hypothesis is the one its parent bound, or one equal
+        # to it, which the intern table names
         for phi in consumed:
-            stack = env.get(phi)
-            t = App(t, Var(self.depth - stack[-1][1] - 1, stack[-1][0]) if stack else self.lookup(phi))
-        binders = tuple(len(eigen) + len(block) for block in blocks)
+            stack = env.get(id(phi))
+            if stack is None:
+                stack = env.get(id(shared.get(phi)), ())
+            if len(stack) > 1:
+                _, name, level = stack[-1]
+                t = App(t, Var(self.depth - level - 1, name))
+            else:
+                t = App(t, self.lookup(phi))
+        binders = tuple(map(len, blocks)) if not eigen else tuple(len(eigen) + len(block) for block in blocks)
         return t, _Layout(len(kargs) + len(blocks) + len(consumed), len(kargs), binders, written, tuple(layouts))
+
+
+@functools.cache
+def _written(n: int) -> tuple[tuple[int, ...], ...]:
+    """What each of a written node's `n` premises adds to a path."""
+    return tuple((i,) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +898,24 @@ def certificate_entries(thy: tff.TffTheory, goal: tff.TffFormula, proof: LLProof
                         fuel: Optional[kernel.Fuel] = None) -> tuple[list[Entry], _Translator]:
     """The `cert` module: the goal constant with its proof definition.  A
     hypothesis not in the sequent as written is found by conversion in `sig`."""
-    tbl = tff.wf_theory(thy)
+    tbl, axioms = checked_theory(thy)
     tff.wf_formula(tbl, tff.TffContext(), goal)
-    tr = _Translator(thy, tbl, sig, fuel)
-    name, ktype = tr.push_hyp(tff.Not(goal))
+    tr = _Translator(thy.name, tbl, axioms, sig, fuel)
+    name, ktype = tr.push_hyp(tr.formulas.Not(tr.formulas.canon(goal)))
     body, tr.layout = tr.translate(proof)
     return [Def("cert.goal", arrow(ktype, prf(FALSE)), Lam(name, ktype, body))], tr
+
+
+@functools.lru_cache(maxsize=16)
+def checked_theory(thy: tff.TffTheory) -> tuple[tff.Table, dict[tff.TffFormula, str]]:
+    """`tff.wf_theory(thy)` and the theory's axiom index: each axiom
+    formula -> the name of its first declaration.
+
+    A theory value is checked once while it is among the last 16 checked
+    in this process, so many certificates against one theory pay for it
+    once; every caller shares the result, and none may change it."""
+    tbl = tff.wf_theory(thy)
+    return tbl, {f: n for n, f in reversed(tbl.axioms.items())}
 
 
 def check_certificate(
@@ -860,31 +1005,55 @@ def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
 
 
 def proof_from_sexp(sx: object, cons: tff.Constructors) -> LLProof:
+    """The proof tree `sx` stands for, read from an explicit stack, so its
+    depth is not bounded by the recursion limit.  An error about an atom
+    premise is placed at the node that lists it."""
+    # each frame: a node's form, rule, override, premise forms and the
+    # premises read so far
+    stack = [_proof_node(sx, cons)]
+    while True:
+        form, rule, concls, forms, premises = stack[-1]
+        if len(premises) < len(forms):
+            try:
+                stack.append(_proof_node(forms[len(premises)], cons))
+            except tff.FormatError as e:
+                raise e.within(form)
+            continue
+        stack.pop()
+        node = LLProof(rule, tuple(premises), concls)
+        if not stack:
+            return node
+        stack[-1][4].append(node)
+
+
+def _proof_node(sx: object, cons: tff.Constructors) -> tuple:
+    """The frame of `proof_from_sexp` for one node: `(TAG field ... [(concl F ...)] premise ...)`."""
     row = tff.tagged_row(sx, _SCHEMA_BY_TAG, "proof node")
     count = len(row.kinds)
     if len(sx) < 1 + count:
         raise tff.FormatError(f"rule {row.tag} expects {count} fields", sx)
-    # `(TAG field ... [(concl F ...)] premise ...)`
     rest = sx[1 + count :]
     concls = None
     if rest and isinstance(rest[0], list) and rest[0] and rest[0][0] == "concl":
         concls = tuple(tff.read_fields([FORMULA] * (len(rest[0]) - 1), rest[0][1:], cons, frozenset(), rest[0]))
         rest = rest[1:]
     rule = row.cls(*tff.read_fields(row.kinds, sx[1 : 1 + count], cons, frozenset(), sx))
-    try:
-        premises = tuple(proof_from_sexp(p, cons) for p in rest)
-    except tff.FormatError as e:
-        raise e.within(sx)
-    return LLProof(rule, premises, concls)
+    return sx, rule, concls, rest, []
 
 
 def proof_to_sexp(p: LLProof, cons: set[str]) -> list:
-    row = _SCHEMA[type(p.rule)]
-    out = [row.tag, *tff.write_fields(row.kinds, field_values(p.rule), cons, frozenset())]
-    if p.concls is not None:
-        out.append(["concl", *FORMULAS.write(p.concls, cons, frozenset())])
-    out += [proof_to_sexp(q, cons) for q in p.premises]
-    return out
+    """The S-expression of a proof tree, written from an explicit stack."""
+    root: list = []
+    todo = [(p, root)]  # nodes left to write, each with the list it goes in
+    while todo:
+        q, into = todo.pop()
+        row = _SCHEMA[type(q.rule)]
+        out = [row.tag, *tff.write_fields(row.kinds, field_values(q.rule), cons, frozenset())]
+        if q.concls is not None:
+            out.append(["concl", *FORMULAS.write(q.concls, cons, frozenset())])
+        into.append(out)
+        todo += [(r, out) for r in reversed(q.premises)]
+    return root[0]
 
 
 def parse_proof(text: str, thy: tff.TffTheory) -> tuple[tff.TffFormula, LLProof]:

@@ -558,7 +558,8 @@ CONNECTIVES: tuple[Connective, ...] = (
     _connective(ForallType, "foralltype", "logic.foralltype", BOUND_TY, FORMULA),
     _connective(ExistsType, "existstype", "logic.existstype", BOUND_TY, FORMULA),
 )
-_ROW_OF = {row.cls: row for row in CONNECTIVES + (
+# every formula, term and type class -> its row
+ROWS = {row.cls: row for row in CONNECTIVES + (
     _connective(TVar, None, None, VARIABLE_TY),
     _connective(TCons, None, None, SYMBOL, TYS),
     _connective(Var, None, None, VARIABLE),
@@ -589,7 +590,7 @@ _ITEM_BY_TAG = {row.tag: row for row in ITEMS}
 def row_of(x: object) -> Connective:
     """The row of a formula's, term's or type's class."""
     try:
-        return _ROW_OF[type(x)]
+        return ROWS[type(x)]
     except KeyError:
         raise TypeError(x) from None
 
@@ -676,6 +677,17 @@ def _check_application(
 
 
 def wf_formula(tbl: Table, ctx: TffContext, phi: TffFormula) -> None:
+    """Check `phi` in `ctx`; a subformula met twice under the same binders,
+    as one object, is checked once."""
+    _wf_formula(tbl, ctx, phi, set())
+
+
+def _wf_formula(tbl: Table, ctx: TffContext, phi: TffFormula, seen: set[int]) -> None:
+    # `seen`: the ids of the subformulas already checked in `ctx`, all parts
+    # of the formula the check started from
+    if id(phi) in seen:
+        return
+    seen.add(id(phi))
     row = row_of(phi)
     if row.cls is Pred:
         decl = tbl.preds.get(phi.name)
@@ -688,7 +700,10 @@ def wf_formula(tbl: Table, ctx: TffContext, phi: TffFormula) -> None:
     for name, kind in row.fields:
         v = getattr(phi, name)
         if kind is FORMULA:
-            wf_formula(tbl, ctx if bound is None else ctx.bind(bound, ty), v)
+            if bound is None:
+                _wf_formula(tbl, ctx, v, seen)
+            else:
+                _wf_formula(tbl, ctx.bind(bound, ty), v, set())
         elif kind is TY:
             wf_type(tbl, ctx.tvars, v)
             ty = v
@@ -697,7 +712,7 @@ def wf_formula(tbl: Table, ctx: TffContext, phi: TffFormula) -> None:
         elif kind is BOUND:
             bound = v
         elif kind is BOUND_TY:
-            ctx = ctx.bind_tvar(v)
+            ctx, seen = ctx.bind_tvar(v), set()
     if row.cls is Eq and (term_types[0] != phi.ty or term_types[1] != phi.ty):
         raise EqTypeMismatch(f"equality at {phi.ty} applied to terms of types {term_types[0]} and {term_types[1]}")
 
@@ -807,46 +822,60 @@ def _check_rule_names(what: str, lhs: frozenset[str], rhs: frozenset[str], bound
 
 
 class _Namespace(NamedTuple):
-    """Term or type variables: the kinds of their occurrences and of their
-    binders, the kinds whose values cannot mention them, and the class of
-    an occurrence."""
+    """Term or type variables, or both: the kinds of their occurrences and
+    of their binders, the kinds whose values cannot mention them, and the
+    class of an occurrence."""
 
-    occurrence: FieldKind
-    binder: FieldKind
+    occurrence: tuple[FieldKind, ...]
+    binder: tuple[FieldKind, ...]
     skip: tuple[FieldKind, ...]
-    var: type
+    var: Optional[type]
 
 
-_TERM_VARS = _Namespace(VARIABLE, BOUND, (TY, TYS), Var)
-_TYPE_VARS = _Namespace(VARIABLE_TY, BOUND_TY, (), TVar)
+_TERM_VARS = _Namespace((VARIABLE,), (BOUND,), (TY, TYS), Var)
+_TYPE_VARS = _Namespace((VARIABLE_TY,), (BOUND_TY,), (), TVar)
+# names as `embed.translate` binds them: a binder of either kind hides both
+_NAMES = _Namespace((VARIABLE, VARIABLE_TY), (BOUND, BOUND_TY), (), None)
 _BOUND_BY = {BOUND: _TERM_VARS, BOUND_TY: _TYPE_VARS}
 _NODES = (FORMULA, TY, TERM)
 _LISTS = (TYS, ARGS)
 
 
-def _free(x: object, ns: _Namespace) -> frozenset[str]:
-    """The free variables of `ns` in a formula, term or type."""
+# a node's id -> the node and its free variables of one namespace
+FreeMemo = dict[int, tuple[object, frozenset[str]]]
+
+
+def _free(x: object, ns: _Namespace, memo: Optional[FreeMemo] = None) -> frozenset[str]:
+    """The free variables of `ns` in a formula, term or type; with `memo`,
+    each node's are computed once."""
+    if memo is not None and (hit := memo.get(id(x))) is not None:
+        return hit[1]
     out: frozenset[str] = frozenset()
     bound = None
     for name, kind in row_of(x).fields:
         v = getattr(x, name)
-        if kind is ns.occurrence:
-            return frozenset((v,))
-        if kind is ns.binder:
+        if kind in ns.occurrence:
+            out = frozenset((v,))
+            break
+        if kind in ns.binder:
             bound = v
         elif kind in ns.skip:
             continue
         elif kind is FORMULA and bound is not None:
-            out |= _free(v, ns) - {bound}
+            out |= _free(v, ns, memo) - {bound}
         elif kind in _NODES:
-            out |= _free(v, ns)
+            out |= _free(v, ns, memo)
         elif kind in _LISTS:
             for y in v:
-                out |= _free(y, ns)
+                out |= _free(y, ns, memo)
+    if memo is not None:
+        memo[id(x)] = (x, out)
     return out
 
 
-def _subst(x: object, mapping: Mapping[str, object], ns: _Namespace) -> object:
+def _subst(x: object, mapping: Mapping[str, object], ns: _Namespace, memo: Optional[FreeMemo] = None) -> object:
+    """`x` with the free variables of `ns` in `mapping` replaced; `memo`,
+    if given, holds free variables of `ns` computed before."""
     if not mapping:
         return x
     row = row_of(x)
@@ -854,25 +883,26 @@ def _subst(x: object, mapping: Mapping[str, object], ns: _Namespace) -> object:
     bound = None
     for name, kind in row.fields:
         v = getattr(x, name)
-        if kind is ns.occurrence:
+        if kind in ns.occurrence:
             return mapping.get(v, x)
         if kind in _BOUND_BY:
             bound, binder = len(values), kind
         elif kind in ns.skip:
             pass
         elif kind is FORMULA and bound is not None:
-            values[bound], v, inner = _avoid_capture(values[bound], binder, v, mapping, ns)
-            v = _subst(v, inner, ns)
+            values[bound], v, inner = _avoid_capture(values[bound], binder, v, mapping, ns, memo)
+            v = _subst(v, inner, ns, memo)
         elif kind in _NODES:
-            v = _subst(v, mapping, ns)
+            v = _subst(v, mapping, ns, memo)
         elif kind in _LISTS:
-            v = tuple(_subst(y, mapping, ns) for y in v)
+            v = tuple(_subst(y, mapping, ns, memo) for y in v)
         values.append(v)
     return row.cls(*values)
 
 
 def _avoid_capture(
-    x: str, binder: FieldKind, body: TffFormula, mapping: Mapping[str, object], ns: _Namespace
+    x: str, binder: FieldKind, body: TffFormula, mapping: Mapping[str, object], ns: _Namespace,
+    memo: Optional[FreeMemo] = None,
 ) -> tuple[str, TffFormula, Mapping[str, object]]:
     """The binder name, body and mapping with which to substitute under
     binder `x` of kind `binder`.
@@ -882,8 +912,8 @@ def _avoid_capture(
     neither in the body nor in the values, so the result depends only on
     the arguments.
     """
-    free = _free(body, ns)
-    shadowed = x if binder is ns.binder else None
+    free = _free(body, ns, memo)
+    shadowed = x if binder in ns.binder else None
     mapping = {k: v for k, v in mapping.items() if k != shadowed and k in free}
     if not mapping:
         return x, body, mapping
@@ -911,26 +941,35 @@ def term_tvars(e: TffTerm) -> frozenset[str]:
     return _free(e, _TYPE_VARS)
 
 
-def formula_vars(phi: TffFormula) -> frozenset[str]:
-    return _free(phi, _TERM_VARS)
+def formula_vars(phi: TffFormula, memo: Optional[FreeMemo] = None) -> frozenset[str]:
+    return _free(phi, _TERM_VARS, memo)
 
 
-def formula_tvars(phi: TffFormula) -> frozenset[str]:
-    return _free(phi, _TYPE_VARS)
+def formula_tvars(phi: TffFormula, memo: Optional[FreeMemo] = None) -> frozenset[str]:
+    return _free(phi, _TYPE_VARS, memo)
+
+
+def free_names(x: object, memo: Optional[FreeMemo] = None) -> frozenset[str]:
+    """The names free in a formula, term or type, term and type variables
+    alike, as `embed.translate` looks them up in its `Env`."""
+    return _free(x, _NAMES, memo)
 
 
 def subst_type(ty: TffType, mapping: Mapping[str, TffType]) -> TffType:
     return _subst(ty, mapping, _TYPE_VARS)
 
 
-def subst_formula(phi: TffFormula, mapping: Mapping[str, TffTerm]) -> TffFormula:
-    """Capture-avoiding substitution of term variables in a formula."""
-    return _subst(phi, mapping, _TERM_VARS)
+def subst_formula(phi: TffFormula, mapping: Mapping[str, TffTerm], memo: Optional[FreeMemo] = None) -> TffFormula:
+    """Capture-avoiding substitution of term variables in a formula; `memo`
+    is one `formula_vars` has filled, or None."""
+    return _subst(phi, mapping, _TERM_VARS, memo)
 
 
-def subst_type_in_formula(phi: TffFormula, mapping: Mapping[str, TffType]) -> TffFormula:
-    """Capture-avoiding substitution of type variables in a formula."""
-    return _subst(phi, mapping, _TYPE_VARS)
+def subst_type_in_formula(phi: TffFormula, mapping: Mapping[str, TffType],
+                          memo: Optional[FreeMemo] = None) -> TffFormula:
+    """Capture-avoiding substitution of type variables in a formula; `memo`
+    is one `formula_tvars` has filled, or None."""
+    return _subst(phi, mapping, _TYPE_VARS, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,18 @@ def test_translate_emits_and_rechecks(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_translate_checks_the_theory_once(tmp_path, capsys, monkeypatch):
+    # `translate` checked the theory, and compiling the certificate checked it again
+    calls = []
+    original = tff.wf_theory
+    monkeypatch.setattr(tff, "wf_theory", lambda thy: calls.append(thy.name) or original(thy))
+    llproof.checked_theory.cache_clear()
+    thy_file, proof_file = _write_inputs(tmp_path, examples.set_theory(), examples.set_diff_goal(),
+                                         examples.set_diff_proof())
+    code, _, _ = run(["translate", thy_file, proof_file, "--out", str(tmp_path / "out")], capsys)
+    assert (code, calls) == (0, ["set"])
+
+
 def _write_inputs(tmp_path, thy, goal, proof):
     theory_file = tmp_path / f"{thy.name}.tffx"
     proof_file = tmp_path / f"{thy.name}.llpx"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import forall_gen
 from mutations import chain_certificate, chain_leaf_path, enumerate_mutations, reserved_name_certificate
 from references import eliminate_pred_fun, signature_fields
 from lpm import dkparse, dkprint, embed, examples, kernel, llproof, sexp, signature, terms, tff
@@ -882,3 +883,98 @@ def test_theory_named_like_an_lpm_module_is_rejected(name):
     verdict = check_certificate(thy, goal, proof)
     assert (verdict.accepted, verdict.error, verdict.path) == (False, message, None)
     assert check_certificate(*reserved_name_certificate(name, rename=f"{name}2")).accepted
+
+
+# ---------------------------------------------------------------------------
+# first-order certificates, checked theories and deep proof files
+
+
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_notforall_chain_is_accepted(mode):
+    thy, goal, proof, _ = forall_gen.certificate(12)
+    assert check_certificate(thy, goal, proof, mode).accepted
+
+
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+@pytest.mark.parametrize("clash, at, message", [
+    ("reused", 5, "constant c0 was already introduced"),
+    ("in_sequent", 0, "constant d occurs in the conclusion sequent"),
+    ("in_sequent", 7, "constant d occurs in the conclusion sequent"),
+])
+def test_notforall_chain_clash_is_rejected_at_its_node(mode, clash, at, message):
+    thy, goal, proof, path = forall_gen.certificate(12, clash, at)
+    v = check_certificate(thy, goal, proof, mode)
+    assert (v.accepted, v.error, v.path) == (False, f"at node {list(path)}: {message}", path)
+
+
+def test_freshness_reads_each_hypothesis_once(monkeypatch):
+    # eigenvariable k of the NotForall chain was checked against all k + 1
+    # hypotheses in scope, n(n + 1)/2 `formula_vars` calls (5,050 at
+    # n = 100); counts of the free variables in scope are now updated when
+    # a hypothesis is bound and unbound: once when the first eigenvariable
+    # is checked, then at each of the n + 3 later binds and unbinds
+    calls = {"n": 0}
+    original = tff.formula_vars
+
+    def counted(*args):
+        calls["n"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(tff, "formula_vars", counted)
+    for n in (25, 50, 100):
+        thy, goal, proof, _ = forall_gen.certificate(n)
+        calls["n"] = 0
+        certificate_entries(thy, goal, proof, llproof.base_signature(thy))
+        assert calls["n"] == 2 * n + 7, (n, calls["n"])
+
+
+def _table_state(tbl: tff.Table) -> tuple:
+    return dict(tbl.type_cons), dict(tbl.funs), dict(tbl.preds), dict(tbl.axioms), list(tbl.exts)
+
+
+def test_a_theory_is_checked_once_for_many_certificates(monkeypatch):
+    calls = []
+    original = tff.wf_theory
+
+    def counted(thy):
+        calls.append(thy.name)
+        return original(thy)
+
+    monkeypatch.setattr(tff, "wf_theory", counted)
+    llproof.checked_theory.cache_clear()
+    thy = examples.set_theory()
+    sig = llproof.base_signature(thy)
+    assert calls == []  # building the signature checks only the theory's name
+    goal, proof = examples.set_diff_goal(), examples.set_diff_proof()
+    verdicts = [check_certificate(thy, goal, proof, sig=sig)]
+    tbl, axioms = llproof.checked_theory(thy)
+    before = _table_state(tbl), dict(axioms)
+    mutated = [m for _, m in enumerate_mutations(proof)][:4]
+    verdicts += [check_certificate(thy, goal, m, sig=sig) for m in mutated]
+    assert calls == ["set"]  # one `wf_theory` for five certificates (five at the parent)
+    assert verdicts[0].accepted and not any(v.accepted for v in verdicts[1:])
+    assert (_table_state(tbl), dict(axioms)) == before
+
+
+def test_a_deep_proof_file_round_trips_at_the_default_recursion_limit():
+    # `proof_to_sexp` and `proof_from_sexp` recursed once per proof level:
+    # at the default limit of 1,000 frames `print_proof` of chain-320 raised
+    # `RecursionError`; a chain of 1,500 Cut nodes on one atom restates one
+    # short formula per node (18 MB of text, nearly all indentation)
+    here = Path(__file__).resolve().parent
+    code = (
+        "import sys; from lpm import llproof, tff; from lpm.llproof import LLProof, Ax, Cut\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "thy = tff.TffTheory('t', (tff.PredDecl('P', (), ()),)); p = tff.Pred('P')\n"
+        "tree = LLProof(Ax(p))\n"
+        "for _ in range(1500): tree = LLProof(Cut(p), (tree, LLProof(Ax(p))))\n"
+        "text = llproof.print_proof(thy, p, tree)\n"
+        "goal, back = llproof.parse_proof(text, thy)\n"
+        "depth = 0\n"
+        "while back.premises: back, depth = back.premises[0], depth + 1\n"
+        "print(depth, llproof.print_proof(thy, goal, llproof.parse_proof(text, thy)[1]) == text, len(text))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split()[:2] == ["1500", "True"]
