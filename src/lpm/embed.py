@@ -41,10 +41,17 @@ NOT = Const("logic.not")
 FORALL = Const("logic.forall")
 EXISTS = Const("logic.exists")
 _HEADS = {row.cls: Const(row.const) for row in tff.CONNECTIVES if row.const is not None}
-# the connectives whose every field is one formula, term or type: their
-# constant applied to each field's translation
-_DIRECT = frozenset(row.cls for row in tff.CONNECTIVES
-                    if row.const is not None and all(k in (tff.FORMULA, tff.TY, tff.TERM) for k in row.kinds))
+
+
+def plain(kinds: Iterable[tff.FieldKind]) -> bool:
+    """Whether fields of these kinds are each one formula, term or type,
+    so each translates to one kernel argument (`translate_all`)."""
+    return all(k in (tff.FORMULA, tff.TY, tff.TERM) for k in kinds)
+
+
+# the connectives with plain fields: their constant applied to each
+# field's translation
+_DIRECT = frozenset(row.cls for row in tff.CONNECTIVES if row.const is not None and plain(row.kinds))
 # predicates, functions and type constructors: their symbol applied to the
 # translation of each item of their lists
 _APPLIED = frozenset(cls for cls, row in tff.ROWS.items()
@@ -129,32 +136,38 @@ def translate(
     themselves.  A bound variable and the body after it become one
     abstraction.  With `memo`, a node translates to one shared term however
     often it is met where its free names have the same indices."""
-    if env is None:
-        env = {}
-    key = None if memo is None else id(x) if not env else memo.key(x, env, depth)
-    if key is not None and (hit := memo.get(key)) is not None:
-        return hit[1]
-    if x.__class__ in _DIRECT:
-        t, args = _HEADS[x.__class__], field_values(x)
-    elif x.__class__ in _APPLIED:
-        name, *lists = field_values(x)
-        t, args = Const(qualify(module, name) if module else name), [y for items in lists for y in items]
-    else:  # a variable or a binder
-        row = tff.row_of(x)
-        head = _HEADS.get(row.cls)
-        if head is None:
-            v = getattr(x, row.fields[0][0])
-            level = env.get(v)
-            return FVar(v) if level is None else Var(depth - level - 1, v)
-        t, args = head, ()
-        for a in translate_fields(row.fields, x, module, env, depth, memo):
+    return translate_all((x,), module, {} if env is None else env, depth, memo)[0]
+
+
+def translate_all(xs: Iterable[object], module: str, env: Env, depth: int, memo: Optional[Memo] = None) -> list[KTerm]:
+    """The translation of each of `xs` under the same binders, as `translate` gives it."""
+    out = []
+    for x in xs:
+        key = None if memo is None else id(x) if not env else memo.key(x, env, depth)
+        if key is not None and (hit := memo.get(key)) is not None:
+            out.append(hit[1])
+            continue
+        if x.__class__ in _DIRECT:
+            t, args = _HEADS[x.__class__], translate_all(field_values(x), module, env, depth, memo)
+        elif x.__class__ in _APPLIED:
+            name, *lists = field_values(x)
+            t = Const(qualify(module, name) if module else name)
+            args = translate_all([y for items in lists for y in items], module, env, depth, memo)
+        else:  # a variable or a binder
+            row = tff.row_of(x)
+            t = _HEADS.get(row.cls)
+            if t is None:
+                v = getattr(x, row.fields[0][0])
+                level = env.get(v)
+                out.append(FVar(v) if level is None else Var(depth - level - 1, v))
+                continue
+            args = translate_fields(row.fields, x, module, env, depth, memo)
+        for a in args:
             t = App(t, a)
-    for v in args:
-        hit = memo.get(id(v)) if memo is not None and not env else None
-        t = App(t, translate(v, module, env, depth, memo) if hit is None else hit[1])
-    if key is not None:
-        memo[key] = (x, t)
-    return t
+        if key is not None:
+            memo[key] = (x, t)
+        out.append(t)
+    return out
 
 
 def translate_fields(

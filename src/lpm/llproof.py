@@ -469,13 +469,13 @@ for _cls in tff.ROWS:
 class _Plan(NamedTuple):
     """A `RULES` row as `_Translator.translate` compiles it: its `rules`
     constant, if it has one, its fields, named, with the kinds they are
-    translated as (a witness as the term or type it holds), whether each
-    of those is one formula, term or type, whether it has witness or fresh
-    fields, and its `consumes` and `blocks`."""
+    translated as (a witness as the term or type it holds), whether those
+    are `embed.plain`, whether it has witness or fresh fields, and its
+    `consumes` and `blocks`."""
 
     head: Optional[Const]
     fields: tuple[tuple[str, tff.FieldKind], ...]
-    direct: bool
+    plain: bool
     witnessed: bool
     fresh: bool
     consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
@@ -483,16 +483,11 @@ class _Plan(NamedTuple):
 
 
 _WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
-
-
-def _plan(row: RuleSchema) -> _Plan:
-    fields = tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds))
-    return _Plan(row.const and Const(f"rules.{row.const}"), fields, all(k in (FORMULA, TY, TERM) for _, k in fields),
-                 any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
-                 row.consumes, row.blocks)
-
-
-_PLANS = {row.cls: _plan(row) for row in RULES}
+_PLANS = {row.cls: _Plan(row.const and Const(f"rules.{row.const}"),
+                         tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)),
+                         embed.plain(_WITNESSED.get(k, k) for k in row.kinds),
+                         any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
+                         row.consumes, row.blocks) for row in RULES}
 
 
 def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
@@ -567,8 +562,9 @@ def _decompose(p: LLProof) -> LLProof:
             return LLProof(tree.rule, tree.premises, (concls[0],) if ts else (concls[0], concls[1]))
         case Fun(name=fn, ty_args=tys, lhs_args=ts, rhs_args=us, eq_types=eq_tys, result_ty=res):
             _check_arities(ts, us, eq_tys, p.premises)
-            concls = _consumed(p)
-            atom = lambda args: tff.Not(tff.Eq(res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us)))
+            f = _Interner()
+            concls = _consumed(p, f)
+            atom = lambda args: _neq(f, res, tff.Fun(fn, tys, tuple(args)), tff.Fun(fn, tys, us))
             core = LLProof(Neq(res, tff.Fun(fn, tys, us)), (), (atom(us),))
             tree = _subst_chain(atom, ts, us, eq_tys, p.premises, core)
             return LLProof(tree.rule, tree.premises, (concls[0],))
@@ -720,9 +716,7 @@ class _Translator:
 
     def kterm(self, x: object) -> KTerm:
         """A formula, term or type, with the eigenvariables in scope bound."""
-        if not self.kenv and (hit := self.memo.get(id(x))) is not None:
-            return hit[1]
-        return embed.translate(x, self.module, self.kenv, self.depth, self.memo)
+        return embed.translate_all((x,), self.module, self.kenv, self.depth, self.memo)[0]
 
     def lookup(self, phi: tff.TffFormula) -> KTerm:
         """A consumed hypothesis `phi` that no hypothesis in scope is."""
@@ -810,10 +804,8 @@ class _Translator:
             if plan.witnessed:
                 self.check_witnesses(rule)
             t = plan.head
-            if plan.direct:  # each field is one argument, most often embedded already
-                memo = self.memo
-                kargs = [hit[1] if not self.kenv and (hit := memo.get(id(v))) is not None else self.kterm(v)
-                         for v in field_values(rule)]
+            if plan.plain:
+                kargs = embed.translate_all(field_values(rule), self.module, self.kenv, self.depth, self.memo)
             else:
                 kargs = embed.translate_fields(plan.fields, rule, self.module, self.kenv, self.depth, self.memo)
         for a in kargs:
@@ -823,12 +815,13 @@ class _Translator:
             raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
         eigen = _eigenvars(rule) if plan.fresh else ()
-        # chain step k: premise 0 is the written node's premise k, and
-        # premise 1 the next step of the same written node
-        written = _written(len(blocks)) if step is None else ((step,), ())[: len(blocks)]
-        layouts: list[_Layout] = []
+        # of each premise: what it adds to a path, its binders and its layout
+        written, counts, layouts = [], [], []
         env, hyps, shared = self.env, self.env_formulas, f.shared
-        for premise, block, at in zip(p.premises, blocks, written):
+        for i, (premise, block) in enumerate(zip(p.premises, blocks)):
+            # chain step k: premise 0 is the written node's premise k, and
+            # premise 1 the next step of the same written node
+            at = (i,) if step is None else ((step,), ())[i]
             # the continuation binds the eigenvariables, then the block's
             # hypotheses, each typed at the depth of its own binder
             binders: list[tuple[str, KTerm]] = []
@@ -838,24 +831,26 @@ class _Translator:
                 self.kenv[name] = self.depth
                 self.depth += 1
                 binders.append((name, annot))
-            binders += [self.push_hyp(phi) for phi in block]
+            for phi in block:
+                binders.append(self.push_hyp(phi))
             try:
                 body, layout = self.translate(premise, None if at else step + 1)
             except CertificateError as e:
                 e.trail += at
                 raise
-            popped = len(hyps) - len(block)
-            for phi, _, _ in hyps[popped:]:
+            for _ in block:
+                phi = hyps.pop()[0]
                 env[id(phi)].pop()
                 if self.occurs is not None:
                     self.count(phi, -1)
-            del hyps[popped:]
             for name, _ in eigen:
                 del self.kenv[name]
             self.depth -= len(binders)
             for name, annot in reversed(binders):
                 body = Lam(name, annot, body)
             t = App(t, body)
+            written.append(at)
+            counts.append(len(binders))
             layouts.append(layout)
 
         # a consumed hypothesis is the one its parent bound, or one equal
@@ -869,14 +864,8 @@ class _Translator:
                 t = App(t, Var(self.depth - level - 1, name))
             else:
                 t = App(t, self.lookup(phi))
-        binders = tuple(map(len, blocks)) if not eigen else tuple(len(eigen) + len(block) for block in blocks)
-        return t, _Layout(len(kargs) + len(blocks) + len(consumed), len(kargs), binders, written, tuple(layouts))
-
-
-@functools.cache
-def _written(n: int) -> tuple[tuple[int, ...], ...]:
-    """What each of a written node's `n` premises adds to a path."""
-    return tuple((i,) for i in range(n))
+        return t, _Layout(len(kargs) + len(blocks) + len(consumed), len(kargs), tuple(counts), tuple(written),
+                          tuple(layouts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
 """Records: the syntax trees of `tff` and `llproof` and the `.dk` entries.
 
 A `Record` class lists its fields as annotated names with optional
-defaults, read once, when the class is made, into `__slots__`,
-`__match_args__` and an `__init__` of its own.  Records of one class are
-equal when their fields are, less the trailing ones named in `_loose`;
-`repr` shows `Cls(f=...)` for every field.  A record keeps its compared
-fields' tuple and hash from construction, so hashing never walks a tree;
-as with `terms`, nothing assigns to a record's fields.  A class that sets
-`__hash__ = None` is unhashable and compares by fields alone.
+defaults, read once, when the class is made, into `__slots__` and
+`__match_args__`.  Records of one class are equal when their fields are,
+less the trailing ones named in `_loose`; `repr` shows `Cls(f=...)` for
+every field.  A record keeps its compared fields' tuple and hash from
+construction, so hashing never walks a tree; as with `terms`,
+nothing assigns to a record's fields.  A class that sets `__hash__ = None`
+is unhashable and compares by fields alone.
 """
-
-import functools
-from types import CodeType, FunctionType
 
 
 class _RecordType(type):
@@ -25,42 +22,24 @@ class _RecordType(type):
         if set(fields[cls._compared :]) - set(cls._loose):
             raise TypeError(f"{name}: the fields {cls._loose} that == skips must come last")
         cls._hashed = cls.__hash__ is not None
-        cls.__init__ = _init(cls)
         return cls
-
-
-def _init(cls: type) -> FunctionType:
-    """The `__init__` of `cls`: one function per class, so the
-    interpreter's caches in it serve one class only.  It takes the fields
-    in order, by position or name, defaults last.  Its code is the shared
-    one for its number of fields and compared fields, renamed."""
-    fields, defaults = cls._fields, cls._defaults
-    if any(f not in defaults for f in fields[len(fields) - len(defaults) :]):
-        raise TypeError(f"{cls.__name__}: fields with defaults must come last")
-    code = _template(len(fields), cls._compared, cls._hashed)
-    rename = {f"_{i}": f for i, f in enumerate(fields)}
-    code = code.replace(co_names=tuple(rename.get(n, n) for n in code.co_names),
-                        co_varnames=tuple(rename.get(n, n) for n in code.co_varnames),
-                        co_qualname=f"{cls.__name__}.__init__")
-    return FunctionType(code, globals(), "__init__", tuple(defaults[f] for f in fields if f in defaults))
-
-
-@functools.cache
-def _template(n: int, compared: int, hashed: bool) -> CodeType:
-    """`__init__` for fields named `_0` ... `_(n-1)`, of which the first
-    `compared` are compared and hashed."""
-    names = [f"_{i}" for i in range(n)]
-    body = "".join(f"    self.{f} = {f}\n" for f in names)
-    key = "".join(f"{f}, " for f in names[:compared])
-    scope: dict = {}
-    exec(f"def __init__(self{''.join(', ' + f for f in names)}):\n{body}"
-         f"    self._key = key = ({key})\n    self._hash = {'hash(key)' if hashed else '0'}\n", scope)
-    return scope["__init__"].__code__
 
 
 class Record(metaclass=_RecordType):
     __slots__ = ("_key", "_hash")
     _loose = ()
+
+    def __init__(self, *args: object, **kwargs: object):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if len(args) > len(fields) or values.keys() != set(fields) or kwargs.keys() & set(fields[: len(args)]):
+                raise TypeError(f"{type(self).__name__}{fields} given {args} and {kwargs}")
+            args = tuple(values[f] for f in fields)
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
+        self._key = key = args[: self._compared]
+        self._hash = hash(key) if self._hashed else 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
