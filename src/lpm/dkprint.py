@@ -132,20 +132,23 @@ def _captured_names(body: KTerm, scope: Sequence[str]) -> set[str]:
 
 def describe(e: Exception) -> str:
     """A kernel or signature error's message, worded when read: each term in a `{}` slot printed under
-    the enclosing binders' names primed apart, a type mismatch's sides normalized within 10,000 of its steps."""
+    the enclosing binders' names primed apart (a closed term under none), a type mismatch's sides
+    normalized within 10,000 of its steps."""
     if len(e.args) < 2:
         return Exception.__str__(e)
     text, *parts, binders = e.args
-    names: dict[str, None] = {}  # ordered, with constant-time lookups
-    for n, _ in binders:
-        n = n or "x"
-        while n in names:
-            n += "'"
-        names[n] = None
     for i, t in enumerate(parts if isinstance(e, kernel.TypeMismatch) and e.sig is not None else ()):
         with suppress(kernel.FuelExhausted):  # a side whose normal form is out of reach shows as compared
             parts[i] = kernel.normalize(e.sig, t, kernel.Fuel(min(e.steps, 10_000)))
-    return text.format(*(print_term(p, tuple(names)) if isinstance(p, KTerm) else p for p in parts))
+    names: dict[str, None] = {}  # ordered, with constant-time lookups
+    # a closed term prints the same under any binders, so it is printed under none
+    if any(isinstance(p, KTerm) and p.lbr for p in parts):
+        for n, _ in binders:
+            n = n or "x"
+            while n in names:
+                n += "'"
+            names[n] = None
+    return text.format(*(print_term(p, tuple(names) if p.lbr else ()) if isinstance(p, KTerm) else p for p in parts))
 
 
 def print_entry(e: Entry, show: Callable[..., str] = print_term) -> str:

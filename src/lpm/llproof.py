@@ -11,10 +11,9 @@ existential-style rules introduce fresh eigenvariables.
 gives its `.llpx` tag, its kernel constant, the kind of each field, and
 the hypotheses it consumes and introduces.  The `.llpx` reader and
 writer, the eigenvariables, the witness-closedness checks and the kernel
-arguments are all derived from the row.  At import each row becomes a
-compile plan (`_PLANS`): its `rules` constant, its kernel fields and
-whether it has witness or fresh fields, so compiling a node reads them
-instead of deriving them again.
+arguments are all derived from the row.  `_rule` derives, once per row,
+what compiling a node reads: the `rules` constant, the fields as the
+kernel translates them and where the fresh and witness fields are.
 
 `rules_prelude` produces the `rules` module, the packaged text
 `prelude/rules.dk`: one constant per inference rule, declared abstractly
@@ -32,21 +31,22 @@ only, and its shape and constant are registered in `embed.EXT_RULES`.
 
 A certificate costs what its own nodes cost.  The theory is checked once
 per theory value (`checked_theory`).  Each translator interns the
-formulas it meets and builds (`_Interner`): the rows build their
-formulas through it, so equal formulas are one object and a node's
-consumed hypothesis is the very object its parent bound.  Its tables are
-then keyed by id, each holding the objects it keys, and go with the
-translator: the hypotheses in scope, the kernel term of each formula
-(keyed also by the indices of the eigenvariables it mentions, so a
-formula is embedded once per binder depth), each hypothesis type, and
-each formula's free variables.  Freshness reads counts of the free
-variables of the hypotheses in scope, kept as they are bound and
+formulas it meets and builds in one table, by value (`_Interner`): the
+rows build their formulas through it, so equal formulas are one object
+and a node's consumed hypothesis is the very object its parent bound.
+The translator's other tables are keyed by id and go with it; the intern
+table keeps alive every formula they key.  They hold the hypotheses in
+scope, the kernel term of each formula (keyed also by the indices of the
+eigenvariables it mentions, so a formula is embedded once per binder
+depth) and each formula's free variables.  Freshness reads counts of the
+free variables of the hypotheses in scope, kept as they are bound and
 unbound, instead of rescanning the sequent.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import embed, kernel, sexp, signature, tff
@@ -311,17 +311,22 @@ BLOCKS = tff.list_kind("hypothesis blocks", FORMULAS)
 
 
 class RuleSchema(NamedTuple):
-    """One inference rule: the only place its syntax is defined.
+    """One inference rule: the only place its syntax is defined, with the
+    data compiling one of its nodes reads, derived by `_rule`.
 
-    `kinds` gives the kind of each record field, in field order.  The
-    kernel arguments of a rule are its fields as `embed.translate_fields`
-    translates them, a witness as the term or type it holds.
+    `kinds` gives the kind of each record field, in field order.
     `consumes` maps a rule to the hypotheses its node consumes by default,
     and `blocks` to the hypotheses each premise introduces, in binding
     order; both build their formulas through the `_Interner` they are
     given.  `const` names the rule's constant in the `rules`
-    module; `Pred` and `Fun` have none (they are compiled as their `Subst`
-    chains), nor has `Ext` (its constant belongs to the theory).
+    module and `head` is that constant; `Pred` and `Fun` have none (they
+    are compiled as their `Subst` chains), nor has `Ext` (its constant
+    belongs to the theory).  The kernel arguments of a rule are its
+    `fields` as `embed.translate_fields` translates them, a witness as the
+    term or type it holds; `plain` when each is one formula, term or type
+    (`embed.plain`).  `fresh` gives the index of each fresh field with
+    that of the type field before it (None for a fresh type), and
+    `witnesses` the index of each witness field.
     """
 
     cls: type
@@ -330,6 +335,28 @@ class RuleSchema(NamedTuple):
     kinds: tuple[tff.FieldKind, ...]
     consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
     blocks: Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]
+    head: Optional[Const]
+    fields: tuple[tuple[str, tff.FieldKind], ...]
+    plain: bool
+    fresh: tuple[tuple[int, Optional[int]], ...]
+    witnesses: tuple[int, ...]
+
+
+_WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
+
+
+def _rule(cls: type, tag: str, const: Optional[str], kinds: tuple[tff.FieldKind, ...],
+          consumes: Callable, blocks: Callable) -> RuleSchema:
+    names = cls.__match_args__
+    if len(names) != len(kinds):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, {len(kinds)} kinds given")
+    translated = tuple(_WITNESSED.get(k, k) for k in kinds)
+    # a fresh constant takes the type in the rule's type field
+    fresh = tuple((i, None if k is FRESH_TY else kinds.index(TY))
+                  for i, k in enumerate(kinds) if k is FRESH or k is FRESH_TY)
+    return RuleSchema(cls, tag, const, kinds, consumes, blocks, const and Const(f"rules.{const}"),
+                      tuple(zip(names, translated)), embed.plain(translated), fresh,
+                      tuple(i for i, k in enumerate(kinds) if k in _WITNESSED))
 
 
 def _closes(rule: LLRule, f: _Interner) -> list:
@@ -341,68 +368,63 @@ def _eq_blocks(rule: Union[Pred, Fun], f: _Interner) -> list[list[tff.TffFormula
 
 
 RULES: tuple[RuleSchema, ...] = (
-    RuleSchema(Bot, "bot", "R_bot", (), lambda r, f: [f.Bottom()], _closes),
-    RuleSchema(NotTop, "nottop", "R_nottop", (), lambda r, f: [f.Not(f.Top())], _closes),
-    RuleSchema(Ax, "ax", "R_Ax", (FORMULA,), lambda r, f: [r.p, f.Not(r.p)], _closes),
-    RuleSchema(Cut, "cut", "R_Cut", (FORMULA,), lambda r, f: [],
-               lambda r, f: [[r.p], [f.Not(r.p)]]),
-    RuleSchema(Neq, "neq", "R_neq", (TY, TERM), lambda r, f: [_neq(f, r.ty, r.t, r.t)], _closes),
-    RuleSchema(Sym, "sym", "R_Sym", (TY, TERM, TERM),
-               lambda r, f: [f.Eq(r.ty, r.t, r.u), _neq(f, r.ty, r.u, r.t)], _closes),
-    RuleSchema(NotNot, "notnot", "R_notnot", (FORMULA,), lambda r, f: [f.Not(f.Not(r.p))],
-               lambda r, f: [[r.p]]),
-    RuleSchema(And, "and", "R_and", (FORMULA, FORMULA), lambda r, f: [f.And(r.p, r.q)],
-               lambda r, f: [[r.p, r.q]]),
-    RuleSchema(Or, "or", "R_or", (FORMULA, FORMULA), lambda r, f: [f.Or(r.p, r.q)],
-               lambda r, f: [[r.p], [r.q]]),
-    RuleSchema(Imp, "imp", "R_imp", (FORMULA, FORMULA), lambda r, f: [f.Implies(r.p, r.q)],
-               lambda r, f: [[f.Not(r.p)], [r.q]]),
-    RuleSchema(Iff, "iff", "R_eqv", (FORMULA, FORMULA), lambda r, f: [f.Iff(r.p, r.q)],
-               lambda r, f: [[f.Not(r.p), f.Not(r.q)], [r.p, r.q]]),
-    RuleSchema(NotAnd, "notand", "R_notand", (FORMULA, FORMULA), lambda r, f: [f.Not(f.And(r.p, r.q))],
-               lambda r, f: [[f.Not(r.p)], [f.Not(r.q)]]),
-    RuleSchema(NotOr, "notor", "R_notor", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Or(r.p, r.q))],
-               lambda r, f: [[f.Not(r.p), f.Not(r.q)]]),
-    RuleSchema(NotImp, "notimp", "R_notimp", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Implies(r.p, r.q))],
-               lambda r, f: [[r.p, f.Not(r.q)]]),
-    RuleSchema(NotIff, "notiff", "R_noteqv", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Iff(r.p, r.q))],
-               lambda r, f: [[f.Not(r.p), r.q], [r.p, f.Not(r.q)]]),
-    RuleSchema(Exists, "exists", "R_exists", (TY, BOUND, FORMULA, FRESH),
-               lambda r, f: [f.Exists(r.var, r.ty, r.body)],
-               lambda r, f: [[_inst(f, r.body, r.var, f.Var(r.const))]]),
-    RuleSchema(Forall, "forall", "R_forall", (TY, BOUND, FORMULA, WITNESS),
-               lambda r, f: [f.Forall(r.var, r.ty, r.body)],
-               lambda r, f: [[_inst(f, r.body, r.var, r.witness)]]),
-    RuleSchema(NotExists, "notexists", "R_notexists", (TY, BOUND, FORMULA, WITNESS),
-               lambda r, f: [f.Not(f.Exists(r.var, r.ty, r.body))],
-               lambda r, f: [[f.Not(_inst(f, r.body, r.var, r.witness))]]),
-    RuleSchema(NotForall, "notforall", "R_notforall", (TY, BOUND, FORMULA, FRESH),
-               lambda r, f: [f.Not(f.Forall(r.var, r.ty, r.body))],
-               lambda r, f: [[f.Not(_inst(f, r.body, r.var, f.Var(r.const)))]]),
-    RuleSchema(ExistsType, "existstype", "R_existstype", (BOUND_TY, FORMULA, FRESH_TY),
-               lambda r, f: [f.ExistsType(r.tvar, r.body)],
-               lambda r, f: [[_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type))]]),
-    RuleSchema(ForallType, "foralltype", "R_foralltype", (BOUND_TY, FORMULA, WITNESS_TY),
-               lambda r, f: [f.ForallType(r.tvar, r.body)],
-               lambda r, f: [[_inst_ty(f, r.body, r.tvar, r.witness)]]),
-    RuleSchema(NotExistsType, "notexiststype", "R_notexiststype", (BOUND_TY, FORMULA, WITNESS_TY),
-               lambda r, f: [f.Not(f.ExistsType(r.tvar, r.body))],
-               lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, r.witness))]]),
-    RuleSchema(NotForallType, "notforalltype", "R_notforalltype", (BOUND_TY, FORMULA, FRESH_TY),
-               lambda r, f: [f.Not(f.ForallType(r.tvar, r.body))],
-               lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type)))]]),
-    RuleSchema(Pred, "pred", None, (SYMBOL, TYS, TERMS, TERMS, TYS),
-               lambda r, f: [f.Pred(r.name, r.ty_args, r.lhs_args), f.Not(f.Pred(r.name, r.ty_args, r.rhs_args))],
-               _eq_blocks),
-    RuleSchema(Fun, "fun", None, (SYMBOL, TYS, TERMS, TERMS, TYS, TY),
-               lambda r, f: [_neq(f, r.result_ty, f.Fun(r.name, r.ty_args, r.lhs_args),
-                                  f.Fun(r.name, r.ty_args, r.rhs_args))],
-               _eq_blocks),
-    RuleSchema(Subst, "subst", "R_Subst", (TY, BOUND, FORMULA, TERM, TERM),
-               lambda r, f: [_inst(f, r.body, r.var, r.t)],
-               lambda r, f: [[_neq(f, r.ty, r.t, r.u)], [_inst(f, r.body, r.var, r.u)]]),
-    RuleSchema(Ext, "ext", None, (SYMBOL, EXT_ARGS, FORMULAS, BLOCKS),
-               lambda r, f: r.conclusions, lambda r, f: r.hyp_blocks),
+    _rule(Bot, "bot", "R_bot", (), lambda r, f: [f.Bottom()], _closes),
+    _rule(NotTop, "nottop", "R_nottop", (), lambda r, f: [f.Not(f.Top())], _closes),
+    _rule(Ax, "ax", "R_Ax", (FORMULA,), lambda r, f: [r.p, f.Not(r.p)], _closes),
+    _rule(Cut, "cut", "R_Cut", (FORMULA,), lambda r, f: [], lambda r, f: [[r.p], [f.Not(r.p)]]),
+    _rule(Neq, "neq", "R_neq", (TY, TERM), lambda r, f: [_neq(f, r.ty, r.t, r.t)], _closes),
+    _rule(Sym, "sym", "R_Sym", (TY, TERM, TERM), lambda r, f: [f.Eq(r.ty, r.t, r.u), _neq(f, r.ty, r.u, r.t)], _closes),
+    _rule(NotNot, "notnot", "R_notnot", (FORMULA,), lambda r, f: [f.Not(f.Not(r.p))], lambda r, f: [[r.p]]),
+    _rule(And, "and", "R_and", (FORMULA, FORMULA), lambda r, f: [f.And(r.p, r.q)], lambda r, f: [[r.p, r.q]]),
+    _rule(Or, "or", "R_or", (FORMULA, FORMULA), lambda r, f: [f.Or(r.p, r.q)], lambda r, f: [[r.p], [r.q]]),
+    _rule(Imp, "imp", "R_imp", (FORMULA, FORMULA), lambda r, f: [f.Implies(r.p, r.q)],
+          lambda r, f: [[f.Not(r.p)], [r.q]]),
+    _rule(Iff, "iff", "R_eqv", (FORMULA, FORMULA), lambda r, f: [f.Iff(r.p, r.q)],
+          lambda r, f: [[f.Not(r.p), f.Not(r.q)], [r.p, r.q]]),
+    _rule(NotAnd, "notand", "R_notand", (FORMULA, FORMULA), lambda r, f: [f.Not(f.And(r.p, r.q))],
+          lambda r, f: [[f.Not(r.p)], [f.Not(r.q)]]),
+    _rule(NotOr, "notor", "R_notor", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Or(r.p, r.q))],
+          lambda r, f: [[f.Not(r.p), f.Not(r.q)]]),
+    _rule(NotImp, "notimp", "R_notimp", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Implies(r.p, r.q))],
+          lambda r, f: [[r.p, f.Not(r.q)]]),
+    _rule(NotIff, "notiff", "R_noteqv", (FORMULA, FORMULA), lambda r, f: [f.Not(f.Iff(r.p, r.q))],
+          lambda r, f: [[f.Not(r.p), r.q], [r.p, f.Not(r.q)]]),
+    _rule(Exists, "exists", "R_exists", (TY, BOUND, FORMULA, FRESH),
+          lambda r, f: [f.Exists(r.var, r.ty, r.body)],
+          lambda r, f: [[_inst(f, r.body, r.var, f.Var(r.const))]]),
+    _rule(Forall, "forall", "R_forall", (TY, BOUND, FORMULA, WITNESS),
+          lambda r, f: [f.Forall(r.var, r.ty, r.body)],
+          lambda r, f: [[_inst(f, r.body, r.var, r.witness)]]),
+    _rule(NotExists, "notexists", "R_notexists", (TY, BOUND, FORMULA, WITNESS),
+          lambda r, f: [f.Not(f.Exists(r.var, r.ty, r.body))],
+          lambda r, f: [[f.Not(_inst(f, r.body, r.var, r.witness))]]),
+    _rule(NotForall, "notforall", "R_notforall", (TY, BOUND, FORMULA, FRESH),
+          lambda r, f: [f.Not(f.Forall(r.var, r.ty, r.body))],
+          lambda r, f: [[f.Not(_inst(f, r.body, r.var, f.Var(r.const)))]]),
+    _rule(ExistsType, "existstype", "R_existstype", (BOUND_TY, FORMULA, FRESH_TY),
+          lambda r, f: [f.ExistsType(r.tvar, r.body)],
+          lambda r, f: [[_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type))]]),
+    _rule(ForallType, "foralltype", "R_foralltype", (BOUND_TY, FORMULA, WITNESS_TY),
+          lambda r, f: [f.ForallType(r.tvar, r.body)],
+          lambda r, f: [[_inst_ty(f, r.body, r.tvar, r.witness)]]),
+    _rule(NotExistsType, "notexiststype", "R_notexiststype", (BOUND_TY, FORMULA, WITNESS_TY),
+          lambda r, f: [f.Not(f.ExistsType(r.tvar, r.body))],
+          lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, r.witness))]]),
+    _rule(NotForallType, "notforalltype", "R_notforalltype", (BOUND_TY, FORMULA, FRESH_TY),
+          lambda r, f: [f.Not(f.ForallType(r.tvar, r.body))],
+          lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type)))]]),
+    _rule(Pred, "pred", None, (SYMBOL, TYS, TERMS, TERMS, TYS),
+          lambda r, f: [f.Pred(r.name, r.ty_args, r.lhs_args), f.Not(f.Pred(r.name, r.ty_args, r.rhs_args))],
+          _eq_blocks),
+    _rule(Fun, "fun", None, (SYMBOL, TYS, TERMS, TERMS, TYS, TY),
+          lambda r, f: [_neq(f, r.result_ty, f.Fun(r.name, r.ty_args, r.lhs_args),
+                             f.Fun(r.name, r.ty_args, r.rhs_args))],
+          _eq_blocks),
+    _rule(Subst, "subst", "R_Subst", (TY, BOUND, FORMULA, TERM, TERM),
+          lambda r, f: [_inst(f, r.body, r.var, r.t)],
+          lambda r, f: [[_neq(f, r.ty, r.t, r.u)], [_inst(f, r.body, r.var, r.u)]]),
+    _rule(Ext, "ext", None, (SYMBOL, EXT_ARGS, FORMULAS, BLOCKS),
+          lambda r, f: r.conclusions, lambda r, f: r.hyp_blocks),
 )
 _SCHEMA = {row.cls: row for row in RULES}
 _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
@@ -414,21 +436,18 @@ _SCHEMA_BY_TAG = {row.tag: row for row in RULES}
 
 class _Interner:
     """Builds each formula once per translator: one method per `tff` row,
-    named after its class, and `canon`, which a row applies to a formula
-    it did not build (a substitution's result).  Structurally equal
-    formulas are one object, so the translator's tables key them by id.
+    named after its class, which builds the node and passes it to `canon`,
+    as a row does a formula it did not build (a substitution's result).
+    Structurally equal formulas are one object, so the translator's tables
+    key them by id.
 
     `shared` maps each formula met to the first one equal to it; a record
-    is hashed once, when it is built, so finding it walks no tree.
-    `built` maps a negation or binary connective and the ids of its
-    operands to the shared formula made of them, with the operands, so a
-    formula built at many proof nodes is constructed once.  `vars`,
+    is hashed once, when it is built, so finding it walks no tree.  `vars`,
     `tvars` and `names` keep the free term variables, type variables and
     both of each formula, term and type met, by id."""
 
     def __init__(self) -> None:
         self.shared: dict[object, object] = {}
-        self.built: dict[tuple, tuple] = {}
         self.vars: tff.FreeMemo = {}
         self.tvars: tff.FreeMemo = {}
         self.names: tff.FreeMemo = {}
@@ -437,82 +456,15 @@ class _Interner:
         return self.shared.setdefault(x, x)
 
 
-def _interned(cls: type) -> Callable:
-    """The `_Interner` method that builds a `cls` node: a negation or a
-    binary connective is found by the ids of its operands, others by value."""
-    kinds = tff.ROWS[cls].kinds
-    if kinds == (FORMULA,):
-        def build(self: _Interner, a: object) -> object:
-            hit = self.built.get((cls, id(a)))
-            if hit is None:
-                node = cls(a)
-                hit = self.built[cls, id(a)] = (self.shared.setdefault(node, node), a)
-            return hit[0]
-    elif kinds == (FORMULA, FORMULA):
-        def build(self: _Interner, a: object, b: object) -> object:
-            hit = self.built.get((cls, id(a), id(b)))
-            if hit is None:
-                node = cls(a, b)
-                hit = self.built[cls, id(a), id(b)] = (self.shared.setdefault(node, node), a, b)
-            return hit[0]
-    else:
-        def build(self: _Interner, *values: object) -> object:
-            node = cls(*values)
-            return self.shared.setdefault(node, node)
-    return build
-
-
 for _cls in tff.ROWS:
-    setattr(_Interner, _cls.__name__, _interned(_cls))
-
-
-class _Plan(NamedTuple):
-    """A `RULES` row as `_Translator.translate` compiles it: its `rules`
-    constant, if it has one, its fields, named, with the kinds they are
-    translated as (a witness as the term or type it holds), whether those
-    are `embed.plain`, whether it has witness or fresh fields, and its
-    `consumes` and `blocks`."""
-
-    head: Optional[Const]
-    fields: tuple[tuple[str, tff.FieldKind], ...]
-    plain: bool
-    witnessed: bool
-    fresh: bool
-    consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
-    blocks: Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]
-
-
-_WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
-_PLANS = {row.cls: _Plan(row.const and Const(f"rules.{row.const}"),
-                         tuple((f, _WITNESSED.get(k, k)) for f, k in zip(row.cls.__match_args__, row.kinds)),
-                         embed.plain(_WITNESSED.get(k, k) for k in row.kinds),
-                         any(k in _WITNESSED for k in row.kinds), any(k in (FRESH, FRESH_TY) for k in row.kinds),
-                         row.consumes, row.blocks) for row in RULES}
-
-
-def _eigenvars(rule: LLRule) -> list[tuple[str, Optional[tff.TffType]]]:
-    """Eigenvariables a node binds in its premise, with their types.
-
-    A fresh constant takes the type in the rule's type field; a `None`
-    type marks a fresh type.
-    """
-    out: list[tuple[str, Optional[tff.TffType]]] = []
-    ty = None
-    for kind, v in zip(_SCHEMA[type(rule)].kinds, field_values(rule)):
-        if kind is TY:
-            ty = v
-        elif kind is FRESH:
-            out.append((v, ty))
-        elif kind is FRESH_TY:
-            out.append((v, None))
-    return out
+    setattr(_Interner, _cls.__name__, lambda self, *values, cls=_cls: self.canon(cls(*values)))
 
 
 def _consumed(p: LLProof, f: Optional[_Interner] = None) -> tuple[tff.TffFormula, ...]:
     """A node's consumed hypotheses, built by `f` or a new `_Interner`,
     checking that a `(concl ...)` override lists as many formulas as the
     rule consumes."""
-    default = tuple(_PLANS[p.rule.__class__].consumes(p.rule, f or _Interner()))
+    default = tuple(_SCHEMA[p.rule.__class__].consumes(p.rule, f or _Interner()))
     if p.concls is None:
         return default
     if len(p.concls) != len(default):
@@ -661,10 +613,11 @@ class _Translator:
         # eigenvariable records the level of its binder, so a use at this
         # depth is the index `depth - level - 1`
         self.depth = 0
-        # one object per structure: the tables below key a formula by id
+        # one object per structure: the tables below key a formula by id,
+        # and its intern table keeps each formula they key alive
         self.formulas = _Interner()
         # the hypotheses in scope, each bound as (formula, name, level),
-        # and by formula id: the formula, then its bindings, innermost last
+        # and by formula id: its bindings, innermost last
         self.env_formulas: list[tuple[tff.TffFormula, str, int]] = []
         self.env: dict[int, list] = {}
         # eigenvariables in scope -> their levels
@@ -672,8 +625,6 @@ class _Translator:
         # the embedding of each formula, term and type met, keyed by id and
         # by the indices of the eigenvariables it mentions
         self.memo = embed.Memo(functools.partial(tff.free_names, memo=self.formulas.names))
-        # the id of an embedded formula -> its hypothesis type, which holds it
-        self.htypes: dict[int, KTerm] = {}
         # from the first freshness check on: how many hypotheses in scope
         # each free term and type variable occurs in
         self.occurs: Optional[tuple[dict[str, int], dict[str, int]]] = None
@@ -689,15 +640,9 @@ class _Translator:
         name = f"h{self.counter}"
         self.counter += 1
         phi = self.formulas.canon(phi)
-        kphi = self.kterm(phi)
-        ktype = self.htypes.get(id(kphi))
-        if ktype is None:
-            ktype = self.htypes[id(kphi)] = prf(kphi)
+        ktype = prf(self.kterm(phi))
         binding = (phi, name, self.depth)
-        stack = self.env.get(id(phi))
-        if stack is None:
-            stack = self.env[id(phi)] = [phi]
-        stack.append(binding)
+        self.env.setdefault(id(phi), []).append(binding)
         self.env_formulas.append(binding)
         if self.occurs is not None:
             self.count(phi, 1)
@@ -711,9 +656,6 @@ class _Translator:
             for v in free:
                 names[v] = names.get(v, 0) + step
 
-    def var(self, name: str, level: int) -> Var:
-        return Var(self.depth - level - 1, name)
-
     def kterm(self, x: object) -> KTerm:
         """A formula, term or type, with the eigenvariables in scope bound."""
         return embed.translate_all((x,), self.module, self.kenv, self.depth, self.memo)[0]
@@ -723,19 +665,16 @@ class _Translator:
         if (axiom := self.axioms.get(phi)) is not None:
             return Const(embed.qualify(self.module, axiom))
         # a bracketed hypothesis stands for any congruent formula, so a
-        # structural miss falls back to conversion against the sequent
+        # structural miss falls back to conversion against the sequent:
+        # the hypotheses in scope, innermost first, then the axioms
         want = self.kterm(phi)
-        for candidate, name, level in reversed(self.env_formulas):
-            have = self.kterm(candidate)
+        axioms = ((f, name, None) for name, f in self.tbl.axioms.items())
+        for candidate, name, level in itertools.chain(reversed(self.env_formulas), axioms):
             try:
-                if kernel.convertible(self.sig, have, want, kernel.Fuel(self.steps)):
-                    return self.var(name, level)
-            except kernel.FuelExhausted:
-                continue
-        for name, f in self.tbl.axioms.items():
-            try:
-                if kernel.convertible(self.sig, self.kterm(f), want, kernel.Fuel(self.steps)):
-                    return Const(embed.qualify(self.module, name))
+                if kernel.convertible(self.sig, self.kterm(candidate), want, kernel.Fuel(self.steps)):
+                    if level is None:
+                        return Const(embed.qualify(self.module, name))
+                    return Var(self.depth - level - 1, name)
             except kernel.FuelExhausted:
                 continue
         raise MissingHypothesis(f"hypothesis {phi} is not available in the sequent")
@@ -761,15 +700,15 @@ class _Translator:
         if occurs.get(name):
             raise FreshnessViolation(f"{what} {name} occurs in the conclusion sequent")
 
-    def check_witnesses(self, rule: LLRule) -> None:
+    def check_witnesses(self, row: RuleSchema, values: tuple) -> None:
         """Witness fields may mention only eigenvariables in scope."""
-        for kind, v in zip(_SCHEMA[type(rule)].kinds, field_values(rule)):
-            if kind is WITNESS:
-                stray = tff.term_vars(v) - set(self.kenv)
+        for i in row.witnesses:
+            if row.kinds[i] is WITNESS:
+                stray = tff.term_vars(values[i]) - set(self.kenv)
                 if stray:
                     raise CertificateError(f"witness term mentions unbound variables {sorted(stray)}")
-            elif kind is WITNESS_TY:
-                stray = tff.type_tvars(v) - set(self.kenv)
+            else:
+                stray = tff.type_tvars(values[i]) - set(self.kenv)
                 if stray:
                     raise CertificateError(f"witness type mentions unbound type variables {sorted(stray)}")
 
@@ -790,31 +729,31 @@ class _Translator:
 
     def translate(self, p: LLProof, step: Optional[int] = None) -> tuple[KTerm, _Layout]:
         """Compile `p`, a written node or, with `step` set, that step of the
-        Subst chain of a Pred/Fun node, from its row's plan.  Errors and
-        layouts name the node as written."""
+        Subst chain of a Pred/Fun node, from its row.  Errors and layouts
+        name the node as written."""
         if p.rule.__class__ is Pred or p.rule.__class__ is Fun:
             p, step = _decompose(p), 0
         rule = p.rule
-        plan = _PLANS[rule.__class__]
+        row = _SCHEMA[rule.__class__]
+        values = field_values(rule)
         f = self.formulas
-        consumed = plan.consumes(rule, f) if p.concls is None else _consumed(p, f)
-        if plan.head is None:
+        consumed = row.consumes(rule, f) if p.concls is None else _consumed(p, f)
+        if row.head is None:
             t, kargs = self.ext_args(rule)
         else:
-            if plan.witnessed:
-                self.check_witnesses(rule)
-            t = plan.head
-            if plan.plain:
-                kargs = embed.translate_all(field_values(rule), self.module, self.kenv, self.depth, self.memo)
+            if row.witnesses:
+                self.check_witnesses(row, values)
+            t = row.head
+            if row.plain:
+                kargs = embed.translate_all(values, self.module, self.kenv, self.depth, self.memo)
             else:
-                kargs = embed.translate_fields(plan.fields, rule, self.module, self.kenv, self.depth, self.memo)
+                kargs = embed.translate_fields(row.fields, rule, self.module, self.kenv, self.depth, self.memo)
         for a in kargs:
             t = App(t, a)
-        blocks = plan.blocks(rule, f)
+        blocks = row.blocks(rule, f)
         if len(p.premises) != len(blocks):
             raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
-        eigen = _eigenvars(rule) if plan.fresh else ()
         # of each premise: what it adds to a path, its binders and its layout
         written, counts, layouts = [], [], []
         env, hyps, shared = self.env, self.env_formulas, f.shared
@@ -822,10 +761,12 @@ class _Translator:
             # chain step k: premise 0 is the written node's premise k, and
             # premise 1 the next step of the same written node
             at = (i,) if step is None else ((step,), ())[i]
-            # the continuation binds the eigenvariables, then the block's
-            # hypotheses, each typed at the depth of its own binder
+            # the continuation binds the eigenvariables, each with its type
+            # (None for a fresh type), then the block's hypotheses, each
+            # typed at the depth of its own binder
             binders: list[tuple[str, KTerm]] = []
-            for name, ty in eigen:
+            for k, j in row.fresh:
+                name, ty = values[k], None if j is None else values[j]
                 self.check_fresh(name, ty)
                 annot = TYPE_C if ty is None else term(self.kterm(ty))
                 self.kenv[name] = self.depth
@@ -843,8 +784,8 @@ class _Translator:
                 env[id(phi)].pop()
                 if self.occurs is not None:
                     self.count(phi, -1)
-            for name, _ in eigen:
-                del self.kenv[name]
+            for k, _ in row.fresh:
+                del self.kenv[values[k]]
             self.depth -= len(binders)
             for name, annot in reversed(binders):
                 body = Lam(name, annot, body)
@@ -859,7 +800,7 @@ class _Translator:
             stack = env.get(id(phi))
             if stack is None:
                 stack = env.get(id(shared.get(phi)), ())
-            if len(stack) > 1:
+            if stack:
                 _, name, level = stack[-1]
                 t = App(t, Var(self.depth - level - 1, name))
             else:

@@ -781,6 +781,8 @@ def _wf_item(tbl: Table, item: TheoryItem) -> None:
             _check_rule_names("variables", formula_vars(l), formula_vars(r), {x for x, _ in ctx})
             _check_rule_names("type variables", formula_tvars(l), formula_tvars(r), set(tvs))
         case ExtDecl(name=n):
+            if n in tbl.exts:
+                raise DuplicateSymbol(f"extension rule {n} registered twice")
             tbl.exts.append(n)
         case _:
             raise TffError(f"unknown theory item {item!r}")

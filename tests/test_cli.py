@@ -631,6 +631,20 @@ def test_names_that_are_not_dk_identifiers_are_rejected_before_writing(tmp_path,
     assert diagnostic["message"] == f"{where} is not a .dk identifier"
 
 
+def test_an_extension_rule_registered_twice_is_rejected_before_writing(tmp_path, capsys):
+    # `translate` wrote logic.dk, rules.dk and theory.dk, then rejected
+    # theory.dk at 31:1: "duplicate declaration: bool.R_bool_case_ex"
+    thy = examples.bool_theory()
+    bad = tmp_path / "bool.tffx"
+    bad.write_text(tff.print_theory(tff.TffTheory(thy.name, thy.items + (tff.ExtDecl("bool-case-exists"),))))
+    out = tmp_path / "o"
+    code, stdout, _ = run(["--json", "translate", str(bad), "--out", str(out)], capsys)
+    payload = json.loads(stdout)
+    assert code == 1 and payload["outputs"] == [] and not out.exists()
+    message = f"item {len(thy.items)} (ExtDecl): extension rule bool-case-exists registered twice"
+    assert payload["diagnostics"] == [{"file": str(bad), "line": 0, "col": 0, "message": message}]
+
+
 @pytest.mark.parametrize("name", ["cert", "logic", "rules"])
 def test_theory_named_like_an_lpm_module_is_rejected_before_writing(tmp_path, capsys, name):
     # `translate` accepted the theory and then rejected the valid

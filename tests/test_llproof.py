@@ -250,6 +250,16 @@ def test_translate_proof_names_the_first_of_equal_axioms():
     assert _refutation(thy, LLProof(llproof.Bot())) == App(Const("rules.R_bot"), Const("t.first"))
 
 
+def test_translate_proof_finds_an_axiom_by_conversion():
+    # no hypothesis in scope converts to the consumed `Q`; the axiom `P`
+    # does, through the rule `Q --> P`
+    p, q = tff.Pred("P"), tff.Pred("Q")
+    thy = tff.TffTheory("t", (tff.PredDecl("P", (), ()), tff.PredDecl("Q", (), ()),
+                              tff.PropRule((), (), q, p), tff.Axiom("ax", p)))
+    entries, _ = certificate_entries(thy, q, LLProof(llproof.Ax(q)), llproof.base_signature(thy))
+    assert entries[0].body.body == app(Const("rules.R_Ax"), Const("t.Q"), Const("t.ax"), terms.Var(0, "h0"))
+
+
 def test_fig11_certificate_term_matches_reference():
     # the emitted boolean-commutativity certificate equals the reference
     # term built by hand (hypothesis variable names are display-only)
@@ -621,6 +631,19 @@ def test_every_rule_tag_end_to_end(base_sigs, mode):
         assert v.accepted, (label, mode, v.error, v.path)
 
 
+@pytest.mark.parametrize("label, witness, message", [
+    ("forall-witness", tff.Var("z"), "witness term mentions unbound variables ['z']"),
+    ("foralltype-witness", tff.TVar("b"), "witness type mentions unbound type variables ['b']"),
+])
+def test_an_open_witness_is_rejected_at_its_node(label, witness, message):
+    # the witness is the last field of both rules
+    [(goal, tree)] = [(g, t) for name, g, t in _mini_certificates() if name == label]
+    node = tree.premises[0]
+    opened = LLProof(tree.rule, (LLProof(type(node.rule)(*values(node.rule)[:-1], witness), node.premises),))
+    v = check_certificate(examples.bool_theory(), goal, opened)
+    assert (v.accepted, v.error, v.path) == (False, f"at node [0]: {message}", (0,))
+
+
 def _compiled_outputs(mode: str):
     """What compiling and checking each pinned certificate gives in `mode`:
     chain-8/16/32, valid and with a bad first, middle or last leaf, every
@@ -978,3 +1001,51 @@ def test_a_deep_proof_file_round_trips_at_the_default_recursion_limit():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split()[:2] == ["1500", "True"]
+
+
+# ---------------------------------------------------------------------------
+# rule rows and the intern table
+
+
+def test_a_rule_row_whose_kinds_do_not_match_its_class_is_refused():
+    # `zip` over a row's kinds and its class's fields dropped the extra ones
+    consumes = blocks = lambda r, f: []
+    with pytest.raises(TypeError, match="^And has 2 fields, 1 kinds given$"):
+        llproof._rule(llproof.And, "and", "R_and", (tff.FORMULA,), consumes, blocks)
+    with pytest.raises(TypeError, match="^Ax has 1 fields, 2 kinds given$"):
+        llproof._rule(llproof.Ax, "ax", "R_Ax", (tff.FORMULA, tff.FORMULA), consumes, blocks)
+
+
+def _restated(x):
+    """`x` with every record in it, each formula included, a separate copy."""
+    if isinstance(x, tuple):
+        return tuple(_restated(y) for y in x)
+    if isinstance(x, Record):
+        return type(x)(*(_restated(v) for v in values(x)))
+    return x
+
+
+def _records(x):
+    """Every record in `x`."""
+    if isinstance(x, Record):
+        yield x
+        x = values(x)
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _records(y)
+
+
+@pytest.mark.parametrize("make, accepted", [
+    (lambda: forall_gen.certificate(12)[:3], True),
+    (lambda: forall_gen.certificate(12, "reused", 5)[:3], False),
+    (lambda: chain_certificate(8, {3}), False),
+], ids=["notforall-12", "notforall-12-reused-5", "chain-8-bad-3"])
+def test_a_restated_proof_compiles_as_the_shared_one(make, accepted):
+    # a proof whose equal formulas are separate objects meets the intern
+    # table only by value: same verdict, path and cert.dk as the original
+    thy, goal, proof = make()
+    copy = _restated(proof)
+    assert copy == proof and not {id(r) for r in _records(copy)} & {id(r) for r in _records(proof)}
+    verdicts = [check_certificate(thy, goal, tree) for tree in (proof, copy)]
+    shown = [(v.accepted, v.error, v.path, dkprint.print_file(list(v.entries))) for v in verdicts]
+    assert shown[0] == shown[1] and shown[0][0] is accepted

@@ -176,3 +176,25 @@ def test_a_mismatch_keeps_the_types_compared():
     assert str(e.value) == "type mismatch: expected P b, found P a"
     # built without a signature, it shows the sides as given, under the binders given
     assert str(kernel.TypeMismatch(Var(0), Const("c"))) == "type mismatch: expected #0, found c"
+
+
+def test_a_closed_term_is_worded_without_the_enclosing_binders(monkeypatch):
+    # a bad chain-8 leaf is rejected under 21 binders; both sides of its
+    # mismatch are closed, so wording it pushes no binder name (42
+    # `_Scope.push` calls at the parent: the 21 names once for each side)
+    from mutations import chain_certificate, chain_leaf_path
+
+    from lpm import dkparse, llproof
+
+    thy, goal, proof = chain_certificate(8, {3})
+    sig = llproof.base_signature(thy)
+    entries, tr = llproof.certificate_entries(thy, goal, proof, sig)
+    with pytest.raises(signature.IllTypedBody) as e:
+        signature.install_entries(sig, entries)
+    assert llproof.failure_path(tr, e.value) == chain_leaf_path(8, 3)
+    pushes = []
+    push = dkparse._Scope.push
+    monkeypatch.setattr(dkparse._Scope, "push", lambda scope, name: pushes.append(name) or push(scope, name))
+    assert str(e.value) == ("ill-typed body of definition cert.goal: type mismatch: "
+                            "expected logic.prf chain8.P3, found logic.prf chain8.P4")
+    assert pushes == []

@@ -196,6 +196,17 @@ def test_wf_theory_rejects_duplicate_symbols():
     assert isinstance(e.value.cause, tff.DuplicateSymbol)
 
 
+def test_wf_theory_rejects_an_extension_rule_registered_twice():
+    # the duplicate passed, and the emitted theory.dk declared its constant twice
+    thy = examples.bool_theory()
+    twice = TffTheory(thy.name, thy.items + (tff.ExtDecl("bool-case-exists"),))
+    with pytest.raises(tff.TheoryItemError) as e:
+        wf_theory(twice)
+    assert isinstance(e.value.cause, tff.DuplicateSymbol)
+    assert (e.value.index, str(e.value)) == (
+        len(thy.items), f"item {len(thy.items)} (ExtDecl): extension rule bool-case-exists registered twice")
+
+
 def test_prefix_monotonicity():
     thy = examples.set_theory()
     for k in range(len(thy.items) + 1):
