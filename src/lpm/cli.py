@@ -270,11 +270,11 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
             files["cert.dk"] = None  # compiled against the modules as re-checked
     except Exception as e:  # noqa: BLE001 - mapped to exit codes
         return _fail(rep, file, e), sig
-    tr = None
+    refutation = None
     for name, printed in files.items():
         if printed is None:
             try:
-                entries, tr = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=kernel.Fuel(args.fuel))
+                entries, refutation = llproof.certificate_entries(thy, goal, proof, sig=sig, fuel=kernel.Fuel(args.fuel))
                 printed = entries, dkprint.print_file(entries)
             except Exception as e:  # noqa: BLE001 - mapped to exit codes
                 return _fail(rep, args.proof, e), sig
@@ -284,12 +284,12 @@ def translate(args: argparse.Namespace, rep: Reporter) -> tuple[int, signature.S
         if name in ("logic.dk", "rules.dk"):
             code, sig = _check_prelude(rep, args, path, text, sig, compiled)
         else:
-            locate = None if tr is None else (lambda e: llproof.failure_path(tr, e))
+            locate = None if refutation is None else (lambda e: llproof.failure_path(refutation, e))
             code, sig, _ = _check_text(rep, args, str(path), text, sig, locate, compiled)
         if code != EXIT_OK:
             return code, sig
         rep.detail(f"re-checked {path}")
-    if tr is not None:
+    if refutation is not None:
         rep.say(f"certificate: {path}")
     rep.say("verdict: accepted")
     return EXIT_OK, sig

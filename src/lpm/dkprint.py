@@ -31,7 +31,6 @@ def uses_binder(body: KTerm, depth: int = 0) -> bool:
             return uses_binder(f, depth) or uses_binder(a, depth)
         case Lam(annot=ty, body=b) | Pi(domain=ty, codomain=b):
             return uses_binder(ty, depth) or uses_binder(b, depth + 1)
-    return False
 
 
 _PREC_TERM = 0

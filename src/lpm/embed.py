@@ -174,29 +174,23 @@ def translate_fields(
     fields: Iterable[tuple[str, tff.FieldKind]], x: object, module: str, env: Env, depth: int,
     memo: Optional[Memo] = None,
 ) -> list[KTerm]:
-    """The kernel arguments of the named fields of `x`, given with their
-    kinds, in order: one per formula, type or term and per item of a list.
-    A bound variable and the formula after it give one abstraction, over
-    the latest type field (over `type` for a type variable); names give
-    none."""
+    """The kernel arguments of the named fields of `x`, a binder row (a
+    quantifier, or a rule that binds a variable in its formula), given
+    with their kinds, in order: one per type or term.  The bound variable
+    and the formula after it give one abstraction, over the latest type
+    field (over `type` for a type variable); names give none."""
     args: list[KTerm] = []
-    bound = kty = None
+    kty = None
     for name, kind in fields:
         v = getattr(x, name)
         if kind is tff.FORMULA:
-            if bound is None:
-                args.append(translate(v, module, env, depth, memo))
-            else:
-                annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
-                args.append(Lam(bound, annot, translate(v, module, {**env, bound: depth}, depth + 1, memo)))
+            annot = TYPE_C if bound_kind is tff.BOUND_TY else term(kty)
+            args.append(Lam(bound, annot, translate(v, module, {**env, bound: depth}, depth + 1, memo)))
         elif kind is tff.TY:
             kty = translate(v, module, env, depth, memo)
             args.append(kty)
         elif kind is tff.TERM:
             args.append(translate(v, module, env, depth, memo))
-        elif kind is tff.TYS or kind is tff.ARGS or kind is tff.TERMS:
-            for y in v:
-                args.append(translate(y, module, env, depth, memo))
         elif kind is tff.BOUND or kind is tff.BOUND_TY:
             bound, bound_kind = v, kind
     return args

@@ -23,11 +23,13 @@ only axiom.
 `check_certificate` compiles a tree against a theory and runs the kernel
 over the result; `certificate_entries` is the one translator entry.  As
 in the kernel, names are bound by level and no frame holds a node path:
-a `CertificateError` collects its path as it leaves each frame.  A
-`pred` or `fun` congruence node is compiled as the chain of `Subst`
-steps it stands for, which `_decompose` builds where the translator
-reaches the node.  An extension rule node takes `(abs X TY F)` arguments
-only, and its shape and constant are registered in `embed.EXT_RULES`.
+a `CertificateError` collects its path as it leaves each frame, and a
+kernel rejection is placed by walking its position down the compiled
+term (`failure_path`).  A `pred` or `fun` congruence node is compiled as
+the chain of `Subst` steps it stands for, which `_decompose` builds
+where the translator reaches the node.  An extension rule node takes
+`(abs X TY F)` arguments only, and its shape and constant are registered
+in `embed.EXT_RULES`.
 
 A certificate costs what its own nodes cost.  The theory is checked once
 per theory value (`checked_theory`).  Each translator interns the
@@ -318,15 +320,15 @@ class RuleSchema(NamedTuple):
     `consumes` maps a rule to the hypotheses its node consumes by default,
     and `blocks` to the hypotheses each premise introduces, in binding
     order; both build their formulas through the `_Interner` they are
-    given.  `const` names the rule's constant in the `rules`
-    module and `head` is that constant; `Pred` and `Fun` have none (they
-    are compiled as their `Subst` chains), nor has `Ext` (its constant
-    belongs to the theory).  The kernel arguments of a rule are its
-    `fields` as `embed.translate_fields` translates them, a witness as the
-    term or type it holds; `plain` when each is one formula, term or type
-    (`embed.plain`).  `fresh` gives the index of each fresh field with
-    that of the type field before it (None for a fresh type), and
-    `witnesses` the index of each witness field.
+    given.  `const` names the rule's constant in the `rules` module and
+    `head` is that constant; `Pred` and `Fun` have none, nor `blocks`
+    (they are compiled as their `Subst` chains, so only their `consumes`
+    is read), nor has `Ext` (its constant belongs to the theory).  The
+    kernel arguments of a rule are its `fields` as `embed.translate_fields`
+    translates them, a witness as the term or type it holds; `plain` when
+    each is one formula, term or type (`embed.plain`).  `fresh` gives the
+    index of each fresh field with that of the type field before it (None
+    for a fresh type), and `witnesses` the index of each witness field.
     """
 
     cls: type
@@ -334,7 +336,7 @@ class RuleSchema(NamedTuple):
     const: Optional[str]
     kinds: tuple[tff.FieldKind, ...]
     consumes: Callable[[LLRule, _Interner], Sequence[tff.TffFormula]]
-    blocks: Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]
+    blocks: Optional[Callable[[LLRule, _Interner], Sequence[Sequence[tff.TffFormula]]]]
     head: Optional[Const]
     fields: tuple[tuple[str, tff.FieldKind], ...]
     plain: bool
@@ -346,7 +348,7 @@ _WITNESSED = {WITNESS: TERM, WITNESS_TY: TY}
 
 
 def _rule(cls: type, tag: str, const: Optional[str], kinds: tuple[tff.FieldKind, ...],
-          consumes: Callable, blocks: Callable) -> RuleSchema:
+          consumes: Callable, blocks: Optional[Callable]) -> RuleSchema:
     names = cls.__match_args__
     if len(names) != len(kinds):
         raise TypeError(f"{cls.__name__} has {len(names)} fields, {len(kinds)} kinds given")
@@ -361,10 +363,6 @@ def _rule(cls: type, tag: str, const: Optional[str], kinds: tuple[tff.FieldKind,
 
 def _closes(rule: LLRule, f: _Interner) -> list:
     return []
-
-
-def _eq_blocks(rule: Union[Pred, Fun], f: _Interner) -> list[list[tff.TffFormula]]:
-    return [[_neq(f, ty, t, u)] for ty, t, u in zip(rule.eq_types, rule.lhs_args, rule.rhs_args)]
 
 
 RULES: tuple[RuleSchema, ...] = (
@@ -415,11 +413,11 @@ RULES: tuple[RuleSchema, ...] = (
           lambda r, f: [[f.Not(_inst_ty(f, r.body, r.tvar, f.TVar(r.fresh_type)))]]),
     _rule(Pred, "pred", None, (SYMBOL, TYS, TERMS, TERMS, TYS),
           lambda r, f: [f.Pred(r.name, r.ty_args, r.lhs_args), f.Not(f.Pred(r.name, r.ty_args, r.rhs_args))],
-          _eq_blocks),
+          None),
     _rule(Fun, "fun", None, (SYMBOL, TYS, TERMS, TERMS, TYS, TY),
           lambda r, f: [_neq(f, r.result_ty, f.Fun(r.name, r.ty_args, r.lhs_args),
                              f.Fun(r.name, r.ty_args, r.rhs_args))],
-          _eq_blocks),
+          None),
     _rule(Subst, "subst", "R_Subst", (TY, BOUND, FORMULA, TERM, TERM),
           lambda r, f: [_inst(f, r.body, r.var, r.t)],
           lambda r, f: [[_neq(f, r.ty, r.t, r.u)], [_inst(f, r.body, r.var, r.u)]]),
@@ -561,46 +559,6 @@ def _subst_chain(atom, ts, us, eq_tys, premises, core: LLProof) -> LLProof:
 # Proof translation
 
 
-class _Layout(NamedTuple):
-    """Where a node's premises sit in its compiled term.
-
-    The term is the rule constant applied to `nargs` arguments; argument
-    `first + i` is the continuation for premise `i`, a nest of
-    `binders[i]` lambdas around the term that `premises[i]` lays out.
-    `written[i]` is what premise `i` adds to a path: its written index, or
-    nothing for the next step of a Subst chain, the same written node.
-    """
-
-    nargs: int
-    first: int
-    binders: tuple[int, ...]
-    written: tuple[tuple[int, ...], ...]
-    premises: tuple["_Layout", ...]
-
-    def node_at(self, position: tuple[int, ...]) -> tuple[int, ...]:
-        """The path of the written node whose own application holds
-        `position` of the term, relative to this layout's node.
-
-        `position` lists child indices (0: function or binder domain,
-        1: argument or binder body), as `kernel.KernelError.position`.
-        """
-        node, i, path = self, 0, []
-        while True:
-            # k function steps down the spine, then an argument step,
-            # select argument nargs - 1 - k
-            k = 0
-            while i < len(position) and position[i] == 0 and k < node.nargs:
-                i, k = i + 1, k + 1
-            j = node.nargs - 1 - k - node.first
-            if i == len(position) or not 0 <= j < len(node.binders):
-                return tuple(path)
-            n = node.binders[j]
-            if position[i + 1 : i + 1 + n] != (1,) * n:
-                return tuple(path)
-            path += node.written[j]
-            node, i = node.premises[j], i + 1 + n
-
-
 class _Translator:
     def __init__(self, module: str, tbl: tff.Table, axioms: Mapping[tff.TffFormula, str], sig: signature.Signature,
                  fuel: Optional[kernel.Fuel] = None):
@@ -630,8 +588,9 @@ class _Translator:
         self.occurs: Optional[tuple[dict[str, int], dict[str, int]]] = None
         # each axiom formula -> the name of its first declaration
         self.axioms = axioms
-        # set by `certificate_entries`: the layout of the refutation
-        self.layout: Optional[_Layout] = None
+        # each premise term compiled, by id -> what it adds to a path: its
+        # written index, or nothing for the next step of a Subst chain
+        self.nodes: dict[int, tuple[int, ...]] = {}
 
     # -- environment -------------------------------------------------
 
@@ -727,9 +686,9 @@ class _Translator:
             raise CertificateError(f"extension rule {rule.name} expects {spec.n_premises} premises")
         return Const(embed.qualify(self.module, spec.const)), kargs
 
-    def translate(self, p: LLProof, step: Optional[int] = None) -> tuple[KTerm, _Layout]:
+    def translate(self, p: LLProof, step: Optional[int] = None) -> KTerm:
         """Compile `p`, a written node or, with `step` set, that step of the
-        Subst chain of a Pred/Fun node, from its row.  Errors and layouts
+        Subst chain of a Pred/Fun node, from its row.  Errors and `nodes`
         name the node as written."""
         if p.rule.__class__ is Pred or p.rule.__class__ is Fun:
             p, step = _decompose(p), 0
@@ -754,8 +713,6 @@ class _Translator:
         if len(p.premises) != len(blocks):
             raise CertificateError(f"rule {type(rule).__name__} expects {len(blocks)} premises, got {len(p.premises)}")
 
-        # of each premise: what it adds to a path, its binders and its layout
-        written, counts, layouts = [], [], []
         env, hyps, shared = self.env, self.env_formulas, f.shared
         for i, (premise, block) in enumerate(zip(p.premises, blocks)):
             # chain step k: premise 0 is the written node's premise k, and
@@ -775,10 +732,11 @@ class _Translator:
             for phi in block:
                 binders.append(self.push_hyp(phi))
             try:
-                body, layout = self.translate(premise, None if at else step + 1)
+                body = self.translate(premise, None if at else step + 1)
             except CertificateError as e:
                 e.trail += at
                 raise
+            self.nodes[id(body)] = at
             for _ in block:
                 phi = hyps.pop()[0]
                 env[id(phi)].pop()
@@ -790,9 +748,6 @@ class _Translator:
             for name, annot in reversed(binders):
                 body = Lam(name, annot, body)
             t = App(t, body)
-            written.append(at)
-            counts.append(len(binders))
-            layouts.append(layout)
 
         # a consumed hypothesis is the one its parent bound, or one equal
         # to it, which the intern table names
@@ -805,8 +760,7 @@ class _Translator:
                 t = App(t, Var(self.depth - level - 1, name))
             else:
                 t = App(t, self.lookup(phi))
-        return t, _Layout(len(kargs) + len(blocks) + len(consumed), len(kargs), tuple(counts), tuple(written),
-                          tuple(layouts))
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -824,16 +778,26 @@ class Verdict(Record):
         return self.accepted
 
 
+class Refutation(NamedTuple):
+    """The compiled refutation `term`, which keeps alive each premise term
+    `nodes` keys by id, with what entering it adds to a path."""
+
+    term: KTerm
+    nodes: dict[int, tuple[int, ...]]
+
+
 def certificate_entries(thy: tff.TffTheory, goal: tff.TffFormula, proof: LLProof, sig: signature.Signature,
-                        fuel: Optional[kernel.Fuel] = None) -> tuple[list[Entry], _Translator]:
-    """The `cert` module: the goal constant with its proof definition.  A
-    hypothesis not in the sequent as written is found by conversion in `sig`."""
+                        fuel: Optional[kernel.Fuel] = None) -> tuple[list[Entry], Refutation]:
+    """The `cert` module: the goal constant with its proof definition, and
+    the refutation `failure_path` reads.  A hypothesis not in the sequent
+    as written is found by conversion in `sig`.  The translator and its
+    tables are freed when this returns."""
     tbl, axioms = checked_theory(thy)
     tff.wf_formula(tbl, tff.TffContext(), goal)
     tr = _Translator(thy.name, tbl, axioms, sig, fuel)
     name, ktype = tr.push_hyp(tr.formulas.Not(tr.formulas.canon(goal)))
-    body, tr.layout = tr.translate(proof)
-    return [Def("cert.goal", arrow(ktype, prf(FALSE)), Lam(name, ktype, body))], tr
+    body = tr.translate(proof)
+    return [Def("cert.goal", arrow(ktype, prf(FALSE)), Lam(name, ktype, body))], Refutation(body, tr.nodes)
 
 
 @functools.lru_cache(maxsize=16)
@@ -869,7 +833,7 @@ def check_certificate(
     except (kernel.KernelError, signature.SignatureError, tff.TffError, embed.UnknownExtension) as e:
         return Verdict(False, error=str(e))
     try:
-        entries, tr = certificate_entries(thy, goal, proof, sig=sig, fuel=fuel)
+        entries, refutation = certificate_entries(thy, goal, proof, sig=sig, fuel=fuel)
     except CertificateError as e:
         return Verdict(False, error=str(e), path=e.path)
     except (tff.TffError, embed.UnknownExtension) as e:
@@ -879,7 +843,7 @@ def check_certificate(
     except kernel.FuelExhausted:
         raise
     except (kernel.KernelError, signature.SignatureError) as e:
-        return Verdict(False, error=str(e), path=failure_path(tr, e), entries=entries)
+        return Verdict(False, error=str(e), path=failure_path(refutation, e), entries=entries)
     return Verdict(True, entries=entries)
 
 
@@ -909,16 +873,18 @@ def _preludes(mode: str) -> tuple[signature.Signature, int]:
     return sig, fuel.max_rewrite_steps - fuel.steps_left
 
 
-def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
+def failure_path(refutation: Refutation, err: Exception) -> Optional[tuple[int, ...]]:
     """The proof node at which the kernel rejected the `cert.goal` body.
 
     `err` is the error from installing the entries `certificate_entries`
-    returned with `tr`, or a printed and re-parsed copy of them: the
-    kernel's position is mapped through the translator's layout, so
-    finding the node costs no further check.  With several faulty nodes
-    this is the first whose own application the kernel rejects, in the
-    kernel's order (the spine left to right, premise 0 before premise 1).
-    None when the failure is not inside the refutation's term.
+    returned with `refutation`, or a printed and re-parsed copy of them.
+    The kernel's position is walked down the compiled term (0: function or
+    binder annotation, 1: argument or binder body), and each premise term
+    entered adds its step to the path, so finding the node costs no
+    further check.  With several faulty nodes this is the first whose own
+    application the kernel rejects, in the kernel's order (the spine left
+    to right, premise 0 before premise 1).  None when the failure is not
+    inside the refutation's term.
     """
     if not (isinstance(err, signature.IllTypedSide) and err.side == "right"
             and isinstance(err.cause, kernel.KernelError)):
@@ -927,7 +893,17 @@ def failure_path(tr: _Translator, err: Exception) -> Optional[tuple[int, ...]]:
     # the body is `\h0 : prf (not goal) => refutation`
     if position[:1] != (1,):
         return None
-    return tr.layout.node_at(position[1:])
+    t, path = refutation.term, []
+    for i in position[1:]:
+        match t:
+            case App(fn=fn, arg=arg):
+                t = arg if i else fn
+            case Lam(annot=annot, body=body):
+                t = body if i else annot
+            case _:
+                break
+        path += refutation.nodes.get(id(t), ())
+    return tuple(path)
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,6 @@ def shift(t: KTerm, by: int, cutoff: int = 0) -> KTerm:
             return App(shift(f, by, cutoff), shift(a, by, cutoff))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
             return t.__class__(n, shift(d, by, cutoff), shift(b, by, cutoff + 1))
-        case _:
-            return t
 
 
 def instantiate(body: KTerm, value: KTerm, depth: int = 0) -> KTerm:
@@ -296,8 +294,6 @@ def instantiate_many(body: KTerm, values: tuple[KTerm, ...] | list[KTerm], depth
             return App(instantiate_many(f, values, depth), instantiate_many(a, values, depth))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
             return body.__class__(n, instantiate_many(d, values, depth), instantiate_many(b, values, depth + 1))
-        case _:
-            return body
 
 
 def substitute(t: KTerm, bindings: dict[str, KTerm], depth: int = 0) -> KTerm:
@@ -313,8 +309,6 @@ def substitute(t: KTerm, bindings: dict[str, KTerm], depth: int = 0) -> KTerm:
             return App(substitute(f, bindings, depth), substitute(a, bindings, depth))
         case Lam(name=n, annot=d, body=b) | Pi(name=n, domain=d, codomain=b):
             return t.__class__(n, substitute(d, bindings, depth), substitute(b, bindings, depth + 1))
-        case _:
-            return t
 
 
 def free_fvars(t: KTerm) -> frozenset[str]:

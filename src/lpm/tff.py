@@ -55,20 +55,11 @@ TffType = Union[TVar, TCons]
 class Var(Record):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class Fun(Record):
     name: str
     ty_args: tuple[TffType, ...] = ()
     args: tuple["TffTerm", ...] = ()
-
-    def __str__(self) -> str:
-        if not self.ty_args and not self.args:
-            return self.name
-        parts = [", ".join(map(str, self.ty_args)), ", ".join(map(str, self.args))]
-        return f"{self.name}({'; '.join(p for p in parts)})"
 
 
 TffTerm = Union[Var, Fun]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpm import cli, dkparse, dkprint, examples, llproof, signature, tff
+from lpm import cli, dkparse, dkprint, examples, llproof, record, signature, tff
 from lpm.dkparse import Decl, Def, Rule
 from lpm.terms import App, Const, Pi, app, arrow, spine
 
@@ -643,6 +643,53 @@ def test_an_extension_rule_registered_twice_is_rejected_before_writing(tmp_path,
     assert code == 1 and payload["outputs"] == [] and not out.exists()
     message = f"item {len(thy.items)} (ExtDecl): extension rule bool-case-exists registered twice"
     assert payload["diagnostics"] == [{"file": str(bad), "line": 0, "col": 0, "message": message}]
+
+
+_SMALL_THEORY = "(theory t (type i 0) (fun c () () i) (pred P () (i)))"
+_SMALL_BODY = "(imp (pred P () x) (pred P () x))"
+_SMALL_GOAL = f"(goal (forall x i {_SMALL_BODY}))"
+
+
+@pytest.mark.parametrize("theory, proof, code, position, message, path", [
+    ("(theory t (type a -1))", None, 1, (0, 0), "item 0 (TypeCons): negative arity", None),
+    ("(theory t (type a 0) (fun f (b b) () a))", None, 1, (0, 0),
+     "item 1 (FunDecl): duplicate type variables in scheme", None),
+    ("(theory t (type a 0) (fun f () (a) a) (term-rule () ((x a) (x a)) (f () x) x))", None, 1, (0, 0),
+     "item 2 (TermRule): duplicate context variable x", None),
+    ("(theory t (type i 0)\n  (axiom ax (pred)))", None, 2, (2, 13), "pred expects at least 2 fields: (pred)", None),
+    (_SMALL_THEORY, f"(proof (theory t) {_SMALL_GOAL} (notforall i x {_SMALL_BODY}))", 2, (1, 73),
+     "rule notforall expects 4 fields", None),
+    (_SMALL_THEORY, f"(proof (theory t) {_SMALL_GOAL} (notforall i x {_SMALL_BODY} c "
+     "(notimp (pred P () c) (pred P () c) (ax (pred P () c)))))", 1, (0, 0),
+     "at node []: constant c collides with a theory symbol", []),
+    (_SMALL_THEORY, "(proof (theory t) (gaol (top)) (bot))", 2, (1, 19), "expected (goal FORMULA)", None),
+], ids=["negative-arity", "duplicate-scheme-variable", "duplicate-context-variable", "pred-without-fields",
+        "missing-fresh-constant", "fresh-constant-is-a-theory-symbol", "misspelt-goal"])
+def test_translate_rejection_is_pinned(tmp_path, capsys, theory, proof, code, position, message, path):
+    # the one diagnostic names the last file given, where it is wrong, and
+    # the path of a rejected proof node
+    files = [tmp_path / "t.tffx"] + ([tmp_path / "t.llpx"] if proof else [])
+    for f, text in zip(files, (theory, proof)):
+        f.write_text(text + "\n")
+    got, stdout, _ = run(["--json", "translate", *map(str, files), "--out", str(tmp_path / "o")], capsys)
+    expected = {"file": str(files[-1]), "line": position[0], "col": position[1], "message": message}
+    if path is not None:
+        expected["path"] = path
+    assert (got, json.loads(stdout)["diagnostics"]) == (code, [expected])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: record.replace(r, args=r.args * 2), "expects 1 arguments"),
+    (lambda r: record.replace(r, hyp_blocks=r.hyp_blocks[:1]), "expects 2 premises"),
+], ids=["second-abs-argument", "hypothesis-block-dropped"])
+def test_translate_rejects_a_misshapen_extension_node(tmp_path, capsys, edit, message):
+    proof = examples.bool_commute_proof()
+    bad = llproof.LLProof(edit(proof.rule), proof.premises, proof.concls)
+    files = _write_inputs(tmp_path, examples.bool_theory(), examples.bool_commute_goal(), bad)
+    code, stdout, _ = run(["--json", "translate", *files, "--out", str(tmp_path / "o")], capsys)
+    assert (code, json.loads(stdout)["diagnostics"]) == (1, [{
+        "file": files[1], "line": 0, "col": 0, "path": [],
+        "message": f"at node []: extension rule bool-case-notforall {message}"}])
 
 
 @pytest.mark.parametrize("name", ["cert", "logic", "rules"])

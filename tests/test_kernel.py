@@ -110,6 +110,17 @@ def test_whnf_fuel_exhaustion():
         kernel.whnf(sig, Const("c"), Fuel(max_rewrite_steps=50))
 
 
+def test_a_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="the fuel budget must be nonnegative"):
+        Fuel(-1)
+
+
+def test_a_loose_index_outside_any_binder_is_unbound():
+    with pytest.raises(kernel.UnboundIdentifier) as e:
+        kernel.infer(signature.EMPTY, {}, Var(0))
+    assert str(e.value) == "unbound identifier: #0"
+
+
 def test_an_argument_no_pattern_reads_is_never_reduced():
     # g's rule reads only its second argument: whnf of `g omega b` leaves
     # the diverging omega as it is and spends no fuel

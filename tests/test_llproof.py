@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -527,6 +528,27 @@ def test_failure_path_only_for_the_certificate_body():
     assert llproof.failure_path(tr, kernel.SortError("x")) is None
 
 
+def test_no_translator_table_outlives_the_compile(monkeypatch):
+    # the caller keeps the entries and the refutation; the translator, with
+    # its intern table and memos, is freed when the compile returns
+    translators = []
+    init = llproof._Translator.__init__
+
+    def recording_init(self, *args):
+        translators.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(llproof._Translator, "__init__", recording_init)
+    thy, goal, proof = chain_certificate(8, {3})
+    sig = llproof.base_signature(thy)
+    entries, refutation = certificate_entries(thy, goal, proof, sig)
+    [translator] = translators
+    assert translator() is None
+    with pytest.raises(signature.IllTypedBody) as e:
+        signature.install_entries(sig, entries)
+    assert llproof.failure_path(refutation, e.value) == chain_leaf_path(8, 3)
+
+
 def _mini_certificates():
     """Small refutations exercising every rule tag the corpus misses."""
     top, bot = tff.Top(), tff.Bottom()
@@ -658,16 +680,16 @@ def _compiled_outputs(mode: str):
         sig = llproof.base_signature(thy, mode)
         v = check_certificate(thy, goal, proof, mode, sig=sig)
         try:
-            entries, tr = certificate_entries(thy, goal, proof, sig)
-            compiled = dkprint.print_file(entries), tr.layout
+            entries, _ = certificate_entries(thy, goal, proof, sig)
+            compiled = dkprint.print_file(entries)
         except llproof.CertificateError as e:
             compiled = str(e)
         yield label, compiled, v.accepted, v.path, v.error
 
 
-# recorded before certificates were compiled from per-rule plans and the
-# kernel typed a spine's constant and memoized arguments in its loop
-_COMPILED_DIGEST = "40d86ac487196f1582cd88f18fcbe297a0035a335771e87d23062e902dee6289"
+# recorded when the compiler stopped keeping a layout tree beside the term;
+# the code before that change gives the same digest
+_COMPILED_DIGEST = "7d94189a72bdda72b67930e4d9ef2c3076dae48c32811aca56e006f524ad4fd6"
 
 
 def test_compiled_certificates_are_pinned():
