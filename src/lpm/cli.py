@@ -24,6 +24,10 @@ input, bad budget or usage error, 3 fuel exhausted, input nested too deeply
 or out of memory.
 ``LPM_FUEL`` overrides the default rewrite-step budget.  `check` loads
 only the trusted base; the pipeline is imported by the other commands.
+
+The ``lpm`` command is `run`: `main`, then `os._exit` once stdout and
+stderr are flushed, with no interpreter teardown.  `main` itself returns
+its exit code and leaves the process running.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import sys
 import threading
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import dkparse, kernel, signature
 
@@ -227,7 +231,7 @@ def cmd_check(args: argparse.Namespace, rep: Reporter) -> int:
         code, sig, entries = _check_text(rep, args, path, text, sig)
         if code != EXIT_OK:
             return code
-        rep.say(f"{path}: ok ({len(entries)} entries)")
+        rep.say(f"{path}: ok ({sum(e.__class__ is not dkparse.Comment for e in entries)} entries)")
     return EXIT_OK
 
 
@@ -397,5 +401,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.setrecursionlimit(limit)
 
 
+def run() -> NoReturn:
+    """The command line: `main`, then the end of the process.  Every output
+    file is closed and the worker joined by then, and lpm has no `atexit`
+    handler, so `os._exit` loses nothing once stdout and stderr are flushed.
+    A failed flush (a closed pipe) or an exception in `main` exits normally."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or file; the normal exit reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

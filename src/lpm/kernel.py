@@ -456,8 +456,6 @@ def _infer(sig: Signature, bound: Binders, t: KTerm, fuel: Fuel, memo: Memo, chi
             if t.name == "Type":
                 return KIND
             raise UntypableKind("Kind has no type")
-        else:
-            raise KernelError(f"cannot type {t!r}")
     except KernelError as e:
         e.trail += [0] * k
         if child is not None:

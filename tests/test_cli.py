@@ -108,6 +108,12 @@ def test_check_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_counts_entries_not_comments(tmp_path, capsys):
+    f = tmp_path / "commented.dk"
+    f.write_text("(; a ;)\nA : Type.\n(; b ;)\na : A.\n")
+    assert run(["check", str(f)], capsys) == (0, f"{f}: ok (2 entries)\n", "")
+
+
 @pytest.mark.parametrize("last", ["#ASSERT x : P d.", "def y : P d := x."], ids=["assert", "def"])
 def test_fuel_exhaustion_exit_code(tmp_path, capsys, last):
     # a definition's body is checked while installing its rewrite rule;
@@ -1026,15 +1032,89 @@ def test_deep_input_ends_in_a_verdict_in_a_subprocess(tmp_path, case):
     files, argv = _DEEP_INPUTS[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n")
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "lpm.cli", "--json", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    proc = _lpm_process(["--json", *argv], tmp_path)
     assert proc.returncode in (0, 1, 2, 3), proc.stderr[-2000:]
     payload = json.loads(proc.stdout)
     assert payload["exit_code"] == proc.returncode
     if case == "conversion":  # the two sides differ at the leaf
         assert proc.returncode == 1 and "type mismatch" in payload["diagnostics"][0]["message"]
+
+
+def _lpm_env() -> dict[str, str]:
+    """The environment of a `python -m lpm.cli` child: this `lpm` on its
+    path, and its pipes buffered in blocks, as without ``PYTHONUNBUFFERED``."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _lpm_process(argv, cwd):
+    """`python -m lpm.cli ARGV` in `cwd`, its output read through pipes."""
+    return subprocess.run([sys.executable, "-m", "lpm.cli", *argv],
+                          cwd=cwd, env=_lpm_env(), capture_output=True, text=True, timeout=300)
+
+
+# ---------------------------------------------------------------------------
+# A `lpm` process ends through `cli.run` once its answer is flushed: what it
+# prints and writes is what an in-process `cli.main` call prints and writes
+
+
+def _chain_inputs(d: Path) -> None:
+    from mutations import chain_certificate
+
+    for name, bad in (("good", ()), ("bad", (1,))):
+        thy, goal, proof = chain_certificate(4, bad)
+        (d / f"{name}.tffx").write_text(tff.print_theory(thy))
+        (d / f"{name}.llpx").write_text(llproof.print_proof(thy, goal, proof))
+    (d / "bad.dk").write_text("x : .\n")
+
+
+_PROCESS_RUNS = {
+    0: ["examples", "bool-commute", "--out", "out"],
+    1: ["translate", "bad.tffx", "bad.llpx", "--out", "out"],
+    2: ["check", "bad.dk"],
+    3: ["--fuel", "0", "translate", "good.tffx", "good.llpx", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["-v"]], ids=["json", "verbose"])
+@pytest.mark.parametrize("expected", sorted(_PROCESS_RUNS))
+def test_a_process_prints_and_writes_what_main_does(tmp_path, monkeypatch, capsys, expected, flags):
+    argv = [*flags, *_PROCESS_RUNS[expected]]
+    for d in ("process", "in-process"):
+        (tmp_path / d).mkdir()
+        _chain_inputs(tmp_path / d)
+    proc = _lpm_process(argv, tmp_path / "process")
+    monkeypatch.chdir(tmp_path / "in-process")
+    code = cli.main(argv)  # returns, and this process goes on
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) and code == expected
+    if flags == ["--json"]:
+        payload = json.loads(proc.stdout)
+        assert payload["exit_code"] == expected
+        written = payload["outputs"]
+    else:
+        written = [line.removeprefix("wrote ") for line in out.splitlines() if line.startswith("wrote ")]
+    assert len(written) == {0: 6, 1: 4, 2: 0, 3: 2}[expected]
+    for f in written:
+        assert (tmp_path / "process" / f).read_bytes() == (tmp_path / "in-process" / f).read_bytes()
+
+
+def test_a_usage_error_without_json_prints_argparse_usage(tmp_path):
+    proc = _lpm_process(["--bogus"], tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: lpm ") and "lpm: error: " in proc.stderr
+
+
+def test_a_process_whose_reader_is_gone_exits_the_normal_way(tmp_path):
+    # the reader closes its end before the child starts: the flush fails, and
+    # the interpreter's own exit reports it (status 120) as before, with no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "lpm.cli", "--json", "examples", "bool-commute", "--out", "o"],
+                            cwd=tmp_path, env=_lpm_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 120 and "BrokenPipeError" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from references import signature_fields
 from lpm import embed, examples, kernel, signature
 from lpm.dkparse import Decl, Def, Rule, parse_term
-from lpm.terms import Const, FVar, app
+from lpm.terms import TYPE, Const, FVar, app
 
 
 def T(text, delta=()):
@@ -53,6 +53,13 @@ def test_declare_rejects_duplicates(logic_shallow):
     sig = signature.install_entries(logic_shallow, [Decl("c", Const("logic.Prop"))])
     with pytest.raises(signature.DuplicateName):
         signature.install_entries(sig, [Decl("c", Const("logic.Prop"))])
+
+
+def test_install_rejects_what_is_not_an_entry():
+    # a term where an entry belongs installs nothing: the copy is dropped
+    with pytest.raises(signature.SignatureError, match=r"^cannot install entry Const\(name='c'\)$"):
+        signature.install_entries(signature.EMPTY, [Decl("c", TYPE), Const("c")])
+    assert signature.EMPTY.type_of("c") is None
 
 
 def test_declare_rejects_non_sort_type(bool_sig):

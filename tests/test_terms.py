@@ -3,6 +3,7 @@
 import random
 import sys
 
+from lpm import kernel, signature
 from lpm.terms import (
     TYPE,
     App,
@@ -363,3 +364,56 @@ def test_arrow_of_open_components_matches_the_parser_random():
         text = " -> ".join(f"({print_term(p, scope)})" for p in parts)
         parsed = parse_term(f"u : A -> v : A -> {text}", ("x", "y", "z"))
         assert parsed == Pi("u", Const("A"), Pi("v", Const("A"), arrow(*parts))), text
+
+
+# ---------------------------------------------------------------------------
+# `==` on forged hash collisions: two different terms of one class whose
+# `_hash` slots are made equal must still differ, and so must their
+# conversion when both are normal forms
+
+
+def _collide(a: KTerm, b: KTerm) -> KTerm:
+    b._hash = a._hash
+    return b
+
+
+def _differ(a: KTerm, b: KTerm) -> None:
+    assert a.__class__ is b.__class__ and hash(a) == hash(b)
+    assert a != b and b != a
+    assert not kernel.convertible(signature.EMPTY, a, b)
+
+
+def test_unequal_leaves_with_equal_hashes_are_unequal_under_an_app():
+    f = Const("f")
+    for x, y in ((Const("a"), Const("b")), (Var(0), Var(1)), (FVar("x"), FVar("y"))):
+        assert x != _collide(x, y)
+        if x.__class__ is Var:  # both are typed under a binder
+            x, y = Lam("x", Const("A"), Lam("y", Const("A"), x)), Lam("x", Const("A"), Lam("y", Const("A"), y))
+        _differ(App(f, x), App(f, y))
+
+
+def test_a_different_child_at_each_position_with_equal_hashes():
+    a, c = Const("A"), Const("c")
+    for make in (App, lambda u, v: Lam("x", u, v), lambda u, v: Pi("x", u, v)):
+        for left, right in (
+            ((a, c), (Const("B"), c)),  # position 0, another hash
+            ((a, c), (a, Const("d"))),  # position 1, another hash
+            ((a, c), (Var(0), c)),  # position 0, another class
+            ((a, c), (a, Var(0))),  # position 1, another class
+        ):
+            x, y = make(*left), make(*right)
+            if x.lbr or y.lbr:  # Var(0) is bound by an outer binder
+                x, y = Lam("z", a, x), Lam("z", a, y)
+                _collide(x.body, y.body)
+            _differ(x, _collide(x, y))
+
+
+def test_a_deep_pair_that_differs_only_at_its_last_leaf():
+    x, y = Const("a"), _collide(Const("a"), Const("b"))
+    for i in range(1200):  # past the recursion limit; an App, a Lam and a Pi per three levels, all normal
+        if i % 3 == 0:
+            x, y = App(Const("f"), x), App(Const("f"), y)
+        else:
+            make = Lam if i % 3 == 1 else Pi
+            x, y = make("x", Const("A"), x), make("x", Const("A"), y)
+    _differ(x, y)
